@@ -157,9 +157,8 @@ def predicted_interaction(holes: Sequence[InducedHole], model: str = "bulk") -> 
 
 def finite_correlation(spec: RegionSpec, model: str = "bulk") -> CorrelationReport:
     """Exact finite-size determinants against the asymptotic prediction."""
-    if model == "free_boundary":
-        if tuple(sorted(-x for x in spec.left)) != spec.right:
-            raise ValueError("free-boundary model requires R = -L")
+    if model == "free_boundary" and not spec.is_mirror_symmetric:
+        raise ValueError("free-boundary model requires R = -L")
     det_lower = det_exact(hole_matrix(spec, "lower"))
     det_upper = det_exact(hole_matrix(spec, "upper"))
     if model == "bulk":

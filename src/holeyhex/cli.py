@@ -40,8 +40,7 @@ def _emit(payload) -> None:
 
 def cmd_count(args) -> int:
     spec = _spec_from_args(args)
-    kind = {"upper": "upper_weighted", "free": "free_half"}.get(args.kind, args.kind)
-    result = matrices.count_region(spec, kind)
+    result = matrices.count_region(spec, args.kind)
     _emit(result.to_json_dict())
     return 0
 
@@ -131,8 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count", help="exact (weighted) tiling count of a region")
     _add_spec_arguments(p)
-    p.add_argument("--kind", default="full",
-                   choices=["full", "lower", "upper", "upper_weighted", "free", "free_half"])
+    p.add_argument("--kind", default="full", choices=list(matrices.COUNT_KINDS))
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("formulas", help="evaluate a classical product formula")
@@ -163,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--left", default="")
     p.add_argument("--right", default="")
     p.add_argument("--scale-holes", action="store_true",
-                   help="treat hole positions as eighths of n")
+                   help="treat hole positions as quarters of n")
     p.add_argument("--fit", action="store_true", help="append the fitted exponent")
     p.set_defaults(func=cmd_sweep)
 
@@ -187,6 +185,9 @@ def main(argv=None) -> int:
         for violation in exc.violations:
             print(f"invalid spec: {violation}", file=sys.stderr)
         return 2
+    except matrices.RouteMismatchError as exc:
+        print(f"verification failed: {exc}", file=sys.stderr)
+        return 1
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

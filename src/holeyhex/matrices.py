@@ -69,6 +69,14 @@ def path_matrix(spec: RegionSpec, kind: str) -> Matrix:
     return [[Fraction(path_count(s, e, variant)) for e in ends] for s in starts]
 
 
+def _hole_to_hole(l: int, r: int, kind: str) -> Fraction:
+    if r < l:
+        return Fraction(0)
+    if kind == "lower":
+        return Fraction(binomial(r - l + 1, (r - l) // 2), r - l + 1)
+    return Fraction(binomial(r - l + 1, (r - l) // 2))
+
+
 def printed_path_entry(spec: RegionSpec, kind: str, i: int, j: int,
                        mixed_variant: str = "recurrence") -> Fraction:
     """The closed-form matrix entry as printed, for cross-checking.
@@ -94,11 +102,7 @@ def printed_path_entry(spec: RegionSpec, kind: str, i: int, j: int,
             else:
                 k = half - l // 2 + 1 - j
             return Fraction(2 * j - 1, n - l + 1) * binomial(n - l + 1, k)
-        r = spec.right[j - m - 1]
-        l = spec.left[i - m - 1]
-        if r < l:
-            return Fraction(0)
-        return Fraction(1, r - l + 1) * binomial(r - l + 1, (r - l) // 2)
+        return _hole_to_hole(spec.left[i - m - 1], spec.right[j - m - 1], kind)
     if kind == "upper":
         if i <= m and j <= m:
             return Fraction(binomial(2 * n, n + j - i) + binomial(2 * n, n + 1 - i - j))
@@ -108,84 +112,46 @@ def printed_path_entry(spec: RegionSpec, kind: str, i: int, j: int,
         if i > m and j <= m:
             l = spec.left[i - m - 1]
             return Fraction(binomial(n - l + 1, half - l // 2 + 1 - j))
-        r = spec.right[j - m - 1]
-        l = spec.left[i - m - 1]
-        if r < l:
-            return Fraction(0)
-        return Fraction(binomial(r - l + 1, (r - l) // 2))
+        return _hole_to_hole(spec.left[i - m - 1], spec.right[j - m - 1], kind)
     raise ValueError(f"no printed entries for kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
 # LU factor entries
 
-def _lower_L_boundary(n: int, i: int, j: int) -> Fraction:
-    if j > i:
-        return Fraction(0)
-    return gamma_ratio(
+# Gamma arguments of the explicit LU factor entries, as (numerators,
+# denominators).  Boundary blocks take (n, i, j); hole blocks take (n, s, x)
+# with s the boundary index and x the hole position, l for ``l_hole`` and r
+# for ``u_hole``.  Hole entries carry the sign (-1)**(s+1) and, in the lower
+# region, a factor 1/2 (_HOLE_SCALE).
+_LU_GAMMA_ARGS = {
+    ("lower", "l_boundary"): lambda n, i, j: (
         [2 * i, n + 1, i + j - 1, 2 * j + n],
-        [2 * i - 1, 2 * j, i - j + 1, j - i + n + 1, i + j + n],
-    )
-
-
-def _lower_L_hole(n: int, j: int, l: int) -> Fraction:
-    sign = -1 if j % 2 == 0 else 1
-    return sign * gamma_ratio(
-        [j + n - 1, 2 * j + n, n - l + 1, j + l // 2 + n // 2 - 1],
-        [j, 2 * j + 2 * n - 2, n // 2 - l // 2 + 1, l // 2 + n // 2, j - l // 2 + n // 2 + 1],
-    ) / 2
-
-
-def _lower_U_boundary(n: int, i: int, j: int) -> Fraction:
-    if i > j:
-        return Fraction(0)
-    return gamma_ratio(
+        [2 * i - 1, 2 * j, i - j + 1, j - i + n + 1, i + j + n]),
+    ("lower", "l_hole"): lambda n, s, l: (
+        [s + n - 1, 2 * s + n, n - l + 1, s + l // 2 + n // 2 - 1],
+        [s, 2 * s + 2 * n - 2, n // 2 - l // 2 + 1, l // 2 + n // 2, s - l // 2 + n // 2 + 1]),
+    ("lower", "u_boundary"): lambda n, i, j: (
         [2 * j, n + 1, i + j - 1, 2 * i + 2 * n - 1],
-        [2 * j - 1, j - i + 1, 2 * i + n - 1, i - j + n + 1, i + j + n],
-    )
-
-
-def _lower_U_hole(n: int, i: int, r: int) -> Fraction:
-    sign = -1 if i % 2 == 0 else 1
-    return sign * gamma_ratio(
-        [2 * i + 1, i + n, n + r + 1, i + n // 2 - r // 2 - 1],
-        [2 * i + n - 1, i + 1, n // 2 - r // 2, n // 2 + r // 2 + 1, i + n // 2 + r // 2 + 1],
-    ) / 2
-
-
-def _upper_L_boundary(n: int, i: int, j: int) -> Fraction:
-    if j > i:
-        return Fraction(0)
-    return gamma_ratio(
+        [2 * j - 1, j - i + 1, 2 * i + n - 1, i - j + n + 1, i + j + n]),
+    ("lower", "u_hole"): lambda n, s, r: (
+        [2 * s + 1, s + n, n + r + 1, s + n // 2 - r // 2 - 1],
+        [2 * s + n - 1, s + 1, n // 2 - r // 2, n // 2 + r // 2 + 1, s + n // 2 + r // 2 + 1]),
+    ("upper", "l_boundary"): lambda n, i, j: (
         [n + 1, i + j - 1, 2 * j + n],
-        [2 * j - 1, i - j + 1, j - i + n + 1, i + j + n],
-    )
-
-
-def _upper_L_hole(n: int, j: int, l: int) -> Fraction:
-    sign = -1 if j % 2 == 0 else 1
-    return sign * gamma_ratio(
-        [j + n, 2 * j + n, n - l + 2, j + l // 2 + n // 2 - 1],
-        [j, 2 * j + 2 * n, n // 2 - l // 2 + 1, l // 2 + n // 2, j - l // 2 + n // 2 + 1],
-    )
-
-
-def _upper_U_boundary(n: int, i: int, j: int) -> Fraction:
-    if i > j:
-        return Fraction(0)
-    return gamma_ratio(
+        [2 * j - 1, i - j + 1, j - i + n + 1, i + j + n]),
+    ("upper", "l_hole"): lambda n, s, l: (
+        [s + n, 2 * s + n, n - l + 2, s + l // 2 + n // 2 - 1],
+        [s, 2 * s + 2 * n, n // 2 - l // 2 + 1, l // 2 + n // 2, s - l // 2 + n // 2 + 1]),
+    ("upper", "u_boundary"): lambda n, i, j: (
         [n + 1, i + j - 1, 2 * i + 2 * n],
-        [j - i + 1, 2 * i + n - 1, i - j + n + 1, i + j + n],
-    )
+        [j - i + 1, 2 * i + n - 1, i - j + n + 1, i + j + n]),
+    ("upper", "u_hole"): lambda n, s, r: (
+        [2 * s - 1, s + n, n + r + 2, s + n // 2 - r // 2 - 1],
+        [s, 2 * s + n - 1, n // 2 - r // 2, n // 2 + r // 2 + 1, s + n // 2 + r // 2 + 1]),
+}
 
-
-def _upper_U_hole(n: int, i: int, r: int) -> Fraction:
-    sign = -1 if i % 2 == 0 else 1
-    return sign * gamma_ratio(
-        [2 * i - 1, i + n, n + r + 2, i + n // 2 - r // 2 - 1],
-        [i, 2 * i + n - 1, n // 2 - r // 2, n // 2 + r // 2 + 1, i + n // 2 + r // 2 + 1],
-    )
-
+_HOLE_SCALE = {"lower": HALF, "upper": 1}
 
 LU_BLOCKS = ("l_boundary", "l_hole", "u_boundary", "u_hole")
 
@@ -199,46 +165,17 @@ def lu_factor_entry(block: str, i: int, j: int, spec: RegionSpec, kind: str) -> 
     hole position read off the spec.  Signs alternate with the boundary
     index as printed.
     """
+    args = _LU_GAMMA_ARGS.get((kind, block))
+    if args is None:
+        raise ValueError(f"unknown LU block {block!r} for kind {kind!r}")
     n, m = spec.n, spec.m
-    lower = kind == "lower"
-    if block == "l_boundary":
-        return (_lower_L_boundary if lower else _upper_L_boundary)(n, i, j)
-    if block == "u_boundary":
-        return (_lower_U_boundary if lower else _upper_U_boundary)(n, i, j)
-    if block == "l_hole":
-        l = spec.left[i - m - 1]
-        return (_lower_L_hole if lower else _upper_L_hole)(n, j, l)
-    if block == "u_hole":
-        r = spec.right[j - m - 1]
-        return (_lower_U_hole if lower else _upper_U_hole)(n, i, r)
-    raise ValueError(f"unknown LU block {block!r}")
-
-
-def _hole_to_hole(l: int, r: int, kind: str) -> Fraction:
-    if r < l:
+    if block in ("l_hole", "u_hole"):
+        s, x = (j, spec.left[i - m - 1]) if block == "l_hole" else (i, spec.right[j - m - 1])
+        sign = -1 if s % 2 == 0 else 1
+        return sign * gamma_ratio(*args(n, s, x)) * _HOLE_SCALE[kind]
+    if (block == "l_boundary" and j > i) or (block == "u_boundary" and i > j):
         return Fraction(0)
-    if kind == "lower":
-        return Fraction(binomial(r - l + 1, (r - l) // 2), r - l + 1)
-    return Fraction(binomial(r - l + 1, (r - l) // 2))
-
-
-def _schur_term(n: int, s: int, l: int, r: int, kind: str) -> Fraction:
-    # fused B(s; l) * D(s; r); the alternating signs cancel pairwise
-    if kind == "lower":
-        nums = [s + n - 1, 2 * s + n, n - l + 1, s + l // 2 + n // 2 - 1,
-                2 * s + 1, s + n, n + r + 1, s + n // 2 - r // 2 - 1]
-        dens = [s, 2 * s + 2 * n - 2, n // 2 - l // 2 + 1, l // 2 + n // 2,
-                s - l // 2 + n // 2 + 1,
-                2 * s + n - 1, s + 1, n // 2 - r // 2, n // 2 + r // 2 + 1,
-                s + n // 2 + r // 2 + 1]
-        return gamma_ratio(nums, dens) / 4
-    nums = [s + n, 2 * s + n, n - l + 2, s + l // 2 + n // 2 - 1,
-            2 * s - 1, s + n, n + r + 2, s + n // 2 - r // 2 - 1]
-    dens = [s, 2 * s + 2 * n, n // 2 - l // 2 + 1, l // 2 + n // 2,
-            s - l // 2 + n // 2 + 1,
-            s, 2 * s + n - 1, n // 2 - r // 2, n // 2 + r // 2 + 1,
-            s + n // 2 + r // 2 + 1]
-    return gamma_ratio(nums, dens)
+    return gamma_ratio(*args(n, i, j))
 
 
 def hole_matrix_entry(spec: RegionSpec, kind: str, i: int, j: int) -> Fraction:
@@ -246,9 +183,13 @@ def hole_matrix_entry(spec: RegionSpec, kind: str, i: int, j: int) -> Fraction:
     l = spec.left[i - 1]
     r = spec.right[j - 1]
     n = spec.n
+    l_hole, u_hole = _LU_GAMMA_ARGS[kind, "l_hole"], _LU_GAMMA_ARGS[kind, "u_hole"]
+    scale = _HOLE_SCALE[kind] ** 2
     total = _hole_to_hole(l, r, kind)
     for s in range(1, spec.m + 1):
-        total -= _schur_term(n, s, l, r, kind)
+        # l_hole(s; l) * u_hole(s; r) as one gamma_ratio; the signs cancel
+        (l_num, l_den), (u_num, u_den) = l_hole(n, s, l), u_hole(n, s, r)
+        total -= gamma_ratio(l_num + u_num, l_den + u_den) * scale
     return total
 
 
@@ -414,32 +355,21 @@ def verify_lu(spec: RegionSpec, kind: str, _perturb=None) -> dict:
             value += _perturb[3]
         return value
 
+    boundary, holes = range(1, m + 1), range(m + 1, m + p + 1)
     checked = 0
     failure = None
-
-    def mismatch(block, i, j, total, target):
-        nonlocal failure
-        if total != target and failure is None:
-            failure = (block, i, j)
-
-    for i in range(1, m + 1):
-        for j in range(1, m + 1):
-            total = sum(entry("l_boundary", i, s) * entry("u_boundary", s, j)
-                        for s in range(1, min(i, j) + 1))
-            checked += 1
-            mismatch("boundary", i, j, total, q[i - 1][j - 1])
-    for i in range(1, m + 1):
-        for j in range(m + 1, m + p + 1):
-            total = sum(entry("l_boundary", i, s) * entry("u_hole", s, j)
-                        for s in range(1, i + 1))
-            checked += 1
-            mismatch("boundary_to_hole", i, j, total, q[i - 1][j - 1])
-    for i in range(m + 1, m + p + 1):
-        for j in range(1, m + 1):
-            total = sum(entry("l_hole", i, s) * entry("u_boundary", s, j)
-                        for s in range(1, j + 1))
-            checked += 1
-            mismatch("hole_to_boundary", i, j, total, q[i - 1][j - 1])
+    for name, rows, cols, l_block, u_block in (
+            ("boundary", boundary, boundary, "l_boundary", "u_boundary"),
+            ("boundary_to_hole", boundary, holes, "l_boundary", "u_hole"),
+            ("hole_to_boundary", holes, boundary, "l_hole", "u_boundary")):
+        for i in rows:
+            for j in cols:
+                # L and U are triangular on the boundary indices
+                total = sum(entry(l_block, i, s) * entry(u_block, s, j)
+                            for s in range(1, min(i, j, m) + 1))
+                checked += 1
+                if total != q[i - 1][j - 1] and failure is None:
+                    failure = (name, i, j)
     return {"ok": failure is None, "checked": checked, "first_failure": failure}
 
 
@@ -465,7 +395,10 @@ class CountResult:
         }
 
 
-COUNT_KINDS = ("lower", "upper_weighted", "full", "free_half")
+# every accepted count-kind spelling -> the kind a CountResult reports
+COUNT_KINDS = {"full": "full", "lower": "lower",
+               "upper": "upper_weighted", "upper_weighted": "upper_weighted",
+               "free": "free_half", "free_half": "free_half"}
 
 
 def count_region(spec: RegionSpec, kind: str) -> CountResult:
@@ -476,11 +409,13 @@ def count_region(spec: RegionSpec, kind: str) -> CountResult:
     full            lower * upper_weighted == box(n,m) * detE_lower * detE_upper
     free_half       == upper_weighted, requires R = -L
 
-    A disagreement between routes means a formula bug and raises.
+    ``kind`` may be any spelling in COUNT_KINDS.  A disagreement between
+    routes means a formula bug and raises RouteMismatchError.
     """
+    kind = COUNT_KINDS.get(kind, kind)
     n, m = spec.n, spec.m
     if kind == "free_half":
-        if tuple(sorted(-x for x in spec.left)) != spec.right:
+        if not spec.is_mirror_symmetric:
             raise ValueError("free_half requires R = -L")
         inner = count_region(spec, "upper_weighted")
         return CountResult(spec, "free_half", inner.value, inner.factors)

@@ -130,7 +130,7 @@ def count_symmetric(spec: RegionSpec, axis: str, budget: int = DEFAULT_BUDGET) -
     if axis == "horizontal":
         reflect = reflect_horizontal
     elif axis == "vertical":
-        if tuple(sorted(-x for x in spec.left)) != spec.right:
+        if not spec.is_mirror_symmetric:
             raise ValueError("vertical symmetry needs R = -L")
         reflect = reflect_vertical
     else:
@@ -179,6 +179,28 @@ def _family_transitions(starts, ends, constraint):
     xmin = min(x for x, _ in starts)
     xmax = max(x for x, _ in ends)
     return k, xmin, xmax
+
+
+def _column_steps(x, carry, starts, ends, constraint):
+    """Yield (weight, next carry, moves) for every way through column x.
+
+    Paths starting in column x enter at their start height; carried paths
+    enter where they left column x-1.  A path that starts in column x while
+    it is still carried admits no step.  ``moves`` is as in _column_options.
+    """
+    actives = []
+    for i, (sx, sy) in enumerate(starts):
+        if sx == x:
+            if carry[i] is not None:
+                return
+            actives.append((i, sy, ends[i]))
+        elif carry[i] is not None:
+            actives.append((i, carry[i], ends[i]))
+    for weight, moves in _column_options(x, actives, constraint):
+        nxt = list(carry)
+        for idx, exit_y, finished in moves:
+            nxt[idx] = None if finished else exit_y
+        yield weight, tuple(nxt), moves
 
 
 def _column_options(x, actives, constraint):
@@ -239,23 +261,9 @@ def count_families(starts: Sequence, ends: Sequence, constraint: str = "none") -
         hit = memo.get(key)
         if hit is not None:
             return hit
-        actives = []
-        ok = True
-        for i in range(k):
-            if starts[i][0] == x:
-                if carry[i] is not None:
-                    ok = False
-                    break
-                actives.append((i, starts[i][1], ends[i]))
-            elif carry[i] is not None:
-                actives.append((i, carry[i], ends[i]))
         total = 0
-        if ok:
-            for weight, moves in _column_options(x, actives, constraint):
-                nxt = list(carry)
-                for idx, exit_y, finished in moves:
-                    nxt[idx] = None if finished else exit_y
-                total += weight * sweep(x + 1, tuple(nxt))
+        for weight, nxt, _ in _column_steps(x, carry, starts, ends, constraint):
+            total += weight * sweep(x + 1, nxt)
         memo[key] = total
         return total
 
@@ -278,22 +286,12 @@ def enumerate_families(starts: Sequence, ends: Sequence, constraint: str = "none
             if all(c is None for c in carry):
                 yield trails, 1
             return
-        actives = []
-        for i in range(k):
-            if starts[i][0] == x:
-                if carry[i] is not None:
-                    return
-                actives.append((i, starts[i][1], ends[i]))
-            elif carry[i] is not None:
-                actives.append((i, carry[i], ends[i]))
-        for weight, moves in _column_options(x, actives, constraint):
-            nxt = list(carry)
+        for weight, nxt, moves in _column_steps(x, carry, starts, ends, constraint):
             grown = list(trails)
-            for idx, exit_y, finished in moves:
+            for idx, exit_y, _ in moves:
                 entry = starts[idx][1] if starts[idx][0] == x else carry[idx]
                 grown[idx] = grown[idx] + tuple((x, y) for y in range(entry, exit_y + 1))
-                nxt[idx] = None if finished else exit_y
-            for rest, w in sweep(x + 1, tuple(nxt), tuple(grown)):
+            for rest, w in sweep(x + 1, nxt, tuple(grown)):
                 yield rest, weight * w
 
     yield from sweep(xmin, (None,) * k, ((),) * k)

@@ -50,6 +50,11 @@ class RegionSpec:
     def p(self) -> int:
         return len(self.left)
 
+    @property
+    def is_mirror_symmetric(self) -> bool:
+        """R = -L: the holes mirror each other across the centre column."""
+        return tuple(sorted(-x for x in self.left)) == self.right
+
     def unholed(self) -> "RegionSpec":
         return RegionSpec(self.n, self.m, (), ())
 
@@ -96,6 +101,10 @@ def validate(n: int, m: int, left: Iterable[int] = (), right: Iterable[int] = ()
 def parse_spec(text: str) -> RegionSpec:
     """Parse the canonical form ``n=<n> m=<m> L=<l1,...> R=<r1,...>``."""
     fields = dict(token.split("=", 1) for token in text.split())
+    missing = [f"missing field {key}=" for key in ("n", "m") if key not in fields]
+    if missing:
+        raise SpecValidationError(missing)
+
     def ints(value: str) -> list[int]:
         return [int(v) for v in value.split(",") if v.strip()]
     return validate(int(fields["n"]), int(fields["m"]), ints(fields.get("L", "")), ints(fields.get("R", "")))
@@ -263,7 +272,7 @@ def build_region(spec: RegionSpec, kind: str) -> TriangularRegion:
     tagged = [(x, LEFT) for x in spec.left] + [(x, RIGHT) for x in spec.right]
 
     if kind == "free_half":
-        if tuple(sorted(-x for x in spec.left)) != spec.right:
+        if not spec.is_mirror_symmetric:
             raise ValueError("free_half requires R = -L")
         return TriangularRegion("free_half", hexagon, frozenset(), spec)
 

@@ -19,9 +19,8 @@ from typing import Iterable
 
 from .regions import (LEFT, RIGHT, RegionSpec, TriangularRegion, build_region,
                       neighbors)
-from .oracle import enumerate_tilings, serialize_tiling, tiling_is_exact_cover
-
-DEFAULT_BUDGET = 10 ** 8
+from .oracle import (DEFAULT_BUDGET, enumerate_tilings, serialize_tiling,
+                     tiling_is_exact_cover)
 
 
 class TransmissionError(RuntimeError):
@@ -191,11 +190,21 @@ def zeta(tiling, spec: RegionSpec, kind: str = "lower", with_ribbons: bool = Fal
     unit holes of the pair sit edge to edge and are covered by one new
     rhombus.
     """
+    image, ribbons = _zeta(tiling, spec, kind)
+    if with_ribbons:
+        return image, ribbons
+    return image
+
+
+def _zeta(tiling, spec: RegionSpec, kind: str, region: TriangularRegion | None = None):
+    """zeta as (image, ribbons); ``region`` is build_region(spec, kind) when
+    the caller has it already, and is built here otherwise."""
     if kind == "upper" and any(r + 2 in spec.left for r in spec.right):
         raise ValueError(
             "upper-region transmission is undefined for toward-pointing holes "
             "at spacing two (the pair fuses into a hexagonal hole)")
-    region = build_region(spec, kind)
+    if region is None:
+        region = build_region(spec, kind)
     tiles = set(tiling)
     ribbons = []
     for pair in pair_holes(spec.right, spec.left):
@@ -208,10 +217,7 @@ def zeta(tiling, spec: RegionSpec, kind: str = "lower", with_ribbons: bool = Fal
         if other not in neighbors(hole):
             raise TransmissionError("transmitted hole did not reach its partner")
         tiles.add(frozenset((hole, other)))
-    image = frozenset(tiles)
-    if with_ribbons:
-        return image, ribbons
-    return image
+    return frozenset(tiles), ribbons
 
 
 def upper_weight(region: TriangularRegion, tiling) -> int:
@@ -245,7 +251,7 @@ def verify_injection(spec: RegionSpec, kind: str = "lower",
     weight_monotone = True
     for tiling in enumerate_tilings(region, budget):
         tilings += 1
-        image = zeta(tiling, spec, kind)
+        image, _ = _zeta(tiling, spec, kind, region)
         if not tiling_is_exact_cover(target, image):
             valid = False
         if kind == "upper":

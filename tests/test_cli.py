@@ -1,5 +1,6 @@
 import json
 
+from holeyhex import matrices
 from holeyhex.cli import main
 from holeyhex.matrices import count_region
 from holeyhex.regions import validate
@@ -85,3 +86,14 @@ def test_verify_small(capsys):
     code, out, _ = run(capsys, "verify", "--max-n", "4", "--max-m", "1", "--max-p", "1")
     assert code == 0
     assert "0 mismatches" in out
+
+
+def test_route_mismatch_exits_1(capsys, monkeypatch):
+    def mismatch(spec, kind):
+        raise matrices.RouteMismatchError("lower: |det Q| = 5 but prefactor * |det E| = 4")
+    monkeypatch.setattr(matrices, "count_region", mismatch)
+    code, out, err = run(capsys, "count", "--n", "4", "--m", "1",
+                         "--left", "0", "--right", "2")
+    assert code == 1
+    assert out == ""
+    assert "|det Q| = 5 but prefactor * |det E| = 4" in err

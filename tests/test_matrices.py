@@ -97,14 +97,34 @@ def test_lu_diagonal_and_catalan():
     assert lu_factor_entry("u_boundary", 1, 1, validate(6, 1), "lower") == 132
 
 
+LU_SPECS = [
+    (4, 3, [-2], [2]),
+    (8, 2, [2], [-2]),                # toward pair
+    (10, 2, [-6, -2], [2, 6]),        # apart pairs
+    (12, 3, [2, 6], [-6, -2]),        # toward pairs
+    (12, 2, [-8, 4], [-4, 8]),        # interleaved pairs
+]
+
+
 @pytest.mark.parametrize("kind", ["lower", "upper"])
 def test_verify_lu(kind):
-    spec = validate(4, 3, [-2], [2])
-    report = verify_lu(spec, kind)
-    assert report["ok"] and report["first_failure"] is None
-    perturbed = verify_lu(spec, kind, _perturb=("l_hole", 4, 1, Fraction(1, 5)))
-    assert not perturbed["ok"]
-    assert perturbed["first_failure"][0] == "hole_to_boundary"
+    for args in LU_SPECS:
+        spec = validate(*args)
+        m, p = spec.m, spec.p
+        report = verify_lu(spec, kind)
+        assert report["ok"] and report["first_failure"] is None, args
+        assert report["checked"] == m * m + 2 * m * p
+        # the hole-hole block: Q = L_hole * U_hole + E
+        q = path_matrix(spec, kind)
+        for i in range(1, p + 1):
+            for j in range(1, p + 1):
+                schur = sum(lu_factor_entry("l_hole", m + i, s, spec, kind)
+                            * lu_factor_entry("u_hole", s, m + j, spec, kind)
+                            for s in range(1, m + 1))
+                assert q[m + i - 1][m + j - 1] == schur + hole_matrix_entry(spec, kind, i, j)
+        perturbed = verify_lu(spec, kind, _perturb=("l_hole", m + 1, 1, Fraction(1, 5)))
+        assert not perturbed["ok"]
+        assert perturbed["first_failure"][0] == "hole_to_boundary"
 
 
 def test_hole_matrix_small_values():

@@ -29,6 +29,14 @@ def test_validate_figure_spec():
     assert parse_spec(spec.to_text()) == spec
 
 
+def test_parse_spec_names_missing_fields():
+    with pytest.raises(SpecValidationError, match="missing field m="):
+        parse_spec("n=4 L=0 R=2")
+    with pytest.raises(SpecValidationError) as info:
+        parse_spec("L=0 R=2")
+    assert info.value.violations == ["missing field n=", "missing field m="]
+
+
 def test_validate_rejects_duplicates():
     with pytest.raises(SpecValidationError, match="duplicate"):
         validate(10, 2, [0], [0])
