@@ -12,6 +12,7 @@ All functions are pure and reentrant.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -75,6 +76,54 @@ def gamma_ratio(numerator_args: Sequence[int], denominator_args: Sequence[int]) 
     return Fraction(num, den)
 
 
+def _gamma_half(a: Fraction) -> tuple[Fraction, int]:
+    """Gamma(a) for half-integer a as (rational, exponent of sqrt(pi))."""
+    value = Fraction(1)
+    x = Fraction(1, 2)
+    if a >= x:
+        while x < a:
+            value *= x
+            x += 1
+    else:
+        while x > a:
+            x -= 1
+            value /= x
+    return value, 1
+
+
+def gamma_product(numerators: Sequence, denominators: Sequence,
+                  pi_half_power: int = 0) -> Fraction:
+    """Exact prod Gamma(num) / prod Gamma(den) * pi^(pi_half_power/2).
+
+    Arguments may be integers or half-integers.  The sqrt(pi) factors from
+    half-integer arguments must cancel against pi_half_power exactly; the
+    caller pairing them up is what keeps this module free of floating
+    point.
+    """
+    num_int, den_int = [], []
+    value = Fraction(1)
+    power = pi_half_power
+    for a in numerators:
+        a = Fraction(a)
+        if a.denominator == 1:
+            num_int.append(int(a))
+        else:
+            v, p = _gamma_half(a)
+            value *= v
+            power += p
+    for b in denominators:
+        b = Fraction(b)
+        if b.denominator == 1:
+            den_int.append(int(b))
+        else:
+            v, p = _gamma_half(b)
+            value /= v
+            power -= p
+    if power != 0:
+        raise ArithmeticError("sqrt(pi) factors do not cancel")
+    return value * gamma_ratio(num_int, den_int)
+
+
 def hyp_terminating(
     num_params: Sequence[Rational],
     den_params: Sequence[Rational],
@@ -118,7 +167,17 @@ def hyp_terminating(
     return total
 
 
-PRODUCT_KINDS = ("box", "transpose_complement", "vertical_symmetric")
+# kind -> (n, m) -> (const, imax, jmax, triangle, top, bottom): the product is
+# const * prod (i + j + top) / (i + j + bottom) over 1 <= i <= imax and
+# j <= jmax, with j >= i in a triangle and j >= 1 otherwise.  box is
+# MacMahon's prod_{i, j, k} (i+j+k-1)/(i+j+k-2) over k <= n, telescoped in k.
+_PRODUCTS = {
+    "box": lambda n, m: (1, n, 2 * m, False, n - 1, -1),
+    "transpose_complement": lambda n, m: (
+        binomial(n + m - 1, n - 1), n - 2, n - 2, True, 2 * m + 1, 1),
+    "vertical_symmetric": lambda n, m: (1, n, n, True, 2 * m - 1, -1),
+}
+PRODUCT_KINDS = tuple(_PRODUCTS)
 
 
 def product_formula(kind: str, n: int, m: int) -> int:
@@ -127,34 +186,21 @@ def product_formula(kind: str, n: int, m: int) -> int:
     ``box`` counts all tilings (equivalently plane partitions in an
     n x 2m x n box), ``transpose_complement`` counts the horizontally
     symmetric tilings, and ``vertical_symmetric`` the vertically symmetric
-    ones.  Each product is accumulated as a single exact rational and
-    asserted to be an integer at the end, which catches index-range
+    ones.  Each product is evaluated as one exact integer quotient and
+    asserted to leave no remainder, which catches index-range
     transcription mistakes immediately.
     """
     if n < 1 or m < 1:
         raise ValueError("hexagon sides must be positive")
-    if kind == "box":
-        acc = Fraction(1)
-        for i in range(1, n + 1):
-            for j in range(1, 2 * m + 1):
-                for k in range(1, n + 1):
-                    acc *= Fraction(i + j + k - 1, i + j + k - 2)
-    elif kind == "transpose_complement":
-        if n % 2:
-            raise ValueError("transpose_complement requires even n")
-        acc = Fraction(binomial(n + m - 1, n - 1))
-        for i in range(1, n - 1):
-            for j in range(i, n - 1):
-                acc *= Fraction(2 * m + i + j + 1, i + j + 1)
-    elif kind == "vertical_symmetric":
-        acc = Fraction(1)
-        for i in range(1, n + 1):
-            acc *= Fraction(2 * i + 2 * m - 1, 2 * i - 1)
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                acc *= Fraction(i + j + 2 * m - 1, i + j - 1)
-    else:
+    if kind not in _PRODUCTS:
         raise ValueError(f"unknown product formula kind: {kind!r}")
-    if acc.denominator != 1:
+    if kind == "transpose_complement" and n % 2:
+        raise ValueError("transpose_complement requires even n")
+    const, imax, jmax, triangle, top, bottom = _PRODUCTS[kind](n, m)
+    sums = Counter(i + j for i in range(1, imax + 1)
+                   for j in range(i if triangle else 1, jmax + 1))
+    numerator = const * math.prod((s + top) ** k for s, k in sums.items())
+    value, remainder = divmod(numerator, math.prod((s + bottom) ** k for s, k in sums.items()))
+    if remainder:
         raise ArithmeticError(f"{kind} product did not reduce to an integer")
-    return acc.numerator
+    return value

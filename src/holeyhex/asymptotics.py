@@ -90,32 +90,12 @@ def cauchy_det(left: Sequence[int], right: Sequence[int]) -> float:
         for r in right:
             product /= distance(r, l)
 
-    x = [-SQRT3 / 2.0 * l for l in left]
-    y = [-SQRT3 / 2.0 * r for r in right]
-    rows = [[1.0 / (2.0 * math.pi * (xi - yj)) for yj in y] for xi in x]
-    direct = _det_float(rows)
+    # the direct matrix is [1/(r_j - l_i)] scaled by 1/(pi sqrt 3)
+    direct = float(det_exact([[Fraction(1, r - l) for r in right] for l in left]))
+    direct /= (math.pi * SQRT3) ** p
     if abs(abs(direct) - product) > 1e-12 * max(product, 1.0):
         raise ArithmeticError("Cauchy product and direct determinant disagree")
     return product
-
-
-def _det_float(rows: list) -> float:
-    size = len(rows)
-    work = [row[:] for row in rows]
-    det = 1.0
-    for col in range(size):
-        pivot = max(range(col, size), key=lambda r: abs(work[r][col]))
-        if work[pivot][col] == 0.0:
-            return 0.0
-        if pivot != col:
-            work[col], work[pivot] = work[pivot], work[col]
-            det = -det
-        det *= work[col][col]
-        for r in range(col + 1, size):
-            f = work[r][col] / work[col][col]
-            for c in range(col, size):
-                work[r][c] -= f * work[col][c]
-    return det
 
 
 def _single_hole_constant(charge: int, model: str) -> float:

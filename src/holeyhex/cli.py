@@ -16,14 +16,9 @@ from . import arith, asymptotics, matrices, oracle, regions
 from .zeta import verify_injection
 
 
-def _parse_holes(text: str) -> list[int]:
-    if not text:
-        return []
-    return [int(tok) for tok in text.split(",") if tok.strip()]
-
-
 def _spec_from_args(args) -> regions.RegionSpec:
-    return regions.validate(args.n, args.m, _parse_holes(args.left), _parse_holes(args.right))
+    return regions.validate(args.n, args.m, regions.parse_int_list(args.left),
+                            regions.parse_int_list(args.right))
 
 
 def _add_spec_arguments(parser, holes=True):
@@ -94,24 +89,20 @@ def cmd_sweep(args) -> int:
     if not args.separations and not args.n_values:
         print("error: sweep needs --separations or --n-values", file=sys.stderr)
         return 2
-    print(asymptotics.CSV_HEADER)
     if args.separations:
-        distances = _parse_holes(args.separations)
         reports, slope, intercept = asymptotics.separation_sweep(
-            args.size, xi, distances, args.model)
-        for report in reports:
-            print(report.csv_row())
-        if args.fit:
-            print(f"# slope={slope!r} intercept={intercept!r}")
+            args.size, xi, regions.parse_int_list(args.separations), args.model)
+        fit = f"# slope={slope!r} intercept={intercept!r}"
     else:
-        n_values = _parse_holes(args.n_values)
         reports, trend = asymptotics.size_sweep(
-            _parse_holes(args.left), _parse_holes(args.right), xi, n_values,
-            scale_holes=args.scale_holes)
-        for report in reports:
-            print(report.csv_row())
-        if args.fit:
-            print(f"# trend={trend!r}")
+            regions.parse_int_list(args.left), regions.parse_int_list(args.right), xi,
+            regions.parse_int_list(args.n_values), scale_holes=args.scale_holes)
+        fit = f"# trend={trend!r}"
+    print(asymptotics.CSV_HEADER)
+    for report in reports:
+        print(report.csv_row())
+    if args.fit:
+        print(fit)
     return 0
 
 

@@ -16,9 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
-from .arith import binomial, gamma_ratio, hyp_terminating, product_formula
+from .arith import binomial, gamma_product, gamma_ratio, hyp_terminating, product_formula
 from .regions import RegionSpec, lgv_points
 
 HALF = Fraction(1, 2)
@@ -153,9 +152,6 @@ _LU_GAMMA_ARGS = {
 
 _HOLE_SCALE = {"lower": HALF, "upper": 1}
 
-LU_BLOCKS = ("l_boundary", "l_hole", "u_boundary", "u_hole")
-
-
 def lu_factor_entry(block: str, i: int, j: int, spec: RegionSpec, kind: str) -> Fraction:
     """One entry of the explicit LU factors of a half-region path matrix.
 
@@ -204,54 +200,6 @@ def hole_matrix(spec: RegionSpec, kind: str) -> Matrix:
 
 # ---------------------------------------------------------------------------
 # hypergeometric closed forms for the hole-matrix entries
-
-def _gamma_half(a: Fraction) -> tuple[Fraction, int]:
-    """Gamma(a) for half-integer a as (rational, exponent of sqrt(pi))."""
-    value = Fraction(1)
-    x = HALF
-    if a >= x:
-        while x < a:
-            value *= x
-            x += 1
-    else:
-        while x > a:
-            x -= 1
-            value /= x
-    return value, 1
-
-
-def gamma_product(numerators: Sequence, denominators: Sequence,
-                  pi_half_power: int = 0) -> Fraction:
-    """Exact prod Gamma(num) / prod Gamma(den) * pi^(pi_half_power/2).
-
-    Arguments may be integers or half-integers.  The sqrt(pi) factors from
-    half-integer arguments must cancel against pi_half_power exactly; the
-    caller pairing them up is what keeps this module free of floating
-    point.
-    """
-    num_int, den_int = [], []
-    value = Fraction(1)
-    power = pi_half_power
-    for a in numerators:
-        a = Fraction(a)
-        if a.denominator == 1:
-            num_int.append(int(a))
-        else:
-            v, p = _gamma_half(a)
-            value *= v
-            power += p
-    for b in denominators:
-        b = Fraction(b)
-        if b.denominator == 1:
-            den_int.append(int(b))
-        else:
-            v, p = _gamma_half(b)
-            value /= v
-            power -= p
-    if power != 0:
-        raise ArithmeticError("sqrt(pi) factors do not cancel")
-    return value * gamma_ratio(num_int, den_int)
-
 
 def closed_form_entry(spec: RegionSpec, kind: str, i: int, j: int) -> Fraction:
     """The printed hypergeometric closed form of a hole-matrix entry.

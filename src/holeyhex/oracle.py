@@ -125,7 +125,7 @@ def serialize_tiling(tiling) -> list:
 # ---------------------------------------------------------------------------
 # symmetry-filtered counts
 
-def count_symmetric(spec: RegionSpec, axis: str, budget: int = DEFAULT_BUDGET) -> int:
+def count_symmetric(spec: RegionSpec, axis: str) -> int:
     """Tilings of the full holey hexagon invariant under a reflection."""
     if axis == "horizontal":
         reflect = reflect_horizontal
@@ -137,20 +137,20 @@ def count_symmetric(spec: RegionSpec, axis: str, budget: int = DEFAULT_BUDGET) -
         raise ValueError(f"unknown axis {axis!r}")
     region = build_region(spec, "full")
     count = 0
-    for tiling in enumerate_tilings(region, budget):
+    for tiling in enumerate_tilings(region):
         if all(frozenset(reflect(cell) for cell in rhombus) in tiling for rhombus in tiling):
             count += 1
     return count
 
 
-def count_free_boundary(n: int, m: int, left: Sequence[int], budget: int = DEFAULT_BUDGET) -> int:
+def count_free_boundary(n: int, m: int, left: Sequence[int]) -> int:
     """Tilings of the left half hexagon against a vertical free boundary.
 
     Computed as the vertically symmetric tilings of the doubled region with
     R = -L, which avoids materialising protruding half rhombi.
     """
     spec = validate(n, m, left, [-x for x in left])
-    return count_symmetric(spec, "vertical", budget)
+    return count_symmetric(spec, "vertical")
 
 
 # ---------------------------------------------------------------------------

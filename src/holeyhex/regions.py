@@ -98,16 +98,30 @@ def validate(n: int, m: int, left: Iterable[int] = (), right: Iterable[int] = ()
     return RegionSpec(n, m, left, right)
 
 
+def parse_int_list(text: str) -> list[int]:
+    """The integers of a comma-separated list; blank items are skipped."""
+    try:
+        return [int(item) for item in text.split(",") if item.strip()]
+    except ValueError:
+        raise SpecValidationError([f"not a comma-separated integer list: {text!r}"]) from None
+
+
+_SPEC_FIELDS = {"n": int, "m": int, "L": parse_int_list, "R": parse_int_list}
+
+
 def parse_spec(text: str) -> RegionSpec:
     """Parse the canonical form ``n=<n> m=<m> L=<l1,...> R=<r1,...>``."""
-    fields = dict(token.split("=", 1) for token in text.split())
-    missing = [f"missing field {key}=" for key in ("n", "m") if key not in fields]
-    if missing:
-        raise SpecValidationError(missing)
-
-    def ints(value: str) -> list[int]:
-        return [int(v) for v in value.split(",") if v.strip()]
-    return validate(int(fields["n"]), int(fields["m"]), ints(fields.get("L", "")), ints(fields.get("R", "")))
+    fields, problems = {}, []
+    for token in text.split():
+        key, _, value = token.partition("=")
+        try:
+            fields[key] = _SPEC_FIELDS[key](value)
+        except (KeyError, ValueError):
+            problems.append(f"unknown or malformed field {token!r}")
+    problems += [f"missing field {key}=" for key in ("n", "m") if key not in fields]
+    if problems:
+        raise SpecValidationError(problems)
+    return validate(fields["n"], fields["m"], fields.get("L", ()), fields.get("R", ()))
 
 
 # ---------------------------------------------------------------------------

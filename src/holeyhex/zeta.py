@@ -19,8 +19,7 @@ from typing import Iterable
 
 from .regions import (LEFT, RIGHT, RegionSpec, TriangularRegion, build_region,
                       neighbors)
-from .oracle import (DEFAULT_BUDGET, enumerate_tilings, serialize_tiling,
-                     tiling_is_exact_cover)
+from .oracle import enumerate_tilings, serialize_tiling, tiling_is_exact_cover
 
 
 class TransmissionError(RuntimeError):
@@ -236,8 +235,7 @@ def upper_weight(region: TriangularRegion, tiling) -> int:
     return weight
 
 
-def verify_injection(spec: RegionSpec, kind: str = "lower",
-                     budget: int = DEFAULT_BUDGET) -> dict:
+def verify_injection(spec: RegionSpec, kind: str = "lower") -> dict:
     """Exhaustively map every tiling and check validity and distinctness.
 
     For the upper region the report also states whether the weight never
@@ -249,7 +247,7 @@ def verify_injection(spec: RegionSpec, kind: str = "lower",
     tilings = 0
     valid = True
     weight_monotone = True
-    for tiling in enumerate_tilings(region, budget):
+    for tiling in enumerate_tilings(region):
         tilings += 1
         image, _ = _zeta(tiling, spec, kind, region)
         if not tiling_is_exact_cover(target, image):

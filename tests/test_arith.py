@@ -6,8 +6,9 @@ import pytest
 from holeyhex import arith
 from holeyhex.arith import (GammaPoleError, NonTerminatingSeriesError, binomial,
                             gamma_ratio, hyp_terminating, pochhammer, product_formula)
+from holeyhex.matrices import det_exact, path_matrix
 from holeyhex.oracle import count_tilings
-from holeyhex.regions import TriangularRegion, hexagon_cells
+from holeyhex.regions import TriangularRegion, hexagon_cells, validate
 
 
 def hexagon_region(n, m):
@@ -120,3 +121,53 @@ def test_product_formula_errors():
         product_formula("transpose_complement", 3, 1)
     with pytest.raises(ValueError):
         product_formula("mystery", 2, 1)
+
+
+def literal_product(kind, n, m):
+    """The three classical products written out factor by factor."""
+    if kind == "box":
+        acc = Fraction(1)
+        for i in range(1, n + 1):
+            for j in range(1, 2 * m + 1):
+                for k in range(1, n + 1):
+                    acc *= Fraction(i + j + k - 1, i + j + k - 2)
+    elif kind == "transpose_complement":
+        acc = Fraction(binomial(n + m - 1, n - 1))
+        for i in range(1, n - 1):
+            for j in range(i, n - 1):
+                acc *= Fraction(2 * m + i + j + 1, i + j + 1)
+    else:
+        acc = Fraction(1)
+        for i in range(1, n + 1):
+            acc *= Fraction(2 * i + 2 * m - 1, 2 * i - 1)
+        for i in range(1, n + 1):
+            for j in range(i + 1, n + 1):
+                acc *= Fraction(i + j + 2 * m - 1, i + j - 1)
+    return acc
+
+
+@pytest.mark.parametrize("kind", arith.PRODUCT_KINDS)
+def test_product_formula_matches_literal_products(kind):
+    sides = range(2, 13, 2) if kind == "transpose_complement" else range(1, 13)
+    for n in sides:
+        for m in range(1, 5):
+            assert product_formula(kind, n, m) == literal_product(kind, n, m), (n, m)
+
+
+def test_box_matches_macmahon_hyperfactorials():
+    hyper = [1]  # hyper[k] = 0! 1! ... (k-1)!
+    for k in range(240):
+        hyper.append(hyper[-1] * arith.math.factorial(k))
+    for n in range(1, 61):
+        for m in {1, max(1, n // 3), n}:
+            a, b, c = n, 2 * m, n
+            num = hyper[a] * hyper[b] * hyper[c] * hyper[a + b + c]
+            den = hyper[a + b] * hyper[b + c] * hyper[c + a]
+            assert product_formula("box", n, m) * den == num, (n, m)
+
+
+@pytest.mark.parametrize("kind,half", [("transpose_complement", "lower"),
+                                       ("vertical_symmetric", "upper")])
+def test_symmetric_products_match_unholed_path_determinants(kind, half):
+    for n, m in ((2, 1), (6, 3), (12, 5), (24, 4), (24, 11)):
+        assert product_formula(kind, n, m) == abs(det_exact(path_matrix(validate(n, m), half)))

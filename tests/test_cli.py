@@ -69,6 +69,13 @@ def test_sweep_sizes(capsys):
     assert len(out.strip().splitlines()) == 4
 
 
+def test_sweep_bad_list_leaves_stdout_empty(capsys):
+    code, out, err = run(capsys, "sweep", "--size", "20", "--separations", "2,y")
+    assert code == 2
+    assert out == ""
+    assert "'2,y'" in err
+
+
 def test_sweep_requires_a_mode(capsys):
     code, _, err = run(capsys, "sweep", "--xi", "1")
     assert code == 2

@@ -35,6 +35,9 @@ def test_parse_spec_names_missing_fields():
     with pytest.raises(SpecValidationError) as info:
         parse_spec("L=0 R=2")
     assert info.value.violations == ["missing field n=", "missing field m="]
+    for text, token in (("n=4 m", "'m'"), ("n=4 m=x", "'m=x'"), ("n=4 m=1 Q=3", "'Q=3'")):
+        with pytest.raises(SpecValidationError, match=token):
+            parse_spec(text)
 
 
 def test_validate_rejects_duplicates():
