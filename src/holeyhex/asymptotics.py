@@ -164,20 +164,36 @@ def aspect_m(xi: Fraction, n: int) -> int:
     return m
 
 
+def _require_two_points(xs, name: str, values) -> None:
+    if len(set(xs)) < 2:
+        raise ValueError(f"a fit needs at least two distinct {name}, got {list(values)}")
+
+
+def separation_reports(n: int, xi: Fraction, half_separations: Sequence[int],
+                       model: str = "bulk"):
+    """Correlations for hole pairs at positions -d, +d with d in the list.
+
+    A generator, so that separation_sweep takes each report's logarithm
+    before the next report is computed.
+    """
+    m = aspect_m(xi, n)
+    for d in half_separations:
+        yield finite_correlation(validate(n, m, [-d], [d]), model)
+
+
 def separation_sweep(n: int, xi: Fraction, half_separations: Sequence[int],
                      model: str = "bulk"):
-    """Correlations for hole pairs at positions -d, +d with d in the list.
+    """separation_reports with the fit of log omega against log distance.
 
     Returns (reports, slope, intercept) where slope and intercept come from
     the least-squares fit of log omega against log pairwise distance.
+    Fewer than two distinct distances raise ValueError before any report
+    is computed.
     """
-    m = aspect_m(xi, n)
-    reports = []
-    log_d = []
-    log_w = []
-    for d in half_separations:
-        spec = validate(n, m, [-d], [d])
-        report = finite_correlation(spec, model)
+    _require_two_points([distance(-d, d) for d in half_separations], "separations",
+                        half_separations)
+    reports, log_d, log_w = [], [], []
+    for d, report in zip(half_separations, separation_reports(n, xi, half_separations, model)):
         reports.append(report)
         log_d.append(math.log(distance(-d, d)))
         log_w.append(math.log(abs(report.omega)))
@@ -185,18 +201,15 @@ def separation_sweep(n: int, xi: Fraction, half_separations: Sequence[int],
     return reports, slope, intercept
 
 
-def size_sweep(left: Sequence[int], right: Sequence[int], xi: Fraction,
-               n_values: Sequence[int], scale_holes: bool = False):
+def size_reports(left: Sequence[int], right: Sequence[int], xi: Fraction,
+                 n_values: Sequence[int], scale_holes: bool = False):
     """Correlations for fixed or n-scaled holes across hexagon sizes.
 
     With ``scale_holes`` the given positions are treated as fractions of n
     in quarters, i.e. position q becomes 2*round(q*n/8) -- this keeps hole
     separations growing with n, which is what exposes the off-critical
-    exponential regimes.  Returns (reports, trend) with ``trend`` the
-    least-squares slope of log |det_upper| against n.
+    exponential regimes.  A generator, like separation_reports, for size_sweep.
     """
-    reports = []
-    xs, ys = [], []
     for n in n_values:
         m = aspect_m(xi, n)
         if scale_holes:
@@ -204,10 +217,22 @@ def size_sweep(left: Sequence[int], right: Sequence[int], xi: Fraction,
             rights = [2 * round(q * n / 8) for q in right]
         else:
             lefts, rights = list(left), list(right)
-        spec = validate(n, m, lefts, rights)
-        report = finite_correlation(spec, "bulk")
+        yield finite_correlation(validate(n, m, lefts, rights), "bulk")
+
+
+def size_sweep(left: Sequence[int], right: Sequence[int], xi: Fraction,
+               n_values: Sequence[int], scale_holes: bool = False):
+    """size_reports with the trend of log |det_upper| in n.
+
+    Returns (reports, trend) with ``trend`` the least-squares slope of
+    log |det_upper| against n.  Fewer than two distinct n raise ValueError
+    before any report is computed.
+    """
+    _require_two_points(n_values, "n values", n_values)
+    reports, xs, ys = [], [], []
+    for report in size_reports(left, right, xi, n_values, scale_holes):
         reports.append(report)
-        xs.append(float(n))
+        xs.append(float(report.n))
         ys.append(math.log(abs(report.det_upper)))
     slope, _ = linear_regression(xs, ys)
     return reports, slope

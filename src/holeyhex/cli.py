@@ -47,6 +47,11 @@ def cmd_formulas(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    for flag, value, least in (("--max-n", args.max_n, 2), ("--max-m", args.max_m, 1),
+                               ("--max-p", args.max_p, 0)):
+        if value < least:
+            print(f"error: {flag} must be at least {least}, got {value}", file=sys.stderr)
+            return 2
     failures = 0
     rows = []
     for n in range(2, args.max_n + 1, 2):
@@ -89,19 +94,26 @@ def cmd_sweep(args) -> int:
     if not args.separations and not args.n_values:
         print("error: sweep needs --separations or --n-values", file=sys.stderr)
         return 2
+    fit = None
     if args.separations:
-        reports, slope, intercept = asymptotics.separation_sweep(
-            args.size, xi, regions.parse_int_list(args.separations), args.model)
-        fit = f"# slope={slope!r} intercept={intercept!r}"
+        sweep_args = (args.size, xi, regions.parse_int_list(args.separations), args.model)
+        if args.fit:
+            reports, slope, intercept = asymptotics.separation_sweep(*sweep_args)
+            fit = f"# slope={slope!r} intercept={intercept!r}"
+        else:
+            reports = list(asymptotics.separation_reports(*sweep_args))
     else:
-        reports, trend = asymptotics.size_sweep(
-            regions.parse_int_list(args.left), regions.parse_int_list(args.right), xi,
-            regions.parse_int_list(args.n_values), scale_holes=args.scale_holes)
-        fit = f"# trend={trend!r}"
+        sweep_args = (regions.parse_int_list(args.left), regions.parse_int_list(args.right), xi,
+                      regions.parse_int_list(args.n_values), args.scale_holes)
+        if args.fit:
+            reports, trend = asymptotics.size_sweep(*sweep_args)
+            fit = f"# trend={trend!r}"
+        else:
+            reports = list(asymptotics.size_reports(*sweep_args))
     print(asymptotics.CSV_HEADER)
     for report in reports:
         print(report.csv_row())
-    if args.fit:
+    if fit:
         print(fit)
     return 0
 

@@ -17,7 +17,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import binomial, gamma_product, gamma_ratio, hyp_terminating, product_formula
+from .arith import (GammaPoleError, binomial, gamma_product, gamma_ratio, hyp_terminating,
+                    product_formula)
 from .regions import RegionSpec, lgv_points
 
 HALF = Fraction(1, 2)
@@ -174,19 +175,51 @@ def lu_factor_entry(block: str, i: int, j: int, spec: RegionSpec, kind: str) -> 
     return gamma_ratio(*args(n, i, j))
 
 
+def _rising(lows, highs) -> int:
+    """prod Gamma(b)/Gamma(a) over paired arguments a <= b: rising factorials."""
+    return math.prod(x for a, b in zip(lows, highs) for x in range(a, b))
+
+
 def hole_matrix_entry(spec: RegionSpec, kind: str, i: int, j: int) -> Fraction:
-    """Entry (i, j), 1-based, of the p x p hole matrix by subtraction."""
+    """Entry (i, j), 1-based, of the p x p hole matrix by subtraction.
+
+    The Schur sum over s = 1..m of l_hole(s; l) * u_hole(s; r) (the signs
+    cancel) is built by its term recurrence.  Every Gamma argument in
+    _LU_GAMMA_ARGS is affine in s with slope 0, 1 or 2, so term(s+1)/term(s)
+    is an integer ratio p_s/q_s of rising factorials read off the table at s
+    and s+1.  For holes inside [-n+2, n-2] every argument is >= 1 at s = 1
+    and none decreases in s, so every term is finite and nonzero: there is
+    one run of terms, with no zero or pole case.  Only the s = 1 term needs
+    a gamma_ratio; the rest is 1 + rho_1 (1 + rho_2 (... (1 + rho_{m-1})))
+    summed by backward Horner over one common integer denominator.
+    """
     l = spec.left[i - 1]
     r = spec.right[j - 1]
-    n = spec.n
+    n, m = spec.n, spec.m
     l_hole, u_hole = _LU_GAMMA_ARGS[kind, "l_hole"], _LU_GAMMA_ARGS[kind, "u_hole"]
-    scale = _HOLE_SCALE[kind] ** 2
     total = _hole_to_hole(l, r, kind)
-    for s in range(1, spec.m + 1):
-        # l_hole(s; l) * u_hole(s; r) as one gamma_ratio; the signs cancel
+    if m < 1:
+        return total
+
+    def term_args(s):
         (l_num, l_den), (u_num, u_den) = l_hole(n, s, l), u_hole(n, s, r)
-        total -= gamma_ratio(l_num + u_num, l_den + u_den) * scale
-    return total
+        return l_num + u_num, l_den + u_den
+
+    acc_n = acc_d = 1
+    above = term_args(m)
+    for s in range(m - 1, 0, -1):
+        here = term_args(s)
+        p, q = _rising(here[0], above[0]), _rising(here[1], above[1])
+        acc_n, acc_d = q * acc_d + p * acc_n, q * acc_d
+        above = here
+    if min(above[0] + above[1]) < 1:
+        raise GammaPoleError(
+            f"Schur term of hole pair ({l}, {r}) at n={n} has a Gamma argument "
+            f"below 1; hole positions must lie in [{2 - n}, {n - 2}]")
+    # head * (acc_n / acc_d) * _HOLE_SCALE[kind]**2 as a single Fraction
+    head, scale = gamma_ratio(*above), _HOLE_SCALE[kind]
+    return total - Fraction(head.numerator * acc_n * scale.numerator ** 2,
+                            head.denominator * acc_d * scale.denominator ** 2)
 
 
 def hole_matrix(spec: RegionSpec, kind: str) -> Matrix:

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from holeyhex import matrices
 from holeyhex.cli import main
 from holeyhex.matrices import count_region
@@ -74,6 +76,37 @@ def test_sweep_bad_list_leaves_stdout_empty(capsys):
     assert code == 2
     assert out == ""
     assert "'2,y'" in err
+
+
+@pytest.mark.parametrize("mode", [("--size", "20", "--separations", "2"),
+                                  ("--n-values", "20", "--left=-2", "--right=2")])
+def test_sweep_without_fit_takes_one_point(capsys, mode):
+    code, out, err = run(capsys, "sweep", *mode)
+    assert code == 0, err
+    lines = out.strip().splitlines()
+    assert lines[0] == "n,m,xi,det_lower,det_upper,omega,predicted,ratio"
+    assert len(lines) == 2 and lines[1].startswith("20,10,1.0,")
+
+
+@pytest.mark.parametrize("mode, named", [
+    (("--separations", "2,2"), "separations, got [2, 2]"),
+    (("--separations", "4,-4"), "separations, got [4, -4]"),
+    (("--n-values", "20,20", "--left=-2", "--right=2"), "n values, got [20, 20]"),
+])
+def test_sweep_fit_needs_two_distinct_points(capsys, mode, named):
+    code, out, err = run(capsys, "sweep", "--size", "20", *mode, "--fit")
+    assert code == 2
+    assert out == ""
+    assert named in err
+
+
+@pytest.mark.parametrize("flag, value", [("--max-n", "1"), ("--max-n", "0"),
+                                         ("--max-m", "0"), ("--max-p", "-1")])
+def test_verify_rejects_empty_ranges(capsys, flag, value):
+    code, out, err = run(capsys, "verify", flag, value)
+    assert code == 2
+    assert out == ""
+    assert f"error: {flag} must be at least" in err
 
 
 def test_sweep_requires_a_mode(capsys):

@@ -3,14 +3,17 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from holeyhex.arith import product_formula
-from holeyhex.matrices import (closed_form_entry, count_region,
+from holeyhex.arith import GammaPoleError, gamma_ratio, product_formula
+from holeyhex.matrices import (_HOLE_SCALE, _LU_GAMMA_ARGS, _hole_to_hole,
+                               closed_form_entry, count_region,
                                det_exact, gamma_product, hole_matrix,
                                hole_matrix_entry, lu_factor_entry, path_count,
                                path_matrix, printed_path_entry, verify_lu)
 from holeyhex.oracle import count_tilings
-from holeyhex.regions import build_region, validate
+from holeyhex.regions import RegionSpec, build_region, validate
 
 
 def brute_paths(start, end):
@@ -226,3 +229,92 @@ def test_hole_determinant_signs_agree():
         lower = det_exact(hole_matrix(spec, "lower"))
         upper = det_exact(hole_matrix(spec, "upper"))
         assert lower * upper >= 0
+
+
+# ---------------------------------------------------------------------------
+# differential tests of the Schur hole-matrix entries
+
+def per_term_hole_entry(spec, kind, i, j):
+    """The Schur sum term by term: one gamma_ratio for each boundary path s."""
+    l, r = spec.left[i - 1], spec.right[j - 1]
+    total = _hole_to_hole(l, r, kind)
+    for s in range(1, spec.m + 1):
+        l_num, l_den = _LU_GAMMA_ARGS[kind, "l_hole"](spec.n, s, l)
+        u_num, u_den = _LU_GAMMA_ARGS[kind, "u_hole"](spec.n, s, r)
+        total -= gamma_ratio(l_num + u_num, l_den + u_den) * _HOLE_SCALE[kind] ** 2
+    return total
+
+
+@st.composite
+def valid_specs(draw, max_n, max_m, max_p):
+    """Valid specs with p >= 1 holes in any order: apart, toward or interleaved."""
+    n = 2 * draw(st.integers(2, max_n // 2))
+    m = draw(st.integers(1, max_m))
+    positions = list(range(-n + 2, n - 1, 2))
+    p = draw(st.integers(1, min(max_p, len(positions) // 2)))
+    chosen = draw(st.permutations(positions))[:2 * p]
+    return validate(n, m, chosen[:p], chosen[p:])
+
+
+DIFFERENTIAL = settings(derandomize=True, database=None, deadline=None)
+
+
+@settings(DIFFERENTIAL, max_examples=150)
+@given(spec=valid_specs(40, 12, 3))
+@example(spec=validate(10, 2, [-6, -2], [2, 6]))          # apart pairs
+@example(spec=validate(12, 3, [2, 6], [-6, -2]))          # toward pairs
+@example(spec=validate(12, 2, [-8, 4], [-4, 8]))          # interleaved pairs
+@example(spec=validate(40, 12, [-38, 0, 36], [-36, 2, 38]))
+def test_hole_matrix_entry_matches_per_term_sum(spec):
+    for kind in ("lower", "upper"):
+        for i, j in product(range(1, spec.p + 1), repeat=2):
+            got = hole_matrix_entry(spec, kind, i, j)
+            want = per_term_hole_entry(spec, kind, i, j)
+            assert got == want and type(got) is type(want), (spec, kind, i, j)
+
+
+@settings(DIFFERENTIAL, max_examples=60)
+@given(spec=valid_specs(8, 3, 2))
+def test_hole_matrix_entry_matches_closed_form(spec):
+    for kind in ("lower", "upper"):
+        for i, j in product(range(1, spec.p + 1), repeat=2):
+            assert hole_matrix_entry(spec, kind, i, j) == closed_form_entry(spec, kind, i, j)
+
+
+@settings(DIFFERENTIAL, max_examples=20)
+@given(spec=valid_specs(8, 3, 2))
+def test_full_count_matches_tiling_oracle(spec):
+    assert count_region(spec, "full").value == count_tilings(build_region(spec, "full"))
+
+
+def test_schur_gamma_arguments_start_positive_and_never_decrease():
+    # what lets hole_matrix_entry run its term recurrence without pole cases
+    for (kind, block), args in _LU_GAMMA_ARGS.items():
+        if block not in ("l_hole", "u_hole"):
+            continue
+        for n in range(2, 61, 2):
+            for x in range(-n + 2, n - 1, 2):
+                first, second = args(n, 1, x), args(n, 2, x)
+                for side in (0, 1):
+                    assert min(first[side]) >= 1, (kind, block, n, x)
+                    assert {b - a for a, b in zip(first[side], second[side])} <= {0, 1, 2}
+
+
+def test_hole_matrix_entry_raises_outside_the_hexagon():
+    # specs that validate rejects: a value, where one comes back, is the
+    # per-term sum's; holes beyond [-n+2, n-2] that put a Gamma argument
+    # below 1 raise instead of returning a sum with its pole terms dropped
+    raised = 0
+    for n in range(2, 9, 2):
+        for m in range(1, 4):
+            for l, r in product(range(-n - 4, n + 5), repeat=2):
+                spec = RegionSpec(n, m, (l,), (r,))
+                for kind in ("lower", "upper"):
+                    try:
+                        got = hole_matrix_entry(spec, kind, 1, 1)
+                    except GammaPoleError:
+                        raised += 1
+                        assert not (-n + 2 <= l <= n - 2 and -n + 2 <= r <= n - 2)
+                        continue
+                    assert got == per_term_hole_entry(spec, kind, 1, 1), (spec, kind)
+    assert raised > 0
