@@ -2,11 +2,11 @@
 
 Tilings are counted two ways: a literal backtracking enumerator that
 streams every tiling (pick the first uncovered cell, branch over its at
-most three partners), and a memoised count that explores the identical
-branch tree but shares subproblems keyed on the covered frontier.  Path
-families are likewise enumerated by depth-first extension of all paths
-column by column, and counted with the same transitions plus memoisation.
-Nothing here touches the determinant machinery.
+most three partners), and a layered transfer count that sweeps the cells
+once, carrying only the current cell's {covered frontier: count} layer.
+Path families are likewise enumerated by depth-first extension of all
+paths column by column, and counted by the same column transitions swept
+one layer at a time.  Nothing here touches the determinant machinery.
 """
 
 from __future__ import annotations
@@ -14,7 +14,8 @@ from __future__ import annotations
 from typing import Iterator, Sequence
 
 from .regions import (RIGHT, RegionSpec, TriangularRegion, build_region,
-                      neighbors, reflect_horizontal, reflect_vertical, validate)
+                      lgv_points, neighbors, reflect_horizontal, reflect_vertical,
+                      validate)
 
 DEFAULT_BUDGET = 10 ** 8
 
@@ -40,7 +41,7 @@ def _indexed(region: TriangularRegion):
         sorted(index[nb] for nb in neighbors(cell) if nb in index)
         for cell in cells
     ]
-    return cells, index, partners
+    return cells, partners
 
 
 def _enumerate_index_tilings(cells, partners, budget: int) -> Iterator[tuple]:
@@ -70,39 +71,34 @@ def _enumerate_index_tilings(cells, partners, budget: int) -> Iterator[tuple]:
 
 def enumerate_tilings(region: TriangularRegion, budget: int = DEFAULT_BUDGET) -> Iterator[Tiling]:
     """Stream every tiling of the region in a fixed canonical order."""
-    cells, _, partners = _indexed(region)
+    cells, partners = _indexed(region)
     for pairs in _enumerate_index_tilings(cells, partners, budget):
         yield frozenset(frozenset((cells[i], cells[j])) for i, j in pairs)
 
 
 def count_tilings(region: TriangularRegion) -> int:
-    """Exact tiling count via the same branch tree with memoisation.
+    """Exact tiling count by a layered transfer sweep over the cells.
 
-    States are (first uncovered cell, covered cells beyond it); with
-    slab-major cell order the second component stays narrow, so hexagons
-    far beyond enumeration range still count in milliseconds.
+    The layer at cell ``lo`` maps the covered cells from ``lo`` on (bit 0
+    is ``lo``) to the number of ways to cover every cell before ``lo``.
+    A covered ``lo`` shifts through; a free one pairs with each free
+    partner after it.  Slab-major cell order keeps the masks narrow.
     """
-    cells, _, partners = _indexed(region)
-    total = len(cells)
-    memo: dict = {}
-
-    def count(covered: int, lo: int) -> int:
-        while lo < total and covered >> lo & 1:
-            lo += 1
-        if lo == total:
-            return 1
-        key = (lo, covered >> lo)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        acc = 0
-        for j in partners[lo]:
-            if not covered >> j & 1:
-                acc += count(covered | 1 << lo | 1 << j, lo + 1)
-        memo[key] = acc
-        return acc
-
-    return count(0, 0)
+    _, partners = _indexed(region)
+    ahead = [[1 << (j - lo) for j in nbs if j > lo] for lo, nbs in enumerate(partners)]
+    layer = {0: 1}
+    for bits in ahead:
+        nxt: dict = {}
+        for mask, ways in layer.items():
+            if mask & 1:
+                nxt[mask >> 1] = nxt.get(mask >> 1, 0) + ways
+                continue
+            for bit in bits:
+                if not mask & bit:
+                    key = (mask | bit) >> 1
+                    nxt[key] = nxt.get(key, 0) + ways
+        layer = nxt
+    return layer.get(0, 0)
 
 
 def tiling_is_exact_cover(region: TriangularRegion, tiling) -> bool:
@@ -245,36 +241,31 @@ def _column_options(x, actives, constraint):
 def count_families(starts: Sequence, ends: Sequence, constraint: str = "none") -> int:
     """Weighted number of vertex-disjoint path families, start k to end k.
 
-    Exhaustive column-by-column search with memoisation on the crossing
-    profile; the identity assignment is the one counted.
+    Sweeps the columns from left to right, carrying only the current
+    column's {crossing profile: weighted count} layer; the identity
+    assignment is the one counted.
     """
     prepared = _family_transitions(starts, ends, constraint)
     if prepared is None:
         return 0
     k, xmin, xmax = prepared
-    memo: dict = {}
-
-    def sweep(x: int, carry: tuple) -> int:
-        if x > xmax:
-            return 1 if all(c is None for c in carry) else 0
-        key = (x, carry)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        total = 0
-        for weight, nxt, _ in _column_steps(x, carry, starts, ends, constraint):
-            total += weight * sweep(x + 1, nxt)
-        memo[key] = total
-        return total
-
-    return sweep(xmin, (None,) * k)
+    done = (None,) * k
+    layer = {done: 1}
+    for x in range(xmin, xmax + 1):
+        nxt: dict = {}
+        for carry, ways in layer.items():
+            for weight, after, _ in _column_steps(x, carry, starts, ends, constraint):
+                nxt[after] = nxt.get(after, 0) + weight * ways
+        layer = nxt
+    return layer.get(done, 0)
 
 
 def enumerate_families(starts: Sequence, ends: Sequence, constraint: str = "none"):
     """Yield (paths, weight) for every vertex-disjoint family.
 
-    Each path is the full tuple of lattice points it visits.  Same search
-    as count_families without memoisation; intended for desk-scale checks.
+    Each path is the full tuple of lattice points it visits.  Same column
+    transitions as count_families, searched depth first; intended for
+    desk-scale checks.
     """
     prepared = _family_transitions(starts, ends, constraint)
     if prepared is None:
@@ -317,8 +308,6 @@ def noncrossing_endpoints(spec: RegionSpec, kind: str):
     right-hole ends than reachable starts), in which case the region has no
     tilings.
     """
-    from .regions import lgv_points
-
     starts, ends = lgv_points(spec, kind)
     m = spec.m
     sequence = []  # (is_start, index into starts/ends)

@@ -182,28 +182,18 @@ def transmit(tiling, ribbon, hole_cell):
     return tiles, hole
 
 
-def zeta(tiling, spec: RegionSpec, kind: str = "lower", with_ribbons: bool = False):
-    """Map a tiling of the holey half region to one of the unholed region.
+def zeta(tiling, region: TriangularRegion):
+    """Map a tiling of a holey half region to one of the unholed region.
 
     Pairs are consumed in extraction order; after each transmission the two
     unit holes of the pair sit edge to edge and are covered by one new
-    rhombus.
+    rhombus.  Returns (image, ribbons), one ribbon per pair.
     """
-    image, ribbons = _zeta(tiling, spec, kind)
-    if with_ribbons:
-        return image, ribbons
-    return image
-
-
-def _zeta(tiling, spec: RegionSpec, kind: str, region: TriangularRegion | None = None):
-    """zeta as (image, ribbons); ``region`` is build_region(spec, kind) when
-    the caller has it already, and is built here otherwise."""
-    if kind == "upper" and any(r + 2 in spec.left for r in spec.right):
+    spec = region.spec
+    if region.kind == "upper" and any(r + 2 in spec.left for r in spec.right):
         raise ValueError(
             "upper-region transmission is undefined for toward-pointing holes "
             "at spacing two (the pair fuses into a hexagonal hole)")
-    if region is None:
-        region = build_region(spec, kind)
     tiles = set(tiling)
     ribbons = []
     for pair in pair_holes(spec.right, spec.left):
@@ -249,7 +239,7 @@ def verify_injection(spec: RegionSpec, kind: str = "lower") -> dict:
     weight_monotone = True
     for tiling in enumerate_tilings(region):
         tilings += 1
-        image, _ = _zeta(tiling, spec, kind, region)
+        image, _ = zeta(tiling, region)
         if not tiling_is_exact_cover(target, image):
             valid = False
         if kind == "upper":

@@ -2,10 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from holeyhex.arith import product_formula
 from holeyhex.matrices import count_region, det_exact, path_count, path_matrix
-from holeyhex.oracle import (BudgetExceededError, count_families,
+from holeyhex.oracle import (CONSTRAINTS, BudgetExceededError, count_families,
                              count_free_boundary, count_symmetric, count_tilings,
                              enumerate_families, enumerate_tilings, family_weight,
                              noncrossing_endpoints, serialize_tiling,
@@ -19,8 +21,9 @@ def hexagon_region(n, m):
 
 
 def test_enumerate_small_hexagons():
-    assert len(list(enumerate_tilings(hexagon_region(1, 1)))) == 3
-    assert len(list(enumerate_tilings(hexagon_region(2, 1)))) == 20
+    for n, m, total in ((1, 1, 3), (2, 1, 20)):
+        region = hexagon_region(n, m)
+        assert len(list(enumerate_tilings(region))) == total == count_tilings(region)
 
 
 def test_enumerated_tilings_are_exact_covers_and_deterministic():
@@ -32,11 +35,45 @@ def test_enumerated_tilings_are_exact_covers_and_deterministic():
     assert len({tuple(map(tuple, serialize_tiling(t))) for t in first}) == 112
 
 
-def test_count_tilings_matches_enumeration():
-    for region in [hexagon_region(1, 1), hexagon_region(2, 1),
-                   build_region(validate(4, 1, [-2], [2]), "lower"),
-                   build_region(validate(4, 1, [0], [2]), "full")]:
-        assert count_tilings(region) == sum(1 for _ in enumerate_tilings(region))
+@st.composite
+def small_regions(draw):
+    """Regions with n <= 6, m <= 2 and p <= 2 holes of each orientation.
+
+    Full hexagons stay at n * m <= 4 and halves below (6, 2): beyond that
+    the enumerators take seconds per example.
+    """
+    kind = draw(st.sampled_from(["full", "lower", "upper"]))
+    shapes = [(2, 1), (2, 2), (4, 1)]
+    if kind != "full":
+        shapes += [(4, 2), (6, 1)]
+    n, m = draw(st.sampled_from(shapes))
+    positions = list(range(-n + 2, n - 1, 2))
+    p = draw(st.integers(0, min(2, len(positions) // 2)))
+    chosen = draw(st.permutations(positions))[:2 * p]
+    return build_region(validate(n, m, chosen[:p], chosen[p:]), kind)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(region=small_regions())
+@example(region=build_region(validate(2, 1), "full"))
+@example(region=build_region(validate(4, 1, [-2], [2]), "lower"))
+@example(region=build_region(validate(4, 1, [0], [2]), "full"))
+def test_count_tilings_matches_enumeration(region):
+    assert count_tilings(region) == sum(1 for _ in enumerate_tilings(region))
+    half = "upper" if region.kind == "upper" else "lower"
+    points = noncrossing_endpoints(region.spec, half)
+    if points is None:
+        return
+    for constraint in CONSTRAINTS:
+        assert count_families(*points, constraint) == \
+            sum(weight for _, weight in enumerate_families(*points, constraint))
+
+
+def test_count_families_has_no_depth_limit():
+    # 1101 columns, far past the interpreter's recursion limit
+    points = noncrossing_endpoints(validate(2, 1100), "lower")
+    assert count_families(*points, "avoid_diagonal") == 1101 == \
+        product_formula("transpose_complement", 2, 1100)
 
 
 def test_budget_cap():
