@@ -13,6 +13,7 @@ sweeps cheap.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,6 +31,23 @@ class RouteMismatchError(ArithmeticError):
     """Two supposedly equal exact computation routes disagreed."""
 
 
+def _show(x) -> str:
+    """An exact value for an error message.
+
+    Integers too long for str() under Python's int-to-decimal digit limit
+    show as their bit length and last nine digits, so that a message about
+    a count with tens of thousands of digits can always be built.
+    """
+    try:
+        return str(x)
+    except ValueError:
+        x = Fraction(x)
+        if x.denominator != 1:
+            return f"{_show(x.numerator)}/{_show(x.denominator)}"
+        k = abs(x.numerator)
+        return f"{'-' if x < 0 else ''}<{k.bit_length()}-bit integer ending in {k % 10**9:09d}>"
+
+
 # ---------------------------------------------------------------------------
 # path counts
 
@@ -42,13 +60,18 @@ def path_count(start, end, variant: str = "plain") -> int:
     reflection principle turns into the sum P(end) + P(end reflected).
     Both endpoints are expected weakly below y = x - 1.
     """
+    return _reflected_count(start, end, variant, math.comb)
+
+
+def _reflected_count(start, end, variant: str, comb) -> int:
+    """path_count with the binomial coefficient taken from ``comb``."""
     (a, b), (c, d) = start, end
 
     def plain(cx, dy):
         east, north = cx - a, dy - b
         if east < 0 or north < 0:
             return 0
-        return math.comb(east + north, east)
+        return comb(east + north, east)
 
     if variant == "plain":
         return plain(c, d)
@@ -63,10 +86,15 @@ _VARIANT_OF_KIND = {"lower": "avoid_diagonal", "upper": "weighted_below"}
 
 
 def path_matrix(spec: RegionSpec, kind: str) -> Matrix:
-    """The (m+p) x (m+p) constrained path-count matrix for a half region."""
+    """The (m+p) x (m+p) constrained path-count matrix for a half region.
+
+    Entries are ints.  They share few binomials (334 distinct ones for the
+    2401 entries at n = 188, m = 47, p = 2), so each is computed once per call.
+    """
     starts, ends = lgv_points(spec, kind)
     variant = _VARIANT_OF_KIND[kind]
-    return [[Fraction(path_count(s, e, variant)) for e in ends] for s in starts]
+    comb = functools.cache(math.comb)
+    return [[_reflected_count(s, e, variant, comb) for e in ends] for s in starts]
 
 
 def _hole_to_hole(l: int, r: int, kind: str) -> Fraction:
@@ -292,32 +320,51 @@ def closed_form_entry(spec: RegionSpec, kind: str, i: int, j: int) -> Fraction:
 # determinants and counts
 
 def det_exact(matrix: Matrix) -> Fraction:
-    """Exact determinant by Gaussian elimination over the rationals.
+    """Exact determinant of an int/Fraction matrix by elimination on integer rows.
 
-    Pivot on the first nonzero entry of each column; the determinant of the
-    empty matrix is 1.
+    Each row is first multiplied by the lcm of its denominators.  Clearing
+    entry a of a row under pivot P replaces the row by (P/g)*row - (a/g)*top,
+    g = gcd(P, a), and then divides it by its content (the gcd of its
+    entries); the content division is what keeps the entries small.  The
+    pivots, contents and row multipliers are tracked as one numerator and
+    one denominator.  Pivot on the first nonzero entry of each column; the
+    determinant of the empty matrix is 1.
     """
     size = len(matrix)
-    work = [[Fraction(x) for x in row] for row in matrix]
-    sign = 1
-    result = Fraction(1)
+    numer = denom = 1
+    work = []
+    for row in matrix:
+        lcm = math.lcm(*(x.denominator for x in row))
+        denom *= lcm
+        work.append([x.numerator * (lcm // x.denominator) for x in row])
     for col in range(size):
-        pivot_row = next((r for r in range(col, size) if work[r][col] != 0), None)
+        pivot_row = next((r for r in range(col, size) if work[r][col]), None)
         if pivot_row is None:
             return Fraction(0)
         if pivot_row != col:
             work[col], work[pivot_row] = work[pivot_row], work[col]
-            sign = -sign
-        pivot = work[col][col]
-        result *= pivot
+            numer = -numer
+        pivot, *tail = work[col][col:]
+        numer *= pivot
         for r in range(col + 1, size):
-            factor = work[r][col] / pivot
-            if factor:
-                row = work[r]
-                top = work[col]
-                for c in range(col, size):
-                    row[c] -= factor * top[c]
-    return sign * result
+            row = work[r]
+            a = row[col]
+            if not a:
+                continue
+            g = math.gcd(pivot, a)
+            row_scale, top_scale = pivot // g, a // g
+            new = [row_scale * x - top_scale * y for x, y in zip(row[col + 1:], tail)]
+            content = math.gcd(*new)
+            if not content:  # a zero row
+                return Fraction(0)
+            if content > 1:
+                new = [x // content for x in new]
+            # this update scaled the determinant by row_scale / content
+            g = math.gcd(row_scale, content)
+            numer *= content // g
+            denom *= row_scale // g
+            row[col:] = [0] + new
+    return Fraction(numer, denom)
 
 
 def verify_lu(spec: RegionSpec, kind: str, _perturb=None) -> dict:
@@ -408,10 +455,11 @@ def count_region(spec: RegionSpec, kind: str) -> CountResult:
         det_e = det_exact(hole_matrix(spec, half_kind))
         if abs(det_q) != prefactor * abs(det_e):
             raise RouteMismatchError(
-                f"{kind}: |det Q| = {det_q} but prefactor * |det E| = {prefactor * abs(det_e)}")
+                f"{kind}: |det Q| = {_show(det_q)} but prefactor * |det E| = "
+                f"{_show(prefactor * abs(det_e))}")
         value = abs(det_q)
         if value.denominator != 1:
-            raise RouteMismatchError(f"{kind} count is not an integer: {value}")
+            raise RouteMismatchError(f"{kind} count is not an integer: {_show(value)}")
         return CountResult(spec, kind, value.numerator, {
             "prefactor": prefactor,
             "hole_det": det_e,
@@ -426,11 +474,12 @@ def count_region(spec: RegionSpec, kind: str) -> CountResult:
         product = box * det_lower * det_upper
         if det_lower * det_upper < 0:
             raise RouteMismatchError(
-                f"hole determinants have opposite signs: {det_lower}, {det_upper}")
+                f"hole determinants have opposite signs: {_show(det_lower)}, "
+                f"{_show(det_upper)}")
         if product != lower.value * upper.value:
             raise RouteMismatchError(
-                f"full: box * detE * detE = {product} but factor product = "
-                f"{lower.value * upper.value}")
+                f"full: box * detE * detE = {_show(product)} but factor product = "
+                f"{_show(lower.value * upper.value)}")
         return CountResult(spec, "full", lower.value * upper.value, {
             "box": box,
             "lower": lower.value,

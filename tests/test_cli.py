@@ -137,3 +137,15 @@ def test_route_mismatch_exits_1(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert "|det Q| = 5 but prefactor * |det E| = 4" in err
+
+
+def test_route_mismatch_on_a_huge_count_exits_1(capsys, monkeypatch):
+    # both sides of this mismatch have far more than 4300 decimal digits
+    product_formula = matrices.product_formula
+    monkeypatch.setattr(matrices, "product_formula",
+                        lambda *args: product_formula(*args) + 1)
+    code, out, err = run(capsys, "count", "--n", "200", "--m", "100",
+                         "--left=-2", "--right=2", "--kind", "lower")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("verification failed: lower: |det Q| = <")

@@ -7,13 +7,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from holeyhex.arith import GammaPoleError, gamma_ratio, product_formula
-from holeyhex.matrices import (_HOLE_SCALE, _LU_GAMMA_ARGS, _hole_to_hole,
+from holeyhex.matrices import (_HOLE_SCALE, _LU_GAMMA_ARGS, _VARIANT_OF_KIND, _hole_to_hole,
                                closed_form_entry, count_region,
                                det_exact, gamma_product, hole_matrix,
                                hole_matrix_entry, lu_factor_entry, path_count,
                                path_matrix, printed_path_entry, verify_lu)
-from holeyhex.oracle import count_tilings
-from holeyhex.regions import RegionSpec, build_region, validate
+from holeyhex.oracle import count_families, count_tilings, noncrossing_endpoints
+from holeyhex.regions import RegionSpec, build_region, lgv_points, validate
+
+DIFFERENTIAL = settings(derandomize=True, database=None, deadline=None)
 
 
 def brute_paths(start, end):
@@ -58,6 +60,12 @@ def test_path_matrix_values():
     spec = validate(4, 1, [0], [2])
     assert path_matrix(spec, "lower") == [[14, 5], [2, 1]]
     assert path_matrix(spec, "upper") == [[126, 35], [10, 3]]
+    for spec in (spec, validate(10, 3, [-6, 2], [-2, 6]), validate(12, 2, [4], [-4])):
+        for kind, variant in _VARIANT_OF_KIND.items():
+            starts, ends = lgv_points(spec, kind)
+            rows = path_matrix(spec, kind)
+            assert rows == [[path_count(s, e, variant) for e in ends] for s in starts]
+            assert {type(x) for row in rows for x in row} == {int}
 
 
 def test_hole_to_hole_entries():
@@ -187,6 +195,75 @@ def test_det_exact():
     assert det_exact(path_matrix(validate(2, 1), "lower")) == 2
 
 
+def fraction_det(matrix):
+    """Gaussian elimination over the rationals, pivoting on the first nonzero entry."""
+    size = len(matrix)
+    work = [[Fraction(x) for x in row] for row in matrix]
+    sign = 1
+    result = Fraction(1)
+    for col in range(size):
+        pivot_row = next((r for r in range(col, size) if work[r][col] != 0), None)
+        if pivot_row is None:
+            return Fraction(0)
+        if pivot_row != col:
+            work[col], work[pivot_row] = work[pivot_row], work[col]
+            sign = -sign
+        pivot = work[col][col]
+        result *= pivot
+        for r in range(col + 1, size):
+            factor = work[r][col] / pivot
+            if factor:
+                for c in range(col, size):
+                    work[r][c] -= factor * work[col][c]
+    return sign * result
+
+
+@st.composite
+def square_matrices(draw, max_size=12):
+    """Square integer or rational matrices, some reshaped to be singular, to
+    start with a zero column or to need a row swap at the first pivot.
+
+    The entries come from a seeded Random: drawing 144 entries one by one
+    costs hypothesis far more time than the determinants do.
+    """
+    size = draw(st.sampled_from(range(1, max_size + 1)))  # 0 x 0 is an @example
+    bits = draw(st.sampled_from([1, 3, 20, 80]))
+    rational = draw(st.booleans())
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+
+    def entry():
+        x = rng.randint(-2 ** bits, 2 ** bits)
+        return Fraction(x, rng.randint(1, 2 ** bits)) if rational and rng.random() < 0.7 else x
+
+    rows = [[entry() for _ in range(size)] for _ in range(size)]
+    shape = draw(st.sampled_from(["as drawn", "singular", "zero first column", "row swap"]))
+    if shape == "singular" and size >= 2:
+        # the last row becomes a combination of the first and the one above it
+        a, b = entry(), entry()
+        rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[-2])]
+    elif shape == "zero first column":
+        for row in rows:
+            row[0] = 0
+    elif shape == "row swap" and size >= 2:
+        rows[0][0] = 0
+        rows[rng.randrange(1, size)][0] = rng.choice([-1, 1]) * rng.randint(1, 2 ** bits)
+    return rows
+
+
+@settings(DIFFERENTIAL, max_examples=150)
+@given(matrix=square_matrices())
+@example(matrix=[])
+@example(matrix=[[0]])
+@example(matrix=[[Fraction(-7, 3)]])
+@example(matrix=[[0, 0, 1], [0, 2, 3], [4, 5, 6]])
+@example(matrix=[[Fraction(1, 2), 1], [1, 2]])
+def test_det_exact_matches_fraction_elimination(matrix):
+    drawn = [list(row) for row in matrix]
+    got = det_exact(matrix)
+    assert got == fraction_det(matrix) and type(got) is Fraction
+    assert matrix == drawn  # the input is left as it was
+
+
 def test_count_region_routes_and_factors():
     spec = validate(4, 1, [0], [2])
     lower = count_region(spec, "lower")
@@ -256,9 +333,6 @@ def valid_specs(draw, max_n, max_m, max_p):
     return validate(n, m, chosen[:p], chosen[p:])
 
 
-DIFFERENTIAL = settings(derandomize=True, database=None, deadline=None)
-
-
 @settings(DIFFERENTIAL, max_examples=150)
 @given(spec=valid_specs(40, 12, 3))
 @example(spec=validate(10, 2, [-6, -2], [2, 6]))          # apart pairs
@@ -285,6 +359,18 @@ def test_hole_matrix_entry_matches_closed_form(spec):
 @given(spec=valid_specs(8, 3, 2))
 def test_full_count_matches_tiling_oracle(spec):
     assert count_region(spec, "full").value == count_tilings(build_region(spec, "full"))
+
+
+@settings(DIFFERENTIAL, max_examples=40)
+@given(spec=valid_specs(8, 3, 2))
+@example(spec=validate(6, 2))
+@example(spec=validate(6, 1, [0, 2], [-4, -2]))  # no non-crossing assignment
+def test_half_counts_match_path_family_oracle(spec):
+    points = noncrossing_endpoints(spec, "lower")
+    for kind, constraint in (("lower", "avoid_diagonal"),
+                             ("upper_weighted", "weighted_below")):
+        families = 0 if points is None else count_families(*points, constraint)
+        assert count_region(spec, kind).value == families, (spec, kind)
 
 
 def test_schur_gamma_arguments_start_positive_and_never_decrease():
