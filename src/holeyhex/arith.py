@@ -4,16 +4,19 @@ Everything in this module is integer or rational and exact: binomial
 coefficients with the zero-outside-range convention, rising factorials,
 ratios of Gamma values at integer arguments, terminating hypergeometric
 sums, and the three classical product formulas that count hexagon tilings
-and two of their symmetry classes.
+and two of their symmetry classes.  The products are built from prime
+exponents: no big integer is ever divided.
 
-All functions are pure and reentrant.
+All functions are pure and reentrant.  The one piece of module state, the
+table of prime factorisations behind the products, only ever grows and is
+swapped in whole, so concurrent callers see either the old or the new table.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from fractions import Fraction
+from itertools import accumulate
 from typing import Sequence, Union
 
 Rational = Union[Fraction, int]
@@ -77,18 +80,17 @@ def gamma_ratio(numerator_args: Sequence[int], denominator_args: Sequence[int]) 
 
 
 def _gamma_half(a: Fraction) -> tuple[Fraction, int]:
-    """Gamma(a) for half-integer a as (rational, exponent of sqrt(pi))."""
-    value = Fraction(1)
-    x = Fraction(1, 2)
-    if a >= x:
-        while x < a:
-            value *= x
-            x += 1
-    else:
-        while x > a:
-            x -= 1
-            value /= x
-    return value, 1
+    """Gamma(a) for half-integer a as (rational, exponent of sqrt(pi)).
+
+    Gamma(k + 1/2) = (2k)! / (4^k k!) sqrt(pi) and
+    Gamma(1/2 - k) = (-4)^k k! / (2k)! sqrt(pi) for k >= 0.
+    """
+    if a.denominator != 2:
+        raise ValueError(f"Gamma argument {a} is not a half-integer")
+    k = math.floor(a)
+    if k >= 0:
+        return Fraction(math.factorial(2 * k), 4 ** k * math.factorial(k)), 1
+    return Fraction((-4) ** -k * math.factorial(-k), math.factorial(-2 * k)), 1
 
 
 def gamma_product(numerators: Sequence, denominators: Sequence,
@@ -167,17 +169,52 @@ def hyp_terminating(
     return total
 
 
-# kind -> (n, m) -> (const, imax, jmax, triangle, top, bottom): the product is
-# const * prod (i + j + top) / (i + j + bottom) over 1 <= i <= imax and
-# j <= jmax, with j >= i in a triangle and j >= 1 otherwise.  box is
-# MacMahon's prod_{i, j, k} (i+j+k-1)/(i+j+k-2) over k <= n, telescoped in k.
+# kind -> (n, m) -> blocks (imax, jmax, triangle, top, bottom); the product is
+# the product over the blocks of prod (i + j + top) / (i + j + bottom) over
+# 1 <= i <= imax and j <= jmax, with j >= i in a triangle (where imax <= jmax)
+# and j >= 1 otherwise.  Every base i + j + top or i + j + bottom lies in
+# [1, 2(n + m)).  box is MacMahon's prod_{i, j, k} (i+j+k-1)/(i+j+k-2) over
+# k <= n, telescoped in k; transpose_complement's first block, a single row,
+# is its constant C(n+m-1, n-1) = prod_{t < n} (m + t) / t.
 _PRODUCTS = {
-    "box": lambda n, m: (1, n, 2 * m, False, n - 1, -1),
-    "transpose_complement": lambda n, m: (
-        binomial(n + m - 1, n - 1), n - 2, n - 2, True, 2 * m + 1, 1),
-    "vertical_symmetric": lambda n, m: (1, n, n, True, 2 * m - 1, -1),
+    "box": lambda n, m: ((n, 2 * m, False, n - 1, -1),),
+    "transpose_complement": lambda n, m: ((1, n - 1, False, m - 1, -1),
+                                          (n - 2, n - 2, True, 2 * m + 1, 1)),
+    "vertical_symmetric": lambda n, m: ((n, n, True, 2 * m - 1, -1),),
 }
 PRODUCT_KINDS = tuple(_PRODUCTS)
+
+# _FACTORS[b] lists the prime factors of b, with multiplicity, for 2 <= b <
+# len(_FACTORS), read off a smallest-prime-factor sieve.  It starts empty and
+# is replaced by a longer list whenever a product needs a larger base, so
+# readers only ever see a complete table.
+_FACTORS: list = []
+
+
+def _factor_table(size: int) -> list:
+    """The prime factors of every integer below ``size``, cached."""
+    global _FACTORS
+    if len(_FACTORS) < size:
+        size = max(size, 2 * len(_FACTORS), 64)
+        spf = list(range(size))
+        for p in range(2, math.isqrt(size - 1) + 1):
+            if spf[p] == p:
+                for q in range(p * p, size, p):
+                    if spf[q] == q:
+                        spf[q] = p
+        factors = [()] * size
+        for b in range(2, size):
+            factors[b] = (spf[b],) + factors[b // spf[b]]
+        _FACTORS = factors
+    return _FACTORS
+
+
+def _product_tree(values: list) -> int:
+    """Product of ``values`` as a balanced binary tree of multiplications."""
+    if len(values) <= 2:
+        return math.prod(values)
+    half = len(values) // 2
+    return _product_tree(values[:half]) * _product_tree(values[half:])
 
 
 def product_formula(kind: str, n: int, m: int) -> int:
@@ -186,9 +223,16 @@ def product_formula(kind: str, n: int, m: int) -> int:
     ``box`` counts all tilings (equivalently plane partitions in an
     n x 2m x n box), ``transpose_complement`` counts the horizontally
     symmetric tilings, and ``vertical_symmetric`` the vertically symmetric
-    ones.  Each product is evaluated as one exact integer quotient and
-    asserted to leave no remainder, which catches index-range
-    transcription mistakes immediately.
+    ones.  Each product is collected into one exponent per base: the k
+    index pairs with i + j = s put +k on the base s + top and -k on
+    s + bottom.  Row i of a block covers an interval of sums, so marking
+    each row's two ends in a difference array and taking one prefix sum
+    gives every base's exponent without visiting the pairs.  The bases are
+    split into primes through a cached factor table and the result is the
+    product of the prime powers, multiplied as a balanced tree.  A negative
+    prime exponent means the quotient is not an integer and raises
+    ArithmeticError, which catches index-range transcription mistakes
+    immediately.
     """
     if n < 1 or m < 1:
         raise ValueError("hexagon sides must be positive")
@@ -196,11 +240,20 @@ def product_formula(kind: str, n: int, m: int) -> int:
         raise ValueError(f"unknown product formula kind: {kind!r}")
     if kind == "transpose_complement" and n % 2:
         raise ValueError("transpose_complement requires even n")
-    const, imax, jmax, triangle, top, bottom = _PRODUCTS[kind](n, m)
-    sums = Counter(i + j for i in range(1, imax + 1)
-                   for j in range(i if triangle else 1, jmax + 1))
-    numerator = const * math.prod((s + top) ** k for s, k in sums.items())
-    value, remainder = divmod(numerator, math.prod((s + bottom) ** k for s, k in sums.items()))
-    if remainder:
+    steps = [0] * (2 * (n + m) + 1)
+    for imax, jmax, triangle, top, bottom in _PRODUCTS[kind](n, m):
+        for i in range(1, imax + 1):
+            first, last = i + (i if triangle else 1), i + jmax
+            steps[first + top] += 1
+            steps[last + top + 1] -= 1
+            steps[first + bottom] -= 1
+            steps[last + bottom + 1] += 1
+    factors = _factor_table(len(steps))
+    primes = [0] * len(steps)
+    for base, e in enumerate(accumulate(steps)):
+        if e:
+            for p in factors[base]:
+                primes[p] += e
+    if min(primes) < 0:
         raise ArithmeticError(f"{kind} product did not reduce to an integer")
-    return value
+    return _product_tree([p ** e for p, e in enumerate(primes) if e])

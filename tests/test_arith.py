@@ -1,7 +1,11 @@
+import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from holeyhex import arith
 from holeyhex.arith import (GammaPoleError, NonTerminatingSeriesError, binomial,
@@ -115,12 +119,27 @@ def test_box_formula_matches_tiling_oracle():
 
 
 def test_product_formula_errors():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="sides must be positive"):
         product_formula("box", 0, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="sides must be positive"):
+        product_formula("vertical_symmetric", 2, 0)
+    with pytest.raises(ValueError, match="requires even n"):
         product_formula("transpose_complement", 3, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown product formula kind"):
         product_formula("mystery", 2, 1)
+
+
+@pytest.mark.parametrize("kind", arith.PRODUCT_KINDS)
+def test_product_formula_rejects_a_non_integer_product(kind, monkeypatch):
+    # every bottom one higher: box(2, 1) becomes 10/3, transpose_complement(4, 1)
+    # 7/4 and vertical_symmetric(1, 1) 3/2
+    blocks = arith._PRODUCTS[kind]
+    monkeypatch.setitem(arith._PRODUCTS, kind, lambda n, m: tuple(
+        (imax, jmax, triangle, top, bottom + 1)
+        for imax, jmax, triangle, top, bottom in blocks(n, m)))
+    n, m = {"box": (2, 1), "transpose_complement": (4, 1), "vertical_symmetric": (1, 1)}[kind]
+    with pytest.raises(ArithmeticError, match="did not reduce to an integer"):
+        product_formula(kind, n, m)
 
 
 def literal_product(kind, n, m):
@@ -171,3 +190,61 @@ def test_box_matches_macmahon_hyperfactorials():
 def test_symmetric_products_match_unholed_path_determinants(kind, half):
     for n, m in ((2, 1), (6, 3), (12, 5), (24, 4), (24, 11)):
         assert product_formula(kind, n, m) == abs(det_exact(path_matrix(validate(n, m), half)))
+
+
+# The former evaluation: the same pairs grouped by i + j in a Counter, one
+# numerator and one denominator power product, and one exact divmod.
+REFERENCE_PRODUCTS = {
+    "box": lambda n, m: (1, n, 2 * m, False, n - 1, -1),
+    "transpose_complement": lambda n, m: (
+        binomial(n + m - 1, n - 1), n - 2, n - 2, True, 2 * m + 1, 1),
+    "vertical_symmetric": lambda n, m: (1, n, n, True, 2 * m - 1, -1),
+}
+
+
+def reference_product(kind, n, m):
+    const, imax, jmax, triangle, top, bottom = REFERENCE_PRODUCTS[kind](n, m)
+    sums = Counter(i + j for i in range(1, imax + 1)
+                   for j in range(i if triangle else 1, jmax + 1))
+    numerator = const * math.prod((s + top) ** k for s, k in sums.items())
+    value, remainder = divmod(numerator, math.prod((s + bottom) ** k for s, k in sums.items()))
+    assert not remainder
+    return value
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(kind=st.sampled_from(arith.PRODUCT_KINDS), n=st.integers(1, 150), m=st.integers(1, 80))
+@example(kind="box", n=200, m=100)
+@example(kind="transpose_complement", n=200, m=100)
+@example(kind="vertical_symmetric", n=200, m=100)
+@example(kind="vertical_symmetric", n=149, m=80)
+def test_product_formula_matches_reference(kind, n, m):
+    if kind == "transpose_complement":
+        n += n % 2
+    value = product_formula(kind, n, m)
+    assert type(value) is int
+    assert value == reference_product(kind, n, m)
+
+
+def reference_gamma_half(a):
+    """Gamma(a) / sqrt(pi) for half-integer a by stepping from Gamma(1/2)."""
+    value = Fraction(1)
+    x = Fraction(1, 2)
+    if a >= x:
+        while x < a:
+            value *= x
+            x += 1
+    else:
+        while x > a:
+            x -= 1
+            value /= x
+    return value
+
+
+def test_gamma_half_closed_form():
+    for twice in range(-81, 162, 2):
+        value, power = arith._gamma_half(Fraction(twice, 2))
+        assert type(value) is Fraction and value == reference_gamma_half(Fraction(twice, 2))
+        assert type(power) is int and power == 1
+    with pytest.raises(ValueError, match="not a half-integer"):
+        arith.gamma_product([Fraction(1, 3)], [], -1)
