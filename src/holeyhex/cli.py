@@ -21,12 +21,11 @@ def _spec_from_args(args) -> regions.RegionSpec:
                             regions.parse_int_list(args.right))
 
 
-def _add_spec_arguments(parser, holes=True):
+def _add_spec_arguments(parser):
     parser.add_argument("--n", type=int, required=True, help="hexagon side n (even)")
     parser.add_argument("--m", type=int, required=True, help="half the horizontal side")
-    if holes:
-        parser.add_argument("--left", default="", help="comma-separated left-hole positions")
-        parser.add_argument("--right", default="", help="comma-separated right-hole positions")
+    parser.add_argument("--left", default="", help="comma-separated left-hole positions")
+    parser.add_argument("--right", default="", help="comma-separated right-hole positions")
 
 
 def _emit(payload) -> None:

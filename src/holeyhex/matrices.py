@@ -17,6 +17,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .arith import (GammaPoleError, binomial, gamma_product, gamma_ratio, hyp_terminating,
                     product_formula)
@@ -82,7 +83,17 @@ def _reflected_count(start, end, variant: str, comb) -> int:
     raise ValueError(f"unknown path count variant {variant!r}")
 
 
-_VARIANT_OF_KIND = {"lower": "avoid_diagonal", "upper": "weighted_below"}
+class _Half(NamedTuple):
+    d: int  # 0 below, 1 above: the shift of the half's formulas
+    variant: str  # the half's path_count variant
+    prefactor: str  # the product_formula kind of |det Q| / |det E|
+
+
+# Every printed path-matrix entry, LU factor entry and hole-matrix closed
+# form below is written once for both halves, with some of its parameters
+# moved by d.
+_HALVES = {"lower": _Half(0, "avoid_diagonal", "transpose_complement"),
+           "upper": _Half(1, "weighted_below", "vertical_symmetric")}
 
 
 def path_matrix(spec: RegionSpec, kind: str) -> Matrix:
@@ -92,17 +103,16 @@ def path_matrix(spec: RegionSpec, kind: str) -> Matrix:
     2401 entries at n = 188, m = 47, p = 2), so each is computed once per call.
     """
     starts, ends = lgv_points(spec, kind)
-    variant = _VARIANT_OF_KIND[kind]
+    variant = _HALVES[kind].variant
     comb = functools.cache(math.comb)
     return [[_reflected_count(s, e, variant, comb) for e in ends] for s in starts]
 
 
-def _hole_to_hole(l: int, r: int, kind: str) -> Fraction:
+def _hole_to_hole(l: int, r: int, d: int) -> Fraction:
+    """The hole-hole entry: a ballot number below, its numerator above."""
     if r < l:
         return Fraction(0)
-    if kind == "lower":
-        return Fraction(binomial(r - l + 1, (r - l) // 2), r - l + 1)
-    return Fraction(binomial(r - l + 1, (r - l) // 2))
+    return Fraction(binomial(r - l + 1, (r - l) // 2), (r - l + 1) ** (1 - d))
 
 
 def printed_path_entry(spec: RegionSpec, kind: str, i: int, j: int,
@@ -113,73 +123,59 @@ def printed_path_entry(spec: RegionSpec, kind: str, i: int, j: int,
     entry appears in print in two versions that disagree for j >= 2;
     ``mixed_variant`` selects ``"display"`` (the matrix display, which the
     cross-check reports as off) or ``"recurrence"`` (the identity used in
-    the LU proof, which matches the path counts).
+    the LU proof, which matches the path counts).  The upper entries add
+    the reflected binomial where the lower ones subtract it, and lack the
+    lower ones' ballot factors (2i-1)/(n+r+1) and (2j-1)/(n-l+1).
     """
-    n, m = spec.n, spec.m
+    if kind not in _HALVES:
+        raise ValueError(f"no printed entries for kind {kind!r}")
+    n, m, d = spec.n, spec.m, _HALVES[kind].d
     half = n // 2
-    if kind == "lower":
-        if i <= m and j <= m:
-            return Fraction(binomial(2 * n, n + j - i) - binomial(2 * n, n + 1 - i - j))
-        if i <= m and j > m:
-            r = spec.right[j - m - 1]
-            return Fraction(2 * i - 1, n + r + 1) * binomial(n + r + 1, half + r // 2 + 1 - i)
-        if i > m and j <= m:
-            l = spec.left[i - m - 1]
-            if mixed_variant == "display":
-                k = half - l // 2 - 1 + j
-            else:
-                k = half - l // 2 + 1 - j
-            return Fraction(2 * j - 1, n - l + 1) * binomial(n - l + 1, k)
-        return _hole_to_hole(spec.left[i - m - 1], spec.right[j - m - 1], kind)
-    if kind == "upper":
-        if i <= m and j <= m:
-            return Fraction(binomial(2 * n, n + j - i) + binomial(2 * n, n + 1 - i - j))
-        if i <= m and j > m:
-            r = spec.right[j - m - 1]
-            return Fraction(binomial(n + r + 1, half + r // 2 + 1 - i))
-        if i > m and j <= m:
-            l = spec.left[i - m - 1]
-            return Fraction(binomial(n - l + 1, half - l // 2 + 1 - j))
-        return _hole_to_hole(spec.left[i - m - 1], spec.right[j - m - 1], kind)
-    raise ValueError(f"no printed entries for kind {kind!r}")
+    if i <= m and j <= m:
+        return Fraction(binomial(2 * n, n + j - i) + (2 * d - 1) * binomial(2 * n, n + 1 - i - j))
+    if i <= m:
+        r = spec.right[j - m - 1]
+        ballot = Fraction((2 * i - 1) ** (1 - d), (n + r + 1) ** (1 - d))
+        return ballot * binomial(n + r + 1, half + r // 2 + 1 - i)
+    if j <= m:
+        l = spec.left[i - m - 1]
+        if mixed_variant == "display" and d == 0:
+            k = half - l // 2 - 1 + j
+        else:
+            k = half - l // 2 + 1 - j
+        ballot = Fraction((2 * j - 1) ** (1 - d), (n - l + 1) ** (1 - d))
+        return ballot * binomial(n - l + 1, k)
+    return _hole_to_hole(spec.left[i - m - 1], spec.right[j - m - 1], d)
 
 
 # ---------------------------------------------------------------------------
 # LU factor entries
 
 # Gamma arguments of the explicit LU factor entries, as (numerators,
-# denominators).  Boundary blocks take (n, i, j); hole blocks take (n, s, x)
-# with s the boundary index and x the hole position, l for ``l_hole`` and r
-# for ``u_hole``.  Hole entries carry the sign (-1)**(s+1) and, in the lower
-# region, a factor 1/2 (_HOLE_SCALE).
+# denominators), for both halves: d is _HALVES[kind].d.  Boundary blocks
+# take (n, i, j, d); hole blocks take (n, s, x, d) with s the boundary index
+# and x the hole position, l for ``l_hole`` and r for ``u_hole``.  Each
+# boundary block carries a pair Gamma(2i-1)/Gamma(2i-1) or
+# Gamma(2j-1)/Gamma(2j-1) that cancels at d = 1, so that one list serves
+# both halves.  Hole entries carry the sign (-1)**(s+1) and, in the lower
+# region, a factor 1/2: HALF ** (1 - d).
 _LU_GAMMA_ARGS = {
-    ("lower", "l_boundary"): lambda n, i, j: (
-        [2 * i, n + 1, i + j - 1, 2 * j + n],
-        [2 * i - 1, 2 * j, i - j + 1, j - i + n + 1, i + j + n]),
-    ("lower", "l_hole"): lambda n, s, l: (
-        [s + n - 1, 2 * s + n, n - l + 1, s + l // 2 + n // 2 - 1],
-        [s, 2 * s + 2 * n - 2, n // 2 - l // 2 + 1, l // 2 + n // 2, s - l // 2 + n // 2 + 1]),
-    ("lower", "u_boundary"): lambda n, i, j: (
-        [2 * j, n + 1, i + j - 1, 2 * i + 2 * n - 1],
+    "l_boundary": lambda n, i, j, d: (
+        [2 * i - d, n + 1, i + j - 1, 2 * j + n],
+        [2 * i - 1, 2 * j - d, i - j + 1, j - i + n + 1, i + j + n]),
+    "l_hole": lambda n, s, l, d: (
+        [s + n - 1 + d, 2 * s + n, n - l + 1 + d, s + l // 2 + n // 2 - 1],
+        [s, 2 * s + 2 * n - 2 + 2 * d, n // 2 - l // 2 + 1, l // 2 + n // 2,
+         s - l // 2 + n // 2 + 1]),
+    "u_boundary": lambda n, i, j, d: (
+        [2 * j - d, n + 1, i + j - 1, 2 * i + 2 * n - 1 + d],
         [2 * j - 1, j - i + 1, 2 * i + n - 1, i - j + n + 1, i + j + n]),
-    ("lower", "u_hole"): lambda n, s, r: (
-        [2 * s + 1, s + n, n + r + 1, s + n // 2 - r // 2 - 1],
-        [2 * s + n - 1, s + 1, n // 2 - r // 2, n // 2 + r // 2 + 1, s + n // 2 + r // 2 + 1]),
-    ("upper", "l_boundary"): lambda n, i, j: (
-        [n + 1, i + j - 1, 2 * j + n],
-        [2 * j - 1, i - j + 1, j - i + n + 1, i + j + n]),
-    ("upper", "l_hole"): lambda n, s, l: (
-        [s + n, 2 * s + n, n - l + 2, s + l // 2 + n // 2 - 1],
-        [s, 2 * s + 2 * n, n // 2 - l // 2 + 1, l // 2 + n // 2, s - l // 2 + n // 2 + 1]),
-    ("upper", "u_boundary"): lambda n, i, j: (
-        [n + 1, i + j - 1, 2 * i + 2 * n],
-        [j - i + 1, 2 * i + n - 1, i - j + n + 1, i + j + n]),
-    ("upper", "u_hole"): lambda n, s, r: (
-        [2 * s - 1, s + n, n + r + 2, s + n // 2 - r // 2 - 1],
-        [s, 2 * s + n - 1, n // 2 - r // 2, n // 2 + r // 2 + 1, s + n // 2 + r // 2 + 1]),
+    "u_hole": lambda n, s, r, d: (
+        [2 * s + 1 - 2 * d, s + n, n + r + 1 + d, s + n // 2 - r // 2 - 1],
+        [2 * s + n - 1, s + 1 - d, n // 2 - r // 2, n // 2 + r // 2 + 1,
+         s + n // 2 + r // 2 + 1]),
 }
 
-_HOLE_SCALE = {"lower": HALF, "upper": 1}
 
 def lu_factor_entry(block: str, i: int, j: int, spec: RegionSpec, kind: str) -> Fraction:
     """One entry of the explicit LU factors of a half-region path matrix.
@@ -190,17 +186,17 @@ def lu_factor_entry(block: str, i: int, j: int, spec: RegionSpec, kind: str) -> 
     hole position read off the spec.  Signs alternate with the boundary
     index as printed.
     """
-    args = _LU_GAMMA_ARGS.get((kind, block))
-    if args is None:
+    args, half = _LU_GAMMA_ARGS.get(block), _HALVES.get(kind)
+    if args is None or half is None:
         raise ValueError(f"unknown LU block {block!r} for kind {kind!r}")
-    n, m = spec.n, spec.m
+    n, m, d = spec.n, spec.m, half.d
     if block in ("l_hole", "u_hole"):
         s, x = (j, spec.left[i - m - 1]) if block == "l_hole" else (i, spec.right[j - m - 1])
         sign = -1 if s % 2 == 0 else 1
-        return sign * gamma_ratio(*args(n, s, x)) * _HOLE_SCALE[kind]
+        return sign * gamma_ratio(*args(n, s, x, d)) * HALF ** (1 - d)
     if (block == "l_boundary" and j > i) or (block == "u_boundary" and i > j):
         return Fraction(0)
-    return gamma_ratio(*args(n, i, j))
+    return gamma_ratio(*args(n, i, j, d))
 
 
 def _rising(lows, highs) -> int:
@@ -223,14 +219,14 @@ def hole_matrix_entry(spec: RegionSpec, kind: str, i: int, j: int) -> Fraction:
     """
     l = spec.left[i - 1]
     r = spec.right[j - 1]
-    n, m = spec.n, spec.m
-    l_hole, u_hole = _LU_GAMMA_ARGS[kind, "l_hole"], _LU_GAMMA_ARGS[kind, "u_hole"]
-    total = _hole_to_hole(l, r, kind)
+    n, m, d = spec.n, spec.m, _HALVES[kind].d
+    l_hole, u_hole = _LU_GAMMA_ARGS["l_hole"], _LU_GAMMA_ARGS["u_hole"]
+    total = _hole_to_hole(l, r, d)
     if m < 1:
         return total
 
     def term_args(s):
-        (l_num, l_den), (u_num, u_den) = l_hole(n, s, l), u_hole(n, s, r)
+        (l_num, l_den), (u_num, u_den) = l_hole(n, s, l, d), u_hole(n, s, r, d)
         return l_num + u_num, l_den + u_den
 
     acc_n = acc_d = 1
@@ -244,15 +240,15 @@ def hole_matrix_entry(spec: RegionSpec, kind: str, i: int, j: int) -> Fraction:
         raise GammaPoleError(
             f"Schur term of hole pair ({l}, {r}) at n={n} has a Gamma argument "
             f"below 1; hole positions must lie in [{2 - n}, {n - 2}]")
-    # head * (acc_n / acc_d) * _HOLE_SCALE[kind]**2 as a single Fraction
-    head, scale = gamma_ratio(*above), _HOLE_SCALE[kind]
+    # head * (acc_n / acc_d) * scale**2 as a single Fraction
+    head, scale = gamma_ratio(*above), HALF ** (1 - d)
     return total - Fraction(head.numerator * acc_n * scale.numerator ** 2,
                             head.denominator * acc_d * scale.denominator ** 2)
 
 
 def hole_matrix(spec: RegionSpec, kind: str) -> Matrix:
     """The p x p Schur-complement matrix isolating the holes' contribution."""
-    if kind not in _VARIANT_OF_KIND:
+    if kind not in _HALVES:
         raise ValueError(f"no hole matrix for kind {kind!r}")
     p = spec.p
     return [[hole_matrix_entry(spec, kind, i, j) for j in range(1, p + 1)]
@@ -266,54 +262,36 @@ def closed_form_entry(spec: RegionSpec, kind: str, i: int, j: int) -> Fraction:
     """The printed hypergeometric closed form of a hole-matrix entry.
 
     Exact evaluation; serves as a cross-check of hole_matrix_entry, which
-    stays authoritative.  The two branches split on the sign of r_j - l_i.
+    stays authoritative.  The two branches split on the sign of r_j - l_i;
+    the upper half's parameters are the lower half's moved by d = 1.
     """
     n, m = spec.n, spec.m
     l = spec.left[i - 1]
     r = spec.right[j - 1]
+    if kind not in _HALVES:
+        raise ValueError(f"no closed form for kind {kind!r}")
+    d = _HALVES[kind].d
     N, Lh, Rh = Fraction(n, 2), Fraction(l, 2), Fraction(r, 2)
     two = Fraction(2)
-    if kind == "lower":
-        if r > l:
-            series = hyp_terminating(
-                [Rh - N + 1, 1, Rh - Lh + 2, N + Rh + HALF],
-                [m + N + Rh + 2, Rh - m - N + 2, Rh - Lh + Fraction(3, 2)], 1)
-            prefactor = gamma_product(
-                [m + n + 1, N + Rh + HALF, Lh + m + N, m + N - Rh - 1,
-                 m + Fraction(3, 2), N - Lh + HALF],
-                [N - Rh, m - Lh + N + 1, m + N + Rh + 2, m, Lh + N,
-                 m + n - HALF],
-                pi_half_power=-2)
-            return series * prefactor * two ** (r - l + 2) / (r - l + 1)
+    if r > l:
         series = hyp_terminating(
-            [2 - Lh + Rh, Fraction(3, 2), m + n + 1, 1 - m],
-            [N + 2 - Lh, N + Rh + 2, Fraction(5, 2)], 1)
+            [Rh - N + 1, 1, Rh - Lh + 2, N + Rh + HALF + d],
+            [m + N + Rh + 2, Rh - m - N + 2, Rh - Lh + Fraction(3, 2) + d], 1)
         prefactor = gamma_product(
-            [m + Fraction(3, 2), N - Lh + HALF, m + n + 1, N + Rh + HALF],
-            [m, N - Lh + 2, m + n - HALF, N + Rh + 2],
+            [m + n + 1, N + Rh + HALF + d, Lh + m + N, m + N - Rh - 1,
+             m + Fraction(3, 2) - d, N - Lh + HALF + d],
+            [N - Rh, m - Lh + N + 1, m + N + Rh + 2, m, Lh + N,
+             m + n - HALF + d],
             pi_half_power=-2)
-        return -series * prefactor * two ** (r - l + 2) / 3
-    if kind == "upper":
-        if r > l:
-            series = hyp_terminating(
-                [Rh - N + 1, 1, Rh - Lh + 2, N + Rh + Fraction(3, 2)],
-                [m + N + Rh + 2, Rh - m - N + 2, Rh - Lh + Fraction(5, 2)], 1)
-            prefactor = gamma_product(
-                [m + n + 1, N + Rh + Fraction(3, 2), Lh + m + N,
-                 m + N - Rh - 1, m + HALF, N - Lh + Fraction(3, 2)],
-                [N - Rh, N - Lh + m + 1, N + m + Rh + 2, m, Lh + N,
-                 m + n + HALF],
-                pi_half_power=-2)
-            return series * prefactor * two ** (r - l + 2) / (r - l + 3)
-        series = hyp_terminating(
-            [2 + Rh - Lh, HALF, m + n + 1, 1 - m],
-            [N - Lh + 2, N + Rh + 2, Fraction(3, 2)], 1)
-        prefactor = gamma_product(
-            [m + HALF, N - Lh + Fraction(3, 2), m + n + 1, N + Rh + Fraction(3, 2)],
-            [m, N - Lh + 2, m + n + HALF, N + Rh + 2],
-            pi_half_power=-2)
-        return -series * prefactor * two ** (r - l + 2)
-    raise ValueError(f"no closed form for kind {kind!r}")
+        return series * prefactor * two ** (r - l + 2) / (r - l + 1 + 2 * d)
+    series = hyp_terminating(
+        [2 - Lh + Rh, Fraction(3, 2) - d, m + n + 1, 1 - m],
+        [N + 2 - Lh, N + Rh + 2, Fraction(5, 2) - d], 1)
+    prefactor = gamma_product(
+        [m + Fraction(3, 2) - d, N - Lh + HALF + d, m + n + 1, N + Rh + HALF + d],
+        [m, N - Lh + 2, m + n - HALF + d, N + Rh + 2],
+        pi_half_power=-2)
+    return -series * prefactor * two ** (r - l + 2) / (3 - 2 * d)
 
 
 # ---------------------------------------------------------------------------
@@ -411,15 +389,12 @@ class CountResult:
     factors: dict
 
     def to_json_dict(self) -> dict:
-        def encode(x):
-            if isinstance(x, Fraction):
-                return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
-            return str(x)
+        # str() prints an int as "a" and a Fraction as "a/b", or "a" when b = 1
         return {
             "spec": self.spec.to_text(),
             "kind": self.kind,
             "count": str(self.value),
-            "factors": {name: encode(value) for name, value in self.factors.items()},
+            "factors": {name: str(value) for name, value in self.factors.items()},
         }
 
 
@@ -448,10 +423,9 @@ def count_region(spec: RegionSpec, kind: str) -> CountResult:
         inner = count_region(spec, "upper_weighted")
         return CountResult(spec, "free_half", inner.value, inner.factors)
     if kind in ("lower", "upper_weighted"):
-        half_kind = "lower" if kind == "lower" else "upper"
-        formula = ("transpose_complement" if kind == "lower" else "vertical_symmetric")
+        half_kind = kind.removesuffix("_weighted")  # upper_weighted is the upper half
         det_q = det_exact(path_matrix(spec, half_kind))
-        prefactor = product_formula(formula, n, m)
+        prefactor = product_formula(_HALVES[half_kind].prefactor, n, m)
         det_e = det_exact(hole_matrix(spec, half_kind))
         if abs(det_q) != prefactor * abs(det_e):
             raise RouteMismatchError(

@@ -26,7 +26,7 @@ RIGHT = "R"
 Cell = tuple  # (c, h, o)
 Point = tuple  # (x, y) lattice point for north/east paths
 
-KINDS = ("full", "lower", "upper", "free_half")
+KINDS = ("full", "lower", "upper")
 
 
 class SpecValidationError(ValueError):
@@ -268,27 +268,13 @@ class TriangularRegion:
     spec: RegionSpec
     holes_by_position: dict = field(compare=False, hash=False, default_factory=dict)
 
-    def counts(self) -> tuple[int, int]:
-        right = sum(1 for c in self.cells if c[2] == RIGHT)
-        return right, len(self.cells) - right
-
 
 def build_region(spec: RegionSpec, kind: str) -> TriangularRegion:
-    """Materialise the cell set of the full region or a half region.
-
-    ``free_half`` regions are represented implicitly (they carry the full
-    cell set); counting against a free boundary goes through the
-    vertical-symmetry filter instead of materialising half rhombi.
-    """
+    """Materialise the cell set of the full region or a half region."""
     if kind not in KINDS:
         raise ValueError(f"unknown region kind {kind!r}")
     hexagon = hexagon_cells(spec.n, spec.m)
     tagged = [(x, LEFT) for x in spec.left] + [(x, RIGHT) for x in spec.right]
-
-    if kind == "free_half":
-        if not spec.is_mirror_symmetric:
-            raise ValueError("free_half requires R = -L")
-        return TriangularRegion("free_half", hexagon, frozenset(), spec)
 
     if kind == "full":
         removed = set()
@@ -353,10 +339,10 @@ def lgv_points(spec: RegionSpec, kind: str) -> tuple[list[Point], list[Point]]:
         starts = [(i, 1 - i) for i in range(1 - m, m + 1)]
         ends = [(n + j, n + 1 - j) for j in range(1 - m, m + 1)]
         for x in spec.left:
-            t = half + x // 2
-            starts += [(t + 1, t), (t, t + 1)]
+            point = hole_point(x)
+            starts += [point, point[::-1]]
         for x in spec.right:
-            t = half + x // 2
-            ends += [(t + 1, t), (t, t + 1)]
+            point = hole_point(x)
+            ends += [point, point[::-1]]
         return starts, ends
     raise ValueError(f"no path picture for kind {kind!r}")

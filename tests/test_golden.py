@@ -1,7 +1,7 @@
 """Byte-exact CLI outputs: the sha256 of stdout and the exit code per call.
 
-The digests pin the printed JSON and CSV, so a refactor of the formulas
-behind them must leave every byte in place.
+The digests pin the printed JSON, CSV and verify table, so a refactor of
+the formulas behind them must leave every byte in place.
 """
 
 import hashlib
@@ -38,13 +38,15 @@ GOLDEN = [
      "530d62ab804a774f5075fb24c7fa199737663ca335e380fdb8c4d6e1ce196be0"),
     (("sweep", "--xi", "1", "--size", "40", "--separations", "2,4,8", "--fit"),
      "5fff1e84cbd82cf2b57be0b189b136c44425eeecbd0d1fc4b7462d6d195d3aff"),
+    (("verify", "--max-n", "4", "--max-m", "1", "--max-p", "1"),
+     "63a0a973c39675e5dfebda796763a0b9dbb71cceb4b641d2fee3cab282c9f835"),
 ]
 
 
 def _case_id(argv):
     # the verb plus the value that tells its calls apart
     flag = {"count": "--kind", "formulas": "--which", "correlate": "--model",
-            "sweep": "--separations"}[argv[0]]
+            "sweep": "--separations", "verify": "--max-n"}[argv[0]]
     return f"{argv[0]}-{argv[argv.index(flag) + 1]}"
 
 

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from holeyhex.arith import GammaPoleError, gamma_ratio, product_formula
-from holeyhex.matrices import (_HOLE_SCALE, _LU_GAMMA_ARGS, _VARIANT_OF_KIND, _hole_to_hole,
+from holeyhex.arith import (GammaPoleError, binomial, gamma_ratio, hyp_terminating,
+                            product_formula)
+from holeyhex.matrices import (HALF, _HALVES, _LU_GAMMA_ARGS, _hole_to_hole,
                                closed_form_entry, count_region,
                                det_exact, gamma_product, hole_matrix,
                                hole_matrix_entry, lu_factor_entry, path_count,
@@ -61,10 +62,10 @@ def test_path_matrix_values():
     assert path_matrix(spec, "lower") == [[14, 5], [2, 1]]
     assert path_matrix(spec, "upper") == [[126, 35], [10, 3]]
     for spec in (spec, validate(10, 3, [-6, 2], [-2, 6]), validate(12, 2, [4], [-4])):
-        for kind, variant in _VARIANT_OF_KIND.items():
+        for kind, half in _HALVES.items():
             starts, ends = lgv_points(spec, kind)
             rows = path_matrix(spec, kind)
-            assert rows == [[path_count(s, e, variant) for e in ends] for s in starts]
+            assert rows == [[path_count(s, e, half.variant) for e in ends] for s in starts]
             assert {type(x) for row in rows for x in row} == {int}
 
 
@@ -314,11 +315,12 @@ def test_hole_determinant_signs_agree():
 def per_term_hole_entry(spec, kind, i, j):
     """The Schur sum term by term: one gamma_ratio for each boundary path s."""
     l, r = spec.left[i - 1], spec.right[j - 1]
-    total = _hole_to_hole(l, r, kind)
+    d = _HALVES[kind].d
+    total = _hole_to_hole(l, r, d)
     for s in range(1, spec.m + 1):
-        l_num, l_den = _LU_GAMMA_ARGS[kind, "l_hole"](spec.n, s, l)
-        u_num, u_den = _LU_GAMMA_ARGS[kind, "u_hole"](spec.n, s, r)
-        total -= gamma_ratio(l_num + u_num, l_den + u_den) * _HOLE_SCALE[kind] ** 2
+        l_num, l_den = _LU_GAMMA_ARGS["l_hole"](spec.n, s, l, d)
+        u_num, u_den = _LU_GAMMA_ARGS["u_hole"](spec.n, s, r, d)
+        total -= gamma_ratio(l_num + u_num, l_den + u_den) * HALF ** (2 - 2 * d)
     return total
 
 
@@ -375,12 +377,11 @@ def test_half_counts_match_path_family_oracle(spec):
 
 def test_schur_gamma_arguments_start_positive_and_never_decrease():
     # what lets hole_matrix_entry run its term recurrence without pole cases
-    for (kind, block), args in _LU_GAMMA_ARGS.items():
-        if block not in ("l_hole", "u_hole"):
-            continue
+    for (kind, half), block in product(_HALVES.items(), ("l_hole", "u_hole")):
+        args = _LU_GAMMA_ARGS[block]
         for n in range(2, 61, 2):
             for x in range(-n + 2, n - 1, 2):
-                first, second = args(n, 1, x), args(n, 2, x)
+                first, second = args(n, 1, x, half.d), args(n, 2, x, half.d)
                 for side in (0, 1):
                     assert min(first[side]) >= 1, (kind, block, n, x)
                     assert {b - a for a, b in zip(first[side], second[side])} <= {0, 1, 2}
@@ -404,3 +405,195 @@ def test_hole_matrix_entry_raises_outside_the_hexagon():
                         continue
                     assert got == per_term_hole_entry(spec, kind, 1, 1), (spec, kind)
     assert raised > 0
+
+
+# ---------------------------------------------------------------------------
+# the half-region formulas as written out once per half, before matrices
+# wrote each of them once with the shift d: references for the merged bodies
+
+REFERENCE_LU_GAMMA_ARGS = {
+    ("lower", "l_boundary"): lambda n, i, j: (
+        [2 * i, n + 1, i + j - 1, 2 * j + n],
+        [2 * i - 1, 2 * j, i - j + 1, j - i + n + 1, i + j + n]),
+    ("lower", "l_hole"): lambda n, s, l: (
+        [s + n - 1, 2 * s + n, n - l + 1, s + l // 2 + n // 2 - 1],
+        [s, 2 * s + 2 * n - 2, n // 2 - l // 2 + 1, l // 2 + n // 2, s - l // 2 + n // 2 + 1]),
+    ("lower", "u_boundary"): lambda n, i, j: (
+        [2 * j, n + 1, i + j - 1, 2 * i + 2 * n - 1],
+        [2 * j - 1, j - i + 1, 2 * i + n - 1, i - j + n + 1, i + j + n]),
+    ("lower", "u_hole"): lambda n, s, r: (
+        [2 * s + 1, s + n, n + r + 1, s + n // 2 - r // 2 - 1],
+        [2 * s + n - 1, s + 1, n // 2 - r // 2, n // 2 + r // 2 + 1, s + n // 2 + r // 2 + 1]),
+    ("upper", "l_boundary"): lambda n, i, j: (
+        [n + 1, i + j - 1, 2 * j + n],
+        [2 * j - 1, i - j + 1, j - i + n + 1, i + j + n]),
+    ("upper", "l_hole"): lambda n, s, l: (
+        [s + n, 2 * s + n, n - l + 2, s + l // 2 + n // 2 - 1],
+        [s, 2 * s + 2 * n, n // 2 - l // 2 + 1, l // 2 + n // 2, s - l // 2 + n // 2 + 1]),
+    ("upper", "u_boundary"): lambda n, i, j: (
+        [n + 1, i + j - 1, 2 * i + 2 * n],
+        [j - i + 1, 2 * i + n - 1, i - j + n + 1, i + j + n]),
+    ("upper", "u_hole"): lambda n, s, r: (
+        [2 * s - 1, s + n, n + r + 2, s + n // 2 - r // 2 - 1],
+        [s, 2 * s + n - 1, n // 2 - r // 2, n // 2 + r // 2 + 1, s + n // 2 + r // 2 + 1]),
+}
+
+REFERENCE_HOLE_SCALE = {"lower": HALF, "upper": 1}
+
+
+def reference_lu_factor_entry(block, i, j, spec, kind):
+    args = REFERENCE_LU_GAMMA_ARGS.get((kind, block))
+    if args is None:
+        raise ValueError(f"unknown LU block {block!r} for kind {kind!r}")
+    n, m = spec.n, spec.m
+    if block in ("l_hole", "u_hole"):
+        s, x = (j, spec.left[i - m - 1]) if block == "l_hole" else (i, spec.right[j - m - 1])
+        sign = -1 if s % 2 == 0 else 1
+        return sign * gamma_ratio(*args(n, s, x)) * REFERENCE_HOLE_SCALE[kind]
+    if (block == "l_boundary" and j > i) or (block == "u_boundary" and i > j):
+        return Fraction(0)
+    return gamma_ratio(*args(n, i, j))
+
+
+def reference_hole_to_hole(l, r, kind):
+    if r < l:
+        return Fraction(0)
+    if kind == "lower":
+        return Fraction(binomial(r - l + 1, (r - l) // 2), r - l + 1)
+    return Fraction(binomial(r - l + 1, (r - l) // 2))
+
+
+def reference_printed_path_entry(spec, kind, i, j, mixed_variant="recurrence"):
+    n, m = spec.n, spec.m
+    half = n // 2
+    if kind == "lower":
+        if i <= m and j <= m:
+            return Fraction(binomial(2 * n, n + j - i) - binomial(2 * n, n + 1 - i - j))
+        if i <= m and j > m:
+            r = spec.right[j - m - 1]
+            return Fraction(2 * i - 1, n + r + 1) * binomial(n + r + 1, half + r // 2 + 1 - i)
+        if i > m and j <= m:
+            l = spec.left[i - m - 1]
+            if mixed_variant == "display":
+                k = half - l // 2 - 1 + j
+            else:
+                k = half - l // 2 + 1 - j
+            return Fraction(2 * j - 1, n - l + 1) * binomial(n - l + 1, k)
+        return reference_hole_to_hole(spec.left[i - m - 1], spec.right[j - m - 1], kind)
+    if kind == "upper":
+        if i <= m and j <= m:
+            return Fraction(binomial(2 * n, n + j - i) + binomial(2 * n, n + 1 - i - j))
+        if i <= m and j > m:
+            r = spec.right[j - m - 1]
+            return Fraction(binomial(n + r + 1, half + r // 2 + 1 - i))
+        if i > m and j <= m:
+            l = spec.left[i - m - 1]
+            return Fraction(binomial(n - l + 1, half - l // 2 + 1 - j))
+        return reference_hole_to_hole(spec.left[i - m - 1], spec.right[j - m - 1], kind)
+    raise ValueError(f"no printed entries for kind {kind!r}")
+
+
+def reference_closed_form_entry(spec, kind, i, j):
+    n, m = spec.n, spec.m
+    l = spec.left[i - 1]
+    r = spec.right[j - 1]
+    N, Lh, Rh = Fraction(n, 2), Fraction(l, 2), Fraction(r, 2)
+    two = Fraction(2)
+    if kind == "lower":
+        if r > l:
+            series = hyp_terminating(
+                [Rh - N + 1, 1, Rh - Lh + 2, N + Rh + HALF],
+                [m + N + Rh + 2, Rh - m - N + 2, Rh - Lh + Fraction(3, 2)], 1)
+            prefactor = gamma_product(
+                [m + n + 1, N + Rh + HALF, Lh + m + N, m + N - Rh - 1,
+                 m + Fraction(3, 2), N - Lh + HALF],
+                [N - Rh, m - Lh + N + 1, m + N + Rh + 2, m, Lh + N,
+                 m + n - HALF],
+                pi_half_power=-2)
+            return series * prefactor * two ** (r - l + 2) / (r - l + 1)
+        series = hyp_terminating(
+            [2 - Lh + Rh, Fraction(3, 2), m + n + 1, 1 - m],
+            [N + 2 - Lh, N + Rh + 2, Fraction(5, 2)], 1)
+        prefactor = gamma_product(
+            [m + Fraction(3, 2), N - Lh + HALF, m + n + 1, N + Rh + HALF],
+            [m, N - Lh + 2, m + n - HALF, N + Rh + 2],
+            pi_half_power=-2)
+        return -series * prefactor * two ** (r - l + 2) / 3
+    if kind == "upper":
+        if r > l:
+            series = hyp_terminating(
+                [Rh - N + 1, 1, Rh - Lh + 2, N + Rh + Fraction(3, 2)],
+                [m + N + Rh + 2, Rh - m - N + 2, Rh - Lh + Fraction(5, 2)], 1)
+            prefactor = gamma_product(
+                [m + n + 1, N + Rh + Fraction(3, 2), Lh + m + N,
+                 m + N - Rh - 1, m + HALF, N - Lh + Fraction(3, 2)],
+                [N - Rh, N - Lh + m + 1, N + m + Rh + 2, m, Lh + N,
+                 m + n + HALF],
+                pi_half_power=-2)
+            return series * prefactor * two ** (r - l + 2) / (r - l + 3)
+        series = hyp_terminating(
+            [2 + Rh - Lh, HALF, m + n + 1, 1 - m],
+            [N - Lh + 2, N + Rh + 2, Fraction(3, 2)], 1)
+        prefactor = gamma_product(
+            [m + HALF, N - Lh + Fraction(3, 2), m + n + 1, N + Rh + Fraction(3, 2)],
+            [m, N - Lh + 2, m + n + HALF, N + Rh + 2],
+            pi_half_power=-2)
+        return -series * prefactor * two ** (r - l + 2)
+    raise ValueError(f"no closed form for kind {kind!r}")
+
+
+def outcome(function, *args):
+    """What a call gives: its value and type, or its exception and message."""
+    try:
+        value = function(*args)
+    except Exception as exc:  # the exception is the outcome compared
+        return type(exc), str(exc)
+    return type(value), value
+
+
+@st.composite
+def hole_pair_grids(draw):
+    """n <= 40, m <= 8 and some hole pairs (l, r), each on the positions of
+    the hexagon or one step beyond them, so that the pole and zero cases
+    are compared too."""
+    n = 2 * draw(st.integers(1, 20))
+    m = draw(st.integers(1, 8))
+    position = st.integers(-n // 2 - 1, n // 2 + 1).map(lambda k: 2 * k)
+    pairs = draw(st.lists(st.tuples(position, position), min_size=1, max_size=6))
+    return n, m, pairs
+
+
+@settings(DIFFERENTIAL, max_examples=40)
+@given(grid=hole_pair_grids())
+@example(grid=(2, 1, [(-4, -4), (0, 0), (4, -2)]))
+@example(grid=(40, 8, [(-42, 42), (-38, 38), (38, -38), (0, 0), (2, -2), (42, 40)]))
+def test_half_formulas_match_per_half_references(grid):
+    # every LU block, printed entry and closed form, both kinds, both
+    # mixed variants: value and type, or exception and message
+    n, m, pairs = grid
+
+    def same(function, reference, *args):
+        assert outcome(function, *args) == outcome(reference, *args), (function.__name__, args)
+
+    boundary = range(1, m + 1)
+    for kind in ("lower", "upper", "full"):
+        spec = RegionSpec(n, m, (), ())
+        for block in ("l_boundary", "u_boundary", "sideways"):
+            for i, j in product(boundary, repeat=2):
+                same(lu_factor_entry, reference_lu_factor_entry, block, i, j, spec, kind)
+        for variant in ("recurrence", "display"):
+            for i, j in product(boundary, repeat=2):
+                same(printed_path_entry, reference_printed_path_entry, spec, kind, i, j, variant)
+        for x in range(-n - 2, n + 3, 2):
+            spec = RegionSpec(n, m, (x,), (x,))
+            for s in boundary:
+                same(lu_factor_entry, reference_lu_factor_entry, "l_hole", m + 1, s, spec, kind)
+                same(lu_factor_entry, reference_lu_factor_entry, "u_hole", s, m + 1, spec, kind)
+                for variant in ("recurrence", "display"):
+                    for i, j in ((m + 1, s), (s, m + 1)):
+                        same(printed_path_entry, reference_printed_path_entry,
+                             spec, kind, i, j, variant)
+        for l, r in pairs:
+            spec = RegionSpec(n, m, (l,), (r,))
+            same(printed_path_entry, reference_printed_path_entry, spec, kind, m + 1, m + 1)
+            same(closed_form_entry, reference_closed_form_entry, spec, kind, 1, 1)

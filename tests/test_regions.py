@@ -132,8 +132,8 @@ def test_build_region_balance_and_hole_footprint():
     rng = random.Random(6)
     for spec in sample_specs(rng, 30):
         full = build_region(spec, "full")
-        rights, lefts = full.counts()
-        assert rights == lefts
+        rights = sum(1 for cell in full.cells if cell[2] == RIGHT)
+        assert 2 * rights == len(full.cells)
         hexagon = hexagon_cells(spec.n, spec.m)
         assert len(full.hole_cells) <= 4 * 2 * spec.p
         assert full.cells | full.hole_cells == hexagon
@@ -156,12 +156,10 @@ def test_cell_adjacency_is_symmetric():
             assert cell in neighbors(other)
 
 
-def test_free_half_requires_mirror_holes():
-    spec = validate(6, 1, [-2], [2])
-    region = build_region(spec, "free_half")
-    assert region.kind == "free_half"
-    with pytest.raises(ValueError, match="R = -L"):
-        build_region(validate(6, 1, [-2], [4]), "free_half")
+def test_free_half_is_not_a_region_kind():
+    # a free-boundary count filters tilings of the full region instead
+    with pytest.raises(ValueError, match="unknown region kind 'free_half'"):
+        build_region(validate(6, 1, [-2], [2]), "free_half")
 
 
 def test_unknown_kind_rejected():
