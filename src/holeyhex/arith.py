@@ -2,8 +2,9 @@
 
 Everything in this module is integer or rational and exact: binomial
 coefficients with the zero-outside-range convention, rising factorials,
-ratios of Gamma values at integer arguments, terminating hypergeometric
-sums, and the three classical product formulas that count hexagon tilings
+ratios of Gamma values at integer arguments, terminating series summed
+from integer term ratios (the Schur hole sums and the hypergeometric
+sums), and the three classical product formulas that count hexagon tilings
 and two of their symmetry classes.  The products are built from prime
 exponents: no big integer is ever divided.
 
@@ -126,6 +127,18 @@ def gamma_product(numerators: Sequence, denominators: Sequence,
     return value * gamma_ratio(num_int, den_int)
 
 
+def ratio_series(ratios: Sequence[tuple[int, int]]) -> tuple[int, int]:
+    """1 + r_1 (1 + r_2 (... (1 + r_K))) for integer ratios r_k = p_k / q_k.
+
+    Summed by backward Horner over one common denominator; the pair comes
+    back unreduced, so that a caller folds in its own factors before one Fraction.
+    """
+    num = den = 1
+    for p, q in reversed(ratios):
+        num, den = q * den + p * num, q * den
+    return num, den
+
+
 def hyp_terminating(
     num_params: Sequence[Rational],
     den_params: Sequence[Rational],
@@ -137,7 +150,8 @@ def hyp_terminating(
     the terminating range.  The termination index is the smallest k at
     which some numerator Pochhammer vanishes, i.e. the smallest 1 - a over
     nonpositive-integer numerator parameters a; denominator parameters are
-    only checked for poles up to that index.
+    only checked for poles up to that index.  The term ratios are summed as
+    integer ratios over the parameters' common denominator s.
     """
     num = [Fraction(a) for a in num_params]
     den = [Fraction(b) for b in den_params]
@@ -150,23 +164,18 @@ def hyp_terminating(
             "no nonpositive integer among the numerator parameters"
         )
     kmax = int(min(stops))
-    total = Fraction(0)
-    term = Fraction(1)
-    for k in range(kmax):
-        total += term
-        if k + 1 == kmax:
-            break
-        factor = z
-        for a in num:
-            factor *= a + k
-        for b in den:
-            if b + k == 0:
-                raise ZeroDivisionError(
-                    f"denominator parameter {b} hits a pole at term {k + 1}"
-                )
-            factor /= b + k
-        term *= factor / (k + 1)
-    return total
+    # the first b with b + k = 0 at some k < kmax - 1, a pole before the series stops
+    pole = max((b for b in den if b.denominator == 1 and 2 - kmax <= b <= 0), default=None)
+    if pole is not None:
+        raise ZeroDivisionError(f"denominator parameter {pole} hits a pole at term {1 - pole}")
+    s = math.lcm(*(x.denominator for x in num + den))
+    tops, bottoms = [int(s * a) for a in num], [int(s * b) for b in den]
+    # a + k = (s a + s k) / s, and the powers of s left over fold into z
+    c = z * Fraction(s) ** (len(den) - len(num))
+    return Fraction(*ratio_series([
+        (c.numerator * math.prod(a + s * k for a in tops),
+         c.denominator * (k + 1) * math.prod(b + s * k for b in bottoms))
+        for k in range(kmax - 1)]))
 
 
 # kind -> (n, m) -> blocks (imax, jmax, triangle, top, bottom); the product is

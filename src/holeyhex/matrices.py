@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .arith import (GammaPoleError, binomial, gamma_product, gamma_ratio, hyp_terminating,
-                    product_formula)
+                    product_formula, ratio_series)
 from .regions import RegionSpec, lgv_points
 
 HALF = Fraction(1, 2)
@@ -191,12 +191,20 @@ def lu_factor_entry(block: str, i: int, j: int, spec: RegionSpec, kind: str) -> 
         raise ValueError(f"unknown LU block {block!r} for kind {kind!r}")
     n, m, d = spec.n, spec.m, half.d
     if block in ("l_hole", "u_hole"):
-        s, x = (j, spec.left[i - m - 1]) if block == "l_hole" else (i, spec.right[j - m - 1])
+        s, x = ((j, _hole(spec.left, i, m + 1)) if block == "l_hole"
+                else (i, _hole(spec.right, j, m + 1)))
         sign = -1 if s % 2 == 0 else 1
         return sign * gamma_ratio(*args(n, s, x, d)) * HALF ** (1 - d)
     if (block == "l_boundary" and j > i) or (block == "u_boundary" and i > j):
         return Fraction(0)
     return gamma_ratio(*args(n, i, j, d))
+
+
+def _hole(positions, index: int, first: int) -> int:
+    """The position of hole ``index``, where the holes are numbered from ``first``."""
+    if not first <= index < first + len(positions):
+        raise IndexError(f"hole index {index} outside {first}..{first + len(positions) - 1}")
+    return positions[index - first]
 
 
 def _rising(lows, highs) -> int:
@@ -214,36 +222,29 @@ def hole_matrix_entry(spec: RegionSpec, kind: str, i: int, j: int) -> Fraction:
     and s+1.  For holes inside [-n+2, n-2] every argument is >= 1 at s = 1
     and none decreases in s, so every term is finite and nonzero: there is
     one run of terms, with no zero or pole case.  Only the s = 1 term needs
-    a gamma_ratio; the rest is 1 + rho_1 (1 + rho_2 (... (1 + rho_{m-1})))
-    summed by backward Horner over one common integer denominator.
+    a gamma_ratio; arith.ratio_series sums the rest from the ratios.
     """
-    l = spec.left[i - 1]
-    r = spec.right[j - 1]
+    if kind not in _HALVES:
+        raise ValueError(f"no hole matrix for kind {kind!r}")
+    l = _hole(spec.left, i, 1)
+    r = _hole(spec.right, j, 1)
     n, m, d = spec.n, spec.m, _HALVES[kind].d
     l_hole, u_hole = _LU_GAMMA_ARGS["l_hole"], _LU_GAMMA_ARGS["u_hole"]
     total = _hole_to_hole(l, r, d)
     if m < 1:
         return total
-
-    def term_args(s):
-        (l_num, l_den), (u_num, u_den) = l_hole(n, s, l, d), u_hole(n, s, r, d)
-        return l_num + u_num, l_den + u_den
-
-    acc_n = acc_d = 1
-    above = term_args(m)
-    for s in range(m - 1, 0, -1):
-        here = term_args(s)
-        p, q = _rising(here[0], above[0]), _rising(here[1], above[1])
-        acc_n, acc_d = q * acc_d + p * acc_n, q * acc_d
-        above = here
-    if min(above[0] + above[1]) < 1:
+    # (numerators, denominators) of the Gamma arguments of the Schur term at s
+    args = [(l_num + u_num, l_den + u_den) for s in range(1, m + 1)
+            for (l_num, l_den), (u_num, u_den) in [(l_hole(n, s, l, d), u_hole(n, s, r, d))]]
+    if min(args[0][0] + args[0][1]) < 1:
         raise GammaPoleError(
             f"Schur term of hole pair ({l}, {r}) at n={n} has a Gamma argument "
             f"below 1; hole positions must lie in [{2 - n}, {n - 2}]")
-    # head * (acc_n / acc_d) * scale**2 as a single Fraction
-    head, scale = gamma_ratio(*above), HALF ** (1 - d)
-    return total - Fraction(head.numerator * acc_n * scale.numerator ** 2,
-                            head.denominator * acc_d * scale.denominator ** 2)
+    acc_n, acc_d = ratio_series([(_rising(a[0], b[0]), _rising(a[1], b[1]))
+                                 for a, b in zip(args, args[1:])])
+    # head * (acc_n / acc_d) * HALF ** (2 - 2d), the two hole scales, as one Fraction
+    head = gamma_ratio(*args[0])
+    return total - Fraction(head.numerator * acc_n, head.denominator * acc_d * 4 ** (1 - d))
 
 
 def hole_matrix(spec: RegionSpec, kind: str) -> Matrix:
@@ -266,8 +267,8 @@ def closed_form_entry(spec: RegionSpec, kind: str, i: int, j: int) -> Fraction:
     the upper half's parameters are the lower half's moved by d = 1.
     """
     n, m = spec.n, spec.m
-    l = spec.left[i - 1]
-    r = spec.right[j - 1]
+    l = _hole(spec.left, i, 1)
+    r = _hole(spec.right, j, 1)
     if kind not in _HALVES:
         raise ValueError(f"no closed form for kind {kind!r}")
     d = _HALVES[kind].d

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from holeyhex import arith
 from holeyhex.arith import (GammaPoleError, NonTerminatingSeriesError, binomial,
-                            gamma_ratio, hyp_terminating, pochhammer, product_formula)
+                            gamma_ratio, hyp_terminating, pochhammer, product_formula,
+                            ratio_series)
 from holeyhex.matrices import det_exact, path_matrix
 from holeyhex.oracle import count_tilings
 from holeyhex.regions import TriangularRegion, hexagon_cells, validate
@@ -98,6 +99,75 @@ def test_hyp_matches_independent_accumulation():
             terms.append(term)
         expected = sum(reversed(terms), Fraction(0)) if z != 0 else Fraction(1)
         assert hyp_terminating(num, den, z) == expected
+
+
+def test_ratio_series_sums_from_the_innermost_ratio():
+    assert ratio_series([]) == (1, 1)
+    assert ratio_series([(3, 4)]) == (7, 4)  # 1 + 3/4
+    assert ratio_series([(-5, 2)]) == (-3, 2)
+    # 1 + (1/2)(1 + 1/3), unreduced
+    assert ratio_series([(1, 2), (1, 3)]) == (10, 6)
+
+
+def reference_hyp_terminating(num_params, den_params, z):
+    """The former evaluation: one Fraction term ratio per step, summed forward."""
+    num = [Fraction(a) for a in num_params]
+    den = [Fraction(b) for b in den_params]
+    z = Fraction(z)
+    if z == 0:
+        return Fraction(1)
+    stops = [1 - a for a in num if a.denominator == 1 and a <= 0]
+    if not stops:
+        raise NonTerminatingSeriesError(
+            "no nonpositive integer among the numerator parameters"
+        )
+    kmax = int(min(stops))
+    total = Fraction(0)
+    term = Fraction(1)
+    for k in range(kmax):
+        total += term
+        if k + 1 == kmax:
+            break
+        factor = z
+        for a in num:
+            factor *= a + k
+        for b in den:
+            if b + k == 0:
+                raise ZeroDivisionError(
+                    f"denominator parameter {b} hits a pole at term {k + 1}"
+                )
+            factor /= b + k
+        term *= factor / (k + 1)
+    return total
+
+
+def outcome(function, *args):
+    """What a call gives: its value and type, or its exception and message."""
+    try:
+        value = function(*args)
+    except Exception as exc:  # the exception is the outcome compared
+        return type(exc), str(exc)
+    return type(value), value
+
+
+rationals = st.one_of(st.integers(-12, 12),
+                      st.builds(Fraction, st.integers(-24, 24), st.integers(1, 4)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(num=st.lists(rationals, max_size=4), den=st.lists(rationals, max_size=3),
+       stop=st.none() | st.integers(0, 30), where=st.integers(0, 4), z=rationals)
+@example(num=[1, 2], den=[3], stop=None, where=0, z=1)                   # no stop
+@example(num=[1], den=[-2, Fraction(-2)], stop=5, where=0, z=1)          # a pole
+@example(num=[Fraction(1, 2)], den=[-3], stop=3, where=1, z=Fraction(-1, 3))  # pole past the stop
+@example(num=[Fraction(3, 2), 1], den=[Fraction(5, 4)], stop=30, where=2, z=Fraction(-7, 3))
+def test_hyp_terminating_matches_per_term_reference(num, den, stop, where, z):
+    if stop is not None:
+        num = num[:where] + [-stop] + num[where:]
+    got = outcome(hyp_terminating, num, den, z)
+    assert got == outcome(reference_hyp_terminating, num, den, z)
+    if got[0] is not Fraction:
+        assert issubclass(got[0], (NonTerminatingSeriesError, ZeroDivisionError))
 
 
 @pytest.mark.parametrize("kind,n,m,value", [

@@ -12,6 +12,8 @@ from holeyhex.cli import main
 
 SPEC = ("--n", "10", "--m", "3", "--left=-6,-2", "--right=2,6")
 CORRELATE = ("--n", "40", "--m", "20", "--left=-6,-2", "--right=2,6")
+# three hole pairs at the benchmark's scale: a longer Schur sum per entry
+CORRELATE_P3 = ("--n", "144", "--m", "72", "--left=-6,-4,-2", "--right=2,4,6")
 
 GOLDEN = [
     (("count", *SPEC, "--kind", "full"),
@@ -36,6 +38,8 @@ GOLDEN = [
      "af7daf6591cbe2f1547322e5e5c17183aa0d1d4d2f50930b077c844fb4661cfc"),
     (("correlate", *CORRELATE, "--model", "free_boundary"),
      "530d62ab804a774f5075fb24c7fa199737663ca335e380fdb8c4d6e1ce196be0"),
+    (("correlate", *CORRELATE_P3, "--model", "bulk"),
+     "786b70e08d8137598ebc9b4bd5c1f576b4db3aa697dd97a3f8f49d8a8c805183"),
     (("sweep", "--xi", "1", "--size", "40", "--separations", "2,4,8", "--fit"),
      "5fff1e84cbd82cf2b57be0b189b136c44425eeecbd0d1fc4b7462d6d195d3aff"),
     (("verify", "--max-n", "4", "--max-m", "1", "--max-p", "1"),
@@ -44,10 +48,12 @@ GOLDEN = [
 
 
 def _case_id(argv):
-    # the verb plus the value that tells its calls apart
+    # the verb plus the value that tells its calls apart, and the n of a
+    # correlate call beyond the basic one
     flag = {"count": "--kind", "formulas": "--which", "correlate": "--model",
             "sweep": "--separations", "verify": "--max-n"}[argv[0]]
-    return f"{argv[0]}-{argv[argv.index(flag) + 1]}"
+    case = f"{argv[0]}-{argv[argv.index(flag) + 1]}"
+    return f"{case}-n{argv[2]}" if argv[1:7] == CORRELATE_P3 else case
 
 
 @pytest.mark.parametrize("argv,digest", GOLDEN, ids=[_case_id(a) for a, _ in GOLDEN])

@@ -407,6 +407,29 @@ def test_hole_matrix_entry_raises_outside_the_hexagon():
     assert raised > 0
 
 
+def test_hole_matrix_entry_rejects_a_kind_without_halves():
+    spec = validate(10, 2, [-4, 2], [0, 6])
+    for kind in ("full", "upper_weighted"):
+        with pytest.raises(ValueError, match=f"no hole matrix for kind '{kind}'"):
+            hole_matrix_entry(spec, kind, 1, 1)
+
+
+def test_hole_indices_outside_the_holes_raise():
+    # holes 1..p for the hole matrix, m+1..m+p for the LU factors: an index
+    # outside must not alias another hole through a negative list index
+    spec = validate(10, 2, [-4, 2], [0, 6])
+    for kind in ("lower", "upper"):
+        for function in (hole_matrix_entry, closed_form_entry):
+            for i, j, bad in ((0, 1, 0), (1, 0, 0), (3, 1, 3), (1, -1, -1)):
+                with pytest.raises(IndexError, match=f"hole index {bad} outside 1..2"):
+                    function(spec, kind, i, j)
+        for block, i, j, bad in (("l_hole", 2, 1, 2), ("l_hole", 5, 1, 5),
+                                 ("u_hole", 1, 2, 2), ("u_hole", 1, 5, 5)):
+            with pytest.raises(IndexError, match=f"hole index {bad} outside 3..4"):
+                lu_factor_entry(block, i, j, spec, kind)
+        assert lu_factor_entry("l_hole", 4, 1, spec, kind) != 0
+
+
 # ---------------------------------------------------------------------------
 # the half-region formulas as written out once per half, before matrices
 # wrote each of them once with the shift d: references for the merged bodies
