@@ -169,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("zeta", help="exhaustive injection check of the transmission map")
     _add_spec_arguments(p)
-    p.add_argument("--kind", default="lower", choices=["lower", "upper"])
+    p.add_argument("--kind", default="lower", choices=list(regions.HALVES))
     p.set_defaults(func=cmd_zeta)
 
     return parser

@@ -131,6 +131,8 @@ def printed_path_entry(spec: RegionSpec, kind: str, i: int, j: int,
         raise ValueError(f"no printed entries for kind {kind!r}")
     n, m, d = spec.n, spec.m, _HALVES[kind].d
     half = n // 2
+    for name, index in (("row", i), ("column", j)):
+        _hole(range(1, m + spec.p + 1), index, 1, name)
     if i <= m and j <= m:
         return Fraction(binomial(2 * n, n + j - i) + (2 * d - 1) * binomial(2 * n, n + 1 - i - j))
     if i <= m:
@@ -190,20 +192,27 @@ def lu_factor_entry(block: str, i: int, j: int, spec: RegionSpec, kind: str) -> 
     if args is None or half is None:
         raise ValueError(f"unknown LU block {block!r} for kind {kind!r}")
     n, m, d = spec.n, spec.m, half.d
+    boundary = range(1, m + 1)
     if block in ("l_hole", "u_hole"):
         s, x = ((j, _hole(spec.left, i, m + 1)) if block == "l_hole"
                 else (i, _hole(spec.right, j, m + 1)))
+        _hole(boundary, s, 1, "boundary")
         sign = -1 if s % 2 == 0 else 1
         return sign * gamma_ratio(*args(n, s, x, d)) * HALF ** (1 - d)
+    for index in (i, j):
+        _hole(boundary, index, 1, "boundary")
     if (block == "l_boundary" and j > i) or (block == "u_boundary" and i > j):
         return Fraction(0)
     return gamma_ratio(*args(n, i, j, d))
 
 
-def _hole(positions, index: int, first: int) -> int:
-    """The position of hole ``index``, where the holes are numbered from ``first``."""
+def _hole(positions, index: int, first: int, name: str = "hole") -> int:
+    """The position of hole ``index``, where the holes are numbered from ``first``.
+
+    Any other 1-based index is checked by passing the range of its values.
+    """
     if not first <= index < first + len(positions):
-        raise IndexError(f"hole index {index} outside {first}..{first + len(positions) - 1}")
+        raise IndexError(f"{name} index {index} outside {first}..{first + len(positions) - 1}")
     return positions[index - first]
 
 
@@ -346,22 +355,14 @@ def det_exact(matrix: Matrix) -> Fraction:
     return Fraction(numer, denom)
 
 
-def verify_lu(spec: RegionSpec, kind: str, _perturb=None) -> dict:
+def verify_lu(spec: RegionSpec, kind: str) -> dict:
     """Check Q = L*U entrywise on the three boundary-touching blocks.
 
     Returns {"ok": bool, "checked": int, "first_failure": (block, i, j) or
-    None}.  ``_perturb`` is a test hook (block, i, j, delta) that offsets a
-    single factor entry to confirm the check is sensitive.
+    None}.
     """
-    n, m, p = spec.n, spec.m, spec.p
+    m, p = spec.m, spec.p
     q = path_matrix(spec, kind)
-
-    def entry(block, i, j):
-        value = lu_factor_entry(block, i, j, spec, kind)
-        if _perturb and _perturb[:3] == (block, i, j):
-            value += _perturb[3]
-        return value
-
     boundary, holes = range(1, m + 1), range(m + 1, m + p + 1)
     checked = 0
     failure = None
@@ -372,7 +373,8 @@ def verify_lu(spec: RegionSpec, kind: str, _perturb=None) -> dict:
         for i in rows:
             for j in cols:
                 # L and U are triangular on the boundary indices
-                total = sum(entry(l_block, i, s) * entry(u_block, s, j)
+                total = sum(lu_factor_entry(l_block, i, s, spec, kind)
+                            * lu_factor_entry(u_block, s, j, spec, kind)
                             for s in range(1, min(i, j, m) + 1))
                 checked += 1
                 if total != q[i - 1][j - 1] and failure is None:

@@ -16,7 +16,7 @@ vertical edge in column x, centred on the axis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import sqrt
 from typing import Iterable, Sequence
 
@@ -26,7 +26,10 @@ RIGHT = "R"
 Cell = tuple  # (c, h, o)
 Point = tuple  # (x, y) lattice point for north/east paths
 
-KINDS = ("full", "lower", "upper")
+# The half regions below and above the symmetry axis and their shift d: each
+# per-half rule, here and in matrices and zeta, is written once in terms of d.
+HALVES = {"lower": 0, "upper": 1}
+KINDS = ("full", *HALVES)
 
 
 class SpecValidationError(ValueError):
@@ -243,19 +246,16 @@ def hole_cells_full(position: int, orientation: str) -> frozenset:
 def hole_cell_half(position: int, orientation: str, kind: str) -> Cell:
     """The single unit hole a side-two hole leaves in a half region.
 
-    In the lower region it is the unit triangle below the axis.  In the
-    upper region the hole is a trapezoid equivalent to one unit triangle in
-    a fold of the zig-zag boundary (the adjacent rhombus is then forced),
-    and that unit triangle is what the transmission map moves.
+    In the lower region (d = 0) it is the unit triangle below the axis.  In
+    the upper region (d = 1) the hole is a trapezoid equivalent to one unit
+    triangle in a fold of the zig-zag boundary (the adjacent rhombus is then
+    forced), one column further along the way the hole points; that unit
+    triangle is what the transmission map moves.
     """
-    x = position
-    if kind == "lower":
-        return (x, -1, orientation)
-    if kind == "upper":
-        if orientation == LEFT:
-            return (x - 1, 0, LEFT)
-        return (x + 1, 0, RIGHT)
-    raise ValueError(f"no single hole cell for kind {kind!r}")
+    d = HALVES.get(kind)
+    if d is None:
+        raise ValueError(f"no single hole cell for kind {kind!r}")
+    return (position + (-d if orientation == LEFT else d), d - 1, orientation)
 
 
 @dataclass(frozen=True)
@@ -266,7 +266,6 @@ class TriangularRegion:
     cells: frozenset
     hole_cells: frozenset
     spec: RegionSpec
-    holes_by_position: dict = field(compare=False, hash=False, default_factory=dict)
 
 
 def build_region(spec: RegionSpec, kind: str) -> TriangularRegion:
@@ -285,18 +284,15 @@ def build_region(spec: RegionSpec, kind: str) -> TriangularRegion:
             removed |= cells
         return TriangularRegion("full", hexagon - removed, frozenset(removed), spec)
 
-    if kind == "lower":
-        half = {cell for cell in hexagon if cell[1] <= -1}
-    else:
-        half = {cell for cell in hexagon if cell[1] >= 0}
-    holes_by_position = {}
+    # cells with h >= 0 lie above the axis, in the upper half (d = 1)
+    d = HALVES[kind]
+    half = {cell for cell in hexagon if (cell[1] >= 0) == d}
     removed = set()
     for x, orient in tagged:
         cell = hole_cell_half(x, orient, kind)
         if cell not in half:
             raise ValueError(f"hole at {x} does not fit inside the {kind} region")
         removed.add(cell)
-        holes_by_position[x] = cell
     if kind == "upper":
         # A toward-pointing pair at spacing two fuses into a neutral
         # hexagonal hole; the two flanking h = 1 cells lose the partners
@@ -305,8 +301,7 @@ def build_region(spec: RegionSpec, kind: str) -> TriangularRegion:
             if r + 2 in spec.left:
                 removed.add((r, 1, RIGHT))
                 removed.add((r + 2, 1, LEFT))
-    return TriangularRegion(kind, frozenset(half - removed), frozenset(removed), spec,
-                            holes_by_position)
+    return TriangularRegion(kind, frozenset(half - removed), frozenset(removed), spec)
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +324,7 @@ def lgv_points(spec: RegionSpec, kind: str) -> tuple[list[Point], list[Point]]:
         t = half + x // 2
         return (t + 1, t)
 
-    if kind in ("lower", "upper"):
+    if kind in HALVES:
         starts = [(i, 1 - i) for i in range(1, m + 1)]
         starts += [hole_point(x) for x in spec.left]
         ends = [(n + j, n + 1 - j) for j in range(1, m + 1)]

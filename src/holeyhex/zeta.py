@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .regions import (LEFT, RIGHT, RegionSpec, TriangularRegion, build_region,
-                      neighbors)
+from .regions import (HALVES, LEFT, RIGHT, RegionSpec, TriangularRegion, build_region,
+                      hole_cell_half, neighbors)
 from .oracle import enumerate_tilings, serialize_tiling, tiling_is_exact_cover
 
 
@@ -85,34 +85,26 @@ def _vertical_edge_walk(partner, region, start_edge, goal_edge):
     return ribbon
 
 
-_SLANT_STEPS = {
-    # direction: (orientation of the chain cells,
-    #             {partner offset -> next chain cell offset})
-    "se": (LEFT, {(0, 0, RIGHT): (1, -1), (-1, -1, RIGHT): (0, -2)}),
-    "sw": (RIGHT, {(0, 0, LEFT): (-1, -1), (1, -1, LEFT): (0, -2)}),
-    "ne": (LEFT, {(0, 0, RIGHT): (1, 1), (-1, 1, RIGHT): (0, 2)}),
-    "nw": (RIGHT, {(0, 0, LEFT): (-1, 1), (1, 1, LEFT): (0, 2)}),
-}
-
-
-def _slant_walk(partner, region, first_cell, direction):
+def _slant_walk(partner, region, first_cell, v):
     """Follow a path across rhombi through parallel slanted edges.
 
-    The chain alternates between a fixed-orientation cell and its rhombus
-    partner; it ends when the next chain cell falls outside the region
-    (i.e. the exit edge lies on the boundary).
+    The chain alternates between a cell of the first cell's orientation and
+    its rhombus partner, heading down (v = -1) or up (v = 1) and sideways by
+    e = +1 for left-pointing cells, -1 for right-pointing ones; it ends when
+    the next chain cell falls outside the region (i.e. the exit edge lies on
+    the boundary).
     """
-    orient, table = _SLANT_STEPS[direction]
+    orient = first_cell[2]
+    e, other = (1, RIGHT) if orient == LEFT else (-1, LEFT)
+    steps = {(0, 0, other): (e, v), (-e, v, other): (0, 2 * v)}  # partner -> next cell
     ribbon = []
     cell = first_cell
     while cell in region.cells:
-        if cell[2] != orient:
-            raise TransmissionError("slant walk lost its orientation")
         mate = partner.get(cell)
         if mate is None:
             raise TransmissionError("slant walk hit an uncovered cell")
         offset = (mate[0] - cell[0], mate[1] - cell[1], mate[2])
-        step = table.get(offset)
+        step = steps.get(offset)
         if step is None:
             raise TransmissionError("slant walk entered a rhombus backwards")
         ribbon.append(frozenset((cell, mate)))
@@ -128,8 +120,8 @@ def propagation_path(tiling, region: TriangularRegion, pair) -> list:
     if pos1 >= pos2 or orient1 == orient2:
         raise ValueError("pair must be two positions of differing orientation")
     partner = _partner_map(tiling)
-    cell1 = region.holes_by_position[pos1]
-    cell2 = region.holes_by_position[pos2]
+    cell1 = hole_cell_half(pos1, orient1, region.kind)
+    cell2 = hole_cell_half(pos2, orient2, region.kind)
     if cell2 in neighbors(cell1):
         return []  # contiguous holes already share an edge
     if orient1 == LEFT:
@@ -138,18 +130,11 @@ def propagation_path(tiling, region: TriangularRegion, pair) -> list:
         goal = (cell2[0], cell2[1])
         return _vertical_edge_walk(partner, region, start, goal)
     # case (ii): two boundary-bound paths meeting in exactly one rhombus.
-    # In the lower region they leave through the southeast/southwest zig-zag
-    # below; in the upper region the mirror routes climb over the top.
-    if region.kind == "lower":
-        first1 = (cell1[0] + 1, cell1[1] - 1, LEFT)
-        first2 = (cell2[0] - 1, cell2[1] - 1, RIGHT)
-        path1 = _slant_walk(partner, region, first1, "se")
-        path2 = _slant_walk(partner, region, first2, "sw")
-    else:
-        first1 = (cell1[0] + 1, cell1[1] + 1, LEFT)
-        first2 = (cell2[0] - 1, cell2[1] + 1, RIGHT)
-        path1 = _slant_walk(partner, region, first1, "ne")
-        path2 = _slant_walk(partner, region, first2, "nw")
+    # They leave the axis vertically by v: through the zig-zag below the
+    # lower region (v = -1), over the top of the upper one (v = 1).
+    v = 2 * HALVES[region.kind] - 1
+    path1 = _slant_walk(partner, region, (cell1[0] + 1, cell1[1] + v, LEFT), v)
+    path2 = _slant_walk(partner, region, (cell2[0] - 1, cell2[1] + v, RIGHT), v)
     common = set(path1) & set(path2)
     if len(common) != 1:
         raise TransmissionError(
@@ -199,9 +184,8 @@ def zeta(tiling, region: TriangularRegion):
     for pair in pair_holes(spec.right, spec.left):
         ribbon = propagation_path(tiles, region, pair)
         ribbons.append(ribbon)
-        (pos1, _), (pos2, _) = pair
-        hole = region.holes_by_position[pos1]
-        other = region.holes_by_position[pos2]
+        hole = hole_cell_half(*pair[0], region.kind)
+        other = hole_cell_half(*pair[1], region.kind)
         tiles, hole = transmit(tiles, ribbon, hole)
         if other not in neighbors(hole):
             raise TransmissionError("transmitted hole did not reach its partner")

@@ -44,6 +44,11 @@ GOLDEN = [
      "5fff1e84cbd82cf2b57be0b189b136c44425eeecbd0d1fc4b7462d6d195d3aff"),
     (("verify", "--max-n", "4", "--max-m", "1", "--max-p", "1"),
      "63a0a973c39675e5dfebda796763a0b9dbb71cceb4b641d2fee3cab282c9f835"),
+    # a right hole left of a left one: the two slanted walks, below and above
+    (("zeta", "--n", "6", "--m", "1", "--left=0", "--right=-4", "--kind", "lower"),
+     "518fc973e2abe7238cb3dfe73e8641a8dd455df2c2797be30338fc9ba42915d6"),
+    (("zeta", "--n", "8", "--m", "1", "--left=0", "--right=-4", "--kind", "upper"),
+     "e40b64f1fec718843de179a0443d988a1c8a6c8b274bbb8a8335ae9a69610c8f"),
 ]
 
 
@@ -51,7 +56,7 @@ def _case_id(argv):
     # the verb plus the value that tells its calls apart, and the n of a
     # correlate call beyond the basic one
     flag = {"count": "--kind", "formulas": "--which", "correlate": "--model",
-            "sweep": "--separations", "verify": "--max-n"}[argv[0]]
+            "sweep": "--separations", "verify": "--max-n", "zeta": "--kind"}[argv[0]]
     case = f"{argv[0]}-{argv[argv.index(flag) + 1]}"
     return f"{case}-n{argv[2]}" if argv[1:7] == CORRELATE_P3 else case
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from holeyhex import matrices
 from holeyhex.arith import (GammaPoleError, binomial, gamma_ratio, hyp_terminating,
                             product_formula)
 from holeyhex.matrices import (HALF, _HALVES, _LU_GAMMA_ARGS, _hole_to_hole,
@@ -119,7 +120,7 @@ LU_SPECS = [
 
 
 @pytest.mark.parametrize("kind", ["lower", "upper"])
-def test_verify_lu(kind):
+def test_verify_lu(kind, monkeypatch):
     for args in LU_SPECS:
         spec = validate(*args)
         m, p = spec.m, spec.p
@@ -134,7 +135,14 @@ def test_verify_lu(kind):
                             * lu_factor_entry("u_hole", s, m + j, spec, kind)
                             for s in range(1, m + 1))
                 assert q[m + i - 1][m + j - 1] == schur + hole_matrix_entry(spec, kind, i, j)
-        perturbed = verify_lu(spec, kind, _perturb=("l_hole", m + 1, 1, Fraction(1, 5)))
+        # one factor entry off by 1/5 must be caught
+        def perturbed_entry(block, i, j, *rest, bad=("l_hole", m + 1, 1)):
+            offset = Fraction(1, 5) if (block, i, j) == bad else 0
+            return lu_factor_entry(block, i, j, *rest) + offset
+
+        with monkeypatch.context() as patch:
+            patch.setattr(matrices, "lu_factor_entry", perturbed_entry)
+            perturbed = verify_lu(spec, kind)
         assert not perturbed["ok"]
         assert perturbed["first_failure"][0] == "hole_to_boundary"
 
@@ -415,8 +423,9 @@ def test_hole_matrix_entry_rejects_a_kind_without_halves():
 
 
 def test_hole_indices_outside_the_holes_raise():
-    # holes 1..p for the hole matrix, m+1..m+p for the LU factors: an index
-    # outside must not alias another hole through a negative list index
+    # holes 1..p for the hole matrix, m+1..m+p for the LU factors, boundary
+    # indices 1..m and printed entries 1..m+p: an index outside must not
+    # alias another hole through a negative list index or give a value
     spec = validate(10, 2, [-4, 2], [0, 6])
     for kind in ("lower", "upper"):
         for function in (hole_matrix_entry, closed_form_entry):
@@ -428,6 +437,16 @@ def test_hole_indices_outside_the_holes_raise():
             with pytest.raises(IndexError, match=f"hole index {bad} outside 3..4"):
                 lu_factor_entry(block, i, j, spec, kind)
         assert lu_factor_entry("l_hole", 4, 1, spec, kind) != 0
+        for block, i, j, bad in (("l_hole", 3, 3, 3), ("l_hole", 3, 0, 0), ("u_hole", 0, 3, 0),
+                                 ("u_hole", 3, 4, 3), ("l_boundary", 3, 1, 3),
+                                 ("l_boundary", 1, 0, 0), ("u_boundary", 0, 1, 0),
+                                 ("u_boundary", 1, 3, 3)):
+            with pytest.raises(IndexError, match=f"boundary index {bad} outside 1..2"):
+                lu_factor_entry(block, i, j, spec, kind)
+        for i, j, name, bad in ((0, 1, "row", 0), (5, 1, "row", 5), (1, 0, "column", 0),
+                                (1, 5, "column", 5), (3, -1, "column", -1)):
+            with pytest.raises(IndexError, match=f"{name} index {bad} outside 1..4"):
+                printed_path_entry(spec, kind, i, j)
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,11 @@ import random
 
 import pytest
 
-from holeyhex.regions import (LEFT, RIGHT, SpecValidationError, build_region, check,
-                              distance, hexagon_cells, induced_holes, lgv_points,
-                              merge_induced_holes, neighbors, parse_spec, validate)
+from holeyhex.matrices import _HALVES
+from holeyhex.regions import (HALVES, KINDS, LEFT, RIGHT, SpecValidationError, build_region,
+                              check, distance, hexagon_cells, hole_cell_half, induced_holes,
+                              lgv_points, merge_induced_holes, neighbors, parse_spec,
+                              validate)
 
 
 def sample_specs(rng, count, max_n=12, max_m=4, max_p=3):
@@ -165,3 +167,37 @@ def test_free_half_is_not_a_region_kind():
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
         build_region(validate(4, 1), "sideways")
+
+
+def test_matrix_halves_are_the_region_halves():
+    assert {kind: half.d for kind, half in _HALVES.items()} == HALVES
+    assert KINDS == ("full", *HALVES)
+
+
+def reference_hole_cell_half(position, orientation, kind):
+    """hole_cell_half written once per half, before both came from the shift d."""
+    x = position
+    if kind == "lower":
+        return (x, -1, orientation)
+    if kind == "upper":
+        if orientation == LEFT:
+            return (x - 1, 0, LEFT)
+        return (x + 1, 0, RIGHT)
+    raise ValueError(f"no single hole cell for kind {kind!r}")
+
+
+def test_hole_cell_half_matches_per_half_reference():
+    def outcome(function, *args):
+        try:
+            return function(*args)
+        except ValueError as exc:
+            return str(exc)
+
+    for kind in ("lower", "upper", "full", "sideways"):
+        for orientation in (LEFT, RIGHT):
+            for x in range(-12, 13, 2):
+                args = (x, orientation, kind)
+                assert outcome(hole_cell_half, *args) == \
+                    outcome(reference_hole_cell_half, *args), args
+    with pytest.raises(ValueError, match="no single hole cell for kind 'full'"):
+        hole_cell_half(0, LEFT, "full")

@@ -1,10 +1,12 @@
+from itertools import combinations
+
 import pytest
 
 from holeyhex.matrices import count_region
 from holeyhex.oracle import enumerate_tilings, tiling_is_exact_cover
-from holeyhex.regions import LEFT, RIGHT, build_region, validate
-from holeyhex.zeta import (pair_holes, propagation_path, transmit, upper_weight,
-                           verify_injection, zeta)
+from holeyhex.regions import LEFT, RIGHT, build_region, hole_cell_half, neighbors, validate
+from holeyhex.zeta import (TransmissionError, _partner_map, pair_holes, propagation_path,
+                           transmit, upper_weight, verify_injection, zeta)
 
 INJECTIVE_SPECS = [
     (4, 1, [0], [2]),
@@ -39,7 +41,6 @@ def test_zeta_is_identity_without_holes():
 
 
 def test_propagation_path_shapes():
-    from holeyhex.regions import neighbors
     spec = validate(4, 1, [-2], [2])
     region = build_region(spec, "lower")
     for tiling in enumerate_tilings(region):
@@ -62,7 +63,7 @@ def test_transmit_turns_ribbon_into_rhombi():
     region = build_region(spec, "lower")
     tiling = next(enumerate_tilings(region))
     ribbon = propagation_path(tiling, region, ((-2, LEFT), (2, RIGHT)))
-    tiles, hole = transmit(tiling, ribbon, region.holes_by_position[-2])
+    tiles, hole = transmit(tiling, ribbon, hole_cell_half(-2, LEFT, "lower"))
     assert len(tiles) == len(tiling)  # one removed per interchange, one added
     assert hole[2] == LEFT
 
@@ -166,3 +167,92 @@ def test_upper_weight_statistic_matches_determinant():
 def test_zeta_rejects_fused_upper_pairs():
     with pytest.raises(ValueError, match="fuses"):
         zeta(frozenset(), build_region(validate(4, 1, [2], [0]), "upper"))
+
+
+# case (ii) of propagation_path written once per half, before both halves
+# came from the shift d: four slant directions and per-half first cells
+REFERENCE_SLANT_STEPS = {
+    "se": (LEFT, {(0, 0, RIGHT): (1, -1), (-1, -1, RIGHT): (0, -2)}),
+    "sw": (RIGHT, {(0, 0, LEFT): (-1, -1), (1, -1, LEFT): (0, -2)}),
+    "ne": (LEFT, {(0, 0, RIGHT): (1, 1), (-1, 1, RIGHT): (0, 2)}),
+    "nw": (RIGHT, {(0, 0, LEFT): (-1, 1), (1, 1, LEFT): (0, 2)}),
+}
+
+
+def reference_slant_walk(partner, region, first_cell, direction):
+    orient, table = REFERENCE_SLANT_STEPS[direction]
+    ribbon = []
+    cell = first_cell
+    while cell in region.cells:
+        if cell[2] != orient:
+            raise TransmissionError("slant walk lost its orientation")
+        mate = partner.get(cell)
+        if mate is None:
+            raise TransmissionError("slant walk hit an uncovered cell")
+        step = table.get((mate[0] - cell[0], mate[1] - cell[1], mate[2]))
+        if step is None:
+            raise TransmissionError("slant walk entered a rhombus backwards")
+        ribbon.append(frozenset((cell, mate)))
+        cell = (cell[0] + step[0], cell[1] + step[1], orient)
+        if cell in region.hole_cells:
+            raise TransmissionError("slant walk ran into a hole")
+    return ribbon
+
+
+def reference_boundary_paths(tiling, region, pair):
+    """propagation_path for a right-pointing hole left of a left-pointing one."""
+    (pos1, _), (pos2, _) = pair
+    partner = _partner_map(tiling)
+    if region.kind == "lower":
+        cell1, cell2 = (pos1, -1, RIGHT), (pos2, -1, LEFT)
+    else:
+        cell1, cell2 = (pos1 + 1, 0, RIGHT), (pos2 - 1, 0, LEFT)
+    if cell2 in neighbors(cell1):
+        return []
+    if region.kind == "lower":
+        first1 = (cell1[0] + 1, cell1[1] - 1, LEFT)
+        first2 = (cell2[0] - 1, cell2[1] - 1, RIGHT)
+        path1 = reference_slant_walk(partner, region, first1, "se")
+        path2 = reference_slant_walk(partner, region, first2, "sw")
+    else:
+        first1 = (cell1[0] + 1, cell1[1] + 1, LEFT)
+        first2 = (cell2[0] - 1, cell2[1] + 1, RIGHT)
+        path1 = reference_slant_walk(partner, region, first1, "ne")
+        path2 = reference_slant_walk(partner, region, first2, "nw")
+    common = set(path1) & set(path2)
+    if len(common) != 1:
+        raise TransmissionError(
+            f"boundary paths share {len(common)} rhombi instead of exactly one")
+    turn = common.pop()
+    i1 = path1.index(turn)
+    i2 = path2.index(turn)
+    return path1[:i1 + 1] + list(reversed(path2[:i2]))
+
+
+def test_boundary_paths_match_per_half_reference():
+    def outcome(function, *args):
+        try:
+            return function(*args)
+        except TransmissionError as exc:
+            return str(exc)
+
+    compared = 0
+    # m = 2 at n = 4 reaches the walks' second step below the axis
+    for n, m in ((2, 1), (4, 1), (6, 1), (4, 2)):
+        positions = range(-n + 2, n - 1, 2)
+        for p in (1, 2):
+            for chosen in combinations(positions, 2 * p):
+                for left in combinations(chosen, p):
+                    right = [x for x in chosen if x not in left]
+                    pairs = [pair for pair in pair_holes(right, left) if pair[0][1] == RIGHT]
+                    for kind in ("lower", "upper"):
+                        if not pairs or (kind == "upper" and any(r + 2 in left for r in right)):
+                            continue  # no case (ii) pair, or a fused upper pair
+                        region = build_region(validate(n, m, left, right), kind)
+                        for tiling in enumerate_tilings(region):
+                            for pair in pairs:
+                                args = (tiling, region, pair)
+                                assert outcome(propagation_path, *args) == \
+                                    outcome(reference_boundary_paths, *args), (region.spec, pair)
+                                compared += 1
+    assert compared == 435  # tilings times case-(ii) pairs
