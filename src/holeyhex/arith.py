@@ -3,7 +3,7 @@
 Everything in this module is integer or rational and exact: binomial
 coefficients with the zero-outside-range convention, rising factorials,
 ratios of Gamma values at integer arguments, terminating series summed
-from integer term ratios (the Schur hole sums and the hypergeometric
+from linear term factors (the Schur hole sums and the hypergeometric
 sums), and the three classical product formulas that count hexagon tilings
 and two of their symmetry classes.  The products are built from prime
 exponents: no big integer is ever divided.
@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import accumulate
-from typing import Sequence, Union
+from itertools import accumulate, repeat
+from typing import Iterator, Sequence, Union
 
 Rational = Union[Fraction, int]
 
@@ -127,6 +127,33 @@ def gamma_product(numerators: Sequence, denominators: Sequence,
     return value * gamma_ratio(num_int, den_int)
 
 
+def factor_ratios(tops: Sequence[tuple[int, int]], bottoms: Sequence[tuple[int, int]],
+                  count: int) -> list[tuple[int, int]]:
+    """The integer ratios p_k / q_k, k < count, of two products of linear factors.
+
+    A factor (c, slope) stands for c + slope * k; p_k is the product of the
+    ``tops`` and q_k that of the ``bottoms``.  A factor in both lists cancels.
+    Each remaining one is laid out as a column over k and every product is
+    taken in one C-level pass over the columns.  The pairs are what
+    ratio_series sums.
+    """
+    bottoms = list(bottoms)
+    kept = []
+    for factor in tops:
+        if factor in bottoms:
+            bottoms.remove(factor)
+        else:
+            kept.append(factor)
+    return list(zip(_factor_products(kept, count), _factor_products(bottoms, count)))
+
+
+def _factor_products(factors: Sequence[tuple[int, int]], count: int) -> Iterator[int]:
+    """prod (c + slope * k) over the factors, for each k < count."""
+    columns = [range(c, c + slope * count, slope) if slope else repeat(c, count)
+               for c, slope in factors]
+    return map(math.prod, zip(repeat(1, count), *columns))
+
+
 def ratio_series(ratios: Sequence[tuple[int, int]]) -> tuple[int, int]:
     """1 + r_1 (1 + r_2 (... (1 + r_K))) for integer ratios r_k = p_k / q_k.
 
@@ -150,8 +177,9 @@ def hyp_terminating(
     the terminating range.  The termination index is the smallest k at
     which some numerator Pochhammer vanishes, i.e. the smallest 1 - a over
     nonpositive-integer numerator parameters a; denominator parameters are
-    only checked for poles up to that index.  The term ratios are summed as
-    integer ratios over the parameters' common denominator s.
+    only checked for poles up to that index.  Over the parameters' common
+    denominator s each term ratio is a ratio of linear factors in k, summed
+    by factor_ratios and ratio_series.
     """
     num = [Fraction(a) for a in num_params]
     den = [Fraction(b) for b in den_params]
@@ -169,13 +197,11 @@ def hyp_terminating(
     if pole is not None:
         raise ZeroDivisionError(f"denominator parameter {pole} hits a pole at term {1 - pole}")
     s = math.lcm(*(x.denominator for x in num + den))
-    tops, bottoms = [int(s * a) for a in num], [int(s * b) for b in den]
     # a + k = (s a + s k) / s, and the powers of s left over fold into z
     c = z * Fraction(s) ** (len(den) - len(num))
-    return Fraction(*ratio_series([
-        (c.numerator * math.prod(a + s * k for a in tops),
-         c.denominator * (k + 1) * math.prod(b + s * k for b in bottoms))
-        for k in range(kmax - 1)]))
+    tops = [(int(s * a), s) for a in num] + [(c.numerator, 0)]
+    bottoms = [(int(s * b), s) for b in den] + [(1, 1), (c.denominator, 0)]
+    return Fraction(*ratio_series(factor_ratios(tops, bottoms, kmax - 1)))
 
 
 # kind -> (n, m) -> blocks (imax, jmax, triangle, top, bottom); the product is

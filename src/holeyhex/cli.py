@@ -89,7 +89,13 @@ def cmd_correlate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    xi = Fraction(args.xi)
+    try:
+        xi = Fraction(args.xi)
+    except (ValueError, ZeroDivisionError):
+        xi = None
+    if xi is None or xi <= 0:
+        print(f"error: --xi must be a positive rational, got {args.xi!r}", file=sys.stderr)
+        return 2
     if not args.separations and not args.n_values:
         print("error: sweep needs --separations or --n-values", file=sys.stderr)
         return 2

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .arith import (GammaPoleError, binomial, gamma_product, gamma_ratio, hyp_terminating,
-                    product_formula, ratio_series)
+from .arith import (GammaPoleError, binomial, factor_ratios, gamma_product, gamma_ratio,
+                    hyp_terminating, product_formula, ratio_series)
 from .regions import RegionSpec, lgv_points
 
 HALF = Fraction(1, 2)
@@ -216,22 +216,18 @@ def _hole(positions, index: int, first: int, name: str = "hole") -> int:
     return positions[index - first]
 
 
-def _rising(lows, highs) -> int:
-    """prod Gamma(b)/Gamma(a) over paired arguments a <= b: rising factorials."""
-    return math.prod(x for a, b in zip(lows, highs) for x in range(a, b))
-
-
 def hole_matrix_entry(spec: RegionSpec, kind: str, i: int, j: int) -> Fraction:
     """Entry (i, j), 1-based, of the p x p hole matrix by subtraction.
 
     The Schur sum over s = 1..m of l_hole(s; l) * u_hole(s; r) (the signs
-    cancel) is built by its term recurrence.  Every Gamma argument in
+    cancel) is built by its term recurrence.  Every Gamma argument g in
     _LU_GAMMA_ARGS is affine in s with slope 0, 1 or 2, so term(s+1)/term(s)
-    is an integer ratio p_s/q_s of rising factorials read off the table at s
-    and s+1.  For holes inside [-n+2, n-2] every argument is >= 1 at s = 1
-    and none decreases in s, so every term is finite and nonzero: there is
-    one run of terms, with no zero or pole case.  Only the s = 1 term needs
-    a gamma_ratio; arith.ratio_series sums the rest from the ratios.
+    is a ratio of products of the linear factors g(1) + t + slope * (s - 1),
+    t < slope, read off the table at s = 1 and s = 2.  For holes inside
+    [-n+2, n-2] every argument is >= 1 at s = 1 and none decreases in s, so
+    every term is finite and nonzero: there is one run of terms, with no
+    zero or pole case.  Only the s = 1 term needs a gamma_ratio;
+    arith.ratio_series sums the rest from the ratios.
     """
     if kind not in _HALVES:
         raise ValueError(f"no hole matrix for kind {kind!r}")
@@ -242,18 +238,31 @@ def hole_matrix_entry(spec: RegionSpec, kind: str, i: int, j: int) -> Fraction:
     total = _hole_to_hole(l, r, d)
     if m < 1:
         return total
-    # (numerators, denominators) of the Gamma arguments of the Schur term at s
-    args = [(l_num + u_num, l_den + u_den) for s in range(1, m + 1)
-            for (l_num, l_den), (u_num, u_den) in [(l_hole(n, s, l, d), u_hole(n, s, r, d))]]
-    if min(args[0][0] + args[0][1]) < 1:
+    # the Gamma arguments of the Schur term at s = 1 and, below, at s = 2
+    (l_num, l_den), (u_num, u_den) = l_hole(n, 1, l, d), u_hole(n, 1, r, d)
+    nums, dens = l_num + u_num, l_den + u_den
+    if min(nums + dens) < 1:
         raise GammaPoleError(
             f"Schur term of hole pair ({l}, {r}) at n={n} has a Gamma argument "
             f"below 1; hole positions must lie in [{2 - n}, {n - 2}]")
-    acc_n, acc_d = ratio_series([(_rising(a[0], b[0]), _rising(a[1], b[1]))
-                                 for a, b in zip(args, args[1:])])
+    acc_n = acc_d = 1
+    if m > 1:
+        (l_num, l_den), (u_num, u_den) = l_hole(n, 2, l, d), u_hole(n, 2, r, d)
+        acc_n, acc_d = ratio_series(factor_ratios(_linear_factors(nums, l_num + u_num),
+                                                  _linear_factors(dens, l_den + u_den), m - 1))
     # head * (acc_n / acc_d) * HALF ** (2 - 2d), the two hole scales, as one Fraction
-    head = gamma_ratio(*args[0])
+    head = gamma_ratio(nums, dens)
     return total - Fraction(head.numerator * acc_n, head.denominator * acc_d * 4 ** (1 - d))
+
+
+def _linear_factors(firsts, seconds) -> list:
+    """prod Gamma(g(s+1)) / Gamma(g(s)) over Gamma arguments g given at s = 1, 2.
+
+    With slope = g(2) - g(1), the quotient for one g is the product of
+    g(1) + t + slope * (s - 1) over t < slope: the factors (g(1) + t, slope)
+    of arith.factor_ratios, at k = s - 1.
+    """
+    return [(a + t, b - a) for a, b in zip(firsts, seconds) for t in range(b - a)]
 
 
 def hole_matrix(spec: RegionSpec, kind: str) -> Matrix:

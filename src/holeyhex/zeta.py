@@ -19,7 +19,7 @@ from typing import Iterable
 
 from .regions import (HALVES, LEFT, RIGHT, RegionSpec, TriangularRegion, build_region,
                       hole_cell_half, neighbors)
-from .oracle import enumerate_tilings, serialize_tiling, tiling_is_exact_cover
+from .oracle import enumerate_tilings, tiling_is_exact_cover
 
 
 class TransmissionError(RuntimeError):
@@ -116,10 +116,14 @@ def _slant_walk(partner, region, first_cell, v):
 
 def propagation_path(tiling, region: TriangularRegion, pair) -> list:
     """The ordered ribbon of rhombi between a pair of unit holes."""
+    return _propagation_path(_partner_map(tiling), region, pair)
+
+
+def _propagation_path(partner, region: TriangularRegion, pair) -> list:
+    """propagation_path on the tiling's cell-to-partner map."""
     (pos1, orient1), (pos2, orient2) = pair
     if pos1 >= pos2 or orient1 == orient2:
         raise ValueError("pair must be two positions of differing orientation")
-    partner = _partner_map(tiling)
     cell1 = hole_cell_half(pos1, orient1, region.kind)
     cell2 = hole_cell_half(pos2, orient2, region.kind)
     if cell2 in neighbors(cell1):
@@ -152,7 +156,13 @@ def transmit(tiling, ribbon, hole_cell):
     adjacent cell of the next rhombus, so only ribbon rhombi are altered.
     """
     tiles = set(tiling)
-    hole = hole_cell
+    _, hole = _transmit(tiles, ribbon, hole_cell)
+    return tiles, hole
+
+
+def _transmit(tiles: set, ribbon, hole):
+    """transmit in place on ``tiles``; also returns the placed cell pairs."""
+    placed = []
     for rhombus in ribbon:
         if rhombus not in tiles:
             raise TransmissionError("ribbon rhombus missing from tiling")
@@ -163,8 +173,9 @@ def transmit(tiling, ribbon, hole_cell):
             raise TransmissionError("ribbon rhombus not adjacent to the hole")
         tiles.remove(rhombus)
         tiles.add(frozenset((hole, near)))
+        placed.append((hole, near))
         hole = far
-    return tiles, hole
+    return placed, hole
 
 
 def zeta(tiling, region: TriangularRegion):
@@ -180,16 +191,21 @@ def zeta(tiling, region: TriangularRegion):
             "upper-region transmission is undefined for toward-pointing holes "
             "at spacing two (the pair fuses into a hexagonal hole)")
     tiles = set(tiling)
+    partner = _partner_map(tiles)
     ribbons = []
     for pair in pair_holes(spec.right, spec.left):
-        ribbon = propagation_path(tiles, region, pair)
+        ribbon = _propagation_path(partner, region, pair)
         ribbons.append(ribbon)
         hole = hole_cell_half(*pair[0], region.kind)
         other = hole_cell_half(*pair[1], region.kind)
-        tiles, hole = transmit(tiles, ribbon, hole)
+        placed, hole = _transmit(tiles, ribbon, hole)
         if other not in neighbors(hole):
             raise TransmissionError("transmitted hole did not reach its partner")
         tiles.add(frozenset((hole, other)))
+        # every ribbon cell and both holes are re-paired; no other cell moved
+        for a, b in placed + [(hole, other)]:
+            partner[a] = b
+            partner[b] = a
     return frozenset(tiles), ribbons
 
 
@@ -218,6 +234,7 @@ def verify_injection(spec: RegionSpec, kind: str = "lower") -> dict:
     region = build_region(spec, kind)
     target = build_region(spec.unholed(), kind)
     images = set()
+    rhombi: dict = {}  # one object per rhombus, shared by all stored images
     tilings = 0
     valid = True
     weight_monotone = True
@@ -229,7 +246,7 @@ def verify_injection(spec: RegionSpec, kind: str = "lower") -> dict:
         if kind == "upper":
             if upper_weight(region, tiling) > upper_weight(target, image):
                 weight_monotone = False
-        images.add(tuple(map(tuple, serialize_tiling(image))))
+        images.add(frozenset(rhombi.setdefault(r, r) for r in image))
     report = {
         "spec": spec.to_text(),
         "kind": kind,

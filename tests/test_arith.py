@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from holeyhex import arith
 from holeyhex.arith import (GammaPoleError, NonTerminatingSeriesError, binomial,
-                            gamma_ratio, hyp_terminating, pochhammer, product_formula,
-                            ratio_series)
+                            factor_ratios, gamma_ratio, hyp_terminating, pochhammer,
+                            product_formula, ratio_series)
 from holeyhex.matrices import det_exact, path_matrix
 from holeyhex.oracle import count_tilings
 from holeyhex.regions import TriangularRegion, hexagon_cells, validate
@@ -107,6 +107,50 @@ def test_ratio_series_sums_from_the_innermost_ratio():
     assert ratio_series([(-5, 2)]) == (-3, 2)
     # 1 + (1/2)(1 + 1/3), unreduced
     assert ratio_series([(1, 2), (1, 3)]) == (10, 6)
+
+
+def test_factor_ratios_of_no_terms():
+    assert factor_ratios([(3, 1), (5, 2)], [(4, 1)], 0) == []
+    assert factor_ratios([], [], 0) == []
+
+
+def test_factor_ratios_multiply_linear_factors_per_term():
+    # p_k = (3 + k)(5 + 2k), q_k = 4 + k
+    assert factor_ratios([(3, 1), (5, 2)], [(4, 1)], 3) == [(15, 4), (28, 5), (45, 6)]
+    # no factors at all is the empty product 1 on both sides
+    assert factor_ratios([], [], 2) == [(1, 1), (1, 1)]
+
+
+def test_factor_ratios_slope_zero_constants():
+    assert factor_ratios([(7, 0), (2, 1)], [(3, 0), (1, 1)], 3) == [(14, 3), (21, 6), (28, 9)]
+    # a repeated constant counts as often as it appears
+    assert factor_ratios([(2, 0), (2, 0)], [(3, 0)], 2) == [(4, 3), (4, 3)]
+
+
+def test_factor_ratios_negative_constants():
+    # (-3 + k) runs through zero and changes sign; constants keep their sign
+    assert factor_ratios([(-3, 1), (-2, 0)], [(-5, 2)], 5) == [
+        (6, -5), (4, -3), (2, -1), (0, 1), (-2, 3)]
+
+
+def test_factor_ratios_cancel_factors_in_both_lists():
+    # (2 + k) and one of the two (1 + 2k) cancel; (2, 2) is not (1, 1)
+    got = factor_ratios([(2, 1), (1, 2), (1, 2), (2, 2)], [(1, 2), (2, 1), (1, 1)], 3)
+    assert got == [(2, 1), (12, 2), (30, 3)]
+    # cancelled against each other completely
+    assert factor_ratios([(4, 1), (-1, 0)], [(-1, 0), (4, 1)], 2) == [(1, 1), (1, 1)]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(tops=st.lists(st.tuples(st.integers(-20, 20), st.integers(0, 3)), max_size=6),
+       bottoms=st.lists(st.tuples(st.integers(-20, 20), st.integers(0, 3)), max_size=6),
+       count=st.integers(0, 12))
+def test_factor_ratios_match_per_term_products(tops, bottoms, count):
+    got = factor_ratios(tops, bottoms, count)
+    assert len(got) == count
+    for k, (p, q) in enumerate(got):
+        assert p * math.prod(c + s * k for c, s in bottoms) == \
+            q * math.prod(c + s * k for c, s in tops)
 
 
 def reference_hyp_terminating(num_params, den_params, z):

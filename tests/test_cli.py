@@ -109,6 +109,16 @@ def test_verify_rejects_empty_ranges(capsys, flag, value):
     assert f"error: {flag} must be at least" in err
 
 
+@pytest.mark.parametrize("xi", ["1/0", "0", "-1", "-2/3", "abc", ""])
+@pytest.mark.parametrize("mode", [("--separations", "2"), ("--n-values", "8", "--left=-2",
+                                                           "--right", "2")])
+def test_sweep_rejects_a_nonpositive_or_malformed_xi(capsys, xi, mode):
+    code, out, err = run(capsys, "sweep", f"--xi={xi}", "--size", "20", *mode)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --xi must be a positive rational, got '{xi}'\n"
+
+
 def test_sweep_requires_a_mode(capsys):
     code, _, err = run(capsys, "sweep", "--xi", "1")
     assert code == 2

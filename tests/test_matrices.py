@@ -349,6 +349,11 @@ def valid_specs(draw, max_n, max_m, max_p):
 @example(spec=validate(12, 3, [2, 6], [-6, -2]))          # toward pairs
 @example(spec=validate(12, 2, [-8, 4], [-4, 8]))          # interleaved pairs
 @example(spec=validate(40, 12, [-38, 0, 36], [-36, 2, 38]))
+@example(spec=validate(6, 1, [-4, 0], [-2, 4]))           # m = 1: the head term alone
+@example(spec=validate(8, 2, [-4, 2], [0, 6]))            # m = 2: a single term ratio
+@example(spec=validate(232, 348, [-226], [226]))          # the benchmark's heaviest shapes
+@example(spec=validate(232, 348, [224], [-228]))
+@example(spec=validate(744, 124, [-558], [558]))
 def test_hole_matrix_entry_matches_per_term_sum(spec):
     for kind in ("lower", "upper"):
         for i, j in product(range(1, spec.p + 1), repeat=2):
@@ -393,6 +398,20 @@ def test_schur_gamma_arguments_start_positive_and_never_decrease():
                 for side in (0, 1):
                     assert min(first[side]) >= 1, (kind, block, n, x)
                     assert {b - a for a, b in zip(first[side], second[side])} <= {0, 1, 2}
+
+
+def test_schur_gamma_arguments_are_affine_in_s():
+    # what lets hole_matrix_entry read every term ratio's linear factors off
+    # the table at s = 1 and s = 2
+    for (kind, half), block in product(_HALVES.items(), ("l_hole", "u_hole")):
+        args = _LU_GAMMA_ARGS[block]
+        for n in range(2, 61, 2):
+            for x in range(-n + 2, n - 1, 2):
+                first, second = args(n, 1, x, half.d), args(n, 2, x, half.d)
+                for s in range(1, n + 2):
+                    want = [[a + (s - 1) * (b - a) for a, b in zip(*sides)]
+                            for sides in zip(first, second)]
+                    assert list(args(n, s, x, half.d)) == want, (kind, block, n, x, s)
 
 
 def test_hole_matrix_entry_raises_outside_the_hexagon():

@@ -1,3 +1,4 @@
+import sys
 from itertools import combinations
 
 import pytest
@@ -162,6 +163,35 @@ def test_upper_weight_statistic_matches_determinant():
         region = build_region(spec, "upper")
         total = sum(upper_weight(region, t) for t in enumerate_tilings(region))
         assert total == count_region(spec, "upper_weighted").value
+
+
+def test_zeta_walks_the_partner_map_of_its_current_tiling(monkeypatch):
+    # zeta builds the map once per tiling and re-pairs only the transmitted
+    # cells; every later walk must still see the map of the tiling as it stands
+    zeta_module = sys.modules["holeyhex.zeta"]  # the package's `zeta` is the function
+    current, checked = [], []
+    transmit_in_place, walk = zeta_module._transmit, zeta_module._propagation_path
+
+    def recording_transmit(tiles, ribbon, hole):
+        current[:] = [tiles]
+        return transmit_in_place(tiles, ribbon, hole)
+
+    def checked_walk(partner, region, pair):
+        if current:
+            assert partner == _partner_map(current[0]), (region.spec, pair)
+            checked.append(pair)
+        return walk(partner, region, pair)
+
+    monkeypatch.setattr(zeta_module, "_transmit", recording_transmit)
+    monkeypatch.setattr(zeta_module, "_propagation_path", checked_walk)
+    for args, kind in (((6, 1, [-4, -2], [0, 4]), "upper"),
+                       ((6, 2, [-4, 2], [0, 4]), "lower"),
+                       ((8, 1, [-6, -2, 4], [-4, 0, 6]), "lower")):
+        region = build_region(validate(*args), kind)
+        for tiling in enumerate_tilings(region):
+            current.clear()
+            zeta(tiling, region)
+    assert len(checked) == 54 + 160 + 2 * 186
 
 
 def test_zeta_rejects_fused_upper_pairs():
