@@ -197,10 +197,11 @@ def hyp_terminating(
     if pole is not None:
         raise ZeroDivisionError(f"denominator parameter {pole} hits a pole at term {1 - pole}")
     s = math.lcm(*(x.denominator for x in num + den))
-    # a + k = (s a + s k) / s, and the powers of s left over fold into z
-    c = z * Fraction(s) ** (len(den) - len(num))
+    # a + k = (s a + s k) / s, k + 1 = (s + s k) / s, and the powers of s
+    # left over fold into z; k + 1 then cancels against a parameter a = 1
+    c = z * Fraction(s) ** (len(den) + 1 - len(num))
     tops = [(int(s * a), s) for a in num] + [(c.numerator, 0)]
-    bottoms = [(int(s * b), s) for b in den] + [(1, 1), (c.denominator, 0)]
+    bottoms = [(int(s * b), s) for b in den] + [(s, s), (c.denominator, 0)]
     return Fraction(*ratio_series(factor_ratios(tops, bottoms, kmax - 1)))
 
 

@@ -71,9 +71,6 @@ def cmd_verify(args) -> int:
                 rows.append((spec.to_text(), formula, got, match))
                 if not match:
                     failures += 1
-                    if args.strict:
-                        print(f"{spec.to_text()} | {formula} | {got} | MISMATCH")
-                        return 1
     width = max(len(r[0]) for r in rows)
     for text, formula, got, match in rows:
         print(f"{text:<{width}} | {formula} | {got} | {'ok' if match else 'MISMATCH'}")
@@ -151,7 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, default=6)
     p.add_argument("--max-m", type=int, default=2)
     p.add_argument("--max-p", type=int, default=2)
-    p.add_argument("--strict", action="store_true", help="fail fast on first mismatch")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("correlate", help="finite-size correlation report")

@@ -29,22 +29,22 @@ class TransmissionError(RuntimeError):
 def pair_holes(right: Iterable[int], left: Iterable[int]) -> list[tuple]:
     """Order the holes into opposite-orientation pairs.
 
-    Sort all positions; repeatedly take the first adjacent pair of
-    differing orientations, remove it, and continue on what remains.  Each
-    pair is ((pos1, orient1), (pos2, orient2)) with pos1 < pos2.
+    Scan the sorted positions with a stack: a hole pairs with the top when
+    their orientations differ and is pushed otherwise, so each pair is the
+    first adjacent one of differing orientations among the holes left.
+    Each pair is ((pos1, orient1), (pos2, orient2)) with pos1 < pos2.
     """
     items = sorted([(x, RIGHT) for x in right] + [(x, LEFT) for x in left])
     if len(set(x for x, _ in items)) != len(items):
         raise ValueError("hole positions must be distinct")
-    pairs = []
-    while items:
-        for k in range(len(items) - 1):
-            if items[k][1] != items[k + 1][1]:
-                pairs.append((items[k], items[k + 1]))
-                del items[k:k + 2]
-                break
+    pairs, stack = [], []
+    for item in items:
+        if stack and stack[-1][1] != item[1]:
+            pairs.append((stack.pop(), item))
         else:
-            raise ValueError("orientations cannot be paired off")
+            stack.append(item)
+    if stack:
+        raise ValueError("orientations cannot be paired off")
     return pairs
 
 
@@ -57,61 +57,31 @@ def _partner_map(tiling) -> dict:
     return partner
 
 
-def _vertical_edge_walk(partner, region, start_edge, goal_edge):
-    """Case (i): follow the path across rhombi between two vertical edges.
+# case (i): a right-pointing cell's partner in the next column leads on to
+# the right-pointing cell beside it, one row up or down
+_EDGE_STEPS = {(1, 1, LEFT): (1, 1), (1, -1, LEFT): (1, -1)}
 
-    From edge (c, k) the path enters the right-pointing cell R(c, k); its
-    rhombus partner is a left-pointing cell in column c+1 whose vertical
-    edge is the exit.  Terminating anywhere but the goal edge breaks the
-    construction and raises.
+
+def _walk(partner, region, cell, steps):
+    """Follow a path across rhombi from ``cell`` until it leaves the region.
+
+    Each chain cell keeps the first cell's orientation; ``steps`` maps the
+    offset (dc, dh, orientation) of its rhombus partner to the offset of the
+    next chain cell.  Returns the ribbon and the first chain cell outside
+    ``region.cells``; the caller judges where the walk ended.
     """
+    orient = cell[2]
     ribbon = []
-    c, k = start_edge
-    goal_c = goal_edge[0]
-    while (c, k) != goal_edge:
-        if c >= goal_c:
-            raise TransmissionError("walk passed the target hole")
-        cell = (c, k, RIGHT)
-        if cell not in region.cells:
-            raise TransmissionError("walk left the region")
-        mate = partner.get(cell)
-        if mate is None:
-            raise TransmissionError("walk hit an uncovered cell")
-        mc, mk, mo = mate
-        if mo != LEFT or mc != c + 1:
-            raise TransmissionError("unexpected rhombus orientation on walk")
-        ribbon.append(frozenset((cell, mate)))
-        c, k = mc, mk
-    return ribbon
-
-
-def _slant_walk(partner, region, first_cell, v):
-    """Follow a path across rhombi through parallel slanted edges.
-
-    The chain alternates between a cell of the first cell's orientation and
-    its rhombus partner, heading down (v = -1) or up (v = 1) and sideways by
-    e = +1 for left-pointing cells, -1 for right-pointing ones; it ends when
-    the next chain cell falls outside the region (i.e. the exit edge lies on
-    the boundary).
-    """
-    orient = first_cell[2]
-    e, other = (1, RIGHT) if orient == LEFT else (-1, LEFT)
-    steps = {(0, 0, other): (e, v), (-e, v, other): (0, 2 * v)}  # partner -> next cell
-    ribbon = []
-    cell = first_cell
     while cell in region.cells:
         mate = partner.get(cell)
         if mate is None:
-            raise TransmissionError("slant walk hit an uncovered cell")
-        offset = (mate[0] - cell[0], mate[1] - cell[1], mate[2])
-        step = steps.get(offset)
+            raise TransmissionError("walk hit an uncovered cell")
+        step = steps.get((mate[0] - cell[0], mate[1] - cell[1], mate[2]))
         if step is None:
-            raise TransmissionError("slant walk entered a rhombus backwards")
+            raise TransmissionError("walk entered a rhombus backwards")
         ribbon.append(frozenset((cell, mate)))
         cell = (cell[0] + step[0], cell[1] + step[1], orient)
-        if cell in region.hole_cells:
-            raise TransmissionError("slant walk ran into a hole")
-    return ribbon
+    return ribbon, cell
 
 
 def propagation_path(tiling, region: TriangularRegion, pair) -> list:
@@ -129,16 +99,28 @@ def _propagation_path(partner, region: TriangularRegion, pair) -> list:
     if cell2 in neighbors(cell1):
         return []  # contiguous holes already share an edge
     if orient1 == LEFT:
-        # case (i): walk from the left-pointing hole's vertical edge
-        start = (cell1[0], cell1[1])
-        goal = (cell2[0], cell2[1])
-        return _vertical_edge_walk(partner, region, start, goal)
+        # case (i): from the left hole's vertical edge the walk crosses one
+        # column per rhombus, so it ends; it must end on the partner hole
+        ribbon, end = _walk(partner, region, (cell1[0], cell1[1], RIGHT), _EDGE_STEPS)
+        if end != cell2:
+            raise TransmissionError("walk left the region")
+        return ribbon
     # case (ii): two boundary-bound paths meeting in exactly one rhombus.
     # They leave the axis vertically by v: through the zig-zag below the
-    # lower region (v = -1), over the top of the upper one (v = 1).
+    # lower region (v = -1), over the top of the upper one (v = 1).  Each
+    # alternates a cell of its first cell's orientation with its partner,
+    # sideways by e = +1 from left-pointing cells and -1 from right-pointing
+    # ones, and must end on the boundary, not in a hole.
     v = 2 * HALVES[region.kind] - 1
-    path1 = _slant_walk(partner, region, (cell1[0] + 1, cell1[1] + v, LEFT), v)
-    path2 = _slant_walk(partner, region, (cell2[0] - 1, cell2[1] + v, RIGHT), v)
+    paths = []
+    for first in ((cell1[0] + 1, cell1[1] + v, LEFT), (cell2[0] - 1, cell2[1] + v, RIGHT)):
+        e, other = (1, RIGHT) if first[2] == LEFT else (-1, LEFT)
+        path, end = _walk(partner, region, first,
+                          {(0, 0, other): (e, v), (-e, v, other): (0, 2 * v)})
+        if end in region.hole_cells:
+            raise TransmissionError("slant walk ran into a hole")
+        paths.append(path)
+    path1, path2 = paths
     common = set(path1) & set(path2)
     if len(common) != 1:
         raise TransmissionError(

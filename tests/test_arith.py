@@ -11,7 +11,7 @@ from holeyhex import arith
 from holeyhex.arith import (GammaPoleError, NonTerminatingSeriesError, binomial,
                             factor_ratios, gamma_ratio, hyp_terminating, pochhammer,
                             product_formula, ratio_series)
-from holeyhex.matrices import det_exact, path_matrix
+from holeyhex.matrices import closed_form_entry, det_exact, path_matrix
 from holeyhex.oracle import count_tilings
 from holeyhex.regions import TriangularRegion, hexagon_cells, validate
 
@@ -212,6 +212,26 @@ def test_hyp_terminating_matches_per_term_reference(num, den, stop, where, z):
     assert got == outcome(reference_hyp_terminating, num, den, z)
     if got[0] is not Fraction:
         assert issubclass(got[0], (NonTerminatingSeriesError, ZeroDivisionError))
+
+
+def test_hyp_terminating_cancels_k_plus_one_at_half_integer_parameters(monkeypatch):
+    # the r > l closed form has the numerator parameter 1; with half-integer
+    # parameters (s = 2) it and k + 1 both come as 2 + 2k and must cancel
+    # before any product is taken
+    multiplied = []
+
+    def recording_products(factors, count):
+        multiplied.append([factor for factor in factors if factor[1]])
+        return factor_products(factors, count)
+
+    factor_products = arith._factor_products
+    monkeypatch.setattr(arith, "_factor_products", recording_products)
+    closed_form_entry(validate(20, 10, [-2], [2]), "lower", 1, 1)
+    assert len(multiplied) == 2
+    tops, bottoms = multiplied
+    for c, slope in tops:
+        assert all(c * other_slope != other_c * slope for other_c, other_slope in bottoms)
+    assert {slope for _, slope in tops + bottoms} == {2}
 
 
 @pytest.mark.parametrize("kind,n,m,value", [

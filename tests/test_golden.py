@@ -14,6 +14,8 @@ SPEC = ("--n", "10", "--m", "3", "--left=-6,-2", "--right=2,6")
 CORRELATE = ("--n", "40", "--m", "20", "--left=-6,-2", "--right=2,6")
 # three hole pairs at the benchmark's scale: a longer Schur sum per entry
 CORRELATE_P3 = ("--n", "144", "--m", "72", "--left=-6,-4,-2", "--right=2,4,6")
+# a left hole left of a right one: the walk between their vertical edges
+ZETA_EDGE_WALK = ("zeta", "--n", "4", "--m", "2", "--left=-2", "--right=0", "--kind", "lower")
 
 GOLDEN = [
     (("count", *SPEC, "--kind", "full"),
@@ -49,16 +51,18 @@ GOLDEN = [
      "518fc973e2abe7238cb3dfe73e8641a8dd455df2c2797be30338fc9ba42915d6"),
     (("zeta", "--n", "8", "--m", "1", "--left=0", "--right=-4", "--kind", "upper"),
      "e40b64f1fec718843de179a0443d988a1c8a6c8b274bbb8a8335ae9a69610c8f"),
+    (ZETA_EDGE_WALK,
+     "e0f4ba28047445de3ef5ef79d1fecc5529498959534932af232bafefb349747f"),
 ]
 
 
 def _case_id(argv):
     # the verb plus the value that tells its calls apart, and the n of a
-    # correlate call beyond the basic one
+    # correlate or zeta call beyond the basic one
     flag = {"count": "--kind", "formulas": "--which", "correlate": "--model",
             "sweep": "--separations", "verify": "--max-n", "zeta": "--kind"}[argv[0]]
     case = f"{argv[0]}-{argv[argv.index(flag) + 1]}"
-    return f"{case}-n{argv[2]}" if argv[1:7] == CORRELATE_P3 else case
+    return f"{case}-n{argv[2]}" if argv[1:7] == CORRELATE_P3 or argv == ZETA_EDGE_WALK else case
 
 
 @pytest.mark.parametrize("argv,digest", GOLDEN, ids=[_case_id(a) for a, _ in GOLDEN])

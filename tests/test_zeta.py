@@ -1,11 +1,12 @@
 import sys
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
 from holeyhex.matrices import count_region
 from holeyhex.oracle import enumerate_tilings, tiling_is_exact_cover
-from holeyhex.regions import LEFT, RIGHT, build_region, hole_cell_half, neighbors, validate
+from holeyhex.regions import (HALVES, LEFT, RIGHT, build_region, hole_cell_half, neighbors,
+                              validate)
 from holeyhex.zeta import (TransmissionError, _partner_map, pair_holes, propagation_path,
                            transmit, upper_weight, verify_injection, zeta)
 
@@ -30,6 +31,45 @@ def test_pair_holes_rejects_duplicates():
         pair_holes([0], [0])
     with pytest.raises(ValueError):
         pair_holes([0, 2], [])
+
+
+def reference_pair_holes(right, left):
+    """pair_holes by repeated removal of the first adjacent differing pair."""
+    items = sorted([(x, RIGHT) for x in right] + [(x, LEFT) for x in left])
+    if len(set(x for x, _ in items)) != len(items):
+        raise ValueError("hole positions must be distinct")
+    pairs = []
+    while items:
+        for k in range(len(items) - 1):
+            if items[k][1] != items[k + 1][1]:
+                pairs.append((items[k], items[k + 1]))
+                del items[k:k + 2]
+                break
+        else:
+            raise ValueError("orientations cannot be paired off")
+    return pairs
+
+
+def outcome(function, *args):
+    """What a call gives: its value, or its exception's class and message."""
+    try:
+        return function(*args)
+    except (TransmissionError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def test_pair_holes_matches_repeated_removal():
+    compared = 0
+    for count in range(11):
+        for orients in product((LEFT, RIGHT), repeat=count):
+            right = [2 * k for k, o in enumerate(orients) if o == RIGHT]
+            left = [2 * k for k, o in enumerate(orients) if o == LEFT]
+            assert outcome(pair_holes, right, left) == \
+                outcome(reference_pair_holes, right, left), orients
+            compared += 1
+    assert compared == 2047
+    for right, left in (([0], [0]), ([0, 2], [2, 4]), ([0, 0], [2, 4])):
+        assert outcome(pair_holes, right, left) == outcome(reference_pair_holes, right, left)
 
 
 def test_zeta_is_identity_without_holes():
@@ -260,12 +300,6 @@ def reference_boundary_paths(tiling, region, pair):
 
 
 def test_boundary_paths_match_per_half_reference():
-    def outcome(function, *args):
-        try:
-            return function(*args)
-        except TransmissionError as exc:
-            return str(exc)
-
     compared = 0
     # m = 2 at n = 4 reaches the walks' second step below the axis
     for n, m in ((2, 1), (4, 1), (6, 1), (4, 2)):
@@ -286,3 +320,103 @@ def test_boundary_paths_match_per_half_reference():
                                     outcome(reference_boundary_paths, *args), (region.spec, pair)
                                 compared += 1
     assert compared == 435  # tilings times case-(ii) pairs
+
+
+# propagation_path with one walker per case, before both cases shared one walk
+def reference_vertical_edge_walk(partner, region, start_edge, goal_edge):
+    ribbon = []
+    c, k = start_edge
+    goal_c = goal_edge[0]
+    while (c, k) != goal_edge:
+        if c >= goal_c:
+            raise TransmissionError("walk passed the target hole")
+        cell = (c, k, RIGHT)
+        if cell not in region.cells:
+            raise TransmissionError("walk left the region")
+        mate = partner.get(cell)
+        if mate is None:
+            raise TransmissionError("walk hit an uncovered cell")
+        mc, mk, mo = mate
+        if mo != LEFT or mc != c + 1:
+            raise TransmissionError("unexpected rhombus orientation on walk")
+        ribbon.append(frozenset((cell, mate)))
+        c, k = mc, mk
+    return ribbon
+
+
+def reference_two_case_slant_walk(partner, region, first_cell, v):
+    orient = first_cell[2]
+    e, other = (1, RIGHT) if orient == LEFT else (-1, LEFT)
+    steps = {(0, 0, other): (e, v), (-e, v, other): (0, 2 * v)}
+    ribbon = []
+    cell = first_cell
+    while cell in region.cells:
+        mate = partner.get(cell)
+        if mate is None:
+            raise TransmissionError("slant walk hit an uncovered cell")
+        step = steps.get((mate[0] - cell[0], mate[1] - cell[1], mate[2]))
+        if step is None:
+            raise TransmissionError("slant walk entered a rhombus backwards")
+        ribbon.append(frozenset((cell, mate)))
+        cell = (cell[0] + step[0], cell[1] + step[1], orient)
+        if cell in region.hole_cells:
+            raise TransmissionError("slant walk ran into a hole")
+    return ribbon
+
+
+def reference_propagation_path(partner, region, pair):
+    (pos1, orient1), (pos2, orient2) = pair
+    if pos1 >= pos2 or orient1 == orient2:
+        raise ValueError("pair must be two positions of differing orientation")
+    cell1 = hole_cell_half(pos1, orient1, region.kind)
+    cell2 = hole_cell_half(pos2, orient2, region.kind)
+    if cell2 in neighbors(cell1):
+        return []
+    if orient1 == LEFT:
+        start = (cell1[0], cell1[1])
+        goal = (cell2[0], cell2[1])
+        return reference_vertical_edge_walk(partner, region, start, goal)
+    v = 2 * HALVES[region.kind] - 1
+    path1 = reference_two_case_slant_walk(partner, region, (cell1[0] + 1, cell1[1] + v, LEFT), v)
+    path2 = reference_two_case_slant_walk(partner, region, (cell2[0] - 1, cell2[1] + v, RIGHT), v)
+    common = set(path1) & set(path2)
+    if len(common) != 1:
+        raise TransmissionError(
+            f"boundary paths share {len(common)} rhombi instead of exactly one")
+    turn = common.pop()
+    i1 = path1.index(turn)
+    i2 = path2.index(turn)
+    return path1[:i1 + 1] + list(reversed(path2[:i2]))
+
+
+def test_one_walk_matches_the_two_walker_reference(monkeypatch):
+    # ribbons or error messages of every pair, and zeta's images and ribbons
+    zeta_module = sys.modules["holeyhex.zeta"]
+    outcomes = {}  # (case, kind, "ok" or error message) -> propagation_path calls
+    for n, m in ((2, 1), (4, 1), (6, 1), (4, 2)):
+        positions = range(-n + 2, n - 1, 2)
+        for p in (1, 2):
+            for chosen in combinations(positions, 2 * p):
+                for left in combinations(chosen, p):
+                    right = [x for x in chosen if x not in left]
+                    for kind in HALVES:
+                        region = build_region(validate(n, m, left, right), kind)
+                        tilings = list(enumerate_tilings(region))
+                        for tiling in tilings:
+                            partner = _partner_map(tiling)
+                            for pair in pair_holes(right, left):
+                                got = outcome(propagation_path, tiling, region, pair)
+                                assert got == outcome(reference_propagation_path,
+                                                      partner, region, pair), (region.spec, pair)
+                                key = ("i" if pair[0][1] == LEFT else "ii", kind,
+                                       "ok" if isinstance(got, list) else got[1])
+                                outcomes[key] = outcomes.get(key, 0) + 1
+                        images = [outcome(zeta, tiling, region) for tiling in tilings]
+                        with monkeypatch.context() as patch:
+                            patch.setattr(zeta_module, "_propagation_path",
+                                          reference_propagation_path)
+                            assert images == [outcome(zeta, tiling, region) for tiling in tilings]
+    # both cases and both halves, and the one error case (i) meets here
+    assert outcomes == {("i", "lower", "ok"): 1015, ("i", "upper", "ok"): 4455,
+                        ("i", "upper", "walk left the region"): 1736,
+                        ("ii", "lower", "ok"): 188, ("ii", "upper", "ok"): 1393}
