@@ -11,6 +11,7 @@ one layer at a time.  Nothing here touches the determinant machinery.
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Iterator, Sequence
 
 from .regions import (RIGHT, RegionSpec, TriangularRegion, build_region,
@@ -114,10 +115,6 @@ def tiling_is_exact_cover(region: TriangularRegion, tiling) -> bool:
     return len(seen) == len(region.cells)
 
 
-def serialize_tiling(tiling) -> list:
-    return sorted(sorted(tuple(r)) for r in tiling)
-
-
 # ---------------------------------------------------------------------------
 # symmetry-filtered counts
 
@@ -155,87 +152,63 @@ def count_free_boundary(n: int, m: int, left: Sequence[int]) -> int:
 CONSTRAINTS = ("none", "avoid_diagonal", "weighted_below")
 
 
-def _family_transitions(starts, ends, constraint):
-    """Shared column-sweep machinery for counting and enumeration.
+def _columns(starts, ends, constraint):
+    """The columns a family of paths from start k to end k crosses.
 
-    State entering column x: a tuple with, per path, the height at which it
-    crossed into this column (None while unstarted and after finishing).
-    Within a column each active path climbs from its entry height to an
-    exit; vertex-disjointness forces the occupied intervals to be disjoint,
-    which pins their order and bounds every exit by the next entry.
+    None when some path has no monotone route at all.
     """
-    k = len(starts)
-    if len(ends) != k:
+    if len(ends) != len(starts):
         raise ValueError("starts and ends must pair up")
     if constraint not in CONSTRAINTS:
         raise ValueError(f"unknown constraint {constraint!r}")
     for (ax, ay), (ex, ey) in zip(starts, ends):
         if ex < ax or ey < ay:
-            return None  # some path has no monotone route at all
-    xmin = min(x for x, _ in starts)
-    xmax = max(x for x, _ in ends)
-    return k, xmin, xmax
+            return None
+    return range(min(x for x, _ in starts), max(x for x, _ in ends) + 1)
 
 
 def _column_steps(x, carry, starts, ends, constraint):
-    """Yield (weight, next carry, moves) for every way through column x.
+    """Yield (weight, next carry, segments) for every way through column x.
 
-    Paths starting in column x enter at their start height; carried paths
-    enter where they left column x-1.  A path that starts in column x while
-    it is still carried admits no step.  ``moves`` is as in _column_options.
+    ``carry`` holds, per path, the height at which it crossed into column x
+    (None while unstarted and after finishing).  Paths starting in column x
+    enter at their start height; a path that starts here while it is still
+    carried admits no step.  Each active path climbs from its entry to an
+    exit, and vertex-disjointness keeps the climbs in entry order, each
+    capped below the next path's entry (so two paths entering at one vertex
+    leave the lower one no exit).  A cap reads only entries, never exits,
+    so the steps are the product of one list of exits per path.  Each
+    segment is (path, entry, exit).
     """
     actives = []
     for i, (sx, sy) in enumerate(starts):
         if sx == x:
             if carry[i] is not None:
                 return
-            actives.append((i, sy, ends[i]))
+            actives.append((sy, i))
         elif carry[i] is not None:
-            actives.append((i, carry[i], ends[i]))
-    for weight, moves in _column_options(x, actives, constraint):
-        nxt = list(carry)
-        for idx, exit_y, finished in moves:
-            nxt[idx] = None if finished else exit_y
-        yield weight, tuple(nxt), moves
-
-
-def _column_options(x, actives, constraint):
-    """Enumerate exit assignments for one column.
-
-    ``actives``: list of (path index, entry y, end point).  Yields
-    (weight, [(idx, exit, finished), ...]) for every admissible combination.
-    """
-    actives = sorted(actives, key=lambda item: item[1])
-    for (_, y1, _), (_, y2, _) in zip(actives, actives[1:]):
-        if y1 == y2:
-            return  # two paths entering at one vertex
-
-    def options(pos: int):
-        if pos == len(actives):
-            yield 1, []
-            return
-        idx, entry, (ex, ey) = actives[pos]
-        cap = ey
-        if pos + 1 < len(actives):
-            cap = min(cap, actives[pos + 1][1] - 1)
+            actives.append((carry[i], i))
+    actives.sort()
+    choices = []
+    for pos, (entry, i) in enumerate(actives):
+        ex, ey = ends[i]
+        cap = ey if pos + 1 == len(actives) else min(ey, actives[pos + 1][0] - 1)
         if constraint == "weighted_below":
             cap = min(cap, x)
-        finishing = ex == x
-        lo = hi = None
-        if finishing:
-            lo = hi = ey  # must climb exactly to its end and stop
-            if ey > cap or ey < entry:
-                return
-        else:
-            lo, hi = entry, cap
-        for exit_y in range(lo, hi + 1):
-            if constraint == "avoid_diagonal" and entry <= x <= exit_y:
-                continue
-            weight = 2 if (constraint == "weighted_below" and exit_y == x) else 1
-            for rest_w, rest in options(pos + 1):
-                yield weight * rest_w, [(idx, exit_y, finishing)] + rest
-
-    yield from options(0)
+        exits = range(entry, cap + 1)
+        if ex == x:  # a finishing path must climb exactly to its end
+            exits = [ey] if ey in exits else []
+        choices.append([(2 if constraint == "weighted_below" and y == x else 1,
+                         None if ex == x else y, (i, entry, y))
+                        for y in exits
+                        if not (constraint == "avoid_diagonal" and entry <= x <= y)])
+    for combo in product(*choices):
+        weight = 1
+        nxt = list(carry)
+        for w, after, (i, _, _) in combo:
+            weight *= w
+            nxt[i] = after
+        yield weight, tuple(nxt), [segment for _, _, segment in combo]
 
 
 def count_families(starts: Sequence, ends: Sequence, constraint: str = "none") -> int:
@@ -245,13 +218,12 @@ def count_families(starts: Sequence, ends: Sequence, constraint: str = "none") -
     column's {crossing profile: weighted count} layer; the identity
     assignment is the one counted.
     """
-    prepared = _family_transitions(starts, ends, constraint)
-    if prepared is None:
+    columns = _columns(starts, ends, constraint)
+    if columns is None:
         return 0
-    k, xmin, xmax = prepared
-    done = (None,) * k
+    done = (None,) * len(starts)
     layer = {done: 1}
-    for x in range(xmin, xmax + 1):
+    for x in columns:
         nxt: dict = {}
         for carry, ways in layer.items():
             for weight, after, _ in _column_steps(x, carry, starts, ends, constraint):
@@ -264,28 +236,26 @@ def enumerate_families(starts: Sequence, ends: Sequence, constraint: str = "none
     """Yield (paths, weight) for every vertex-disjoint family.
 
     Each path is the full tuple of lattice points it visits.  Same column
-    transitions as count_families, searched depth first; intended for
-    desk-scale checks.
+    steps as count_families, searched depth first on an explicit stack
+    (no recursion limit); intended for desk-scale checks.
     """
-    prepared = _family_transitions(starts, ends, constraint)
-    if prepared is None:
+    columns = _columns(starts, ends, constraint)
+    if columns is None:
         return
-    k, xmin, xmax = prepared
-
-    def sweep(x: int, carry: tuple, trails: tuple):
-        if x > xmax:
-            if all(c is None for c in carry):
-                yield trails, 1
-            return
-        for weight, nxt, moves in _column_steps(x, carry, starts, ends, constraint):
+    done = (None,) * len(starts)
+    stack = [(columns.start, done, ((),) * len(starts), 1)]
+    while stack:
+        x, carry, trails, weight = stack.pop()
+        if x == columns.stop:
+            if carry == done:
+                yield trails, weight
+            continue
+        steps = list(_column_steps(x, carry, starts, ends, constraint))
+        for step, nxt, segments in reversed(steps):  # first step's families first
             grown = list(trails)
-            for idx, exit_y, _ in moves:
-                entry = starts[idx][1] if starts[idx][0] == x else carry[idx]
-                grown[idx] = grown[idx] + tuple((x, y) for y in range(entry, exit_y + 1))
-            for rest, w in sweep(x + 1, nxt, tuple(grown)):
-                yield rest, weight * w
-
-    yield from sweep(xmin, (None,) * k, ((),) * k)
+            for i, entry, exit_y in segments:
+                grown[i] += tuple((x, y) for y in range(entry, exit_y + 1))
+            stack.append((x + 1, nxt, tuple(grown), weight * step))
 
 
 def family_weight(paths, constraint: str) -> int:

@@ -258,6 +258,15 @@ def hole_cell_half(position: int, orientation: str, kind: str) -> Cell:
     return (position + (-d if orientation == LEFT else d), d - 1, orientation)
 
 
+def fused_pairs(spec: RegionSpec) -> list[int]:
+    """Right holes r with a left hole at r + 2.
+
+    In the upper region such a toward-pointing pair at spacing two fuses
+    into a neutral hexagonal hole.
+    """
+    return [r for r in spec.right if r + 2 in spec.left]
+
+
 @dataclass(frozen=True)
 class TriangularRegion:
     """An explicit cell set together with its hole bookkeeping."""
@@ -294,13 +303,11 @@ def build_region(spec: RegionSpec, kind: str) -> TriangularRegion:
             raise ValueError(f"hole at {x} does not fit inside the {kind} region")
         removed.add(cell)
     if kind == "upper":
-        # A toward-pointing pair at spacing two fuses into a neutral
-        # hexagonal hole; the two flanking h = 1 cells lose the partners
-        # that would otherwise be forced, so they leave the region as well.
-        for r in spec.right:
-            if r + 2 in spec.left:
-                removed.add((r, 1, RIGHT))
-                removed.add((r + 2, 1, LEFT))
+        # the two flanking h = 1 cells of a fused pair lose the partners
+        # that would otherwise be forced, so they leave the region as well
+        for r in fused_pairs(spec):
+            removed.add((r, 1, RIGHT))
+            removed.add((r + 2, 1, LEFT))
     return TriangularRegion(kind, frozenset(half - removed), frozenset(removed), spec)
 
 
