@@ -1,17 +1,15 @@
 """Independent brute-force oracles.
 
-Tilings are counted two ways: a literal backtracking enumerator that
-streams every tiling (pick the first uncovered cell, branch over its at
-most three partners), and a layered transfer count that sweeps the cells
-once, carrying only the current cell's {covered frontier: count} layer.
-Path families are likewise enumerated by depth-first extension of all
-paths column by column, and counted by the same column transitions swept
-one layer at a time.  Nothing here touches the determinant machinery.
+Each oracle has one search state, counted by a layered sweep that keeps
+only the current {state: count} layer and enumerated by walking the same
+states depth first.  A tiling state is the first uncovered cell plus the
+covered cells from it on; a path-family state is the (height, path)
+pairs of the paths crossing into a column.  Nothing here touches the
+determinant machinery.
 """
 
 from __future__ import annotations
 
-from itertools import product
 from typing import Iterator, Sequence
 
 from .regions import (RIGHT, RegionSpec, TriangularRegion, build_region,
@@ -31,50 +29,47 @@ class BudgetExceededError(RuntimeError):
 
 
 def _indexed(region: TriangularRegion):
-    # slab-major order keeps the uncovered frontier inside ~one column
+    """The cells in slab-major order, which keeps the uncovered frontier
+    inside ~one column, and per cell the ascending offsets of its later partners."""
     def key(cell):
         c, h, o = cell
         return (2 * c + (1 if o == RIGHT else -1), h, o)
 
     cells = sorted(region.cells, key=key)
     index = {cell: i for i, cell in enumerate(cells)}
-    partners = [
-        sorted(index[nb] for nb in neighbors(cell) if nb in index)
-        for cell in cells
-    ]
-    return cells, partners
-
-
-def _enumerate_index_tilings(cells, partners, budget: int) -> Iterator[tuple]:
-    total = len(cells)
-    nodes = 0
-    chosen: list[tuple[int, int]] = []
-
-    def advance(covered: int, lo: int) -> Iterator[tuple]:
-        nonlocal nodes
-        while lo < total and covered >> lo & 1:
-            lo += 1
-        if lo == total:
-            yield tuple(chosen)
-            return
-        nodes += 1
-        if nodes > budget:
-            raise BudgetExceededError(nodes, tuple(chosen))
-        for j in partners[lo]:
-            if covered >> j & 1:
-                continue
-            chosen.append((lo, j))
-            yield from advance(covered | 1 << lo | 1 << j, lo + 1)
-            chosen.pop()
-
-    yield from advance(0, 0)
+    ahead = [sorted(index[nb] - lo for nb in neighbors(cell) if index.get(nb, -1) > lo)
+             for lo, cell in enumerate(cells)]
+    return cells, ahead
 
 
 def enumerate_tilings(region: TriangularRegion, budget: int = DEFAULT_BUDGET) -> Iterator[Tiling]:
-    """Stream every tiling of the region in a fixed canonical order."""
-    cells, partners = _indexed(region)
-    for pairs in _enumerate_index_tilings(cells, partners, budget):
-        yield frozenset(frozenset((cells[i], cells[j])) for i, j in pairs)
+    """Stream every tiling of the region in a fixed canonical order.
+
+    Walks count_tilings' states depth first on an explicit stack, so it
+    has no recursion limit; each uncovered ``lo`` is one branch node, and
+    ``lo`` pairs with each free partner in ascending order.  Past
+    ``budget`` nodes the error carries the index pairs chosen so far.
+    """
+    cells, ahead = _indexed(region)
+    rhombi = {(lo, lo + off): frozenset((cell, cells[lo + off]))
+              for lo, cell in enumerate(cells) for off in ahead[lo]}
+    nodes = 0
+    chosen = []  # the index pairs chosen on the way to the popped state
+    stack = [(0, 0, 0, ())]  # (lo, covered mask from lo on, len(chosen) before, (last pair,))
+    while stack:
+        lo, mask, depth, last = stack.pop()
+        chosen[depth:] = last
+        while mask & 1:
+            lo, mask = lo + 1, mask >> 1
+        if lo == len(cells):
+            yield frozenset(map(rhombi.__getitem__, chosen))
+            continue
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExceededError(nodes, tuple(chosen))
+        for off in reversed(ahead[lo]):  # the first partner's tilings come first
+            if not mask >> off & 1:
+                stack.append((lo + 1, (mask | 1 << off) >> 1, len(chosen), ((lo, lo + off),)))
 
 
 def count_tilings(region: TriangularRegion) -> int:
@@ -85,18 +80,17 @@ def count_tilings(region: TriangularRegion) -> int:
     A covered ``lo`` shifts through; a free one pairs with each free
     partner after it.  Slab-major cell order keeps the masks narrow.
     """
-    _, partners = _indexed(region)
-    ahead = [[1 << (j - lo) for j in nbs if j > lo] for lo, nbs in enumerate(partners)]
+    _, ahead = _indexed(region)
     layer = {0: 1}
-    for bits in ahead:
+    for offsets in ahead:
         nxt: dict = {}
         for mask, ways in layer.items():
             if mask & 1:
                 nxt[mask >> 1] = nxt.get(mask >> 1, 0) + ways
                 continue
-            for bit in bits:
-                if not mask & bit:
-                    key = (mask | bit) >> 1
+            for off in offsets:
+                if not mask >> off & 1:
+                    key = (mask | 1 << off) >> 1
                     nxt[key] = nxt.get(key, 0) + ways
         layer = nxt
     return layer.get(0, 0)
@@ -153,7 +147,8 @@ CONSTRAINTS = ("none", "avoid_diagonal", "weighted_below")
 
 
 def _columns(starts, ends, constraint):
-    """The columns a family of paths from start k to end k crosses.
+    """The columns a family of paths from start k to end k crosses, and the
+    (height, path) pairs of the paths starting in each column.
 
     None when some path has no monotone route at all.
     """
@@ -161,35 +156,28 @@ def _columns(starts, ends, constraint):
         raise ValueError("starts and ends must pair up")
     if constraint not in CONSTRAINTS:
         raise ValueError(f"unknown constraint {constraint!r}")
-    for (ax, ay), (ex, ey) in zip(starts, ends):
-        if ex < ax or ey < ay:
+    entering: dict = {}
+    for i, ((sx, sy), (ex, ey)) in enumerate(zip(starts, ends)):
+        if ex < sx or ey < sy:
             return None
-    return range(min(x for x, _ in starts), max(x for x, _ in ends) + 1)
+        entering.setdefault(sx, []).append((sy, i))
+    return range(min(entering), max(x for x, _ in ends) + 1), entering
 
 
-def _column_steps(x, carry, starts, ends, constraint):
-    """Yield (weight, next carry, segments) for every way through column x.
+def _column_steps(x, carry, entering, ends, constraint) -> list:
+    """The (weight, next carry, segments) of every way through column x.
 
-    ``carry`` holds, per path, the height at which it crossed into column x
-    (None while unstarted and after finishing).  Paths starting in column x
-    enter at their start height; a path that starts here while it is still
-    carried admits no step.  Each active path climbs from its entry to an
-    exit, and vertex-disjointness keeps the climbs in entry order, each
-    capped below the next path's entry (so two paths entering at one vertex
-    leave the lower one no exit).  A cap reads only entries, never exits,
-    so the steps are the product of one list of exits per path.  Each
-    segment is (path, entry, exit).
+    ``carry`` holds the (height, path) pairs of the paths crossing into
+    column x, in height order, and ``entering`` those of the paths starting
+    in it.  Each active path climbs from its entry to an exit, in entry
+    order and capped below the next path's entry (so two paths entering at
+    one vertex leave the lower one no exit).  A cap reads only entries, so
+    the steps are the product of one list of exits per path, built one path
+    at a time, and the exits keep the entries' order.  A path ending in
+    column x leaves the carry.  Each segment is (path, entry, exit).
     """
-    actives = []
-    for i, (sx, sy) in enumerate(starts):
-        if sx == x:
-            if carry[i] is not None:
-                return
-            actives.append((sy, i))
-        elif carry[i] is not None:
-            actives.append((carry[i], i))
-    actives.sort()
-    choices = []
+    actives = sorted([*carry, *entering])
+    steps = [(1, (), ())]
     for pos, (entry, i) in enumerate(actives):
         ex, ey = ends[i]
         cap = ey if pos + 1 == len(actives) else min(ey, actives[pos + 1][0] - 1)
@@ -198,17 +186,13 @@ def _column_steps(x, carry, starts, ends, constraint):
         exits = range(entry, cap + 1)
         if ex == x:  # a finishing path must climb exactly to its end
             exits = [ey] if ey in exits else []
-        choices.append([(2 if constraint == "weighted_below" and y == x else 1,
-                         None if ex == x else y, (i, entry, y))
-                        for y in exits
-                        if not (constraint == "avoid_diagonal" and entry <= x <= y)])
-    for combo in product(*choices):
-        weight = 1
-        nxt = list(carry)
-        for w, after, (i, _, _) in combo:
-            weight *= w
-            nxt[i] = after
-        yield weight, tuple(nxt), [segment for _, _, segment in combo]
+        options = [(2 if constraint == "weighted_below" and y == x else 1,
+                    () if ex == x else ((y, i),), (i, entry, y))
+                   for y in exits
+                   if not (constraint == "avoid_diagonal" and entry <= x <= y)]
+        steps = [(weight * w, nxt + after, segments + (segment,))
+                 for weight, nxt, segments in steps for w, after, segment in options]
+    return steps
 
 
 def count_families(starts: Sequence, ends: Sequence, constraint: str = "none") -> int:
@@ -218,18 +202,18 @@ def count_families(starts: Sequence, ends: Sequence, constraint: str = "none") -
     column's {crossing profile: weighted count} layer; the identity
     assignment is the one counted.
     """
-    columns = _columns(starts, ends, constraint)
-    if columns is None:
+    spans = _columns(starts, ends, constraint)
+    if spans is None:
         return 0
-    done = (None,) * len(starts)
-    layer = {done: 1}
+    columns, entering = spans
+    layer = {(): 1}
     for x in columns:
         nxt: dict = {}
         for carry, ways in layer.items():
-            for weight, after, _ in _column_steps(x, carry, starts, ends, constraint):
+            for weight, after, _ in _column_steps(x, carry, entering.get(x, ()), ends, constraint):
                 nxt[after] = nxt.get(after, 0) + weight * ways
         layer = nxt
-    return layer.get(done, 0)
+    return layer.get((), 0)
 
 
 def enumerate_families(starts: Sequence, ends: Sequence, constraint: str = "none"):
@@ -237,25 +221,34 @@ def enumerate_families(starts: Sequence, ends: Sequence, constraint: str = "none
 
     Each path is the full tuple of lattice points it visits.  Same column
     steps as count_families, searched depth first on an explicit stack
-    (no recursion limit); intended for desk-scale checks.
+    (no recursion limit).  A node keeps the active paths' trails beside
+    its carry and the finished ones on a shared cons list, so its cost
+    grows with the active paths, not with all k.
     """
-    columns = _columns(starts, ends, constraint)
-    if columns is None:
+    spans = _columns(starts, ends, constraint)
+    if spans is None:
         return
-    done = (None,) * len(starts)
-    stack = [(columns.start, done, ((),) * len(starts), 1)]
+    columns, entering = spans
+    stack = [(columns.start, (), {}, (), 1)]  # (x, carry, {path: trail}, finished, weight)
     while stack:
-        x, carry, trails, weight = stack.pop()
-        if x == columns.stop:
-            if carry == done:
-                yield trails, weight
+        x, carry, trails, finished, weight = stack.pop()
+        if x == columns.stop:  # every path has finished in its end column
+            trail_of = {}
+            while finished:
+                (i, trail), finished = finished
+                trail_of[i] = trail
+            yield tuple(trail_of[i] for i in range(len(starts))), weight
             continue
-        steps = list(_column_steps(x, carry, starts, ends, constraint))
+        steps = _column_steps(x, carry, entering.get(x, ()), ends, constraint)
         for step, nxt, segments in reversed(steps):  # first step's families first
-            grown = list(trails)
+            grown, done = {}, finished
             for i, entry, exit_y in segments:
-                grown[i] += tuple((x, y) for y in range(entry, exit_y + 1))
-            stack.append((x + 1, nxt, tuple(grown), weight * step))
+                trail = trails.get(i, ()) + tuple((x, y) for y in range(entry, exit_y + 1))
+                if ends[i][0] == x:
+                    done = ((i, trail), done)
+                else:
+                    grown[i] = trail
+            stack.append((x + 1, nxt, grown, done, weight * step))
 
 
 def family_weight(paths, constraint: str) -> int:

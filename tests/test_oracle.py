@@ -1,18 +1,19 @@
 import random
 from fractions import Fraction
+from itertools import combinations, islice, product, zip_longest
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from holeyhex.arith import product_formula
 from holeyhex.matrices import count_region, det_exact, path_count, path_matrix
-from holeyhex.oracle import (CONSTRAINTS, BudgetExceededError, _column_steps,
-                             count_families, count_free_boundary, count_symmetric,
+from holeyhex.oracle import (CONSTRAINTS, BudgetExceededError, _column_steps, _columns,
+                             _indexed, count_families, count_free_boundary, count_symmetric,
                              count_tilings, enumerate_families, enumerate_tilings,
                              family_weight, noncrossing_endpoints, tiling_is_exact_cover)
-from holeyhex.regions import (TriangularRegion, build_region, hexagon_cells,
-                              lgv_points, validate)
+from holeyhex.regions import (KINDS, TriangularRegion, build_region, hexagon_cells,
+                              lgv_points, neighbors, validate)
 
 
 def hexagon_region(n, m):
@@ -23,6 +24,17 @@ def test_enumerate_small_hexagons():
     for n, m, total in ((1, 1, 3), (2, 1, 20)):
         region = hexagon_region(n, m)
         assert len(list(enumerate_tilings(region))) == total == count_tilings(region)
+
+
+def grid_specs(max_m):
+    """Every spec with n <= 6, m <= max_m and p <= 2 holes of each orientation."""
+    for n in (2, 4, 6):
+        positions = range(-n + 2, n - 1, 2)
+        for m in range(1, max_m + 1):
+            for p in range(3):
+                for chosen in combinations(positions, 2 * p):
+                    for left in combinations(chosen, p):
+                        yield validate(n, m, left, [x for x in chosen if x not in left])
 
 
 def test_enumerated_tilings_are_exact_covers_and_deterministic():
@@ -74,6 +86,57 @@ def test_count_families_has_no_depth_limit():
     assert count_families(*points, "avoid_diagonal") == 1101 == \
         product_formula("transpose_complement", 2, 1100)
     assert sum(weight for _, weight in enumerate_families(*points, "avoid_diagonal")) == 1101
+
+
+def reference_slot_column_steps(x, carry, starts, ends, constraint):
+    """The k-slot column steps that _column_steps replaced.
+
+    ``carry`` holds one entry per path: the height at which it crossed into
+    column x, or None while unstarted and after finishing.
+    """
+    actives = []
+    for i, (sx, sy) in enumerate(starts):
+        if sx == x:
+            if carry[i] is not None:
+                return
+            actives.append((sy, i))
+        elif carry[i] is not None:
+            actives.append((carry[i], i))
+    actives.sort()
+    choices = []
+    for pos, (entry, i) in enumerate(actives):
+        ex, ey = ends[i]
+        cap = ey if pos + 1 == len(actives) else min(ey, actives[pos + 1][0] - 1)
+        if constraint == "weighted_below":
+            cap = min(cap, x)
+        exits = range(entry, cap + 1)
+        if ex == x:  # a finishing path must climb exactly to its end
+            exits = [ey] if ey in exits else []
+        choices.append([(2 if constraint == "weighted_below" and y == x else 1,
+                         None if ex == x else y, (i, entry, y))
+                        for y in exits
+                        if not (constraint == "avoid_diagonal" and entry <= x <= y)])
+    for combo in product(*choices):
+        weight = 1
+        nxt = list(carry)
+        for w, after, (i, _, _) in combo:
+            weight *= w
+            nxt[i] = after
+        yield weight, tuple(nxt), [segment for _, _, segment in combo]
+
+
+def to_pairs(x, carry, starts):
+    """A k-slot carry at column x as (carry pairs, entering pairs)."""
+    pairs = sorted((h, i) for i, h in enumerate(carry) if h is not None)
+    return tuple(pairs), tuple(sorted((sy, i) for i, (sx, sy) in enumerate(starts) if sx == x))
+
+
+def to_slots(pairs, k):
+    """(height, path) pairs as a k-slot carry."""
+    slots = [None] * k
+    for h, i in pairs:
+        slots[i] = h
+    return tuple(slots)
 
 
 def reference_column_steps(x, carry, starts, ends, constraint):
@@ -157,14 +220,57 @@ def column_states(draw):
 @example(state=(2, (0, None), [(1, 0), (2, -1)], [(3, 3), (4, 5)]), constraint="weighted_below")
 def test_column_steps_match_the_recursive_search(state, constraint):
     x, carry, starts, ends = state
-    got = list(_column_steps(x, carry, starts, ends, constraint))
+    # a path carried into the column it starts in has no pair encoding; no
+    # sweep reaches it (see test_no_sweep_carries_a_path_into_its_start_column)
+    assume(all(carry[i] is None for i, (sx, _) in enumerate(starts) if sx == x))
+    slots = list(reference_slot_column_steps(x, carry, starts, ends, constraint))
     want = list(reference_column_steps(x, carry, starts, ends, constraint))
-    assert [(w, nxt) for w, nxt, _ in got] == [(w, nxt) for w, nxt, _ in want]
+    assert [(w, nxt) for w, nxt, _ in slots] == [(w, nxt) for w, nxt, _ in want]
+    got = _column_steps(x, *to_pairs(x, carry, starts), ends, constraint)
+    assert [(w, to_slots(nxt, len(starts)), list(segments)) for w, nxt, segments in got] == slots
     # each segment climbs from the path's entry to the exit the search chose
-    for (_, _, segments), (_, _, moves) in zip(got, want):
+    for (_, _, segments), (_, _, moves) in zip(slots, want):
         assert sorted((i, y) for i, _, y in segments) == sorted((i, y) for i, y, _ in moves)
         for i, entry, _ in segments:
             assert entry == (starts[i][1] if starts[i][0] == x else carry[i])
+
+
+def sweep(layer, steps):
+    """The next {carry: weighted count} layer of a column sweep."""
+    nxt = {}
+    for carry, ways in layer.items():
+        for weight, after, _ in steps(carry):
+            nxt[after] = nxt.get(after, 0) + weight * ways
+    return nxt
+
+
+def test_no_sweep_carries_a_path_into_its_start_column():
+    # checked on every layer the k-slot sweep reaches; the pair sweep reaches the same layers
+    for spec in grid_specs(3):
+        for kind in ("lower", "upper"):
+            pictures = [lgv_points(spec, kind)]
+            noncrossing = noncrossing_endpoints(spec, kind)
+            if noncrossing not in (None, pictures[0]):
+                pictures.append(noncrossing)
+            for starts, ends in pictures:
+                spans = _columns(starts, ends, "none")
+                if spans is None:
+                    continue
+                columns, entering = spans
+                for constraint in CONSTRAINTS:
+                    slots, pairs = {(None,) * len(starts): 1}, {(): 1}
+                    for x in columns:
+                        assert {to_slots(carry, len(starts)): ways
+                                for carry, ways in pairs.items()} == slots
+                        for carry in slots:
+                            assert all(carry[i] is None for i, (sx, _) in enumerate(starts)
+                                       if sx == x)
+                        slots = sweep(slots, lambda carry: reference_slot_column_steps(
+                            x, carry, starts, ends, constraint))
+                        pairs = sweep(pairs, lambda carry: _column_steps(
+                            x, carry, entering.get(x, ()), ends, constraint))
+                    assert slots.get((None,) * len(starts), 0) == pairs.get((), 0) == \
+                        count_families(starts, ends, constraint)
 
 
 def reference_enumerate_families(starts, ends, constraint):
@@ -203,6 +309,70 @@ def test_enumerate_families_matches_the_recursive_sweep():
 def test_budget_cap():
     with pytest.raises(BudgetExceededError):
         list(enumerate_tilings(hexagon_region(4, 2), budget=10))
+
+
+def test_enumerate_tilings_has_no_depth_limit():
+    # 1001 rhombi, one branch node each, far past the interpreter's recursion limit
+    region = build_region(validate(2, 250), "lower")
+    assert sum(1 for _ in enumerate_tilings(region)) == 251 == count_tilings(region)
+
+
+def reference_enumerate_index_tilings(cells, partners, budget):
+    """The recursive search over an absolute mask that enumerate_tilings replaced."""
+    total = len(cells)
+    nodes = 0
+    chosen = []
+
+    def advance(covered, lo):
+        nonlocal nodes
+        while lo < total and covered >> lo & 1:
+            lo += 1
+        if lo == total:
+            yield tuple(chosen)
+            return
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExceededError(nodes, tuple(chosen))
+        for j in partners[lo]:
+            if covered >> j & 1:
+                continue
+            chosen.append((lo, j))
+            yield from advance(covered | 1 << lo | 1 << j, lo + 1)
+            chosen.pop()
+
+    yield from advance(0, 0)
+
+
+def reference_tilings(region, budget=10 ** 8):
+    """The recursive search's tilings of the region, in its order."""
+    cells, _ = _indexed(region)
+    index = {cell: i for i, cell in enumerate(cells)}
+    partners = [sorted(index[nb] for nb in neighbors(cell) if nb in index) for cell in cells]
+    rhombus = {(i, j): frozenset((cells[i], cells[j])) for i, nbs in enumerate(partners) for j in nbs}
+    for pairs in reference_enumerate_index_tilings(cells, partners, budget):
+        yield frozenset(map(rhombus.__getitem__, pairs))
+
+
+def test_enumerate_tilings_matches_the_recursive_search():
+    # the same tilings in the same order; each region is capped at its first
+    # 500 tilings (88,000 in all; a 20,000 cap means 1.5 million and minutes)
+    for spec in grid_specs(2):
+        for kind in KINDS:
+            region = build_region(spec, kind)
+            got = islice(enumerate_tilings(region), 500)
+            assert all(a == b for a, b in zip_longest(got, islice(reference_tilings(region), 500)))
+
+
+def test_budget_errors_match_the_recursive_search():
+    # the same node count and partial choice when the budget runs out
+    for args in [(4, 2, [], []), (4, 1, [0], [2]), (6, 2, [-2, 2], [0, 4])]:
+        region = build_region(validate(*args), "full")
+        for budget in (1, 10, 57, 300):
+            with pytest.raises(BudgetExceededError) as got:
+                list(enumerate_tilings(region, budget))
+            with pytest.raises(BudgetExceededError) as want:
+                list(reference_tilings(region, budget))
+            assert (got.value.nodes, got.value.partial) == (want.value.nodes, want.value.partial)
 
 
 def test_count_families_tiny_hexagon():
