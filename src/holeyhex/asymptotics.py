@@ -13,7 +13,7 @@ adjoins mirror charges across the conductor and halves the exponents.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from statistics import linear_regression
 from typing import Sequence
@@ -36,12 +36,11 @@ class CorrelationReport:
     ratio: float
 
     def csv_row(self) -> str:
-        reals = (self.det_lower, self.det_upper, self.omega, self.predicted, self.ratio)
-        return ",".join([str(self.n), str(self.m), repr(self.xi)]
-                        + [repr(x) for x in reals])
+        # str of a float is its repr: the shortest string that reads back the same
+        return ",".join(str(getattr(self, field.name)) for field in fields(self))
 
 
-CSV_HEADER = "n,m,xi,det_lower,det_upper,omega,predicted,ratio"
+CSV_HEADER = ",".join(field.name for field in fields(CorrelationReport))
 
 
 @dataclass(frozen=True)
@@ -202,7 +201,7 @@ def separation_sweep(n: int, xi: Fraction, half_separations: Sequence[int],
 
 
 def size_reports(left: Sequence[int], right: Sequence[int], xi: Fraction,
-                 n_values: Sequence[int], scale_holes: bool = False):
+                 n_values: Sequence[int], scale_holes: bool = False, model: str = "bulk"):
     """Correlations for fixed or n-scaled holes across hexagon sizes.
 
     With ``scale_holes`` the given positions are treated as fractions of n
@@ -217,11 +216,11 @@ def size_reports(left: Sequence[int], right: Sequence[int], xi: Fraction,
             rights = [2 * round(q * n / 8) for q in right]
         else:
             lefts, rights = list(left), list(right)
-        yield finite_correlation(validate(n, m, lefts, rights), "bulk")
+        yield finite_correlation(validate(n, m, lefts, rights), model)
 
 
 def size_sweep(left: Sequence[int], right: Sequence[int], xi: Fraction,
-               n_values: Sequence[int], scale_holes: bool = False):
+               n_values: Sequence[int], scale_holes: bool = False, model: str = "bulk"):
     """size_reports with the trend of log |det_upper| in n.
 
     Returns (reports, trend) with ``trend`` the least-squares slope of
@@ -230,7 +229,7 @@ def size_sweep(left: Sequence[int], right: Sequence[int], xi: Fraction,
     """
     _require_two_points(n_values, "n values", n_values)
     reports, xs, ys = [], [], []
-    for report in size_reports(left, right, xi, n_values, scale_holes):
+    for report in size_reports(left, right, xi, n_values, scale_holes, model):
         reports.append(report)
         xs.append(float(report.n))
         ys.append(math.log(abs(report.det_upper)))

@@ -1,6 +1,7 @@
 """Command-line front end: counts, verification sweeps, correlations, zeta.
 
-Exact integers are always emitted as decimal strings; exit codes are 0 for
+Exact integers are always emitted as decimal strings.  The verbs raise on bad
+input; ``main`` alone writes the error to stderr and picks the exit code: 0 for
 success, 1 for a verification failure, 2 for usage or validation errors.
 """
 
@@ -10,7 +11,6 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from itertools import combinations
 
 from . import arith, asymptotics, matrices, oracle, regions
 from .zeta import verify_injection
@@ -49,28 +49,13 @@ def cmd_verify(args) -> int:
     for flag, value, least in (("--max-n", args.max_n, 2), ("--max-m", args.max_m, 1),
                                ("--max-p", args.max_p, 0)):
         if value < least:
-            print(f"error: {flag} must be at least {least}, got {value}", file=sys.stderr)
-            return 2
-    failures = 0
+            raise ValueError(f"{flag} must be at least {least}, got {value}")
     rows = []
-    for n in range(2, args.max_n + 1, 2):
-        positions = list(range(-n + 2, n - 1, 2))
-        for m in range(1, args.max_m + 1):
-            specs = [regions.validate(n, m, [], [])]
-            for p in range(1, args.max_p + 1):
-                if len(positions) < 2 * p:
-                    continue
-                for chosen in combinations(positions, 2 * p):
-                    for lefts in combinations(chosen, p):
-                        rights = [x for x in chosen if x not in lefts]
-                        specs.append(regions.validate(n, m, lefts, rights))
-            for spec in specs:
-                formula = matrices.count_region(spec, "full").value
-                got = oracle.count_tilings(regions.build_region(spec, "full"))
-                match = formula == got
-                rows.append((spec.to_text(), formula, got, match))
-                if not match:
-                    failures += 1
+    for spec in regions.spec_grid(args.max_n, args.max_m, args.max_p):
+        formula = matrices.count_region(spec, "full").value
+        got = oracle.count_tilings(regions.build_region(spec, "full"))
+        rows.append((spec.to_text(), formula, got, formula == got))
+    failures = sum(not match for *_, match in rows)
     width = max(len(r[0]) for r in rows)
     for text, formula, got, match in rows:
         print(f"{text:<{width}} | {formula} | {got} | {'ok' if match else 'MISMATCH'}")
@@ -91,11 +76,9 @@ def cmd_sweep(args) -> int:
     except (ValueError, ZeroDivisionError):
         xi = None
     if xi is None or xi <= 0:
-        print(f"error: --xi must be a positive rational, got {args.xi!r}", file=sys.stderr)
-        return 2
-    if not args.separations and not args.n_values:
-        print("error: sweep needs --separations or --n-values", file=sys.stderr)
-        return 2
+        raise ValueError(f"--xi must be a positive rational, got {args.xi!r}")
+    if bool(args.separations) == bool(args.n_values):
+        raise ValueError("sweep needs exactly one of --separations and --n-values")
     fit = None
     if args.separations:
         sweep_args = (args.size, xi, regions.parse_int_list(args.separations), args.model)
@@ -106,7 +89,7 @@ def cmd_sweep(args) -> int:
             reports = list(asymptotics.separation_reports(*sweep_args))
     else:
         sweep_args = (regions.parse_int_list(args.left), regions.parse_int_list(args.right), xi,
-                      regions.parse_int_list(args.n_values), args.scale_holes)
+                      regions.parse_int_list(args.n_values), args.scale_holes, args.model)
         if args.fit:
             reports, trend = asymptotics.size_sweep(*sweep_args)
             fit = f"# trend={trend!r}"

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 from .arith import (GammaPoleError, binomial, factor_ratios, gamma_product, gamma_ratio,
                     hyp_terminating, product_formula, ratio_series)
-from .regions import RegionSpec, lgv_points
+from .regions import HALVES, RegionSpec, lgv_points
 
 HALF = Fraction(1, 2)
 
@@ -84,16 +84,15 @@ def _reflected_count(start, end, variant: str, comb) -> int:
 
 
 class _Half(NamedTuple):
-    d: int  # 0 below, 1 above: the shift of the half's formulas
     variant: str  # the half's path_count variant
     prefactor: str  # the product_formula kind of |det Q| / |det E|
 
 
 # Every printed path-matrix entry, LU factor entry and hole-matrix closed
 # form below is written once for both halves, with some of its parameters
-# moved by d.
-_HALVES = {"lower": _Half(0, "avoid_diagonal", "transpose_complement"),
-           "upper": _Half(1, "weighted_below", "vertical_symmetric")}
+# moved by the half's shift d = HALVES[kind].
+_HALVES = {"lower": _Half("avoid_diagonal", "transpose_complement"),
+           "upper": _Half("weighted_below", "vertical_symmetric")}
 
 
 def path_matrix(spec: RegionSpec, kind: str) -> Matrix:
@@ -129,7 +128,7 @@ def printed_path_entry(spec: RegionSpec, kind: str, i: int, j: int,
     """
     if kind not in _HALVES:
         raise ValueError(f"no printed entries for kind {kind!r}")
-    n, m, d = spec.n, spec.m, _HALVES[kind].d
+    n, m, d = spec.n, spec.m, HALVES[kind]
     half = n // 2
     for name, index in (("row", i), ("column", j)):
         _hole(range(1, m + spec.p + 1), index, 1, name)
@@ -154,7 +153,7 @@ def printed_path_entry(spec: RegionSpec, kind: str, i: int, j: int,
 # LU factor entries
 
 # Gamma arguments of the explicit LU factor entries, as (numerators,
-# denominators), for both halves: d is _HALVES[kind].d.  Boundary blocks
+# denominators), for both halves: d is HALVES[kind].  Boundary blocks
 # take (n, i, j, d); hole blocks take (n, s, x, d) with s the boundary index
 # and x the hole position, l for ``l_hole`` and r for ``u_hole``.  Each
 # boundary block carries a pair Gamma(2i-1)/Gamma(2i-1) or
@@ -188,10 +187,10 @@ def lu_factor_entry(block: str, i: int, j: int, spec: RegionSpec, kind: str) -> 
     hole position read off the spec.  Signs alternate with the boundary
     index as printed.
     """
-    args, half = _LU_GAMMA_ARGS.get(block), _HALVES.get(kind)
-    if args is None or half is None:
+    args, d = _LU_GAMMA_ARGS.get(block), HALVES.get(kind)
+    if args is None or d is None:
         raise ValueError(f"unknown LU block {block!r} for kind {kind!r}")
-    n, m, d = spec.n, spec.m, half.d
+    n, m = spec.n, spec.m
     boundary = range(1, m + 1)
     if block in ("l_hole", "u_hole"):
         s, x = ((j, _hole(spec.left, i, m + 1)) if block == "l_hole"
@@ -233,7 +232,7 @@ def hole_matrix_entry(spec: RegionSpec, kind: str, i: int, j: int) -> Fraction:
         raise ValueError(f"no hole matrix for kind {kind!r}")
     l = _hole(spec.left, i, 1)
     r = _hole(spec.right, j, 1)
-    n, m, d = spec.n, spec.m, _HALVES[kind].d
+    n, m, d = spec.n, spec.m, HALVES[kind]
     l_hole, u_hole = _LU_GAMMA_ARGS["l_hole"], _LU_GAMMA_ARGS["u_hole"]
     total = _hole_to_hole(l, r, d)
     if m < 1:
@@ -289,7 +288,7 @@ def closed_form_entry(spec: RegionSpec, kind: str, i: int, j: int) -> Fraction:
     r = _hole(spec.right, j, 1)
     if kind not in _HALVES:
         raise ValueError(f"no closed form for kind {kind!r}")
-    d = _HALVES[kind].d
+    d = HALVES[kind]
     N, Lh, Rh = Fraction(n, 2), Fraction(l, 2), Fraction(r, 2)
     two = Fraction(2)
     if r > l:

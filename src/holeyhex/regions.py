@@ -17,8 +17,9 @@ vertical edge in column x, centred on the axis.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import sqrt
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 LEFT = "L"
 RIGHT = "R"
@@ -107,6 +108,21 @@ def parse_int_list(text: str) -> list[int]:
         return [int(item) for item in text.split(",") if item.strip()]
     except ValueError:
         raise SpecValidationError([f"not a comma-separated integer list: {text!r}"]) from None
+
+
+def spec_grid(max_n: int, max_m: int, max_p: int) -> Iterator[RegionSpec]:
+    """Every valid spec with n <= max_n, m <= max_m and p <= max_p.
+
+    Ordered by n, then m, then p, then the combination of hole positions,
+    then which of them point left.
+    """
+    for n in range(2, max_n + 1, 2):
+        positions = range(-n + 2, n - 1, 2)
+        for m in range(1, max_m + 1):
+            for p in range(min(max_p, len(positions) // 2) + 1):
+                for chosen in combinations(positions, 2 * p):
+                    for left in combinations(chosen, p):
+                        yield validate(n, m, left, [x for x in chosen if x not in left])
 
 
 _SPEC_FIELDS = {"n": int, "m": int, "L": parse_int_list, "R": parse_int_list}

@@ -23,7 +23,6 @@ import math
 import random
 import time
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
 
@@ -37,26 +36,12 @@ from holeyhex.matrices import (closed_form_entry, count_region, det_exact,
                                hole_matrix, hole_matrix_entry)
 from holeyhex.oracle import (count_families, count_free_boundary, count_symmetric,
                              count_tilings, noncrossing_endpoints)
-from holeyhex.regions import build_region, validate
+from holeyhex.regions import build_region, spec_grid, validate
 from holeyhex.zeta import verify_injection
 
 
 def announce(criterion: str, ok: bool, detail: str) -> None:
     print(f"\ncriterion {criterion}: {'PASS' if ok else 'FAIL'} - {detail}")
-
-
-def criterion_2_specs():
-    for n in (2, 4, 6):
-        positions = list(range(-n + 2, n - 1, 2))
-        for m in (1, 2):
-            yield validate(n, m, [], [])
-            for p in (1, 2):
-                if len(positions) < 2 * p:
-                    continue
-                for chosen in combinations(positions, 2 * p):
-                    for lefts in combinations(chosen, p):
-                        rights = tuple(x for x in chosen if x not in lefts)
-                        yield validate(n, m, lefts, rights)
 
 
 def test_criterion_1_unholed_sanity():
@@ -79,7 +64,7 @@ def test_criterion_1_unholed_sanity():
 def test_criterion_2_factorization():
     started = time.time()
     checked = 0
-    for spec in criterion_2_specs():
+    for spec in spec_grid(6, 2, 2):
         full = count_region(spec, "full")
         box = product_formula("box", spec.n, spec.m)
         lower = count_region(spec, "lower").value
@@ -96,7 +81,7 @@ def test_criterion_2_factorization():
 
 def test_criterion_3_half_region_counts():
     checked = 0
-    for spec in criterion_2_specs():
+    for spec in spec_grid(6, 2, 2):
         points = noncrossing_endpoints(spec, "lower")
         if points is None:
             lower = upper = 0
@@ -172,7 +157,7 @@ def test_criterion_5_determinant_signs():
 
 def test_criterion_5_count_inequality():
     offenders = []
-    for spec in criterion_2_specs():
+    for spec in spec_grid(6, 2, 2):
         if spec.p == 0:
             continue
         holey = count_region(spec, "full").value

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from holeyhex import matrices
+from holeyhex.asymptotics import finite_correlation
 from holeyhex.cli import main
 from holeyhex.matrices import count_region
 from holeyhex.regions import validate
@@ -123,6 +124,33 @@ def test_sweep_requires_a_mode(capsys):
     code, _, err = run(capsys, "sweep", "--xi", "1")
     assert code == 2
     assert "separations" in err
+
+
+@pytest.mark.parametrize("modes", [("--separations=",),
+                                   ("--separations", "2", "--n-values", "20", "--left=-2",
+                                    "--right=2")])
+def test_sweep_takes_exactly_one_mode(capsys, modes):
+    code, out, err = run(capsys, "sweep", "--size", "20", *modes)
+    assert code == 2
+    assert out == ""
+    assert err == "error: sweep needs exactly one of --separations and --n-values\n"
+
+
+def test_size_sweep_follows_the_model(capsys):
+    code, out, err = run(capsys, "sweep", "--n-values", "20,40", "--left=-2", "--right=2",
+                         "--model", "free_boundary")
+    assert code == 0, err
+    rows = [finite_correlation(validate(n, n // 2, [-2], [2]), "free_boundary").csv_row()
+            for n in (20, 40)]
+    assert out.splitlines()[1:] == rows
+
+
+def test_free_boundary_size_sweep_needs_mirrored_holes(capsys):
+    code, out, err = run(capsys, "sweep", "--n-values", "20,40", "--left=-2", "--right=4",
+                         "--model", "free_boundary")
+    assert code == 2
+    assert out == ""
+    assert err == "error: free-boundary model requires R = -L\n"
 
 
 def test_count_lower_kind(capsys):

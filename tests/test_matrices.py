@@ -15,7 +15,7 @@ from holeyhex.matrices import (HALF, _HALVES, _LU_GAMMA_ARGS, _hole_to_hole,
                                hole_matrix_entry, lu_factor_entry, path_count,
                                path_matrix, printed_path_entry, verify_lu)
 from holeyhex.oracle import count_families, count_tilings, noncrossing_endpoints
-from holeyhex.regions import RegionSpec, build_region, lgv_points, validate
+from holeyhex.regions import HALVES, RegionSpec, build_region, lgv_points, validate
 
 DIFFERENTIAL = settings(derandomize=True, database=None, deadline=None)
 
@@ -323,7 +323,7 @@ def test_hole_determinant_signs_agree():
 def per_term_hole_entry(spec, kind, i, j):
     """The Schur sum term by term: one gamma_ratio for each boundary path s."""
     l, r = spec.left[i - 1], spec.right[j - 1]
-    d = _HALVES[kind].d
+    d = HALVES[kind]
     total = _hole_to_hole(l, r, d)
     for s in range(1, spec.m + 1):
         l_num, l_den = _LU_GAMMA_ARGS["l_hole"](spec.n, s, l, d)
@@ -390,11 +390,11 @@ def test_half_counts_match_path_family_oracle(spec):
 
 def test_schur_gamma_arguments_start_positive_and_never_decrease():
     # what lets hole_matrix_entry run its term recurrence without pole cases
-    for (kind, half), block in product(_HALVES.items(), ("l_hole", "u_hole")):
+    for (kind, d), block in product(HALVES.items(), ("l_hole", "u_hole")):
         args = _LU_GAMMA_ARGS[block]
         for n in range(2, 61, 2):
             for x in range(-n + 2, n - 1, 2):
-                first, second = args(n, 1, x, half.d), args(n, 2, x, half.d)
+                first, second = args(n, 1, x, d), args(n, 2, x, d)
                 for side in (0, 1):
                     assert min(first[side]) >= 1, (kind, block, n, x)
                     assert {b - a for a, b in zip(first[side], second[side])} <= {0, 1, 2}
@@ -403,15 +403,15 @@ def test_schur_gamma_arguments_start_positive_and_never_decrease():
 def test_schur_gamma_arguments_are_affine_in_s():
     # what lets hole_matrix_entry read every term ratio's linear factors off
     # the table at s = 1 and s = 2
-    for (kind, half), block in product(_HALVES.items(), ("l_hole", "u_hole")):
+    for (kind, d), block in product(HALVES.items(), ("l_hole", "u_hole")):
         args = _LU_GAMMA_ARGS[block]
         for n in range(2, 61, 2):
             for x in range(-n + 2, n - 1, 2):
-                first, second = args(n, 1, x, half.d), args(n, 2, x, half.d)
+                first, second = args(n, 1, x, d), args(n, 2, x, d)
                 for s in range(1, n + 2):
                     want = [[a + (s - 1) * (b - a) for a, b in zip(*sides)]
                             for sides in zip(first, second)]
-                    assert list(args(n, s, x, half.d)) == want, (kind, block, n, x, s)
+                    assert list(args(n, s, x, d)) == want, (kind, block, n, x, s)
 
 
 def test_hole_matrix_entry_raises_outside_the_hexagon():

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations, islice, product, zip_longest
+from itertools import islice, product, zip_longest
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -13,7 +13,7 @@ from holeyhex.oracle import (CONSTRAINTS, BudgetExceededError, _column_steps, _c
                              count_tilings, enumerate_families, enumerate_tilings,
                              family_weight, noncrossing_endpoints, tiling_is_exact_cover)
 from holeyhex.regions import (KINDS, TriangularRegion, build_region, hexagon_cells,
-                              lgv_points, neighbors, validate)
+                              lgv_points, neighbors, spec_grid, validate)
 
 
 def hexagon_region(n, m):
@@ -24,17 +24,6 @@ def test_enumerate_small_hexagons():
     for n, m, total in ((1, 1, 3), (2, 1, 20)):
         region = hexagon_region(n, m)
         assert len(list(enumerate_tilings(region))) == total == count_tilings(region)
-
-
-def grid_specs(max_m):
-    """Every spec with n <= 6, m <= max_m and p <= 2 holes of each orientation."""
-    for n in (2, 4, 6):
-        positions = range(-n + 2, n - 1, 2)
-        for m in range(1, max_m + 1):
-            for p in range(3):
-                for chosen in combinations(positions, 2 * p):
-                    for left in combinations(chosen, p):
-                        yield validate(n, m, left, [x for x in chosen if x not in left])
 
 
 def test_enumerated_tilings_are_exact_covers_and_deterministic():
@@ -246,7 +235,7 @@ def sweep(layer, steps):
 
 def test_no_sweep_carries_a_path_into_its_start_column():
     # checked on every layer the k-slot sweep reaches; the pair sweep reaches the same layers
-    for spec in grid_specs(3):
+    for spec in spec_grid(6, 3, 2):
         for kind in ("lower", "upper"):
             pictures = [lgv_points(spec, kind)]
             noncrossing = noncrossing_endpoints(spec, kind)
@@ -356,7 +345,7 @@ def reference_tilings(region, budget=10 ** 8):
 def test_enumerate_tilings_matches_the_recursive_search():
     # the same tilings in the same order; each region is capped at its first
     # 500 tilings (88,000 in all; a 20,000 cap means 1.5 million and minutes)
-    for spec in grid_specs(2):
+    for spec in spec_grid(6, 2, 2):
         for kind in KINDS:
             region = build_region(spec, kind)
             got = islice(enumerate_tilings(region), 500)

@@ -7,7 +7,7 @@ from holeyhex.matrices import _HALVES
 from holeyhex.regions import (HALVES, KINDS, LEFT, RIGHT, SpecValidationError, build_region,
                               check, distance, hexagon_cells, hole_cell_half, induced_holes,
                               lgv_points, merge_induced_holes, neighbors, parse_spec,
-                              validate)
+                              spec_grid, validate)
 
 
 def sample_specs(rng, count, max_n=12, max_m=4, max_p=3):
@@ -169,8 +169,18 @@ def test_unknown_kind_rejected():
         build_region(validate(4, 1), "sideways")
 
 
+def test_spec_grid_order():
+    # by n, m, p, the chosen positions, then which of them point left
+    assert [spec.to_text() for spec in spec_grid(4, 1, 1)] == [
+        "n=2 m=1 L= R=", "n=4 m=1 L= R=",
+        "n=4 m=1 L=-2 R=0", "n=4 m=1 L=0 R=-2", "n=4 m=1 L=-2 R=2",
+        "n=4 m=1 L=2 R=-2", "n=4 m=1 L=0 R=2", "n=4 m=1 L=2 R=0"]
+    # p beyond the positions an n offers adds no spec, and costs no loop
+    assert list(spec_grid(4, 1, 10**12)) == list(spec_grid(4, 1, 1))
+
+
 def test_matrix_halves_are_the_region_halves():
-    assert {kind: half.d for kind, half in _HALVES.items()} == HALVES
+    assert _HALVES.keys() == HALVES.keys()
     assert KINDS == ("full", *HALVES)
 
 
