@@ -19,9 +19,12 @@ from statistics import linear_regression
 from typing import Sequence
 
 from .matrices import det_exact, hole_matrix
-from .regions import InducedHole, RegionSpec, distance, induced_holes, validate
+from .regions import InducedHole, RegionSpec, distance, half_shift, induced_holes, validate
 
 SQRT3 = math.sqrt(3.0)
+
+# holes in the bulk, or left-pointing holes facing a free boundary (image charges)
+MODELS = ("bulk", "free_boundary")
 
 
 @dataclass(frozen=True)
@@ -59,11 +62,7 @@ def entry_asym(r: int, l: int, xi: float, kind: str) -> float:
         raise ValueError("xi must be positive")
     base = (2.0 / (xi + 1.0)) ** (r - l + 2) / (math.pi * (r - l))
     scale = math.sqrt(xi * (xi + 2.0))
-    if kind == "lower":
-        return scale * base
-    if kind == "upper":
-        return base / scale
-    raise ValueError(f"unknown kind {kind!r}")
+    return base / scale if half_shift(kind, "entry limit") else scale * base
 
 
 def cauchy_det(left: Sequence[int], right: Sequence[int]) -> float:
@@ -109,12 +108,14 @@ def _single_hole_constant(charge: int, model: str) -> float:
 
 def predicted_interaction(holes: Sequence[InducedHole], model: str = "bulk") -> float:
     """Coulomb-law prediction for a family of well-separated induced holes."""
+    if model not in MODELS:
+        raise ValueError(f"unknown model {model!r}")
     if model == "bulk":
         if sum(h.charge for h in holes) != 0:
             raise ValueError("bulk interaction needs total charge zero")
         charged = [(h.position, h.charge) for h in holes]
         exponent_scale = 0.5
-    elif model == "free_boundary":
+    else:
         if any(h.charge > 0 for h in holes):
             raise ValueError("free-boundary interaction needs left-pointing holes only")
         if any(h.position >= 0 for h in holes):
@@ -122,8 +123,6 @@ def predicted_interaction(holes: Sequence[InducedHole], model: str = "bulk") -> 
         charged = [(h.position, h.charge) for h in holes]
         charged += [(-pos, -q) for pos, q in charged]  # mirror images
         exponent_scale = 0.25
-    else:
-        raise ValueError(f"unknown model {model!r}")
     value = 1.0
     for _, q in charged:
         value *= _single_hole_constant(q, model)
@@ -138,15 +137,12 @@ def finite_correlation(spec: RegionSpec, model: str = "bulk") -> CorrelationRepo
     """Exact finite-size determinants against the asymptotic prediction."""
     if model == "free_boundary" and not spec.is_mirror_symmetric:
         raise ValueError("free-boundary model requires R = -L")
+    # a free boundary's right holes are images; the model is checked before any determinant
+    holes = [h for h in induced_holes(spec) if model != "free_boundary" or h.charge < 0]
+    predicted = predicted_interaction(holes, model)
     det_lower = det_exact(hole_matrix(spec, "lower"))
     det_upper = det_exact(hole_matrix(spec, "upper"))
-    if model == "bulk":
-        omega = float(det_lower * det_upper)
-        predicted = predicted_interaction(induced_holes(spec), "bulk")
-    else:
-        omega = abs(float(det_upper))
-        left_only = [h for h in induced_holes(spec) if h.charge < 0]
-        predicted = predicted_interaction(left_only, "free_boundary")
+    omega = float(det_lower * det_upper) if model == "bulk" else abs(float(det_upper))
     ratio = omega / predicted if predicted else math.inf
     return CorrelationReport(
         n=spec.n, m=spec.m, xi=2.0 * spec.m / spec.n,

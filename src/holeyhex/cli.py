@@ -79,9 +79,17 @@ def cmd_sweep(args) -> int:
         raise ValueError(f"--xi must be a positive rational, got {args.xi!r}")
     if bool(args.separations) == bool(args.n_values):
         raise ValueError("sweep needs exactly one of --separations and --n-values")
+    given = {"--left": args.left, "--right": args.right, "--scale-holes": args.scale_holes,
+             "--size": args.size is not None}
+    foreign = ("--left", "--right", "--scale-holes") if args.separations else ("--size",)
+    stray = [flag for flag in foreign if given[flag]]
+    if stray:
+        mode = "--separations" if args.separations else "--n-values"
+        raise ValueError(f"a {mode} sweep does not take {', '.join(stray)}")
     fit = None
     if args.separations:
-        sweep_args = (args.size, xi, regions.parse_int_list(args.separations), args.model)
+        sweep_args = (200 if args.size is None else args.size, xi,
+                      regions.parse_int_list(args.separations), args.model)
         if args.fit:
             reports, slope, intercept = asymptotics.separation_sweep(*sweep_args)
             fit = f"# slope={slope!r} intercept={intercept!r}"
@@ -118,11 +126,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count", help="exact (weighted) tiling count of a region")
     _add_spec_arguments(p)
-    p.add_argument("--kind", default="full", choices=list(matrices.COUNT_KINDS))
+    p.add_argument("--kind", default="full", choices=matrices.COUNT_KINDS)
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("formulas", help="evaluate a classical product formula")
-    p.add_argument("--which", required=True, choices=list(arith.PRODUCT_KINDS))
+    p.add_argument("--which", required=True, choices=arith.PRODUCT_KINDS)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.set_defaults(func=cmd_formulas)
@@ -135,13 +143,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("correlate", help="finite-size correlation report")
     _add_spec_arguments(p)
-    p.add_argument("--model", default="bulk", choices=["bulk", "free_boundary"])
+    p.add_argument("--model", default="bulk", choices=asymptotics.MODELS)
     p.set_defaults(func=cmd_correlate)
 
     p = sub.add_parser("sweep", help="correlation sweeps as CSV")
     p.add_argument("--xi", default="1", help="aspect ratio, rational like 3/2")
-    p.add_argument("--model", default="bulk", choices=["bulk", "free_boundary"])
-    p.add_argument("--size", type=int, default=200, help="hexagon side for separation sweeps")
+    p.add_argument("--model", default="bulk", choices=asymptotics.MODELS)
+    p.add_argument("--size", type=int, help="hexagon side for separation sweeps (default 200)")
     p.add_argument("--separations", default="",
                    help="comma list d1,d2,...: hole pairs at -d,+d")
     p.add_argument("--n-values", default="", help="comma list of hexagon sides")
@@ -154,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("zeta", help="exhaustive injection check of the transmission map")
     _add_spec_arguments(p)
-    p.add_argument("--kind", default="lower", choices=list(regions.HALVES))
+    p.add_argument("--kind", default="lower", choices=regions.HALVES)
     p.set_defaults(func=cmd_zeta)
 
     return parser

@@ -17,11 +17,10 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
 
 from .arith import (GammaPoleError, binomial, factor_ratios, gamma_product, gamma_ratio,
                     hyp_terminating, product_formula, ratio_series)
-from .regions import HALVES, RegionSpec, lgv_points
+from .regions import HALVES, RegionSpec, half_shift, lgv_points
 
 HALF = Fraction(1, 2)
 
@@ -83,26 +82,19 @@ def _reflected_count(start, end, variant: str, comb) -> int:
     raise ValueError(f"unknown path count variant {variant!r}")
 
 
-class _Half(NamedTuple):
-    variant: str  # the half's path_count variant
-    prefactor: str  # the product_formula kind of |det Q| / |det E|
-
-
-# Every printed path-matrix entry, LU factor entry and hole-matrix closed
+# Every path-matrix entry, LU factor entry, hole-matrix entry and closed
 # form below is written once for both halves, with some of its parameters
-# moved by the half's shift d = HALVES[kind].
-_HALVES = {"lower": _Half("avoid_diagonal", "transpose_complement"),
-           "upper": _Half("weighted_below", "vertical_symmetric")}
-
-
+# moved by the half's shift d = half_shift(kind, ...).
 def path_matrix(spec: RegionSpec, kind: str) -> Matrix:
     """The (m+p) x (m+p) constrained path-count matrix for a half region.
 
-    Entries are ints.  They share few binomials (334 distinct ones for the
-    2401 entries at n = 188, m = 47, p = 2), so each is computed once per call.
+    Paths avoid the diagonal below the axis (d = 0) and are weighted by
+    their diagonal touches above it (d = 1).  Entries are ints.  They share
+    few binomials (334 distinct ones for the 2401 entries at n = 188,
+    m = 47, p = 2), so each is computed once per call.
     """
+    variant = "weighted_below" if half_shift(kind, "path matrix") else "avoid_diagonal"
     starts, ends = lgv_points(spec, kind)
-    variant = _HALVES[kind].variant
     comb = functools.cache(math.comb)
     return [[_reflected_count(s, e, variant, comb) for e in ends] for s in starts]
 
@@ -126,9 +118,7 @@ def printed_path_entry(spec: RegionSpec, kind: str, i: int, j: int,
     the reflected binomial where the lower ones subtract it, and lack the
     lower ones' ballot factors (2i-1)/(n+r+1) and (2j-1)/(n-l+1).
     """
-    if kind not in _HALVES:
-        raise ValueError(f"no printed entries for kind {kind!r}")
-    n, m, d = spec.n, spec.m, HALVES[kind]
+    n, m, d = spec.n, spec.m, half_shift(kind, "printed entries")
     half = n // 2
     for name, index in (("row", i), ("column", j)):
         _hole(range(1, m + spec.p + 1), index, 1, name)
@@ -228,11 +218,9 @@ def hole_matrix_entry(spec: RegionSpec, kind: str, i: int, j: int) -> Fraction:
     zero or pole case.  Only the s = 1 term needs a gamma_ratio;
     arith.ratio_series sums the rest from the ratios.
     """
-    if kind not in _HALVES:
-        raise ValueError(f"no hole matrix for kind {kind!r}")
+    n, m, d = spec.n, spec.m, half_shift(kind, "hole matrix")
     l = _hole(spec.left, i, 1)
     r = _hole(spec.right, j, 1)
-    n, m, d = spec.n, spec.m, HALVES[kind]
     l_hole, u_hole = _LU_GAMMA_ARGS["l_hole"], _LU_GAMMA_ARGS["u_hole"]
     total = _hole_to_hole(l, r, d)
     if m < 1:
@@ -266,8 +254,7 @@ def _linear_factors(firsts, seconds) -> list:
 
 def hole_matrix(spec: RegionSpec, kind: str) -> Matrix:
     """The p x p Schur-complement matrix isolating the holes' contribution."""
-    if kind not in _HALVES:
-        raise ValueError(f"no hole matrix for kind {kind!r}")
+    half_shift(kind, "hole matrix")
     p = spec.p
     return [[hole_matrix_entry(spec, kind, i, j) for j in range(1, p + 1)]
             for i in range(1, p + 1)]
@@ -283,12 +270,9 @@ def closed_form_entry(spec: RegionSpec, kind: str, i: int, j: int) -> Fraction:
     stays authoritative.  The two branches split on the sign of r_j - l_i;
     the upper half's parameters are the lower half's moved by d = 1.
     """
-    n, m = spec.n, spec.m
+    n, m, d = spec.n, spec.m, half_shift(kind, "closed form")
     l = _hole(spec.left, i, 1)
     r = _hole(spec.right, j, 1)
-    if kind not in _HALVES:
-        raise ValueError(f"no closed form for kind {kind!r}")
-    d = HALVES[kind]
     N, Lh, Rh = Fraction(n, 2), Fraction(l, 2), Fraction(r, 2)
     two = Fraction(2)
     if r > l:
@@ -436,7 +420,8 @@ def count_region(spec: RegionSpec, kind: str) -> CountResult:
     if kind in ("lower", "upper_weighted"):
         half_kind = kind.removesuffix("_weighted")  # upper_weighted is the upper half
         det_q = det_exact(path_matrix(spec, half_kind))
-        prefactor = product_formula(_HALVES[half_kind].prefactor, n, m)
+        prefactor = product_formula("vertical_symmetric" if HALVES[half_kind]
+                                    else "transpose_complement", n, m)
         det_e = det_exact(hole_matrix(spec, half_kind))
         if abs(det_q) != prefactor * abs(det_e):
             raise RouteMismatchError(

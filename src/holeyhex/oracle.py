@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-from .regions import (RIGHT, RegionSpec, TriangularRegion, build_region,
+from .regions import (RIGHT, RegionSpec, TriangularRegion, build_region, half_shift,
                       lgv_points, neighbors, reflect_horizontal, reflect_vertical,
                       validate)
 
@@ -269,8 +269,9 @@ def noncrossing_endpoints(spec: RegionSpec, kind: str):
     the southwest staircase, then the diagonal points by position, then the
     northeast ends.  Returns None when no assignment exists at all (more
     right-hole ends than reachable starts), in which case the region has no
-    tilings.
+    tilings.  Half regions only: "full" or any other kind raises ValueError.
     """
+    half_shift(kind, "non-crossing endpoints")
     starts, ends = lgv_points(spec, kind)
     m = spec.m
     sequence = []  # (is_start, index into starts/ends)

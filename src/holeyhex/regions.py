@@ -33,6 +33,14 @@ HALVES = {"lower": 0, "upper": 1}
 KINDS = ("full", *HALVES)
 
 
+def half_shift(kind: str, what: str) -> int:
+    """The shift d of half region ``kind``; any other kind has no ``what``."""
+    d = HALVES.get(kind)
+    if d is None:
+        raise ValueError(f"no {what} for kind {kind!r}")
+    return d
+
+
 class SpecValidationError(ValueError):
     """Invalid region description; carries the complete violation list."""
 
@@ -268,9 +276,7 @@ def hole_cell_half(position: int, orientation: str, kind: str) -> Cell:
     forced), one column further along the way the hole points; that unit
     triangle is what the transmission map moves.
     """
-    d = HALVES.get(kind)
-    if d is None:
-        raise ValueError(f"no single hole cell for kind {kind!r}")
+    d = half_shift(kind, "single hole cell")
     return (position + (-d if orientation == LEFT else d), d - 1, orientation)
 
 

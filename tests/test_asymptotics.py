@@ -154,6 +154,15 @@ def test_regime_matches_determinant_trend():
             assert observed == expected
 
 
+def test_an_unknown_model_is_named():
+    spec = validate(20, 10, [-2], [2])
+    for call in (lambda: finite_correlation(spec, "bulkk"),
+                 lambda: separation_sweep(20, Fraction(1), [2, 4], "bulkk"),
+                 lambda: size_sweep([-2], [2], Fraction(1), [8, 16], False, "bulkk")):
+        with pytest.raises(ValueError, match="^unknown model 'bulkk'$"):
+            call()
+
+
 def test_separation_sweep_shape():
     reports, slope, intercept = separation_sweep(40, Fraction(1), [2, 4], "bulk")
     assert len(reports) == 2

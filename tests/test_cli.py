@@ -1,10 +1,11 @@
+import argparse
 import json
 
 import pytest
 
-from holeyhex import matrices
+from holeyhex import arith, asymptotics, matrices, regions
 from holeyhex.asymptotics import finite_correlation
-from holeyhex.cli import main
+from holeyhex.cli import build_parser, main
 from holeyhex.matrices import count_region
 from holeyhex.regions import validate
 
@@ -90,12 +91,12 @@ def test_sweep_without_fit_takes_one_point(capsys, mode):
 
 
 @pytest.mark.parametrize("mode, named", [
-    (("--separations", "2,2"), "separations, got [2, 2]"),
-    (("--separations", "4,-4"), "separations, got [4, -4]"),
+    (("--size", "20", "--separations", "2,2"), "separations, got [2, 2]"),
+    (("--size", "20", "--separations", "4,-4"), "separations, got [4, -4]"),
     (("--n-values", "20,20", "--left=-2", "--right=2"), "n values, got [20, 20]"),
 ])
 def test_sweep_fit_needs_two_distinct_points(capsys, mode, named):
-    code, out, err = run(capsys, "sweep", "--size", "20", *mode, "--fit")
+    code, out, err = run(capsys, "sweep", *mode, "--fit")
     assert code == 2
     assert out == ""
     assert named in err
@@ -134,6 +135,41 @@ def test_sweep_takes_exactly_one_mode(capsys, modes):
     assert code == 2
     assert out == ""
     assert err == "error: sweep needs exactly one of --separations and --n-values\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--separations", "2", "--left=-4"), "a --separations sweep does not take --left"),
+    (("--separations", "2", "--right=4"), "a --separations sweep does not take --right"),
+    (("--separations", "2", "--scale-holes"),
+     "a --separations sweep does not take --scale-holes"),
+    (("--size", "20", "--separations", "2", "--left=-4", "--right=4", "--scale-holes", "--fit"),
+     "a --separations sweep does not take --left, --right, --scale-holes"),
+    (("--n-values", "20", "--left=-2", "--right=2", "--size", "20"),
+     "a --n-values sweep does not take --size"),
+    (("--n-values", "20,40", "--left=-1", "--right=1", "--scale-holes", "--size", "0", "--fit"),
+     "a --n-values sweep does not take --size"),
+])
+def test_sweep_rejects_the_options_of_the_other_mode(capsys, argv, message):
+    code, out, err = run(capsys, "sweep", *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_every_choices_list_is_the_library_vocabulary():
+    verbs = next(action.choices for action in build_parser()._actions
+                 if isinstance(action, argparse._SubParsersAction))
+    found = {(verb, action.option_strings[-1]): action.choices
+             for verb, parser in verbs.items() for action in parser._actions
+             if action.choices is not None}
+    expected = {("correlate", "--model"): asymptotics.MODELS,
+                ("sweep", "--model"): asymptotics.MODELS,
+                ("zeta", "--kind"): regions.HALVES,
+                ("count", "--kind"): matrices.COUNT_KINDS,
+                ("formulas", "--which"): arith.PRODUCT_KINDS}
+    assert found.keys() == expected.keys()
+    for key, vocabulary in expected.items():
+        assert found[key] is vocabulary, key
 
 
 def test_size_sweep_follows_the_model(capsys):

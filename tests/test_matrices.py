@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from holeyhex import matrices
 from holeyhex.arith import (GammaPoleError, binomial, gamma_ratio, hyp_terminating,
                             product_formula)
-from holeyhex.matrices import (HALF, _HALVES, _LU_GAMMA_ARGS, _hole_to_hole,
+from holeyhex.matrices import (HALF, _LU_GAMMA_ARGS, _hole_to_hole,
                                closed_form_entry, count_region,
                                det_exact, gamma_product, hole_matrix,
                                hole_matrix_entry, lu_factor_entry, path_count,
@@ -63,11 +63,19 @@ def test_path_matrix_values():
     assert path_matrix(spec, "lower") == [[14, 5], [2, 1]]
     assert path_matrix(spec, "upper") == [[126, 35], [10, 3]]
     for spec in (spec, validate(10, 3, [-6, 2], [-2, 6]), validate(12, 2, [4], [-4])):
-        for kind, half in _HALVES.items():
+        for kind, variant in (("lower", "avoid_diagonal"), ("upper", "weighted_below")):
             starts, ends = lgv_points(spec, kind)
             rows = path_matrix(spec, kind)
-            assert rows == [[path_count(s, e, half.variant) for e in ends] for s in starts]
+            assert rows == [[path_count(s, e, variant) for e in ends] for s in starts]
             assert {type(x) for row in rows for x in row} == {int}
+
+
+@pytest.mark.parametrize("function, what", [(path_matrix, "path matrix"),
+                                            (noncrossing_endpoints, "non-crossing endpoints")])
+@pytest.mark.parametrize("kind", ["full", "sideways"])
+def test_half_region_pictures_reject_other_kinds(function, what, kind):
+    with pytest.raises(ValueError, match=f"^no {what} for kind '{kind}'$"):
+        function(validate(6, 2, [-2], [2]), kind)
 
 
 def test_hole_to_hole_entries():

@@ -3,7 +3,6 @@ import random
 
 import pytest
 
-from holeyhex.matrices import _HALVES
 from holeyhex.regions import (HALVES, KINDS, LEFT, RIGHT, SpecValidationError, build_region,
                               check, distance, hexagon_cells, hole_cell_half, induced_holes,
                               lgv_points, merge_induced_holes, neighbors, parse_spec,
@@ -180,8 +179,10 @@ def test_spec_grid_order():
 
 
 def test_matrix_halves_are_the_region_halves():
-    assert _HALVES.keys() == HALVES.keys()
     assert KINDS == ("full", *HALVES)
+    # path_matrix and count_region read each half's path variant and
+    # prefactor off its shift d as 0 below the axis and 1 above
+    assert HALVES == {"lower": 0, "upper": 1}
 
 
 def reference_hole_cell_half(position, orientation, kind):
