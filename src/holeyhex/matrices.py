@@ -302,12 +302,13 @@ def closed_form_entry(spec: RegionSpec, kind: str, i: int, j: int) -> Fraction:
 def det_exact(matrix: Matrix) -> Fraction:
     """Exact determinant of an int/Fraction matrix by elimination on integer rows.
 
-    Each row is first multiplied by the lcm of its denominators.  Clearing
-    entry a of a row under pivot P replaces the row by (P/g)*row - (a/g)*top,
-    g = gcd(P, a), and then divides it by its content (the gcd of its
-    entries); the content division is what keeps the entries small.  The
-    pivots, contents and row multipliers are tracked as one numerator and
-    one denominator.  Pivot on the first nonzero entry of each column; the
+    Each row is first multiplied by the lcm of its denominators.  A row is
+    divided by its content (the gcd of its entries) once, when it becomes
+    the pivot row; this is what keeps the entries small.  Clearing entry a
+    of a later row under pivot P replaces that row by (P/g)*row - (a/g)*top,
+    g = gcd(P, a), with no gcd over the row.  The contents and pivots are
+    tracked as one numerator, the row multipliers P/g and lcms as one
+    denominator.  Pivot on the first nonzero entry of each column; the
     determinant of the empty matrix is 1.
     """
     size = len(matrix)
@@ -324,26 +325,20 @@ def det_exact(matrix: Matrix) -> Fraction:
         if pivot_row != col:
             work[col], work[pivot_row] = work[pivot_row], work[col]
             numer = -numer
-        pivot, *tail = work[col][col:]
-        numer *= pivot
-        for r in range(col + 1, size):
-            row = work[r]
+        top = work[col][col:]
+        content = math.gcd(*top)
+        if content > 1:
+            top = [x // content for x in top]
+        pivot, *tail = top
+        numer *= content * pivot
+        for row in work[col + 1:]:
             a = row[col]
-            if not a:
-                continue
-            g = math.gcd(pivot, a)
-            row_scale, top_scale = pivot // g, a // g
-            new = [row_scale * x - top_scale * y for x, y in zip(row[col + 1:], tail)]
-            content = math.gcd(*new)
-            if not content:  # a zero row
-                return Fraction(0)
-            if content > 1:
-                new = [x // content for x in new]
-            # this update scaled the determinant by row_scale / content
-            g = math.gcd(row_scale, content)
-            numer *= content // g
-            denom *= row_scale // g
-            row[col:] = [0] + new
+            if a:
+                g = math.gcd(pivot, a)
+                row_scale, top_scale = pivot // g, a // g
+                row[col + 1:] = [row_scale * x - top_scale * y
+                                 for x, y in zip(row[col + 1:], tail)]
+                denom *= row_scale
     return Fraction(numer, denom)
 
 

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -15,7 +16,8 @@ from holeyhex.matrices import (HALF, _LU_GAMMA_ARGS, _hole_to_hole,
                                hole_matrix_entry, lu_factor_entry, path_count,
                                path_matrix, printed_path_entry, verify_lu)
 from holeyhex.oracle import count_families, count_tilings, noncrossing_endpoints
-from holeyhex.regions import HALVES, RegionSpec, build_region, lgv_points, validate
+from holeyhex.regions import (HALVES, RegionSpec, build_region, lgv_points, spec_grid,
+                              validate)
 
 DIFFERENTIAL = settings(derandomize=True, database=None, deadline=None)
 
@@ -235,6 +237,63 @@ def fraction_det(matrix):
     return sign * result
 
 
+def reference_row_content_det(matrix):
+    """The earlier integer elimination: every updated row is divided by its content.
+
+    Clearing entry a under pivot P sets the row to (P/g)*row - (a/g)*top,
+    g = gcd(P, a), then divides it by the gcd of its entries; each update's
+    row_scale / content is folded in lowest terms.
+    """
+    size = len(matrix)
+    numer = denom = 1
+    work = []
+    for row in matrix:
+        lcm = math.lcm(*(x.denominator for x in row))
+        denom *= lcm
+        work.append([x.numerator * (lcm // x.denominator) for x in row])
+    for col in range(size):
+        pivot_row = next((r for r in range(col, size) if work[r][col]), None)
+        if pivot_row is None:
+            return Fraction(0)
+        if pivot_row != col:
+            work[col], work[pivot_row] = work[pivot_row], work[col]
+            numer = -numer
+        pivot, *tail = work[col][col:]
+        numer *= pivot
+        for r in range(col + 1, size):
+            row = work[r]
+            a = row[col]
+            if not a:
+                continue
+            g = math.gcd(pivot, a)
+            row_scale, top_scale = pivot // g, a // g
+            new = [row_scale * x - top_scale * y for x, y in zip(row[col + 1:], tail)]
+            content = math.gcd(*new)
+            if not content:  # a zero row
+                return Fraction(0)
+            if content > 1:
+                new = [x // content for x in new]
+            g = math.gcd(row_scale, content)
+            numer *= content // g
+            denom *= row_scale // g
+            row[col:] = [0] + new
+    return Fraction(numer, denom)
+
+
+def test_det_exact_matches_row_content_reference_on_path_matrices():
+    for spec in spec_grid(6, 3, 2):
+        for kind in HALVES:
+            q = path_matrix(spec, kind)
+            assert det_exact(q) == reference_row_content_det(q) == fraction_det(q), \
+                (spec.to_text(), kind)
+    # the benchmark's path-matrix shapes: 49 x 49 and 86 x 86
+    for spec, kinds in ((validate(188, 47, [-92, 14], [-30, 146]), HALVES),
+                        (validate(168, 84, [-60, 38], [-2, 120]), ["lower"])):
+        for kind in kinds:
+            q = path_matrix(spec, kind)
+            assert det_exact(q) == reference_row_content_det(q), (spec.to_text(), kind)
+
+
 @st.composite
 def square_matrices(draw, max_size=12):
     """Square integer or rational matrices, some reshaped to be singular, to
@@ -274,6 +333,9 @@ def square_matrices(draw, max_size=12):
 @example(matrix=[[Fraction(-7, 3)]])
 @example(matrix=[[0, 0, 1], [0, 2, 3], [4, 5, 6]])
 @example(matrix=[[Fraction(1, 2), 1], [1, 2]])
+@example(matrix=[[-4, 6], [3, 5]])                   # pivot row content 2, negative pivot
+@example(matrix=[[1, 2, 3], [0, 0, 0], [4, 5, 6]])   # a zero row below the first pivot
+@example(matrix=[[1, 0, 2], [3, 0, 4], [5, 0, 6]])   # a zero column after the first
 def test_det_exact_matches_fraction_elimination(matrix):
     drawn = [list(row) for row in matrix]
     got = det_exact(matrix)
