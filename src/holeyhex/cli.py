@@ -8,6 +8,7 @@ success, 1 for a verification failure, 2 for usage or validation errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -118,6 +119,7 @@ def cmd_zeta(args) -> int:
     return 0 if report["ok"] else 1
 
 
+@functools.cache  # built on the first main call, then shared
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="holeyhex",

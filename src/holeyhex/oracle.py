@@ -97,16 +97,10 @@ def count_tilings(region: TriangularRegion) -> int:
 
 
 def tiling_is_exact_cover(region: TriangularRegion, tiling) -> bool:
-    seen = set()
-    for rhombus in tiling:
-        pair = tuple(rhombus)
-        if len(pair) != 2 or pair[1] not in neighbors(pair[0]):
-            return False
-        for cell in pair:
-            if cell in seen or cell not in region.cells:
-                return False
-            seen.add(cell)
-    return len(seen) == len(region.cells)
+    """Whether the rhombi cover every cell of the region exactly once."""
+    cells = len(region.cells)
+    return (2 * len(tiling) == cells and region.rhombi.issuperset(tiling)
+            and len(frozenset().union(*tiling)) == cells)
 
 
 # ---------------------------------------------------------------------------

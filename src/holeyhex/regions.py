@@ -17,6 +17,7 @@ vertical edge in column x, centred on the axis.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from math import sqrt
 from typing import Iterable, Iterator, Sequence
@@ -297,6 +298,12 @@ class TriangularRegion:
     cells: frozenset
     hole_cells: frozenset
     spec: RegionSpec
+
+    @cached_property
+    def rhombi(self) -> frozenset:
+        """Every pair of edge-sharing cells, as frozensets; built on first use."""
+        return frozenset(frozenset((cell, nb)) for cell in self.cells if cell[2] == RIGHT
+                         for nb in neighbors(cell) if nb in self.cells)
 
 
 def build_region(spec: RegionSpec, kind: str) -> TriangularRegion:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .regions import (HALVES, LEFT, RIGHT, RegionSpec, TriangularRegion, build_region,
-                      fused_pairs, hole_cell_half, neighbors)
+                      fused_pairs, half_shift, hole_cell_half, neighbors)
 from .oracle import enumerate_tilings, tiling_is_exact_cover
 
 
@@ -48,49 +48,44 @@ def pair_holes(right: Iterable[int], left: Iterable[int]) -> list[tuple]:
     return pairs
 
 
-def _partner_map(tiling) -> dict:
-    partner = {}
-    for rhombus in tiling:
-        a, b = tuple(rhombus)
-        partner[a] = b
-        partner[b] = a
-    return partner
-
-
 # case (i): a right-pointing cell's partner in the next column leads on to
 # the right-pointing cell beside it, one row up or down
 _EDGE_STEPS = {(1, 1, LEFT): (1, 1), (1, -1, LEFT): (1, -1)}
 
 
-def _walk(partner, region, cell, steps):
+def _walk(tiles, region, cell, steps):
     """Follow a path across rhombi from ``cell`` until it leaves the region.
 
-    Each chain cell keeps the first cell's orientation; ``steps`` maps the
-    offset (dc, dh, orientation) of its rhombus partner to the offset of the
-    next chain cell.  Returns the ribbon and the first chain cell outside
+    Each chain cell keeps the first cell's orientation; its partner is the
+    neighbour it shares a rhombus of ``tiles`` with, and ``steps`` maps the
+    partner's offset (dc, dh, orientation) to the offset of the next chain
+    cell.  Returns the ribbon and the first chain cell outside
     ``region.cells``; the caller judges where the walk ended.
     """
     orient = cell[2]
     ribbon = []
     while cell in region.cells:
-        mate = partner.get(cell)
-        if mate is None:
+        for mate in neighbors(cell):
+            rhombus = frozenset((cell, mate))
+            if rhombus in tiles:
+                break
+        else:
             raise TransmissionError("walk hit an uncovered cell")
         step = steps.get((mate[0] - cell[0], mate[1] - cell[1], mate[2]))
         if step is None:
             raise TransmissionError("walk entered a rhombus backwards")
-        ribbon.append(frozenset((cell, mate)))
+        ribbon.append(rhombus)
         cell = (cell[0] + step[0], cell[1] + step[1], orient)
     return ribbon, cell
 
 
 def propagation_path(tiling, region: TriangularRegion, pair) -> list:
     """The ordered ribbon of rhombi between a pair of unit holes."""
-    return _propagation_path(_partner_map(tiling), region, pair)
+    return _propagation_path(frozenset(tiling), region, pair)
 
 
-def _propagation_path(partner, region: TriangularRegion, pair) -> list:
-    """propagation_path on the tiling's cell-to-partner map."""
+def _propagation_path(tiles, region: TriangularRegion, pair) -> list:
+    """propagation_path on a set of rhombi."""
     (pos1, orient1), (pos2, orient2) = pair
     if pos1 >= pos2 or orient1 == orient2:
         raise ValueError("pair must be two positions of differing orientation")
@@ -101,7 +96,7 @@ def _propagation_path(partner, region: TriangularRegion, pair) -> list:
     if orient1 == LEFT:
         # case (i): from the left hole's vertical edge the walk crosses one
         # column per rhombus, so it ends; it must end on the partner hole
-        ribbon, end = _walk(partner, region, (cell1[0], cell1[1], RIGHT), _EDGE_STEPS)
+        ribbon, end = _walk(tiles, region, (cell1[0], cell1[1], RIGHT), _EDGE_STEPS)
         if end != cell2:
             raise TransmissionError("walk left the region")
         return ribbon
@@ -115,7 +110,7 @@ def _propagation_path(partner, region: TriangularRegion, pair) -> list:
     paths = []
     for first in ((cell1[0] + 1, cell1[1] + v, LEFT), (cell2[0] - 1, cell2[1] + v, RIGHT)):
         e, other = (1, RIGHT) if first[2] == LEFT else (-1, LEFT)
-        path, end = _walk(partner, region, first,
+        path, end = _walk(tiles, region, first,
                           {(0, 0, other): (e, v), (-e, v, other): (0, 2 * v)})
         if end in region.hole_cells:
             raise TransmissionError("slant walk ran into a hole")
@@ -138,13 +133,11 @@ def transmit(tiling, ribbon, hole_cell):
     adjacent cell of the next rhombus, so only ribbon rhombi are altered.
     """
     tiles = set(tiling)
-    _, hole = _transmit(tiles, ribbon, hole_cell)
-    return tiles, hole
+    return tiles, _transmit(tiles, ribbon, hole_cell)
 
 
 def _transmit(tiles: set, ribbon, hole):
-    """transmit in place on ``tiles``; also returns the placed cell pairs."""
-    placed = []
+    """transmit in place on ``tiles``; returns the final hole cell."""
     for rhombus in ribbon:
         if rhombus not in tiles:
             raise TransmissionError("ribbon rhombus missing from tiling")
@@ -155,9 +148,8 @@ def _transmit(tiles: set, ribbon, hole):
             raise TransmissionError("ribbon rhombus not adjacent to the hole")
         tiles.remove(rhombus)
         tiles.add(frozenset((hole, near)))
-        placed.append((hole, near))
         hole = far
-    return placed, hole
+    return hole
 
 
 def zeta(tiling, region: TriangularRegion):
@@ -168,26 +160,21 @@ def zeta(tiling, region: TriangularRegion):
     rhombus.  Returns (image, ribbons), one ribbon per pair.
     """
     spec = region.spec
-    if region.kind == "upper" and fused_pairs(spec):
+    if half_shift(region.kind, "transmission map") and fused_pairs(spec):
         raise ValueError(
             "upper-region transmission is undefined for toward-pointing holes "
             "at spacing two (the pair fuses into a hexagonal hole)")
     tiles = set(tiling)
-    partner = _partner_map(tiles)
     ribbons = []
     for pair in pair_holes(spec.right, spec.left):
-        ribbon = _propagation_path(partner, region, pair)
+        ribbon = _propagation_path(tiles, region, pair)
         ribbons.append(ribbon)
         hole = hole_cell_half(*pair[0], region.kind)
         other = hole_cell_half(*pair[1], region.kind)
-        placed, hole = _transmit(tiles, ribbon, hole)
+        hole = _transmit(tiles, ribbon, hole)
         if other not in neighbors(hole):
             raise TransmissionError("transmitted hole did not reach its partner")
         tiles.add(frozenset((hole, other)))
-        # every ribbon cell and both holes are re-paired; no other cell moved
-        for a, b in placed + [(hole, other)]:
-            partner[a] = b
-            partner[b] = a
     return frozenset(tiles), ribbons
 
 
@@ -216,6 +203,7 @@ def verify_injection(spec: RegionSpec, kind: str = "lower") -> dict:
     For the upper region the report also states whether the weight never
     decreases under the map.
     """
+    half_shift(kind, "transmission map")
     region = build_region(spec, kind)
     target = build_region(spec.unholed(), kind)
     images = set()

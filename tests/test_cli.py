@@ -39,6 +39,21 @@ def test_count_deterministic(capsys):
     assert first == second
 
 
+def test_one_parser_serves_every_main_call(capsys):
+    # the parser is built once per process; a parse error or a failed
+    # verification must leave nothing behind for the next call
+    assert build_parser() is build_parser()
+    calls = [("zeta", "--n", "4", "--m", "1", "--left=-2", "--right", "2"),
+             ("count", "--n", "6", "--m", "1", "--left=-2", "--right", "2", "--kind", "lower"),
+             ("count", "--n", "4", "--m", "1", "--left", "1"),
+             ("formulas", "--which", "nope", "--n", "2", "--m", "1"),
+             ("zeta", "--n", "4", "--m", "1", "--left", "0", "--right", "2"),
+             ("--help",)]
+    first = [run(capsys, *argv) for argv in calls]
+    assert [code for code, *_ in first] == [1, 0, 2, 2, 0, 0]
+    assert [run(capsys, *argv) for argv in calls] == first
+
+
 def test_invalid_spec_exits_2(capsys):
     code, _, err = run(capsys, "count", "--n", "10", "--m", "2",
                        "--left", "1", "--right", "3")

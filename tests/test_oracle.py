@@ -12,7 +12,7 @@ from holeyhex.oracle import (CONSTRAINTS, BudgetExceededError, _column_steps, _c
                              _indexed, count_families, count_free_boundary, count_symmetric,
                              count_tilings, enumerate_families, enumerate_tilings,
                              family_weight, noncrossing_endpoints, tiling_is_exact_cover)
-from holeyhex.regions import (KINDS, TriangularRegion, build_region, hexagon_cells,
+from holeyhex.regions import (KINDS, RIGHT, TriangularRegion, build_region, hexagon_cells,
                               lgv_points, neighbors, spec_grid, validate)
 
 
@@ -470,3 +470,68 @@ def test_count_free_boundary():
     from holeyhex.matrices import count_region
     assert count_free_boundary(4, 1, [-2]) == \
         count_region(validate(4, 1, [-2], [2]), "upper_weighted").value
+
+
+def reference_is_exact_cover(region, tiling):
+    """The per-rhombus cover check that the set algebra on region.rhombi replaced."""
+    seen = set()
+    for rhombus in tiling:
+        pair = tuple(rhombus)
+        if len(pair) != 2 or pair[1] not in neighbors(pair[0]):
+            return False
+        for cell in pair:
+            if cell in seen or cell not in region.cells:
+                return False
+            seen.add(cell)
+    return len(seen) == len(region.cells)
+
+
+def corrupted_tilings(region, tiling):
+    """Seven ways to break an exact cover, each as a set of rhombi or a list."""
+    def right_first(rhombus):
+        return sorted(rhombus, key=lambda cell: cell[2] != RIGHT)
+
+    tiles = sorted(tiling, key=sorted)
+    first = tiles[0]
+    a, b = right_first(first)
+    own, cell, nb = next((rhombus, cell, nb) for rhombus in tiles for cell in sorted(rhombus)
+                         for nb in neighbors(cell) if nb not in region.cells)
+    yield tiling - {first}  # a rhombus dropped
+    yield tiles + [first]  # a rhombus duplicated, passed as a list
+    yield tiles[1:] + [tiles[1]]  # a duplicate in place of a dropped rhombus
+    yield tiling | {frozenset((cell, nb))}  # an extra rhombus
+    yield tiling - {first} | {frozenset((a, b, nb))}  # a three-cell "rhombus"
+    # a pair with a cell outside the region in place of the cell's rhombus
+    yield tiling - {own} | {frozenset((cell, nb))}
+    if len(tiles) > 1:
+        # two same-orientation pairs in place of two rhombi: each cell once,
+        # but neither pair shares an edge
+        c, d = right_first(tiles[1])
+        yield tiling - {first, tiles[1]} | {frozenset((a, c)), frozenset((b, d))}
+
+
+def test_exact_cover_matches_the_per_rhombus_reference():
+    # each region is capped at its first 2000 tilings (14,871 in all); the
+    # unholed n = 4, m = 2 hexagon alone has 232,848, which take 20 s
+    compared = corrupted = 0
+    for spec in spec_grid(4, 2, 2):
+        for kind in KINDS:
+            region = build_region(spec, kind)
+            for index, tiling in enumerate(islice(enumerate_tilings(region), 2000)):
+                assert tiling_is_exact_cover(region, tiling)
+                assert reference_is_exact_cover(region, tiling)
+                compared += 1
+                if index < 3:
+                    for bad in corrupted_tilings(region, tiling):
+                        assert not tiling_is_exact_cover(region, bad)
+                        assert not reference_is_exact_cover(region, bad)
+                        corrupted += 1
+    assert (compared, corrupted) == (14871, 973)
+
+
+def test_region_rhombi_are_the_edge_sharing_pairs():
+    for spec in spec_grid(4, 2, 2):
+        for kind in KINDS:
+            region = build_region(spec, kind)
+            assert region.rhombi == {frozenset((a, b)) for a in region.cells
+                                     for b in neighbors(a) if b in region.cells}

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import sys
 from itertools import product
 
@@ -7,8 +9,8 @@ from holeyhex.matrices import count_region
 from holeyhex.oracle import enumerate_tilings, tiling_is_exact_cover
 from holeyhex.regions import (HALVES, LEFT, RIGHT, build_region, fused_pairs, hole_cell_half,
                               neighbors, spec_grid, validate)
-from holeyhex.zeta import (TransmissionError, _partner_map, pair_holes, propagation_path,
-                           transmit, upper_weight, verify_injection, zeta)
+from holeyhex.zeta import (TransmissionError, pair_holes, propagation_path, transmit,
+                           upper_weight, verify_injection, zeta)
 
 # every holed spec at (n, m) = (2, 1), (4, 1), (6, 1) and (4, 2); m = 2 at
 # n = 4 reaches the walks' second step below the axis
@@ -52,6 +54,32 @@ def reference_pair_holes(right, left):
         else:
             raise ValueError("orientations cannot be paired off")
     return pairs
+
+
+def reference_partner_map(tiling) -> dict:
+    """Each covered cell's rhombus partner, as zeta kept it before it walked the tile set."""
+    partner = {}
+    for rhombus in tiling:
+        a, b = tuple(rhombus)
+        partner[a] = b
+        partner[b] = a
+    return partner
+
+
+def reference_walk(partner, region, cell, steps):
+    """zeta's walk on a cell-to-partner map instead of the live tile set."""
+    orient = cell[2]
+    ribbon = []
+    while cell in region.cells:
+        mate = partner.get(cell)
+        if mate is None:
+            raise TransmissionError("walk hit an uncovered cell")
+        step = steps.get((mate[0] - cell[0], mate[1] - cell[1], mate[2]))
+        if step is None:
+            raise TransmissionError("walk entered a rhombus backwards")
+        ribbon.append(frozenset((cell, mate)))
+        cell = (cell[0] + step[0], cell[1] + step[1], orient)
+    return ribbon, cell
 
 
 def outcome(function, *args):
@@ -210,24 +238,32 @@ def test_upper_weight_statistic_matches_determinant():
 
 
 def test_zeta_walks_the_partner_map_of_its_current_tiling(monkeypatch):
-    # zeta builds the map once per tiling and re-pairs only the transmitted
-    # cells; every later walk must still see the map of the tiling as it stands
+    # zeta's walks look partners up in the tile set that each transmission
+    # mutates; every walk must find, cell by cell, the partners that the
+    # partner map of the tile set as it stands gives
     zeta_module = sys.modules["holeyhex.zeta"]  # the package's `zeta` is the function
     current, checked = [], []
-    transmit_in_place, walk = zeta_module._transmit, zeta_module._propagation_path
+    transmit_in_place = zeta_module._transmit
+    path, walk = zeta_module._propagation_path, zeta_module._walk
 
     def recording_transmit(tiles, ribbon, hole):
         current[:] = [tiles]
         return transmit_in_place(tiles, ribbon, hole)
 
-    def checked_walk(partner, region, pair):
+    def checked_path(tiles, region, pair):
         if current:
-            assert partner == _partner_map(current[0]), (region.spec, pair)
+            assert tiles is current[0], (region.spec, pair)
             checked.append(pair)
-        return walk(partner, region, pair)
+        return path(tiles, region, pair)
+
+    def checked_walk(tiles, region, cell, steps):
+        got = outcome(walk, tiles, region, cell, steps)
+        assert got == outcome(reference_walk, reference_partner_map(tiles), region, cell, steps)
+        return walk(tiles, region, cell, steps)
 
     monkeypatch.setattr(zeta_module, "_transmit", recording_transmit)
-    monkeypatch.setattr(zeta_module, "_propagation_path", checked_walk)
+    monkeypatch.setattr(zeta_module, "_propagation_path", checked_path)
+    monkeypatch.setattr(zeta_module, "_walk", checked_walk)
     for args, kind in (((6, 1, [-4, -2], [0, 4]), "upper"),
                        ((6, 2, [-4, 2], [0, 4]), "lower"),
                        ((8, 1, [-6, -2, 4], [-4, 0, 6]), "lower")):
@@ -236,6 +272,38 @@ def test_zeta_walks_the_partner_map_of_its_current_tiling(monkeypatch):
             current.clear()
             zeta(tiling, region)
     assert len(checked) == 54 + 160 + 2 * 186
+
+
+def test_verify_injection_outcomes_are_pinned():
+    # every report or error on the n <= 6, m = 1, p <= 2 grid, hashed from
+    # the partner-map walk and the per-rhombus cover check
+    rows = []
+    for spec in spec_grid(6, 1, 2):
+        for kind in HALVES:
+            try:
+                got = verify_injection(spec, kind)
+            except (TransmissionError, ValueError) as exc:
+                got = [type(exc).__name__, str(exc)]
+            rows.append([spec.to_text(), kind, got])
+    assert len(rows) == 118
+    assert hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest() == \
+        "913d957e0287e61082086bee08fd498d6dadabcfbf063bf3ac818565216c64e4"
+
+
+def test_full_region_has_no_transmission_map(monkeypatch):
+    zeta_module = sys.modules["holeyhex.zeta"]
+    spec = validate(4, 1)
+    region = build_region(spec, "full")
+    tiling = next(enumerate_tilings(region))
+
+    def no_enumeration(region, *args):
+        raise AssertionError("enumerated before checking the kind")
+
+    monkeypatch.setattr(zeta_module, "enumerate_tilings", no_enumeration)
+    with pytest.raises(ValueError, match="no transmission map for kind 'full'"):
+        verify_injection(spec, "full")
+    with pytest.raises(ValueError, match="no transmission map for kind 'full'"):
+        zeta(tiling, region)
 
 
 def test_zeta_rejects_fused_upper_pairs():
@@ -276,7 +344,7 @@ def reference_slant_walk(partner, region, first_cell, direction):
 def reference_boundary_paths(tiling, region, pair):
     """propagation_path for a right-pointing hole left of a left-pointing one."""
     (pos1, _), (pos2, _) = pair
-    partner = _partner_map(tiling)
+    partner = reference_partner_map(tiling)
     if region.kind == "lower":
         cell1, cell2 = (pos1, -1, RIGHT), (pos2, -1, LEFT)
     else:
@@ -396,7 +464,7 @@ def test_one_walk_matches_the_two_walker_reference(monkeypatch):
             region = build_region(spec, kind)
             tilings = list(enumerate_tilings(region))
             for tiling in tilings:
-                partner = _partner_map(tiling)
+                partner = reference_partner_map(tiling)
                 for pair in pair_holes(spec.right, spec.left):
                     got = outcome(propagation_path, tiling, region, pair)
                     assert got == outcome(reference_propagation_path,
@@ -406,7 +474,9 @@ def test_one_walk_matches_the_two_walker_reference(monkeypatch):
                     outcomes[key] = outcomes.get(key, 0) + 1
             images = [outcome(zeta, tiling, region) for tiling in tilings]
             with monkeypatch.context() as patch:
-                patch.setattr(zeta_module, "_propagation_path", reference_propagation_path)
+                patch.setattr(zeta_module, "_propagation_path",
+                              lambda tiles, region, pair: reference_propagation_path(
+                                  reference_partner_map(tiles), region, pair))
                 assert images == [outcome(zeta, tiling, region) for tiling in tilings]
     # both cases and both halves, and the one error case (i) meets here
     assert outcomes == {("i", "lower", "ok"): 1015, ("i", "upper", "ok"): 4455,
