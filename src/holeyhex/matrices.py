@@ -400,7 +400,7 @@ def count_region(spec: RegionSpec, kind: str) -> CountResult:
     lower           |det Q_lower|  == TC(n,m) * |det E_lower|
     upper_weighted  |det Q_upper|  == VS(n,m) * |det E_upper|
     full            lower * upper_weighted == box(n,m) * detE_lower * detE_upper
-    free_half       == upper_weighted, requires R = -L
+    free_half       == upper_weighted, requires R = -L and every left hole < 0
 
     ``kind`` may be any spelling in COUNT_KINDS.  A disagreement between
     routes means a formula bug and raises RouteMismatchError.
@@ -408,8 +408,8 @@ def count_region(spec: RegionSpec, kind: str) -> CountResult:
     kind = COUNT_KINDS.get(kind, kind)
     n, m = spec.n, spec.m
     if kind == "free_half":
-        if not spec.is_mirror_symmetric:
-            raise ValueError("free_half requires R = -L")
+        if not spec.is_mirror_symmetric or any(x >= 0 for x in spec.left):
+            raise ValueError("free_half requires R = -L with every left hole < 0")
         inner = count_region(spec, "upper_weighted")
         return CountResult(spec, "free_half", inner.value, inner.factors)
     if kind in ("lower", "upper_weighted"):

@@ -12,13 +12,12 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-from .regions import (RIGHT, RegionSpec, TriangularRegion, build_region, half_shift,
-                      lgv_points, neighbors, reflect_horizontal, reflect_vertical,
-                      validate)
+from .regions import (RIGHT, RegionSpec, TriangularRegion, build_region, free_region,
+                      half_shift, lgv_points, neighbors, validate)
 
 DEFAULT_BUDGET = 10 ** 8
 
-Tiling = frozenset  # of frozenset({cell, cell}) rhombi
+Tiling = frozenset  # of frozenset({cell, cell}) rhombi; a half rhombus is frozenset({cell})
 
 
 class BudgetExceededError(RuntimeError):
@@ -30,7 +29,8 @@ class BudgetExceededError(RuntimeError):
 
 def _indexed(region: TriangularRegion):
     """The cells in slab-major order, which keeps the uncovered frontier
-    inside ~one column, and per cell the ascending offsets of its later partners."""
+    inside ~one column, and per cell the ascending offsets of its later partners
+    (offset 0 first for a free-edge cell: its half rhombus)."""
     def key(cell):
         c, h, o = cell
         return (2 * c + (1 if o == RIGHT else -1), h, o)
@@ -39,6 +39,8 @@ def _indexed(region: TriangularRegion):
     index = {cell: i for i, cell in enumerate(cells)}
     ahead = [sorted(index[nb] - lo for nb in neighbors(cell) if index.get(nb, -1) > lo)
              for lo, cell in enumerate(cells)]
+    for cell in region.free_edge:
+        ahead[index[cell]].insert(0, 0)
     return cells, ahead
 
 
@@ -47,8 +49,9 @@ def enumerate_tilings(region: TriangularRegion, budget: int = DEFAULT_BUDGET) ->
 
     Walks count_tilings' states depth first on an explicit stack, so it
     has no recursion limit; each uncovered ``lo`` is one branch node, and
-    ``lo`` pairs with each free partner in ascending order.  Past
-    ``budget`` nodes the error carries the index pairs chosen so far.
+    ``lo`` pairs with each free partner in ascending order (a free-edge
+    ``lo`` first with itself, its half rhombus).  Past ``budget`` nodes
+    the error carries the index pairs chosen so far.
     """
     cells, ahead = _indexed(region)
     rhombi = {(lo, lo + off): frozenset((cell, cells[lo + off]))
@@ -104,34 +107,23 @@ def tiling_is_exact_cover(region: TriangularRegion, tiling) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# symmetry-filtered counts
+# symmetric and free-boundary counts
 
 def count_symmetric(spec: RegionSpec, axis: str) -> int:
-    """Tilings of the full holey hexagon invariant under a reflection."""
+    """Tilings of the full holey hexagon invariant under a reflection: the
+    free region's for the vertical axis, and the lower half's for the
+    horizontal one, as an axis cell can only pair with its own vertical
+    partner (a slanted rhombus would overlap its mirror image)."""
     if axis == "horizontal":
-        reflect = reflect_horizontal
-    elif axis == "vertical":
-        if not spec.is_mirror_symmetric:
-            raise ValueError("vertical symmetry needs R = -L")
-        reflect = reflect_vertical
-    else:
-        raise ValueError(f"unknown axis {axis!r}")
-    region = build_region(spec, "full")
-    count = 0
-    for tiling in enumerate_tilings(region):
-        if all(frozenset(reflect(cell) for cell in rhombus) in tiling for rhombus in tiling):
-            count += 1
-    return count
+        return count_tilings(build_region(spec, "lower"))
+    if axis == "vertical":
+        return count_tilings(free_region(spec))
+    raise ValueError(f"unknown axis {axis!r}")
 
 
 def count_free_boundary(n: int, m: int, left: Sequence[int]) -> int:
-    """Tilings of the left half hexagon against a vertical free boundary.
-
-    Computed as the vertically symmetric tilings of the doubled region with
-    R = -L, which avoids materialising protruding half rhombi.
-    """
-    spec = validate(n, m, left, [-x for x in left])
-    return count_symmetric(spec, "vertical")
+    """Tilings of the left half hexagon against a vertical free boundary."""
+    return count_tilings(free_region(validate(n, m, left, [-x for x in left])))
 
 
 # ---------------------------------------------------------------------------

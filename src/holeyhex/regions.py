@@ -226,16 +226,6 @@ def neighbors(cell: Cell):
     return ((c, h, RIGHT), (c - 1, h + 1, RIGHT), (c - 1, h - 1, RIGHT))
 
 
-def reflect_horizontal(cell: Cell) -> Cell:
-    c, h, o = cell
-    return (c, -h, o)
-
-
-def reflect_vertical(cell: Cell) -> Cell:
-    c, h, o = cell
-    return (-c, h, LEFT if o == RIGHT else RIGHT)
-
-
 def hexagon_cells(n: int, m: int) -> frozenset:
     """All cells of the unholed hexagon with sides n, 2m (any n >= 1)."""
     if n < 1 or m < 1:
@@ -298,6 +288,7 @@ class TriangularRegion:
     cells: frozenset
     hole_cells: frozenset
     spec: RegionSpec
+    free_edge: frozenset = frozenset()  # cells a half rhombus may also cover alone
 
     @cached_property
     def rhombi(self) -> frozenset:
@@ -338,6 +329,18 @@ def build_region(spec: RegionSpec, kind: str) -> TriangularRegion:
             removed.add((r, 1, RIGHT))
             removed.add((r + 2, 1, LEFT))
     return TriangularRegion(kind, frozenset(half - removed), frozenset(removed), spec)
+
+
+def free_region(spec: RegionSpec) -> TriangularRegion:
+    """The full region left of its centre line, whose column-0 cells form a free
+    edge; its tilings are the full region's vertically symmetric ones (Ciucu,
+    "Enumeration of perfect matchings in graphs with reflective symmetry", 1997)."""
+    if not spec.is_mirror_symmetric:
+        raise ValueError("vertical symmetry needs R = -L")
+    full = build_region(spec, "full")
+    cells, holes = (frozenset((c, h, o) for c, h, o in group if c < 0 or c == 0 and o == LEFT)
+                    for group in (full.cells, full.hole_cells))
+    return TriangularRegion("free", cells, holes, spec, frozenset(x for x in cells if x[0] == 0))
 
 
 # ---------------------------------------------------------------------------

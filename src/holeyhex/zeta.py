@@ -152,6 +152,12 @@ def _transmit(tiles: set, ribbon, hole):
     return hole
 
 
+def _check_defined(spec: RegionSpec, kind: str) -> None:
+    if half_shift(kind, "transmission map") and fused_pairs(spec):
+        raise ValueError("upper-region transmission is undefined for toward-pointing holes "
+                         "at spacing two (the pair fuses into a hexagonal hole)")
+
+
 def zeta(tiling, region: TriangularRegion):
     """Map a tiling of a holey half region to one of the unholed region.
 
@@ -160,10 +166,7 @@ def zeta(tiling, region: TriangularRegion):
     rhombus.  Returns (image, ribbons), one ribbon per pair.
     """
     spec = region.spec
-    if half_shift(region.kind, "transmission map") and fused_pairs(spec):
-        raise ValueError(
-            "upper-region transmission is undefined for toward-pointing holes "
-            "at spacing two (the pair fuses into a hexagonal hole)")
+    _check_defined(spec, region.kind)
     tiles = set(tiling)
     ribbons = []
     for pair in pair_holes(spec.right, spec.left):
@@ -203,7 +206,7 @@ def verify_injection(spec: RegionSpec, kind: str = "lower") -> dict:
     For the upper region the report also states whether the weight never
     decreases under the map.
     """
-    half_shift(kind, "transmission map")
+    _check_defined(spec, kind)
     region = build_region(spec, kind)
     target = build_region(spec.unholed(), kind)
     images = set()

@@ -71,6 +71,21 @@ def test_zeta_verb(capsys):
     assert code == 1
 
 
+def test_zeta_rejects_a_fused_pair_without_tilings(capsys):
+    code, out, err = run(capsys, "zeta", "--n", "6", "--m", "1", "--kind", "upper",
+                         "--left", "0,2", "--right=-4,-2")
+    assert (code, out) == (2, "")
+    assert "fuses into a hexagonal hole" in err
+
+
+def test_count_free_needs_left_holes_left_of_centre(capsys):
+    # the upper-weighted count (9) is not the free region's 3 tilings here
+    code, out, err = run(capsys, "count", "--kind", "free", "--n", "4", "--m", "1",
+                         "--left=2", "--right=-2")
+    assert (code, out) == (2, "")
+    assert err == "error: free_half requires R = -L with every left hole < 0\n"
+
+
 def test_sweep_csv(capsys):
     code, out, _ = run(capsys, "sweep", "--xi", "1", "--size", "20",
                        "--separations", "2,4", "--fit")

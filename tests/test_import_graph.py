@@ -1,0 +1,28 @@
+"""The brute-force routes stay independent of the determinant machinery."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SOURCE = Path(__file__).resolve().parent.parent / "src" / "holeyhex"
+DETERMINANT_MODULES = {"matrices", "arith", "asymptotics"}
+
+
+def imported_names(path):
+    """Every dotted-name part of every import in a source file."""
+    parts = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name for alias in node.names]
+            if isinstance(node, ast.ImportFrom) and node.module:
+                names.append(node.module)
+            parts.update(part for name in names for part in name.split("."))
+    return parts
+
+
+@pytest.mark.parametrize("module", ["oracle", "zeta"])
+def test_oracles_import_no_determinant_module(module):
+    imported = imported_names(SOURCE / f"{module}.py")
+    assert "regions" in imported  # the parse sees the package imports at all
+    assert not imported & DETERMINANT_MODULES

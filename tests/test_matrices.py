@@ -369,6 +369,9 @@ def test_count_region_free_half():
         count_region(spec, "upper_weighted").value == 35
     with pytest.raises(ValueError, match="R = -L"):
         count_region(validate(6, 1, [-2], [4]), "free_half")
+    # mirrored, but a left hole right of centre: the free region has 3 tilings, not 9
+    with pytest.raises(ValueError, match="every left hole < 0"):
+        count_region(validate(4, 1, [2], [-2]), "free")
 
 
 def test_hole_determinant_signs_agree():

@@ -12,8 +12,8 @@ from holeyhex.oracle import (CONSTRAINTS, BudgetExceededError, _column_steps, _c
                              _indexed, count_families, count_free_boundary, count_symmetric,
                              count_tilings, enumerate_families, enumerate_tilings,
                              family_weight, noncrossing_endpoints, tiling_is_exact_cover)
-from holeyhex.regions import (KINDS, RIGHT, TriangularRegion, build_region, hexagon_cells,
-                              lgv_points, neighbors, spec_grid, validate)
+from holeyhex.regions import (KINDS, LEFT, RIGHT, TriangularRegion, build_region, free_region,
+                              hexagon_cells, lgv_points, neighbors, spec_grid, validate)
 
 
 def hexagon_region(n, m):
@@ -467,9 +467,82 @@ def test_count_symmetric():
 def test_count_free_boundary():
     assert count_free_boundary(2, 1, []) == 10
     assert count_free_boundary(2, 1, []) == product_formula("vertical_symmetric", 2, 1)
-    from holeyhex.matrices import count_region
     assert count_free_boundary(4, 1, [-2]) == \
         count_region(validate(4, 1, [-2], [2]), "upper_weighted").value
+    # out of reach of filtering the full hexagon's 34,763,300 tilings
+    assert count_free_boundary(8, 1, []) == 24310 == product_formula("vertical_symmetric", 8, 1)
+
+
+def reflect_horizontal(cell):
+    c, h, o = cell
+    return (c, -h, o)
+
+
+def reflect_vertical(cell):
+    c, h, o = cell
+    return (-c, h, LEFT if o == RIGHT else RIGHT)
+
+
+def reference_count_symmetric(spec, axis):
+    """The enumerate-and-filter count that the free-region sweep replaced."""
+    reflect = {"horizontal": reflect_horizontal, "vertical": reflect_vertical}[axis]
+    count = 0
+    for tiling in enumerate_tilings(build_region(spec, "full")):
+        if all(frozenset(reflect(cell) for cell in rhombus) in tiling for rhombus in tiling):
+            count += 1
+    return count
+
+
+def test_count_symmetric_matches_enumerate_and_filter():
+    checked = 0
+    for spec in spec_grid(4, 1, 2):
+        assert count_symmetric(spec, "horizontal") == \
+            reference_count_symmetric(spec, "horizontal"), spec.to_text()
+        if spec.is_mirror_symmetric:
+            assert count_symmetric(spec, "vertical") == \
+                reference_count_symmetric(spec, "vertical"), spec.to_text()
+            checked += 1
+    assert checked == 4
+
+
+def test_horizontal_symmetric_count_is_the_lower_count():
+    for spec in spec_grid(6, 2, 2):
+        assert count_symmetric(spec, "horizontal") == count_region(spec, "lower").value, \
+            spec.to_text()
+
+
+def test_free_boundary_count_is_the_free_count():
+    mirrored = [spec for spec in spec_grid(10, 2, 2)
+                if spec.is_mirror_symmetric and all(x < 0 for x in spec.left)]
+    assert len(mirrored) == 50
+    for spec in mirrored:
+        assert count_free_boundary(spec.n, spec.m, spec.left) == \
+            count_region(spec, "free").value, spec.to_text()
+
+
+def test_free_region_tilings_unfold_to_distinct_full_tilings():
+    unfolded = 0
+    for spec in spec_grid(6, 1, 2):
+        if not spec.is_mirror_symmetric:
+            continue
+        free, full = free_region(spec), build_region(spec, "full")
+        images, tilings = set(), 0
+        for tiling in enumerate_tilings(free):
+            tilings += 1
+            image = set()
+            for rhombus in tiling:
+                mirror = frozenset(map(reflect_vertical, rhombus))
+                if len(rhombus) == 1:  # the half rhombus on the free edge
+                    (cell,) = rhombus
+                    assert cell in free.free_edge
+                    image.add(rhombus | mirror)
+                else:
+                    image |= {rhombus, mirror}
+            assert tiling_is_exact_cover(full, image), spec.to_text()
+            images.add(frozenset(image))
+        assert len(images) == tilings == count_symmetric(spec, "vertical"), spec.to_text()
+        unfolded += tilings
+    assert unfolded == 6359  # over the 13 mirrored specs
 
 
 def reference_is_exact_cover(region, tiling):

@@ -4,9 +4,9 @@ import random
 import pytest
 
 from holeyhex.regions import (HALVES, KINDS, LEFT, RIGHT, SpecValidationError, build_region,
-                              check, distance, hexagon_cells, hole_cell_half, induced_holes,
-                              lgv_points, merge_induced_holes, neighbors, parse_spec,
-                              spec_grid, validate)
+                              check, distance, free_region, hexagon_cells, hole_cell_half,
+                              induced_holes, lgv_points, merge_induced_holes, neighbors,
+                              parse_spec, spec_grid, validate)
 
 
 def sample_specs(rng, count, max_n=12, max_m=4, max_p=3):
@@ -157,8 +157,25 @@ def test_cell_adjacency_is_symmetric():
             assert cell in neighbors(other)
 
 
+def test_free_region_is_the_full_region_left_of_centre():
+    def mirror(cells):
+        return {(-c, h, LEFT if o == RIGHT else RIGHT) for c, h, o in cells}
+
+    for spec in spec_grid(6, 2, 2):
+        assert all(not build_region(spec, kind).free_edge for kind in KINDS)
+        if not spec.is_mirror_symmetric:
+            with pytest.raises(ValueError, match="vertical symmetry needs R = -L"):
+                free_region(spec)
+            continue
+        free, full = free_region(spec), build_region(spec, "full")
+        for own, whole in ((free.cells, full.cells), (free.hole_cells, full.hole_cells)):
+            assert own | mirror(own) == whole and not own & mirror(own)
+        assert free.free_edge == {cell for cell in free.cells if cell[0] == 0}
+        assert all(cell[2] == LEFT for cell in free.free_edge)
+
+
 def test_free_half_is_not_a_region_kind():
-    # a free-boundary count filters tilings of the full region instead
+    # a free-boundary count sweeps free_region, which build_region does not build
     with pytest.raises(ValueError, match="unknown region kind 'free_half'"):
         build_region(validate(6, 1, [-2], [2]), "free_half")
 

@@ -276,7 +276,8 @@ def test_zeta_walks_the_partner_map_of_its_current_tiling(monkeypatch):
 
 def test_verify_injection_outcomes_are_pinned():
     # every report or error on the n <= 6, m = 1, p <= 2 grid, hashed from
-    # the partner-map walk and the per-rhombus cover check
+    # the partner-map walk and the per-rhombus cover check; a fused upper
+    # pair raises even when its region has no tilings
     rows = []
     for spec in spec_grid(6, 1, 2):
         for kind in HALVES:
@@ -287,7 +288,7 @@ def test_verify_injection_outcomes_are_pinned():
             rows.append([spec.to_text(), kind, got])
     assert len(rows) == 118
     assert hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest() == \
-        "913d957e0287e61082086bee08fd498d6dadabcfbf063bf3ac818565216c64e4"
+        "eafd645ebc6060f3f95baf2fcfba68a155cc2c09aca66a6c4530c4c402d23647"
 
 
 def test_full_region_has_no_transmission_map(monkeypatch):
@@ -309,6 +310,19 @@ def test_full_region_has_no_transmission_map(monkeypatch):
 def test_zeta_rejects_fused_upper_pairs():
     with pytest.raises(ValueError, match="fuses"):
         zeta(frozenset(), build_region(validate(4, 1, [2], [0]), "upper"))
+
+
+def test_fused_upper_pair_is_rejected_before_enumerating(monkeypatch):
+    zeta_module = sys.modules["holeyhex.zeta"]
+
+    def no_enumeration(region, *args):
+        raise AssertionError("enumerated before checking for fused pairs")
+
+    monkeypatch.setattr(zeta_module, "enumerate_tilings", no_enumeration)
+    # with tilings, and (n = 6) with none: each has a pair fused at 2
+    for args in [(4, 1, [2], [0]), (6, 1, [0, 2], [-4, -2]), (6, 1, [2, 4], [-2, 0])]:
+        with pytest.raises(ValueError, match="fuses"):
+            verify_injection(validate(*args), "upper")
 
 
 # case (ii) of propagation_path written once per half, before both halves
