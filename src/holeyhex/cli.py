@@ -2,7 +2,8 @@
 
 Exact integers are always emitted as decimal strings.  The verbs raise on bad
 input; ``main`` alone writes the error to stderr and picks the exit code: 0 for
-success, 1 for a verification failure, 2 for usage or validation errors.
+success, 1 for a verification failure, 2 for usage or validation errors and for
+a tiling search that runs past its budget.
 """
 
 from __future__ import annotations
@@ -185,7 +186,7 @@ def main(argv=None) -> int:
     except matrices.RouteMismatchError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, oracle.BudgetExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-from .regions import (RIGHT, RegionSpec, TriangularRegion, build_region, free_region,
-                      half_shift, lgv_points, neighbors, validate)
+from .regions import (RegionSpec, TriangularRegion, build_region, free_region, half_shift,
+                      lgv_points, validate)
 
 DEFAULT_BUDGET = 10 ** 8
 
@@ -27,23 +27,6 @@ class BudgetExceededError(RuntimeError):
         self.partial = partial
 
 
-def _indexed(region: TriangularRegion):
-    """The cells in slab-major order, which keeps the uncovered frontier
-    inside ~one column, and per cell the ascending offsets of its later partners
-    (offset 0 first for a free-edge cell: its half rhombus)."""
-    def key(cell):
-        c, h, o = cell
-        return (2 * c + (1 if o == RIGHT else -1), h, o)
-
-    cells = sorted(region.cells, key=key)
-    index = {cell: i for i, cell in enumerate(cells)}
-    ahead = [sorted(index[nb] - lo for nb in neighbors(cell) if index.get(nb, -1) > lo)
-             for lo, cell in enumerate(cells)]
-    for cell in region.free_edge:
-        ahead[index[cell]].insert(0, 0)
-    return cells, ahead
-
-
 def enumerate_tilings(region: TriangularRegion, budget: int = DEFAULT_BUDGET) -> Iterator[Tiling]:
     """Stream every tiling of the region in a fixed canonical order.
 
@@ -53,7 +36,7 @@ def enumerate_tilings(region: TriangularRegion, budget: int = DEFAULT_BUDGET) ->
     ``lo`` first with itself, its half rhombus).  Past ``budget`` nodes
     the error carries the index pairs chosen so far.
     """
-    cells, ahead = _indexed(region)
+    cells, ahead = region.order
     rhombi = {(lo, lo + off): frozenset((cell, cells[lo + off]))
               for lo, cell in enumerate(cells) for off in ahead[lo]}
     nodes = 0
@@ -83,7 +66,7 @@ def count_tilings(region: TriangularRegion) -> int:
     A covered ``lo`` shifts through; a free one pairs with each free
     partner after it.  Slab-major cell order keeps the masks narrow.
     """
-    _, ahead = _indexed(region)
+    _, ahead = region.order
     layer = {0: 1}
     for offsets in ahead:
         nxt: dict = {}
@@ -100,10 +83,12 @@ def count_tilings(region: TriangularRegion) -> int:
 
 
 def tiling_is_exact_cover(region: TriangularRegion, tiling) -> bool:
-    """Whether the rhombi cover every cell of the region exactly once."""
+    """Whether tiles of the region cover each of its cells exactly once: all of
+    them, with sizes that add up to the cell count (2 * len(tiling) without
+    half rhombi, so only a free region's tilings pay for the sum)."""
     cells = len(region.cells)
-    return (2 * len(tiling) == cells and region.rhombi.issuperset(tiling)
-            and len(frozenset().union(*tiling)) == cells)
+    return ((2 * len(tiling) == cells or sum(map(len, tiling)) == cells)
+            and region.rhombi.issuperset(tiling) and len(frozenset().union(*tiling)) == cells)
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +107,10 @@ def count_symmetric(spec: RegionSpec, axis: str) -> int:
 
 
 def count_free_boundary(n: int, m: int, left: Sequence[int]) -> int:
-    """Tilings of the left half hexagon against a vertical free boundary."""
+    """Tilings of the left half hexagon against a vertical free boundary, for
+    left-pointing holes left of it (every left hole < 0), mirrored by R = -L."""
+    if any(x >= 0 for x in left):
+        raise ValueError("a free boundary needs every left hole < 0")
     return count_tilings(free_region(validate(n, m, left, [-x for x in left])))
 
 

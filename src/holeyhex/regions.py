@@ -143,9 +143,13 @@ def parse_spec(text: str) -> RegionSpec:
     for token in text.split():
         key, _, value = token.partition("=")
         try:
-            fields[key] = _SPEC_FIELDS[key](value)
+            parsed = _SPEC_FIELDS[key](value)
         except (KeyError, ValueError):
             problems.append(f"unknown or malformed field {token!r}")
+            continue
+        if key in fields:
+            problems.append(f"repeated field {token!r}")
+        fields[key] = parsed
     problems += [f"missing field {key}=" for key in ("n", "m") if key not in fields]
     if problems:
         raise SpecValidationError(problems)
@@ -291,10 +295,28 @@ class TriangularRegion:
     free_edge: frozenset = frozenset()  # cells a half rhombus may also cover alone
 
     @cached_property
+    def order(self) -> tuple:
+        """The cells in slab-major order, which keeps a sweep's uncovered frontier
+        inside ~one column, and per cell the ascending offsets of its later
+        partners (offset 0 first for a free-edge cell: its half rhombus)."""
+        def key(cell):
+            c, h, o = cell
+            return (2 * c + (1 if o == RIGHT else -1), h, o)
+
+        cells = sorted(self.cells, key=key)
+        index = {cell: i for i, cell in enumerate(cells)}
+        ahead = [sorted(index[nb] - lo for nb in neighbors(cell) if index.get(nb, -1) > lo)
+                 for lo, cell in enumerate(cells)]
+        for cell in self.free_edge:
+            ahead[index[cell]].insert(0, 0)
+        return cells, ahead
+
+    @cached_property
     def rhombi(self) -> frozenset:
-        """Every pair of edge-sharing cells, as frozensets; built on first use."""
-        return frozenset(frozenset((cell, nb)) for cell in self.cells if cell[2] == RIGHT
-                         for nb in neighbors(cell) if nb in self.cells)
+        """Every tile as a frozenset: edge-sharing pairs and free-edge cells alone."""
+        cells, ahead = self.order
+        return frozenset(frozenset((cell, cells[lo + off]))
+                         for lo, cell in enumerate(cells) for off in ahead[lo])
 
 
 def build_region(spec: RegionSpec, kind: str) -> TriangularRegion:

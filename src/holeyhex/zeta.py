@@ -80,12 +80,7 @@ def _walk(tiles, region, cell, steps):
 
 
 def propagation_path(tiling, region: TriangularRegion, pair) -> list:
-    """The ordered ribbon of rhombi between a pair of unit holes."""
-    return _propagation_path(frozenset(tiling), region, pair)
-
-
-def _propagation_path(tiles, region: TriangularRegion, pair) -> list:
-    """propagation_path on a set of rhombi."""
+    """The ordered ribbon of rhombi of ``tiling`` between a pair of unit holes."""
     (pos1, orient1), (pos2, orient2) = pair
     if pos1 >= pos2 or orient1 == orient2:
         raise ValueError("pair must be two positions of differing orientation")
@@ -96,7 +91,7 @@ def _propagation_path(tiles, region: TriangularRegion, pair) -> list:
     if orient1 == LEFT:
         # case (i): from the left hole's vertical edge the walk crosses one
         # column per rhombus, so it ends; it must end on the partner hole
-        ribbon, end = _walk(tiles, region, (cell1[0], cell1[1], RIGHT), _EDGE_STEPS)
+        ribbon, end = _walk(tiling, region, (cell1[0], cell1[1], RIGHT), _EDGE_STEPS)
         if end != cell2:
             raise TransmissionError("walk left the region")
         return ribbon
@@ -110,7 +105,7 @@ def _propagation_path(tiles, region: TriangularRegion, pair) -> list:
     paths = []
     for first in ((cell1[0] + 1, cell1[1] + v, LEFT), (cell2[0] - 1, cell2[1] + v, RIGHT)):
         e, other = (1, RIGHT) if first[2] == LEFT else (-1, LEFT)
-        path, end = _walk(tiles, region, first,
+        path, end = _walk(tiling, region, first,
                           {(0, 0, other): (e, v), (-e, v, other): (0, 2 * v)})
         if end in region.hole_cells:
             raise TransmissionError("slant walk ran into a hole")
@@ -170,7 +165,7 @@ def zeta(tiling, region: TriangularRegion):
     tiles = set(tiling)
     ribbons = []
     for pair in pair_holes(spec.right, spec.left):
-        ribbon = _propagation_path(tiles, region, pair)
+        ribbon = propagation_path(tiles, region, pair)
         ribbons.append(ribbon)
         hole = hole_cell_half(*pair[0], region.kind)
         other = hole_cell_half(*pair[1], region.kind)
@@ -183,8 +178,8 @@ def zeta(tiling, region: TriangularRegion):
 
 def _axis_rhombi(region: TriangularRegion) -> list:
     """The h = 0 rhombus of every column whose two axis cells both lie in the region."""
-    return [frozenset((cell, (cell[0], 0, RIGHT))) for cell in region.cells
-            if cell[1] == 0 and cell[2] == LEFT and (cell[0], 0, RIGHT) in region.cells]
+    axis = {cell for cell in region.cells if cell[1] == 0}
+    return [rhombus for rhombus in region.rhombi if rhombus <= axis]
 
 
 def _axis_weight(axis: list, tiling) -> int:

@@ -1,9 +1,11 @@
 import argparse
+import functools
 import json
+import sys
 
 import pytest
 
-from holeyhex import arith, asymptotics, matrices, regions
+from holeyhex import arith, asymptotics, matrices, oracle, regions
 from holeyhex.asymptotics import finite_correlation
 from holeyhex.cli import build_parser, main
 from holeyhex.matrices import count_region
@@ -84,6 +86,15 @@ def test_count_free_needs_left_holes_left_of_centre(capsys):
                          "--left=2", "--right=-2")
     assert (code, out) == (2, "")
     assert err == "error: free_half requires R = -L with every left hole < 0\n"
+
+
+def test_budget_stop_exits_2(capsys, monkeypatch):
+    zeta_module = sys.modules["holeyhex.zeta"]  # the package's `zeta` is the function
+    monkeypatch.setattr(zeta_module, "enumerate_tilings",
+                        functools.partial(oracle.enumerate_tilings, budget=10))
+    code, out, err = run(capsys, "zeta", "--n", "4", "--m", "2")
+    assert (code, out) == (2, "")
+    assert err == "error: search budget exceeded after 11 branch nodes\n"
 
 
 def test_sweep_csv(capsys):

@@ -26,3 +26,10 @@ def test_oracles_import_no_determinant_module(module):
     imported = imported_names(SOURCE / f"{module}.py")
     assert "regions" in imported  # the parse sees the package imports at all
     assert not imported & DETERMINANT_MODULES
+
+
+def test_oracle_imports_no_cell_geometry():
+    # which cells form a tile is derived in regions alone, by TriangularRegion.order
+    imported = imported_names(SOURCE / "oracle.py")
+    assert "regions" in imported
+    assert not imported & {"neighbors", "LEFT", "RIGHT"}

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from holeyhex.arith import product_formula
 from holeyhex.matrices import count_region, det_exact, path_count, path_matrix
 from holeyhex.oracle import (CONSTRAINTS, BudgetExceededError, _column_steps, _columns,
-                             _indexed, count_families, count_free_boundary, count_symmetric,
+                             count_families, count_free_boundary, count_symmetric,
                              count_tilings, enumerate_families, enumerate_tilings,
                              family_weight, noncrossing_endpoints, tiling_is_exact_cover)
 from holeyhex.regions import (KINDS, LEFT, RIGHT, TriangularRegion, build_region, free_region,
@@ -334,7 +334,7 @@ def reference_enumerate_index_tilings(cells, partners, budget):
 
 def reference_tilings(region, budget=10 ** 8):
     """The recursive search's tilings of the region, in its order."""
-    cells, _ = _indexed(region)
+    cells, _ = region.order
     index = {cell: i for i, cell in enumerate(cells)}
     partners = [sorted(index[nb] for nb in neighbors(cell) if nb in index) for cell in cells]
     rhombus = {(i, j): frozenset((cells[i], cells[j])) for i, nbs in enumerate(partners) for j in nbs}
@@ -471,6 +471,10 @@ def test_count_free_boundary():
         count_region(validate(4, 1, [-2], [2]), "upper_weighted").value
     # out of reach of filtering the full hexagon's 34,763,300 tilings
     assert count_free_boundary(8, 1, []) == 24310 == product_formula("vertical_symmetric", 8, 1)
+    # a hole at or right of the boundary is not left of it (276 and 3 were returned)
+    for n, left in ((6, [2, -4]), (4, [2]), (4, [0])):
+        with pytest.raises(ValueError, match="every left hole < 0"):
+            count_free_boundary(n, 1, left)
 
 
 def reflect_horizontal(cell):
@@ -529,6 +533,7 @@ def test_free_region_tilings_unfold_to_distinct_full_tilings():
         images, tilings = set(), 0
         for tiling in enumerate_tilings(free):
             tilings += 1
+            assert tiling_is_exact_cover(free, tiling), spec.to_text()
             image = set()
             for rhombus in tiling:
                 mirror = frozenset(map(reflect_vertical, rhombus))
@@ -546,11 +551,13 @@ def test_free_region_tilings_unfold_to_distinct_full_tilings():
 
 
 def reference_is_exact_cover(region, tiling):
-    """The per-rhombus cover check that the set algebra on region.rhombi replaced."""
+    """The per-rhombus cover check that the set algebra on region.rhombi replaced;
+    a free-edge cell may be covered alone, by its half rhombus."""
     seen = set()
     for rhombus in tiling:
         pair = tuple(rhombus)
-        if len(pair) != 2 or pair[1] not in neighbors(pair[0]):
+        half = len(pair) == 1 and pair[0] in region.free_edge
+        if not half and (len(pair) != 2 or pair[1] not in neighbors(pair[0])):
             return False
         for cell in pair:
             if cell in seen or cell not in region.cells:
@@ -583,6 +590,17 @@ def corrupted_tilings(region, tiling):
         yield tiling - {first, tiles[1]} | {frozenset((a, c)), frozenset((b, d))}
 
 
+def corrupted_free_tilings(region, tiling):
+    """Three ways to break a free region's exact cover with half rhombi."""
+    tiles = sorted(tiling, key=sorted)
+    half = next(rhombus for rhombus in tiles if len(rhombus) == 1)
+    inner = next(rhombus for rhombus in tiles if not rhombus & region.free_edge)
+    yield tiling - {half}  # a half rhombus dropped
+    yield tiles + [half]  # a half rhombus duplicated, passed as a list
+    # the half rhombi of two cells off the free edge in place of their rhombus
+    yield tiling - {inner} | {frozenset((cell,)) for cell in inner}
+
+
 def test_exact_cover_matches_the_per_rhombus_reference():
     # each region is capped at its first 2000 tilings (14,871 in all); the
     # unholed n = 4, m = 2 hexagon alone has 232,848, which take 20 s
@@ -600,11 +618,31 @@ def test_exact_cover_matches_the_per_rhombus_reference():
                         assert not reference_is_exact_cover(region, bad)
                         corrupted += 1
     assert (compared, corrupted) == (14871, 973)
+    # every tiling of the free regions of the mirrored specs, and their half rhombi
+    compared = corrupted = 0
+    for spec in spec_grid(4, 2, 2):
+        if not spec.is_mirror_symmetric:
+            continue
+        region = free_region(spec)
+        for index, tiling in enumerate(enumerate_tilings(region)):
+            assert tiling_is_exact_cover(region, tiling)
+            assert reference_is_exact_cover(region, tiling)
+            compared += 1
+            if index < 3:
+                for bad in corrupted_free_tilings(region, tiling):
+                    assert not tiling_is_exact_cover(region, bad)
+                    assert not reference_is_exact_cover(region, bad)
+                    corrupted += 1
+    assert (compared, corrupted) == (3341, 72)
 
 
 def test_region_rhombi_are_the_edge_sharing_pairs():
+    # and a free region's half rhombi, one per free-edge cell
     for spec in spec_grid(4, 2, 2):
-        for kind in KINDS:
-            region = build_region(spec, kind)
+        regions = [build_region(spec, kind) for kind in KINDS]
+        if spec.is_mirror_symmetric:
+            regions.append(free_region(spec))
+        for region in regions:
             assert region.rhombi == {frozenset((a, b)) for a in region.cells
-                                     for b in neighbors(a) if b in region.cells}
+                                     for b in neighbors(a) if b in region.cells} | \
+                {frozenset((cell,)) for cell in region.free_edge}

@@ -41,6 +41,14 @@ def test_parse_spec_names_missing_fields():
             parse_spec(text)
 
 
+def test_parse_spec_names_repeated_fields():
+    for text, tokens in (("n=4 n=6 m=1", ["'n=6'"]), ("n=6 m=1 L=-2 R=2 L=-4", ["'L=-4'"]),
+                         ("n=4 m=1 m=1 n=4", ["'m=1'", "'n=4'"])):
+        with pytest.raises(SpecValidationError) as info:
+            parse_spec(text)
+        assert info.value.violations == [f"repeated field {token}" for token in tokens]
+
+
 def test_validate_rejects_duplicates():
     with pytest.raises(SpecValidationError, match="duplicate"):
         validate(10, 2, [0], [0])

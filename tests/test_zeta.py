@@ -244,7 +244,7 @@ def test_zeta_walks_the_partner_map_of_its_current_tiling(monkeypatch):
     zeta_module = sys.modules["holeyhex.zeta"]  # the package's `zeta` is the function
     current, checked = [], []
     transmit_in_place = zeta_module._transmit
-    path, walk = zeta_module._propagation_path, zeta_module._walk
+    path, walk = zeta_module.propagation_path, zeta_module._walk
 
     def recording_transmit(tiles, ribbon, hole):
         current[:] = [tiles]
@@ -262,7 +262,7 @@ def test_zeta_walks_the_partner_map_of_its_current_tiling(monkeypatch):
         return walk(tiles, region, cell, steps)
 
     monkeypatch.setattr(zeta_module, "_transmit", recording_transmit)
-    monkeypatch.setattr(zeta_module, "_propagation_path", checked_path)
+    monkeypatch.setattr(zeta_module, "propagation_path", checked_path)
     monkeypatch.setattr(zeta_module, "_walk", checked_walk)
     for args, kind in (((6, 1, [-4, -2], [0, 4]), "upper"),
                        ((6, 2, [-4, 2], [0, 4]), "lower"),
@@ -488,7 +488,7 @@ def test_one_walk_matches_the_two_walker_reference(monkeypatch):
                     outcomes[key] = outcomes.get(key, 0) + 1
             images = [outcome(zeta, tiling, region) for tiling in tilings]
             with monkeypatch.context() as patch:
-                patch.setattr(zeta_module, "_propagation_path",
+                patch.setattr(zeta_module, "propagation_path",
                               lambda tiles, region, pair: reference_propagation_path(
                                   reference_partner_map(tiles), region, pair))
                 assert images == [outcome(zeta, tiling, region) for tiling in tilings]
