@@ -2,8 +2,9 @@
 
 Exact integers are always emitted as decimal strings.  The verbs raise on bad
 input; ``main`` alone writes the error to stderr and picks the exit code: 0 for
-success, 1 for a verification failure, 2 for usage or validation errors and for
-a tiling search that runs past its budget.
+success, 1 for a verification failure (two routes to a count that disagree, a
+transmission that breaks the construction, or a report that is not ok), 2 for
+usage or validation errors and for a tiling search that runs past its budget.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from . import arith, asymptotics, matrices, oracle, regions
-from .zeta import verify_injection
+from .zeta import TransmissionError, verify_injection
 
 
 def _spec_from_args(args) -> regions.RegionSpec:
@@ -183,7 +184,7 @@ def main(argv=None) -> int:
         for violation in exc.violations:
             print(f"invalid spec: {violation}", file=sys.stderr)
         return 2
-    except matrices.RouteMismatchError as exc:
+    except (matrices.RouteMismatchError, TransmissionError) as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 1
     except (ValueError, ArithmeticError, oracle.BudgetExceededError) as exc:

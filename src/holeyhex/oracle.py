@@ -33,12 +33,12 @@ def enumerate_tilings(region: TriangularRegion, budget: int = DEFAULT_BUDGET) ->
     Walks count_tilings' states depth first on an explicit stack, so it
     has no recursion limit; each uncovered ``lo`` is one branch node, and
     ``lo`` pairs with each free partner in ascending order (a free-edge
-    ``lo`` first with itself, its half rhombus).  Past ``budget`` nodes
-    the error carries the index pairs chosen so far.
+    ``lo`` first with itself, its half rhombus).  Each tiling is made of
+    the region's own tile objects (``tiles``).  Past ``budget`` nodes the
+    error carries the index pairs chosen so far.
     """
     cells, ahead = region.order
-    rhombi = {(lo, lo + off): frozenset((cell, cells[lo + off]))
-              for lo, cell in enumerate(cells) for off in ahead[lo]}
+    tiles = region.tiles
     nodes = 0
     chosen = []  # the index pairs chosen on the way to the popped state
     stack = [(0, 0, 0, ())]  # (lo, covered mask from lo on, len(chosen) before, (last pair,))
@@ -48,7 +48,7 @@ def enumerate_tilings(region: TriangularRegion, budget: int = DEFAULT_BUDGET) ->
         while mask & 1:
             lo, mask = lo + 1, mask >> 1
         if lo == len(cells):
-            yield frozenset(map(rhombi.__getitem__, chosen))
+            yield frozenset(map(tiles.__getitem__, chosen))
             continue
         nodes += 1
         if nodes > budget:

@@ -312,11 +312,34 @@ class TriangularRegion:
         return cells, ahead
 
     @cached_property
+    def tiles(self) -> dict:
+        """Every tile as a frozenset, by the index pair (lo, lo + off) of its cells in
+        ``order``: one object per tile, which every enumerated tiling shares."""
+        cells, ahead = self.order
+        return {(lo, lo + off): frozenset((cell, cells[lo + off]))
+                for lo, cell in enumerate(cells) for off in ahead[lo]}
+
+    @cached_property
     def rhombi(self) -> frozenset:
         """Every tile as a frozenset: edge-sharing pairs and free-edge cells alone."""
-        cells, ahead = self.order
-        return frozenset(frozenset((cell, cells[lo + off]))
-                         for lo, cell in enumerate(cells) for off in ahead[lo])
+        return frozenset(self.tiles.values())
+
+    @cached_property
+    def mates(self) -> dict:
+        """``mates[cell][mate]``: the tile of two edge-sharing cells of the region
+        with its holes filled in, for each cell in ``neighbors`` order.  A tile of
+        the region is its object in ``tiles``; one that takes a hole cell is one
+        new object, shared by both of its cells."""
+        own = {tile: tile for tile in self.tiles.values()}
+        filled = self.cells | self.hole_cells
+        mates = {}
+        for cell in filled:
+            row = mates[cell] = {}
+            for mate in neighbors(cell):
+                if mate in filled:
+                    tile = frozenset((cell, mate))
+                    row[mate] = own.setdefault(tile, tile)
+        return mates
 
 
 def build_region(spec: RegionSpec, kind: str) -> TriangularRegion:

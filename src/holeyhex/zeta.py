@@ -10,7 +10,10 @@ partner, and the merged pair is covered by a fresh rhombus.
 
 Cells outside the ribbons are never touched, so the map is local; whether
 it is injective is checked exhaustively by verify_injection rather than
-assumed.
+assumed.  All that no tiling changes (whether the map is defined, each
+pair's hole cells, case and walks) is planned once per region, and every
+tile a walk probes or a transmission adds is the region's own object
+(``TriangularRegion.mates``), so a tiling costs the length of its ribbons.
 """
 
 from __future__ import annotations
@@ -53,20 +56,50 @@ def pair_holes(right: Iterable[int], left: Iterable[int]) -> list[tuple]:
 _EDGE_STEPS = {(1, 1, LEFT): (1, 1), (1, -1, LEFT): (1, -1)}
 
 
-def _walk(tiles, region, cell, steps):
+def _route(region: TriangularRegion, pair) -> tuple:
+    """The part of a pair's propagation path that no tiling changes: the unit
+    hole that is transmitted, the unit hole it must end beside, and the
+    (first cell, steps) of each walk: none, one in case (i), two in case (ii)."""
+    (pos1, orient1), (pos2, orient2) = pair
+    if pos1 >= pos2 or orient1 == orient2:
+        raise ValueError("pair must be two positions of differing orientation")
+    cell1 = hole_cell_half(pos1, orient1, region.kind)
+    cell2 = hole_cell_half(pos2, orient2, region.kind)
+    if cell2 in neighbors(cell1):
+        walks = []  # contiguous holes already share an edge
+    elif orient1 == LEFT:
+        # case (i): from the left hole's vertical edge the walk crosses one
+        # column per rhombus, so it ends; it must end on the partner hole
+        walks = [((cell1[0], cell1[1], RIGHT), _EDGE_STEPS)]
+    else:
+        # case (ii): two boundary-bound paths meeting in exactly one rhombus.
+        # They leave the axis vertically by v: through the zig-zag below the
+        # lower region (v = -1), over the top of the upper one (v = 1).  Each
+        # alternates a cell of its first cell's orientation with its partner,
+        # sideways by e = +1 from left-pointing cells and -1 from right-pointing
+        # ones, and must end on the boundary, not in a hole.
+        v = 2 * HALVES[region.kind] - 1
+        walks = []
+        for first in ((cell1[0] + 1, cell1[1] + v, LEFT), (cell2[0] - 1, cell2[1] + v, RIGHT)):
+            e, other = (1, RIGHT) if first[2] == LEFT else (-1, LEFT)
+            walks.append((first, {(0, 0, other): (e, v), (-e, v, other): (0, 2 * v)}))
+    return cell1, cell2, walks
+
+
+def _walk(tiles, region: TriangularRegion, cell, steps):
     """Follow a path across rhombi from ``cell`` until it leaves the region.
 
     Each chain cell keeps the first cell's orientation; its partner is the
-    neighbour it shares a rhombus of ``tiles`` with, and ``steps`` maps the
-    partner's offset (dc, dh, orientation) to the offset of the next chain
-    cell.  Returns the ribbon and the first chain cell outside
+    neighbour whose tile in ``region.mates`` is in ``tiles``, and ``steps``
+    maps the partner's offset (dc, dh, orientation) to the offset of the
+    next chain cell.  Returns the ribbon and the first chain cell outside
     ``region.cells``; the caller judges where the walk ended.
     """
+    cells, mates = region.cells, region.mates
     orient = cell[2]
     ribbon = []
-    while cell in region.cells:
-        for mate in neighbors(cell):
-            rhombus = frozenset((cell, mate))
+    while cell in cells:
+        for mate, rhombus in mates[cell].items():
             if rhombus in tiles:
                 break
         else:
@@ -79,34 +112,18 @@ def _walk(tiles, region, cell, steps):
     return ribbon, cell
 
 
-def propagation_path(tiling, region: TriangularRegion, pair) -> list:
-    """The ordered ribbon of rhombi of ``tiling`` between a pair of unit holes."""
-    (pos1, orient1), (pos2, orient2) = pair
-    if pos1 >= pos2 or orient1 == orient2:
-        raise ValueError("pair must be two positions of differing orientation")
-    cell1 = hole_cell_half(pos1, orient1, region.kind)
-    cell2 = hole_cell_half(pos2, orient2, region.kind)
-    if cell2 in neighbors(cell1):
-        return []  # contiguous holes already share an edge
-    if orient1 == LEFT:
-        # case (i): from the left hole's vertical edge the walk crosses one
-        # column per rhombus, so it ends; it must end on the partner hole
-        ribbon, end = _walk(tiling, region, (cell1[0], cell1[1], RIGHT), _EDGE_STEPS)
-        if end != cell2:
+def _path(tiles, region: TriangularRegion, partner, walks) -> list:
+    """The ribbon of ``tiles`` along the walks of a pair's route."""
+    if not walks:
+        return []
+    if len(walks) == 1:  # case (i)
+        ribbon, end = _walk(tiles, region, *walks[0])
+        if end != partner:
             raise TransmissionError("walk left the region")
         return ribbon
-    # case (ii): two boundary-bound paths meeting in exactly one rhombus.
-    # They leave the axis vertically by v: through the zig-zag below the
-    # lower region (v = -1), over the top of the upper one (v = 1).  Each
-    # alternates a cell of its first cell's orientation with its partner,
-    # sideways by e = +1 from left-pointing cells and -1 from right-pointing
-    # ones, and must end on the boundary, not in a hole.
-    v = 2 * HALVES[region.kind] - 1
     paths = []
-    for first in ((cell1[0] + 1, cell1[1] + v, LEFT), (cell2[0] - 1, cell2[1] + v, RIGHT)):
-        e, other = (1, RIGHT) if first[2] == LEFT else (-1, LEFT)
-        path, end = _walk(tiling, region, first,
-                          {(0, 0, other): (e, v), (-e, v, other): (0, 2 * v)})
+    for first, steps in walks:
+        path, end = _walk(tiles, region, first, steps)
         if end in region.hole_cells:
             raise TransmissionError("slant walk ran into a hole")
         paths.append(path)
@@ -121,6 +138,12 @@ def propagation_path(tiling, region: TriangularRegion, pair) -> list:
     return path1[:i1 + 1] + list(reversed(path2[:i2]))
 
 
+def propagation_path(tiling, region: TriangularRegion, pair) -> list:
+    """The ordered ribbon of rhombi of ``tiling`` between a pair of unit holes."""
+    _, partner, walks = _route(region, pair)
+    return _path(tiling, region, partner, walks)
+
+
 def transmit(tiling, ribbon, hole_cell):
     """Slide a unit hole along a ribbon by triangle/rhombus interchanges.
 
@@ -128,21 +151,25 @@ def transmit(tiling, ribbon, hole_cell):
     adjacent cell of the next rhombus, so only ribbon rhombi are altered.
     """
     tiles = set(tiling)
-    return tiles, _transmit(tiles, ribbon, hole_cell)
+    mates = {cell: {mate: frozenset((cell, mate)) for mate in neighbors(cell)}
+             for cell in {hole_cell}.union(*tiling)}
+    return tiles, _transmit(tiles, ribbon, hole_cell, mates)
 
 
-def _transmit(tiles: set, ribbon, hole):
-    """transmit in place on ``tiles``; returns the final hole cell."""
+def _transmit(tiles: set, ribbon, hole, mates):
+    """transmit in place on ``tiles``, adding the tiles of ``mates`` (as in
+    ``TriangularRegion.mates``); returns the final hole cell."""
     for rhombus in ribbon:
         if rhombus not in tiles:
             raise TransmissionError("ribbon rhombus missing from tiling")
         a, b = tuple(rhombus)
         near = a if a[2] != hole[2] else b
         far = b if near is a else a
-        if near not in neighbors(hole):
+        swapped = mates[hole].get(near)
+        if swapped is None:
             raise TransmissionError("ribbon rhombus not adjacent to the hole")
         tiles.remove(rhombus)
-        tiles.add(frozenset((hole, near)))
+        tiles.add(swapped)
         hole = far
     return hole
 
@@ -153,6 +180,34 @@ def _check_defined(spec: RegionSpec, kind: str) -> None:
                          "at spacing two (the pair fuses into a hexagonal hole)")
 
 
+class _Plan:
+    """The transmission map of one region, with all that no tiling changes
+    worked out once: that the map is defined there and each hole pair's
+    route.  Its tiles are the region's ``mates``, so every rhombus a
+    transmission adds is the object the region's tilings already use."""
+
+    def __init__(self, region: TriangularRegion):
+        spec = region.spec
+        _check_defined(spec, region.kind)
+        self.region = region
+        self.routes = [_route(region, pair) for pair in pair_holes(spec.right, spec.left)]
+
+    def map(self, tiling):
+        """zeta of one tiling of the region."""
+        mates = self.region.mates
+        tiles = set(tiling)
+        ribbons = []
+        for hole, partner, walks in self.routes:
+            ribbon = _path(tiles, self.region, partner, walks)
+            ribbons.append(ribbon)
+            hole = _transmit(tiles, ribbon, hole, mates)
+            cover = mates[hole].get(partner)
+            if cover is None:
+                raise TransmissionError("transmitted hole did not reach its partner")
+            tiles.add(cover)
+        return frozenset(tiles), ribbons
+
+
 def zeta(tiling, region: TriangularRegion):
     """Map a tiling of a holey half region to one of the unholed region.
 
@@ -160,20 +215,7 @@ def zeta(tiling, region: TriangularRegion):
     unit holes of the pair sit edge to edge and are covered by one new
     rhombus.  Returns (image, ribbons), one ribbon per pair.
     """
-    spec = region.spec
-    _check_defined(spec, region.kind)
-    tiles = set(tiling)
-    ribbons = []
-    for pair in pair_holes(spec.right, spec.left):
-        ribbon = propagation_path(tiles, region, pair)
-        ribbons.append(ribbon)
-        hole = hole_cell_half(*pair[0], region.kind)
-        other = hole_cell_half(*pair[1], region.kind)
-        hole = _transmit(tiles, ribbon, hole)
-        if other not in neighbors(hole):
-            raise TransmissionError("transmitted hole did not reach its partner")
-        tiles.add(frozenset((hole, other)))
-    return frozenset(tiles), ribbons
+    return _Plan(region).map(tiling)
 
 
 def _axis_rhombi(region: TriangularRegion) -> list:
@@ -201,24 +243,23 @@ def verify_injection(spec: RegionSpec, kind: str = "lower") -> dict:
     For the upper region the report also states whether the weight never
     decreases under the map.
     """
-    _check_defined(spec, kind)
-    region = build_region(spec, kind)
+    plan = _Plan(build_region(spec, kind))  # an undefined map raises before enumerating
+    region = plan.region
     target = build_region(spec.unholed(), kind)
-    images = set()
-    rhombi: dict = {}  # one object per rhombus, shared by all stored images
+    images = set()  # each image as the map returns it: its tiles are the plan's shared ones
     tilings = 0
     valid = True
     weight_monotone = True
-    axis, target_axis = _axis_rhombi(region), _axis_rhombi(target)
+    # only the upper half has h = 0 cells, so only it has axis rhombi to weigh
+    axes = (_axis_rhombi(region), _axis_rhombi(target)) if kind == "upper" else None
     for tiling in enumerate_tilings(region):
         tilings += 1
-        image, _ = zeta(tiling, region)
+        image, _ = plan.map(tiling)
         if not tiling_is_exact_cover(target, image):
             valid = False
-        if kind == "upper":
-            if _axis_weight(axis, tiling) > _axis_weight(target_axis, image):
-                weight_monotone = False
-        images.add(frozenset(rhombi.setdefault(r, r) for r in image))
+        if axes and _axis_weight(axes[0], tiling) > _axis_weight(axes[1], image):
+            weight_monotone = False
+        images.add(image)
     report = {
         "spec": spec.to_text(),
         "kind": kind,

@@ -254,6 +254,17 @@ def test_route_mismatch_exits_1(capsys, monkeypatch):
     assert "|det Q| = 5 but prefactor * |det E| = 4" in err
 
 
+def test_transmission_error_exits_1(capsys, monkeypatch):
+    zeta_module = sys.modules["holeyhex.zeta"]  # the package's `zeta` is the function
+
+    def broken_walk(*args):
+        raise zeta_module.TransmissionError("walk hit an uncovered cell")
+
+    monkeypatch.setattr(zeta_module, "_walk", broken_walk)
+    code, out, err = run(capsys, "zeta", "--n", "4", "--m", "1", "--left=-2", "--right", "2")
+    assert (code, out, err) == (1, "", "verification failed: walk hit an uncovered cell\n")
+
+
 def test_route_mismatch_on_a_huge_count_exits_1(capsys, monkeypatch):
     # both sides of this mismatch have far more than 4300 decimal digits
     product_formula = matrices.product_formula

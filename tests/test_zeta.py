@@ -7,8 +7,8 @@ import pytest
 
 from holeyhex.matrices import count_region
 from holeyhex.oracle import enumerate_tilings, tiling_is_exact_cover
-from holeyhex.regions import (HALVES, LEFT, RIGHT, build_region, fused_pairs, hole_cell_half,
-                              neighbors, spec_grid, validate)
+from holeyhex.regions import (HALVES, LEFT, RIGHT, build_region, fused_pairs, half_shift,
+                              hole_cell_half, neighbors, spec_grid, validate)
 from holeyhex.zeta import (TransmissionError, pair_holes, propagation_path, transmit,
                            upper_weight, verify_injection, zeta)
 
@@ -238,23 +238,23 @@ def test_upper_weight_statistic_matches_determinant():
 
 
 def test_zeta_walks_the_partner_map_of_its_current_tiling(monkeypatch):
-    # zeta's walks look partners up in the tile set that each transmission
-    # mutates; every walk must find, cell by cell, the partners that the
-    # partner map of the tile set as it stands gives
+    # zeta's walks look partners up, through the region's mates, in the tile
+    # set that each transmission mutates; every walk must find, cell by cell,
+    # the partners that the partner map of the tile set as it stands gives
     zeta_module = sys.modules["holeyhex.zeta"]  # the package's `zeta` is the function
     current, checked = [], []
     transmit_in_place = zeta_module._transmit
-    path, walk = zeta_module.propagation_path, zeta_module._walk
+    path, walk = zeta_module._path, zeta_module._walk
 
-    def recording_transmit(tiles, ribbon, hole):
+    def recording_transmit(tiles, ribbon, hole, mates):
         current[:] = [tiles]
-        return transmit_in_place(tiles, ribbon, hole)
+        return transmit_in_place(tiles, ribbon, hole, mates)
 
-    def checked_path(tiles, region, pair):
+    def checked_path(tiles, region, partner, walks):
         if current:
-            assert tiles is current[0], (region.spec, pair)
-            checked.append(pair)
-        return path(tiles, region, pair)
+            assert tiles is current[0], (region.spec, partner)
+            checked.append(partner)
+        return path(tiles, region, partner, walks)
 
     def checked_walk(tiles, region, cell, steps):
         got = outcome(walk, tiles, region, cell, steps)
@@ -262,7 +262,7 @@ def test_zeta_walks_the_partner_map_of_its_current_tiling(monkeypatch):
         return walk(tiles, region, cell, steps)
 
     monkeypatch.setattr(zeta_module, "_transmit", recording_transmit)
-    monkeypatch.setattr(zeta_module, "propagation_path", checked_path)
+    monkeypatch.setattr(zeta_module, "_path", checked_path)
     monkeypatch.setattr(zeta_module, "_walk", checked_walk)
     for args, kind in (((6, 1, [-4, -2], [0, 4]), "upper"),
                        ((6, 2, [-4, 2], [0, 4]), "lower"),
@@ -272,6 +272,89 @@ def test_zeta_walks_the_partner_map_of_its_current_tiling(monkeypatch):
             current.clear()
             zeta(tiling, region)
     assert len(checked) == 54 + 160 + 2 * 186
+
+
+def reference_transmit(tiles, ribbon, hole):
+    """zeta's transmission before its tiles came from a per-region table."""
+    for rhombus in ribbon:
+        if rhombus not in tiles:
+            raise TransmissionError("ribbon rhombus missing from tiling")
+        a, b = tuple(rhombus)
+        near = a if a[2] != hole[2] else b
+        far = b if near is a else a
+        if near not in neighbors(hole):
+            raise TransmissionError("ribbon rhombus not adjacent to the hole")
+        tiles.remove(rhombus)
+        tiles.add(frozenset((hole, near)))
+        hole = far
+    return hole
+
+
+def reference_zeta(tiling, region):
+    """zeta before its per-region plan: the check, the pairs, their hole cells
+    and their paths redone for each tiling, and a new rhombus for each swap."""
+    spec = region.spec
+    if half_shift(region.kind, "transmission map") and fused_pairs(spec):
+        raise ValueError("upper-region transmission is undefined for toward-pointing holes "
+                         "at spacing two (the pair fuses into a hexagonal hole)")
+    tiles = set(tiling)
+    ribbons = []
+    for pair in pair_holes(spec.right, spec.left):
+        ribbon = propagation_path(tiles, region, pair)
+        ribbons.append(ribbon)
+        hole = hole_cell_half(*pair[0], region.kind)
+        other = hole_cell_half(*pair[1], region.kind)
+        hole = reference_transmit(tiles, ribbon, hole)
+        if other not in neighbors(hole):
+            raise TransmissionError("transmitted hole did not reach its partner")
+        tiles.add(frozenset((hole, other)))
+    return frozenset(tiles), ribbons
+
+
+def test_the_plan_maps_every_tiling_as_the_per_tiling_reference():
+    # images and ribbons, or the error, of every tiling of every small spec in
+    # both halves; a fused upper pair raises when the plan is made
+    zeta_module = sys.modules["holeyhex.zeta"]
+    fused = mapped = 0
+    for spec in spec_grid(6, 2, 2):
+        if not spec.p:
+            continue  # no pairs: the map is the identity (test_zeta_is_identity_without_holes)
+        for kind in HALVES:
+            region = build_region(spec, kind)
+            plan = outcome(zeta_module._Plan, region)
+            if isinstance(plan, tuple):
+                assert plan == outcome(reference_zeta, frozenset(), region)
+                assert plan[0] is ValueError and "fuses" in plan[1]
+                fused += 1
+                continue
+            for tiling in enumerate_tilings(region):
+                assert outcome(plan.map, tiling) == outcome(reference_zeta, tiling, region), \
+                    (spec, kind)
+                mapped += 1
+    assert (fused, mapped) == (54, 120867)
+
+
+def test_stored_images_share_one_object_per_rhombus(monkeypatch):
+    # the images verify_injection keeps are the map's own frozensets: their
+    # tiles, untouched or added by a transmission, are one object per rhombus
+    zeta_module = sys.modules["holeyhex.zeta"]
+    plan_map = zeta_module._Plan.map
+    images = []
+
+    def recording_map(plan, tiling):
+        image, ribbons = plan_map(plan, tiling)
+        images.append(image)
+        return image, ribbons
+
+    monkeypatch.setattr(zeta_module._Plan, "map", recording_map)
+    for spec in spec_grid(6, 1, 2):
+        for kind in HALVES:
+            if kind == "upper" and fused_pairs(spec):
+                continue
+            images.clear()
+            verify_injection(spec, kind)
+            tiles = [rhombus for image in images for rhombus in image]
+            assert len({id(rhombus) for rhombus in tiles}) == len(set(tiles)), (spec, kind)
 
 
 def test_verify_injection_outcomes_are_pinned():
@@ -487,10 +570,12 @@ def test_one_walk_matches_the_two_walker_reference(monkeypatch):
                            "ok" if isinstance(got, list) else got[1])
                     outcomes[key] = outcomes.get(key, 0) + 1
             images = [outcome(zeta, tiling, region) for tiling in tilings]
+            pair_of = {hole_cell_half(*pair[1], kind): pair
+                       for pair in pair_holes(spec.right, spec.left)}  # by partner hole
             with monkeypatch.context() as patch:
-                patch.setattr(zeta_module, "propagation_path",
-                              lambda tiles, region, pair: reference_propagation_path(
-                                  reference_partner_map(tiles), region, pair))
+                patch.setattr(zeta_module, "_path",
+                              lambda tiles, region, partner, walks: reference_propagation_path(
+                                  reference_partner_map(tiles), region, pair_of[partner]))
                 assert images == [outcome(zeta, tiling, region) for tiling in tilings]
     # both cases and both halves, and the one error case (i) meets here
     assert outcomes == {("i", "lower", "ok"): 1015, ("i", "upper", "ok"): 4455,
