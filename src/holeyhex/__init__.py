@@ -9,9 +9,9 @@ from .matrices import (CountResult, closed_form_entry, count_region, det_exact,
                        verify_lu)
 from .oracle import (count_families, count_free_boundary, count_symmetric,
                      count_tilings, enumerate_families, enumerate_tilings)
-from .asymptotics import (CorrelationReport, Regime, cauchy_det, classify_regime,
-                          entry_asym, finite_correlation, predicted_interaction,
-                          separation_sweep, size_sweep)
+from .asymptotics import (CorrelationReport, cauchy_det, classify_regime, entry_asym,
+                          finite_correlation, predicted_interaction, separation_sweep,
+                          size_sweep)
 from .zeta import pair_holes, propagation_path, transmit, verify_injection, zeta
 
 __version__ = "0.1.0"

@@ -46,11 +46,6 @@ class CorrelationReport:
 CSV_HEADER = ",".join(field.name for field in fields(CorrelationReport))
 
 
-@dataclass(frozen=True)
-class Regime:
-    tag: str  # critical | exponential_decay | exponential_growth
-
-
 def entry_asym(r: int, l: int, xi: float, kind: str) -> float:
     """Large-separation limit entry of a hole matrix at aspect ratio xi.
 
@@ -159,9 +154,17 @@ def aspect_m(xi: Fraction, n: int) -> int:
     return m
 
 
-def _require_two_points(xs, name: str, values) -> None:
+def _fit(reports, field: str, xs, x_scale, name: str, given) -> tuple:
+    """The reports, one per x, and the least-squares line of log |field| against
+    x_scale(x); each log is taken as its report arrives."""
     if len(set(xs)) < 2:
-        raise ValueError(f"a fit needs at least two distinct {name}, got {list(values)}")
+        raise ValueError(f"a fit needs at least two distinct {name}, got {list(given)}")
+    kept, fit_x, fit_y = [], [], []
+    for x, report in zip(xs, reports):
+        kept.append(report)
+        fit_x.append(x_scale(x))
+        fit_y.append(math.log(abs(getattr(report, field))))
+    return kept, linear_regression(fit_x, fit_y)
 
 
 def separation_reports(n: int, xi: Fraction, half_separations: Sequence[int],
@@ -185,14 +188,9 @@ def separation_sweep(n: int, xi: Fraction, half_separations: Sequence[int],
     Fewer than two distinct distances raise ValueError before any report
     is computed.
     """
-    _require_two_points([distance(-d, d) for d in half_separations], "separations",
-                        half_separations)
-    reports, log_d, log_w = [], [], []
-    for d, report in zip(half_separations, separation_reports(n, xi, half_separations, model)):
-        reports.append(report)
-        log_d.append(math.log(distance(-d, d)))
-        log_w.append(math.log(abs(report.omega)))
-    slope, intercept = linear_regression(log_d, log_w)
+    reports, (slope, intercept) = _fit(
+        separation_reports(n, xi, half_separations, model), "omega",
+        [distance(-d, d) for d in half_separations], math.log, "separations", half_separations)
     return reports, slope, intercept
 
 
@@ -223,18 +221,14 @@ def size_sweep(left: Sequence[int], right: Sequence[int], xi: Fraction,
     log |det_upper| against n.  Fewer than two distinct n raise ValueError
     before any report is computed.
     """
-    _require_two_points(n_values, "n values", n_values)
-    reports, xs, ys = [], [], []
-    for report in size_reports(left, right, xi, n_values, scale_holes, model):
-        reports.append(report)
-        xs.append(float(report.n))
-        ys.append(math.log(abs(report.det_upper)))
-    slope, _ = linear_regression(xs, ys)
+    reports, (slope, _) = _fit(size_reports(left, right, xi, n_values, scale_holes, model),
+                               "det_upper", n_values, float, "n values", n_values)
     return reports, slope
 
 
-def classify_regime(spec: RegionSpec, xi) -> Regime:
-    """Off-critical behaviour of the hole interaction in the separations.
+def classify_regime(spec: RegionSpec, xi) -> str:
+    """Off-critical behaviour of the hole interaction in the separations, as its
+    tag: critical, exponential_decay or exponential_growth.
 
     At xi = 1 the interaction is critical (power law).  Away from xi = 1
     the leftmost hole decides: its matrix row (left-pointing) or column
@@ -249,8 +243,8 @@ def classify_regime(spec: RegionSpec, xi) -> Regime:
     if xi <= 0:
         raise ValueError("xi must be positive")
     if xi == 1:
-        return Regime("critical")
+        return "critical"
     leftmost_is_left = min(spec.left) < min(spec.right)
     if xi > 1:
-        return Regime("exponential_decay" if leftmost_is_left else "exponential_growth")
-    return Regime("exponential_growth" if leftmost_is_left else "exponential_decay")
+        return "exponential_decay" if leftmost_is_left else "exponential_growth"
+    return "exponential_growth" if leftmost_is_left else "exponential_decay"

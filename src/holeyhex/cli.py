@@ -89,28 +89,25 @@ def cmd_sweep(args) -> int:
     if stray:
         mode = "--separations" if args.separations else "--n-values"
         raise ValueError(f"a {mode} sweep does not take {', '.join(stray)}")
-    fit = None
     if args.separations:
         sweep_args = (200 if args.size is None else args.size, xi,
                       regions.parse_int_list(args.separations), args.model)
-        if args.fit:
-            reports, slope, intercept = asymptotics.separation_sweep(*sweep_args)
-            fit = f"# slope={slope!r} intercept={intercept!r}"
-        else:
-            reports = list(asymptotics.separation_reports(*sweep_args))
+        reports_of, sweep = asymptotics.separation_reports, asymptotics.separation_sweep
+        trailer = "# slope={!r} intercept={!r}"
     else:
         sweep_args = (regions.parse_int_list(args.left), regions.parse_int_list(args.right), xi,
                       regions.parse_int_list(args.n_values), args.scale_holes, args.model)
-        if args.fit:
-            reports, trend = asymptotics.size_sweep(*sweep_args)
-            fit = f"# trend={trend!r}"
-        else:
-            reports = list(asymptotics.size_reports(*sweep_args))
+        reports_of, sweep = asymptotics.size_reports, asymptotics.size_sweep
+        trailer = "# trend={!r}"
+    if args.fit:
+        reports, *fit = sweep(*sweep_args)
+    else:
+        reports, fit = list(reports_of(*sweep_args)), None
     print(asymptotics.CSV_HEADER)
     for report in reports:
         print(report.csv_row())
     if fit:
-        print(fit)
+        print(trailer.format(*fit))
     return 0
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .regions import (HALVES, LEFT, RIGHT, RegionSpec, TriangularRegion, build_region,
-                      fused_pairs, half_shift, hole_cell_half, neighbors)
+                      fused_pairs, half_shift, hole_cell_half)
 from .oracle import enumerate_tilings, tiling_is_exact_cover
 
 
@@ -65,7 +65,7 @@ def _route(region: TriangularRegion, pair) -> tuple:
         raise ValueError("pair must be two positions of differing orientation")
     cell1 = hole_cell_half(pos1, orient1, region.kind)
     cell2 = hole_cell_half(pos2, orient2, region.kind)
-    if cell2 in neighbors(cell1):
+    if cell2 in region.mates.get(cell1, ()):  # a caller's pair may hold no hole of the region
         walks = []  # contiguous holes already share an edge
     elif orient1 == LEFT:
         # case (i): from the left hole's vertical edge the walk crosses one
@@ -144,16 +144,17 @@ def propagation_path(tiling, region: TriangularRegion, pair) -> list:
     return _path(tiling, region, partner, walks)
 
 
-def transmit(tiling, ribbon, hole_cell):
+def transmit(tiling, ribbon, hole_cell, region: TriangularRegion):
     """Slide a unit hole along a ribbon by triangle/rhombus interchanges.
 
     Returns (tiles, final_hole_cell).  Each step swaps the hole with the
-    adjacent cell of the next rhombus, so only ribbon rhombi are altered.
+    adjacent cell of the next rhombus, so only ribbon rhombi are altered;
+    each tile it adds is the region's own object in ``region.mates``.
     """
+    if hole_cell not in region.mates:
+        raise ValueError(f"hole cell {hole_cell} is not a cell of the region")
     tiles = set(tiling)
-    mates = {cell: {mate: frozenset((cell, mate)) for mate in neighbors(cell)}
-             for cell in {hole_cell}.union(*tiling)}
-    return tiles, _transmit(tiles, ribbon, hole_cell, mates)
+    return tiles, _transmit(tiles, ribbon, hole_cell, region.mates)
 
 
 def _transmit(tiles: set, ribbon, hole, mates):
@@ -174,12 +175,6 @@ def _transmit(tiles: set, ribbon, hole, mates):
     return hole
 
 
-def _check_defined(spec: RegionSpec, kind: str) -> None:
-    if half_shift(kind, "transmission map") and fused_pairs(spec):
-        raise ValueError("upper-region transmission is undefined for toward-pointing holes "
-                         "at spacing two (the pair fuses into a hexagonal hole)")
-
-
 class _Plan:
     """The transmission map of one region, with all that no tiling changes
     worked out once: that the map is defined there and each hole pair's
@@ -188,7 +183,9 @@ class _Plan:
 
     def __init__(self, region: TriangularRegion):
         spec = region.spec
-        _check_defined(spec, region.kind)
+        if half_shift(region.kind, "transmission map") and fused_pairs(spec):
+            raise ValueError("upper-region transmission is undefined for toward-pointing holes "
+                             "at spacing two (the pair fuses into a hexagonal hole)")
         self.region = region
         self.routes = [_route(region, pair) for pair in pair_holes(spec.right, spec.left)]
 

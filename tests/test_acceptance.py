@@ -274,7 +274,7 @@ def test_criterion_9_regimes():
             q = 2 * round(160 / 8)
             spec = validate(160, aspect_m(xi, 160),
                             [left[0] * q], [right[0] * q])
-            expected = classify_regime(spec, xi).tag
+            expected = classify_regime(spec, xi)
             observed = "exponential_growth" if trend > 0 else "exponential_decay"
             matches.append(observed == expected)
     ok = all(matches)

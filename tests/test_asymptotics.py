@@ -56,6 +56,11 @@ def test_cauchy_det_rejects_coincident():
         cauchy_det([0, 2], [2, 4])
 
 
+def test_cauchy_det_rejects_unequal_hole_counts():
+    with pytest.raises(ValueError, match="^need equally many holes of each orientation$"):
+        cauchy_det([-2], [2, 4])
+
+
 def test_predicted_interaction_pair():
     holes = merge_induced_holes([-2], [2])
     expected = 3 / (4 * math.pi ** 2) / distance(-2, 2) ** 2
@@ -134,13 +139,15 @@ def test_aspect_m():
 def test_classify_regime():
     away = validate(8, 4, [-2], [2])     # leftmost hole points left
     toward = validate(8, 4, [2], [-2])   # leftmost hole points right
-    assert classify_regime(away, 1).tag == "critical"
-    assert classify_regime(away, 2).tag == "exponential_decay"
-    assert classify_regime(toward, 2).tag == "exponential_growth"
-    assert classify_regime(away, Fraction(1, 2)).tag == "exponential_growth"
-    assert classify_regime(toward, Fraction(1, 2)).tag == "exponential_decay"
+    assert classify_regime(away, 1) == "critical"
+    assert classify_regime(away, 2) == "exponential_decay"
+    assert classify_regime(toward, 2) == "exponential_growth"
+    assert classify_regime(away, Fraction(1, 2)) == "exponential_growth"
+    assert classify_regime(toward, Fraction(1, 2)) == "exponential_decay"
     with pytest.raises(ValueError):
         classify_regime(validate(8, 4), 2)
+    with pytest.raises(ValueError, match="^xi must be positive$"):
+        classify_regime(away, 0)
 
 
 def test_regime_matches_determinant_trend():
@@ -149,7 +156,7 @@ def test_regime_matches_determinant_trend():
             _, trend = size_sweep(left, right, xi, [40, 80], scale_holes=True)
             q = 2 * round(40 / 8)
             spec = validate(40, aspect_m(xi, 40), [left[0] * q], [right[0] * q])
-            expected = classify_regime(spec, xi).tag
+            expected = classify_regime(spec, xi)
             observed = "exponential_growth" if trend > 0 else "exponential_decay"
             assert observed == expected
 

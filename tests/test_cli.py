@@ -230,6 +230,27 @@ def test_free_boundary_size_sweep_needs_mirrored_holes(capsys):
     assert err == "error: free-boundary model requires R = -L\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("correlate", "--n", "8", "--m", "4", "--left=2", "--right=-2", "--model", "free_boundary"),
+     "free-boundary holes must lie left of the conductor"),
+    (("sweep", "--n-values", "8,16", "--left=2", "--right=-2", "--model", "free_boundary"),
+     "free-boundary holes must lie left of the conductor"),
+    (("sweep", "--xi", "1/100", "--size", "4", "--separations", "2"),
+     "aspect ratio too small for this n"),
+])
+def test_model_and_aspect_errors_exit_2(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+def test_zeta_exits_1_on_an_invalid_image(capsys, monkeypatch):
+    zeta_module = sys.modules["holeyhex.zeta"]  # the package's `zeta` is the function
+    monkeypatch.setattr(zeta_module, "tiling_is_exact_cover", lambda target, image: False)
+    code, out, err = run(capsys, "zeta", "--n", "4", "--m", "1", "--left", "0", "--right", "2")
+    assert (code, err) == (1, "")
+    report = json.loads(out)
+    assert report["valid_images"] is False and report["ok"] is False
+
+
 def test_count_lower_kind(capsys):
     code, out, _ = run(capsys, "count", "--n", "4", "--m", "1",
                        "--left", "0", "--right", "2", "--kind", "lower")

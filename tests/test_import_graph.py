@@ -33,3 +33,10 @@ def test_oracle_imports_no_cell_geometry():
     imported = imported_names(SOURCE / "oracle.py")
     assert "regions" in imported
     assert not imported & {"neighbors", "LEFT", "RIGHT"}
+
+
+def test_zeta_imports_no_cell_neighbours():
+    # zeta reads a cell's edges from its region's tiles, TriangularRegion.mates
+    imported = imported_names(SOURCE / "zeta.py")
+    assert "regions" in imported
+    assert "neighbors" not in imported

@@ -131,14 +131,24 @@ def test_contiguous_pair_gives_empty_ribbon():
     assert propagation_path(tiling, region, ((0, RIGHT), (2, LEFT))) == []
 
 
+def test_a_pair_that_is_no_hole_of_the_region_breaks_the_walk():
+    spec = validate(4, 1, [-2], [2])
+    region = build_region(spec, "lower")
+    tiling = next(enumerate_tilings(region))
+    with pytest.raises(TransmissionError, match="^walk left the region$"):
+        propagation_path(tiling, region, ((-4, LEFT), (2, RIGHT)))
+
+
 def test_transmit_turns_ribbon_into_rhombi():
     spec = validate(4, 1, [-2], [2])
     region = build_region(spec, "lower")
     tiling = next(enumerate_tilings(region))
     ribbon = propagation_path(tiling, region, ((-2, LEFT), (2, RIGHT)))
-    tiles, hole = transmit(tiling, ribbon, hole_cell_half(-2, LEFT, "lower"))
+    tiles, hole = transmit(tiling, ribbon, hole_cell_half(-2, LEFT, "lower"), region)
     assert len(tiles) == len(tiling)  # one removed per interchange, one added
     assert hole[2] == LEFT
+    with pytest.raises(ValueError, match="is not a cell of the region"):
+        transmit(tiling, ribbon, (-6, -1, LEFT), region)
 
 
 def test_zeta_images_are_valid_tilings():
@@ -193,6 +203,22 @@ def test_injection_fails_for_wide_apart_pairs():
     wide = validate(8, 1, [-6], [6])
     assert count_region(wide, "lower").value == 4719
     assert count_region(wide.unholed(), "lower").value == 1430  # fewer than holey
+
+
+def test_an_invalid_image_fails_the_report(monkeypatch):
+    # the target covers are checked image by image: one failed cover is enough
+    zeta_module = sys.modules["holeyhex.zeta"]
+    cover = zeta_module.tiling_is_exact_cover
+    calls = []
+
+    def one_invalid(target, image):
+        calls.append(image)
+        return len(calls) != 2 and cover(target, image)
+
+    monkeypatch.setattr(zeta_module, "tiling_is_exact_cover", one_invalid)
+    report = verify_injection(validate(4, 1, [0], [2]), "lower")
+    assert len(calls) == report["tilings"] == report["distinct_images"] == 4
+    assert report["valid_images"] is False and report["ok"] is False
 
 
 def test_count_inequality_on_injective_specs():
