@@ -309,9 +309,12 @@ def det_exact(matrix: Matrix) -> Fraction:
     g = gcd(P, a), with no gcd over the row.  The contents and pivots are
     tracked as one numerator, the row multipliers P/g and lcms as one
     denominator.  Pivot on the first nonzero entry of each column; the
-    determinant of the empty matrix is 1.
+    determinant of the empty matrix is 1; a non-square one raises ValueError.
     """
     size = len(matrix)
+    if any(len(row) != size for row in matrix):
+        raise ValueError(f"det_exact needs a square matrix, got {size} rows of lengths "
+                         f"{[len(row) for row in matrix]}")
     numer = denom = 1
     work = []
     for row in matrix:
@@ -407,13 +410,11 @@ def count_region(spec: RegionSpec, kind: str) -> CountResult:
     """
     kind = COUNT_KINDS.get(kind, kind)
     n, m = spec.n, spec.m
-    if kind == "free_half":
-        if not spec.is_mirror_symmetric or any(x >= 0 for x in spec.left):
-            raise ValueError("free_half requires R = -L with every left hole < 0")
-        inner = count_region(spec, "upper_weighted")
-        return CountResult(spec, "free_half", inner.value, inner.factors)
-    if kind in ("lower", "upper_weighted"):
-        half_kind = kind.removesuffix("_weighted")  # upper_weighted is the upper half
+    if kind == "free_half" and (not spec.is_mirror_symmetric or any(x >= 0 for x in spec.left)):
+        raise ValueError("free_half requires R = -L with every left hole < 0")
+    if kind in ("lower", "upper_weighted", "free_half"):
+        # upper_weighted is the upper half, and free_half is counted as it (Ciucu 1997)
+        half_kind = "lower" if kind == "lower" else "upper"
         det_q = det_exact(path_matrix(spec, half_kind))
         prefactor = product_formula("vertical_symmetric" if HALVES[half_kind]
                                     else "transpose_complement", n, m)

@@ -124,7 +124,8 @@ def _columns(starts, ends, constraint):
     """The columns a family of paths from start k to end k crosses, and the
     (height, path) pairs of the paths starting in each column.
 
-    None when some path has no monotone route at all.
+    None when some path has no monotone route at all; no columns when there
+    is no path, whose one (empty) family has weight 1.
     """
     if len(ends) != len(starts):
         raise ValueError("starts and ends must pair up")
@@ -135,7 +136,7 @@ def _columns(starts, ends, constraint):
         if ex < sx or ey < sy:
             return None
         entering.setdefault(sx, []).append((sy, i))
-    return range(min(entering), max(x for x, _ in ends) + 1), entering
+    return range(min(entering, default=0), max((x for x, _ in ends), default=-1) + 1), entering
 
 
 def _column_steps(x, carry, entering, ends, constraint) -> list:

@@ -343,37 +343,31 @@ class TriangularRegion:
 
 
 def build_region(spec: RegionSpec, kind: str) -> TriangularRegion:
-    """Materialise the cell set of the full region or a half region."""
+    """Materialise the cell set of the full region or a half region.
+
+    A half keeps the hexagon's cells on its side of the axis (h >= 0 in the
+    upper half, d = 1); each hole then removes its four cells from the full
+    region and its one cell from a half.
+    """
     if kind not in KINDS:
         raise ValueError(f"unknown region kind {kind!r}")
-    hexagon = hexagon_cells(spec.n, spec.m)
-    tagged = [(x, LEFT) for x in spec.left] + [(x, RIGHT) for x in spec.right]
-
-    if kind == "full":
-        removed = set()
-        for x, orient in tagged:
-            cells = hole_cells_full(x, orient)
-            if not cells <= hexagon:
-                raise ValueError(f"hole at {x} does not fit inside the hexagon")
-            removed |= cells
-        return TriangularRegion("full", hexagon - removed, frozenset(removed), spec)
-
-    # cells with h >= 0 lie above the axis, in the upper half (d = 1)
-    d = HALVES[kind]
-    half = {cell for cell in hexagon if (cell[1] >= 0) == d}
+    cells = hexagon_cells(spec.n, spec.m)
+    if kind in HALVES:
+        cells = frozenset(cell for cell in cells if (cell[1] >= 0) == HALVES[kind])
+    where = "the hexagon" if kind == "full" else f"the {kind} region"
     removed = set()
-    for x, orient in tagged:
-        cell = hole_cell_half(x, orient, kind)
-        if cell not in half:
-            raise ValueError(f"hole at {x} does not fit inside the {kind} region")
-        removed.add(cell)
+    for x, orient in [(x, LEFT) for x in spec.left] + [(x, RIGHT) for x in spec.right]:
+        hole = (hole_cells_full(x, orient) if kind == "full"
+                else {hole_cell_half(x, orient, kind)})
+        if not hole <= cells:
+            raise ValueError(f"hole at {x} does not fit inside {where}")
+        removed |= hole
     if kind == "upper":
         # the two flanking h = 1 cells of a fused pair lose the partners
         # that would otherwise be forced, so they leave the region as well
         for r in fused_pairs(spec):
-            removed.add((r, 1, RIGHT))
-            removed.add((r + 2, 1, LEFT))
-    return TriangularRegion(kind, frozenset(half - removed), frozenset(removed), spec)
+            removed |= {(r, 1, RIGHT), (r + 2, 1, LEFT)}
+    return TriangularRegion(kind, cells - removed, frozenset(removed), spec)
 
 
 def free_region(spec: RegionSpec) -> TriangularRegion:
@@ -401,27 +395,14 @@ def lgv_points(spec: RegionSpec, kind: str) -> tuple[list[Point], list[Point]]:
     vertical side), so that the plain path-count determinant equals the
     full-region tiling count.
     """
-    n, m = spec.n, spec.m
-    half = n // 2
-
-    def hole_point(x: int) -> Point:
-        t = half + x // 2
-        return (t + 1, t)
-
-    if kind in HALVES:
-        starts = [(i, 1 - i) for i in range(1, m + 1)]
-        starts += [hole_point(x) for x in spec.left]
-        ends = [(n + j, n + 1 - j) for j in range(1, m + 1)]
-        ends += [hole_point(x) for x in spec.right]
-        return starts, ends
-    if kind == "full":
-        starts = [(i, 1 - i) for i in range(1 - m, m + 1)]
-        ends = [(n + j, n + 1 - j) for j in range(1 - m, m + 1)]
-        for x in spec.left:
-            point = hole_point(x)
-            starts += [point, point[::-1]]
-        for x in spec.right:
-            point = hole_point(x)
-            ends += [point, point[::-1]]
-        return starts, ends
-    raise ValueError(f"no path picture for kind {kind!r}")
+    if kind not in KINDS:
+        raise ValueError(f"no path picture for kind {kind!r}")
+    n, m, full = spec.n, spec.m, kind == "full"
+    boundary = range(1 - m if full else 1, m + 1)
+    starts = [(i, 1 - i) for i in boundary]
+    ends = [(n + j, n + 1 - j) for j in boundary]
+    for points, holes in ((starts, spec.left), (ends, spec.right)):
+        for x in holes:
+            t = n // 2 + x // 2
+            points += [(t + 1, t), (t, t + 1)] if full else [(t + 1, t)]
+    return starts, ends

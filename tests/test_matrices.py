@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -212,6 +213,16 @@ def test_det_exact():
     assert det_exact([[1, 2], [2, 4]]) == 0
     assert det_exact([[0, 1], [1, 0]]) == -1
     assert det_exact(path_matrix(validate(2, 1), "lower")) == 2
+
+
+@pytest.mark.parametrize("matrix, rows", [([[1, 2]], "1 rows of lengths [2]"),
+                                          ([[1, 2], [3, 4], [5, 6]], "3 rows of lengths [2, 2, 2]"),
+                                          ([[1], [2]], "2 rows of lengths [1, 1]"),
+                                          ([[1, 2], [3]], "2 rows of lengths [2, 1]")],
+                         ids=["1x2", "3x2", "2x1", "ragged"])
+def test_det_exact_rejects_a_non_square_matrix(matrix, rows):
+    with pytest.raises(ValueError, match=fr"^det_exact needs a square matrix, got {re.escape(rows)}$"):
+        det_exact(matrix)
 
 
 def fraction_det(matrix):

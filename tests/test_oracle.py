@@ -370,6 +370,13 @@ def test_count_families_tiny_hexagon():
     assert count_families(starts, ends, "none") == 3
 
 
+def test_the_empty_family_is_counted_once():
+    # det_exact([]) is 1: zero paths form one (empty) family
+    for constraint in CONSTRAINTS:
+        assert count_families([], [], constraint) == 1
+        assert list(enumerate_families([], [], constraint)) == [((), 1)]
+
+
 def test_count_families_half_regions():
     spec = validate(2, 1)
     starts, ends = lgv_points(spec, "lower")

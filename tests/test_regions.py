@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from holeyhex.regions import (HALVES, KINDS, LEFT, RIGHT, SpecValidationError, build_region,
+from holeyhex.regions import (HALVES, KINDS, LEFT, RIGHT, RegionSpec, SpecValidationError,
+                              build_region,
                               check, distance, free_region, hexagon_cells, hole_cell_half,
                               induced_holes, lgv_points, merge_induced_holes, neighbors,
                               parse_spec, spec_grid, validate)
@@ -191,6 +192,20 @@ def test_free_half_is_not_a_region_kind():
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
         build_region(validate(4, 1), "sideways")
+
+
+@pytest.mark.parametrize("kind, where", [("full", "the hexagon"), ("lower", "the lower region"),
+                                         ("upper", "the upper region")])
+def test_a_hole_that_does_not_fit_is_named(kind, where):
+    # the unvalidated specs hold an odd hole and one beyond the hexagon's side
+    for x in (1, 6):
+        with pytest.raises(ValueError, match=f"^hole at {x} does not fit inside {where}$"):
+            build_region(RegionSpec(4, 1, (x,), (0,)), kind)
+
+
+def test_lgv_points_rejects_a_kind_without_a_path_picture():
+    with pytest.raises(ValueError, match="^no path picture for kind 'free'$"):
+        lgv_points(validate(4, 1, [-2], [2]), "free")
 
 
 def test_spec_grid_order():
