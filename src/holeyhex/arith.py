@@ -1,12 +1,12 @@
 """Exact arithmetic for hexagon tiling counts.
 
 Everything in this module is integer or rational and exact: binomial
-coefficients with the zero-outside-range convention, rising factorials,
-ratios of Gamma values at integer arguments, terminating series summed
-from linear term factors (the Schur hole sums and the hypergeometric
-sums), and the three classical product formulas that count hexagon tilings
-and two of their symmetry classes.  The products are built from prime
-exponents: no big integer is ever divided.
+coefficients with the zero-outside-range convention, ratios of Gamma
+values at integer arguments, terminating series summed from linear term
+factors (the Schur hole sums and the hypergeometric sums), and the three
+classical product formulas that count hexagon tilings and two of their
+symmetry classes.  The products are built from prime exponents: no big
+integer is ever divided.
 
 All functions are pure and reentrant.  The one piece of module state, the
 table of prime factorisations behind the products, only ever grows and is
@@ -41,17 +41,6 @@ def binomial(n: int, k: int) -> int:
     if 0 <= k <= n:
         return math.comb(n, k)
     return 0
-
-
-def pochhammer(a: Rational, b: int) -> Fraction:
-    """Rising factorial a(a+1)...(a+b-1); the empty product (b = 0) is 1."""
-    if b < 0:
-        raise ValueError("pochhammer length must be nonnegative")
-    result = Fraction(1)
-    a = Fraction(a)
-    for t in range(b):
-        result *= a + t
-    return result
 
 
 def gamma_ratio(numerator_args: Sequence[int], denominator_args: Sequence[int]) -> Fraction:

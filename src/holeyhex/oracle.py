@@ -1,11 +1,12 @@
 """Independent brute-force oracles.
 
 Each oracle has one search state, counted by a layered sweep that keeps
-only the current {state: count} layer and enumerated by walking the same
-states depth first.  A tiling state is the first uncovered cell plus the
-covered cells from it on; a path-family state is the (height, path)
-pairs of the paths crossing into a column.  Nothing here touches the
-determinant machinery.
+only the current {state: count} layer.  A tiling state is the first
+uncovered cell plus the covered cells from it on; the sweep steps one
+cell at a time, and the tilings are enumerated by walking the same states
+depth first.  A path-family state is the (height, path) pairs of the
+paths crossing into a column; the sweep steps each column one path at a
+time.  Nothing here touches the determinant machinery.
 """
 
 from __future__ import annotations
@@ -139,35 +140,50 @@ def _columns(starts, ends, constraint):
     return range(min(entering, default=0), max((x for x, _ in ends), default=-1) + 1), entering
 
 
-def _column_steps(x, carry, entering, ends, constraint) -> list:
-    """The (weight, next carry, segments) of every way through column x.
+def _column(x, layer, entering, ends, constraint) -> dict:
+    """The {carry: weighted count} layer crossing out of column x.
 
-    ``carry`` holds the (height, path) pairs of the paths crossing into
-    column x, in height order, and ``entering`` those of the paths starting
-    in it.  Each active path climbs from its entry to an exit, in entry
-    order and capped below the next path's entry (so two paths entering at
-    one vertex leave the lower one no exit).  A cap reads only entries, so
-    the steps are the product of one list of exits per path, built one path
-    at a time, and the exits keep the entries' order.  A path ending in
-    column x leaves the carry.  Each segment is (path, entry, exit).
+    ``layer`` maps each carry (the (height, path) pairs of the paths
+    crossing into column x, in height order) to its weighted count, and
+    ``entering`` holds the pairs of the paths starting in x.  Every carry
+    holds the same paths, those with sx < x <= ex.  Each active path climbs
+    from its entry to an exit, capped below the next path's entry (so two
+    paths entering at one vertex leave the lower one no exit).  The paths
+    move one at a time in height order over states (entries still to move,
+    exits chosen so far).  A move reads only the mover's entry and the
+    next one's, so each pass works once per group of states with the same
+    entries to move, and states that agree on both parts merge.  A path
+    ending in column x must climb exactly to its end, and it leaves the
+    carry.
     """
-    actives = sorted([*carry, *entering])
-    steps = [(1, (), ())]
-    for pos, (entry, i) in enumerate(actives):
-        ex, ey = ends[i]
-        cap = ey if pos + 1 == len(actives) else min(ey, actives[pos + 1][0] - 1)
-        if constraint == "weighted_below":
-            cap = min(cap, x)
-        exits = range(entry, cap + 1)
-        if ex == x:  # a finishing path must climb exactly to its end
-            exits = [ey] if ey in exits else []
-        options = [(2 if constraint == "weighted_below" and y == x else 1,
-                    () if ex == x else ((y, i),), (i, entry, y))
-                   for y in exits
-                   if not (constraint == "avoid_diagonal" and entry <= x <= y)]
-        steps = [(weight * w, nxt + after, segments + (segment,))
-                 for weight, nxt, segments in steps for w, after, segment in options]
-    return steps
+    weighted, avoid = constraint == "weighted_below", constraint == "avoid_diagonal"
+    states: dict = {}  # {entries still to move: {exits chosen so far: weighted count}}
+    for carry, ways in layer.items():
+        group = states.setdefault(tuple(sorted([*carry, *entering])), {})
+        group[()] = group.get((), 0) + ways
+    for _ in range(len(next(iter(layer), ())) + len(entering)):  # one pass per active path
+        nxt: dict = {}
+        for movers, group in states.items():
+            (entry, i), rest = movers[0], movers[1:]
+            ex, ey = ends[i]
+            cap = min(ey, rest[0][0] - 1) if rest else ey
+            if weighted:
+                cap = min(cap, x)
+            if ex == x:  # a finishing path must climb exactly to its end
+                heights = (ey,) if entry <= ey <= cap else ()
+            else:
+                heights = range(entry, cap + 1)
+            merged = nxt.setdefault(rest, {})
+            for y in heights:
+                if avoid and entry <= x <= y:
+                    continue
+                factor = 2 if weighted and y == x else 1
+                step = () if ex == x else ((y, i),)
+                for exits, ways in group.items():
+                    key = exits + step
+                    merged[key] = merged.get(key, 0) + factor * ways
+        states = nxt
+    return states.get((), {})
 
 
 def count_families(starts: Sequence, ends: Sequence, constraint: str = "none") -> int:
@@ -183,55 +199,8 @@ def count_families(starts: Sequence, ends: Sequence, constraint: str = "none") -
     columns, entering = spans
     layer = {(): 1}
     for x in columns:
-        nxt: dict = {}
-        for carry, ways in layer.items():
-            for weight, after, _ in _column_steps(x, carry, entering.get(x, ()), ends, constraint):
-                nxt[after] = nxt.get(after, 0) + weight * ways
-        layer = nxt
+        layer = _column(x, layer, entering.get(x, ()), ends, constraint)
     return layer.get((), 0)
-
-
-def enumerate_families(starts: Sequence, ends: Sequence, constraint: str = "none"):
-    """Yield (paths, weight) for every vertex-disjoint family.
-
-    Each path is the full tuple of lattice points it visits.  Same column
-    steps as count_families, searched depth first on an explicit stack
-    (no recursion limit).  A node keeps the active paths' trails beside
-    its carry and the finished ones on a shared cons list, so its cost
-    grows with the active paths, not with all k.
-    """
-    spans = _columns(starts, ends, constraint)
-    if spans is None:
-        return
-    columns, entering = spans
-    stack = [(columns.start, (), {}, (), 1)]  # (x, carry, {path: trail}, finished, weight)
-    while stack:
-        x, carry, trails, finished, weight = stack.pop()
-        if x == columns.stop:  # every path has finished in its end column
-            trail_of = {}
-            while finished:
-                (i, trail), finished = finished
-                trail_of[i] = trail
-            yield tuple(trail_of[i] for i in range(len(starts))), weight
-            continue
-        steps = _column_steps(x, carry, entering.get(x, ()), ends, constraint)
-        for step, nxt, segments in reversed(steps):  # first step's families first
-            grown, done = {}, finished
-            for i, entry, exit_y in segments:
-                trail = trails.get(i, ()) + tuple((x, y) for y in range(entry, exit_y + 1))
-                if ends[i][0] == x:
-                    done = ((i, trail), done)
-                else:
-                    grown[i] = trail
-            stack.append((x + 1, nxt, grown, done, weight * step))
-
-
-def family_weight(paths, constraint: str) -> int:
-    """Recompute a family's weight from the stored paths (post-hoc check)."""
-    if constraint != "weighted_below":
-        return 1
-    touches = sum(1 for path in paths for (x, y) in path if x == y)
-    return 2 ** touches
 
 
 def noncrossing_endpoints(spec: RegionSpec, kind: str):

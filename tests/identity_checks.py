@@ -1,14 +1,26 @@
 """Samplers for the classical hypergeometric identities used by the entry
-closed forms.  Each check returns the number of sampled tuples verified
-exactly; shared by the unit tests and the acceptance suite."""
+closed forms, and the rising factorial they are written in.  Each check
+returns the number of sampled tuples verified exactly; shared by the unit
+tests and the acceptance suite."""
 
 from fractions import Fraction
 import random
 
 from holeyhex.arith import (GammaPoleError, NonTerminatingSeriesError, gamma_ratio,
-                            hyp_terminating, pochhammer)
+                            hyp_terminating)
 
 HALF = Fraction(1, 2)
+
+
+def pochhammer(a, b: int) -> Fraction:
+    """Rising factorial a(a+1)...(a+b-1); the empty product (b = 0) is 1."""
+    if b < 0:
+        raise ValueError("pochhammer length must be nonnegative")
+    result = Fraction(1)
+    a = Fraction(a)
+    for t in range(b):
+        result *= a + t
+    return result
 
 
 def check_wellpoised_5f4(samples: int, seed: int = 2024) -> int:

@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 
 from holeyhex import arith
 from holeyhex.arith import (GammaPoleError, NonTerminatingSeriesError, binomial,
-                            factor_ratios, gamma_ratio, hyp_terminating, pochhammer,
-                            product_formula, ratio_series)
+                            factor_ratios, gamma_ratio, hyp_terminating, product_formula,
+                            ratio_series)
 from holeyhex.matrices import closed_form_entry, det_exact, path_matrix
 from holeyhex.oracle import count_tilings
 from holeyhex.regions import TriangularRegion, hexagon_cells, validate
+from identity_checks import pochhammer
 
 
 def hexagon_region(n, m):

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from holeyhex.arith import product_formula
 from holeyhex.matrices import count_region, det_exact, path_count, path_matrix
-from holeyhex.oracle import (CONSTRAINTS, BudgetExceededError, _column_steps, _columns,
+from holeyhex.oracle import (CONSTRAINTS, BudgetExceededError, _column, _columns,
                              count_families, count_free_boundary, count_symmetric,
-                             count_tilings, enumerate_families, enumerate_tilings,
-                             family_weight, noncrossing_endpoints, tiling_is_exact_cover)
+                             count_tilings, enumerate_tilings, noncrossing_endpoints,
+                             tiling_is_exact_cover)
 from holeyhex.regions import (KINDS, LEFT, RIGHT, TriangularRegion, build_region, free_region,
                               hexagon_cells, lgv_points, neighbors, spec_grid, validate)
 
@@ -53,6 +53,83 @@ def small_regions(draw):
     return build_region(validate(n, m, chosen[:p], chosen[p:]), kind)
 
 
+def reference_exit_product(x, carry, entering, ends, constraint) -> list:
+    """The (weight, next carry, segments) of every way through column x:
+    the per-carry product of exit choices that count_families stepped
+    through before it moved one path at a time.
+
+    ``carry`` holds the (height, path) pairs of the paths crossing into
+    column x, in height order, and ``entering`` those of the paths starting
+    in it.  Each active path climbs from its entry to an exit, in entry
+    order and capped below the next path's entry (so two paths entering at
+    one vertex leave the lower one no exit).  A cap reads only entries, so
+    the steps are the product of one list of exits per path, built one path
+    at a time, and the exits keep the entries' order.  A path ending in
+    column x leaves the carry.  Each segment is (path, entry, exit).
+    """
+    actives = sorted([*carry, *entering])
+    steps = [(1, (), ())]
+    for pos, (entry, i) in enumerate(actives):
+        ex, ey = ends[i]
+        cap = ey if pos + 1 == len(actives) else min(ey, actives[pos + 1][0] - 1)
+        if constraint == "weighted_below":
+            cap = min(cap, x)
+        exits = range(entry, cap + 1)
+        if ex == x:  # a finishing path must climb exactly to its end
+            exits = [ey] if ey in exits else []
+        options = [(2 if constraint == "weighted_below" and y == x else 1,
+                    () if ex == x else ((y, i),), (i, entry, y))
+                   for y in exits
+                   if not (constraint == "avoid_diagonal" and entry <= x <= y)]
+        steps = [(weight * w, nxt + after, segments + (segment,))
+                 for weight, nxt, segments in steps for w, after, segment in options]
+    return steps
+
+
+def reference_enumerate_families_stack(starts, ends, constraint="none"):
+    """Yield (paths, weight) for every vertex-disjoint family: the library's
+    enumerator before it left for the tests.
+
+    Each path is the full tuple of lattice points it visits.  The column
+    steps are reference_exit_product's, searched depth first on an explicit
+    stack (no recursion limit).  A node keeps the active paths' trails
+    beside its carry and the finished ones on a shared cons list, so its
+    cost grows with the active paths, not with all k.
+    """
+    spans = _columns(starts, ends, constraint)
+    if spans is None:
+        return
+    columns, entering = spans
+    stack = [(columns.start, (), {}, (), 1)]  # (x, carry, {path: trail}, finished, weight)
+    while stack:
+        x, carry, trails, finished, weight = stack.pop()
+        if x == columns.stop:  # every path has finished in its end column
+            trail_of = {}
+            while finished:
+                (i, trail), finished = finished
+                trail_of[i] = trail
+            yield tuple(trail_of[i] for i in range(len(starts))), weight
+            continue
+        steps = reference_exit_product(x, carry, entering.get(x, ()), ends, constraint)
+        for step, nxt, segments in reversed(steps):  # first step's families first
+            grown, done = {}, finished
+            for i, entry, exit_y in segments:
+                trail = trails.get(i, ()) + tuple((x, y) for y in range(entry, exit_y + 1))
+                if ends[i][0] == x:
+                    done = ((i, trail), done)
+                else:
+                    grown[i] = trail
+            stack.append((x + 1, nxt, grown, done, weight * step))
+
+
+def reference_family_weight(paths, constraint):
+    """Recompute a family's weight from the stored paths (post-hoc check)."""
+    if constraint != "weighted_below":
+        return 1
+    touches = sum(1 for path in paths for (x, y) in path if x == y)
+    return 2 ** touches
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)
 @given(region=small_regions())
 @example(region=build_region(validate(2, 1), "full"))
@@ -66,7 +143,7 @@ def test_count_tilings_matches_enumeration(region):
         return
     for constraint in CONSTRAINTS:
         assert count_families(*points, constraint) == \
-            sum(weight for _, weight in enumerate_families(*points, constraint))
+            sum(weight for _, weight in reference_enumerate_families_stack(*points, constraint))
 
 
 def test_count_families_has_no_depth_limit():
@@ -74,11 +151,12 @@ def test_count_families_has_no_depth_limit():
     points = noncrossing_endpoints(validate(2, 1100), "lower")
     assert count_families(*points, "avoid_diagonal") == 1101 == \
         product_formula("transpose_complement", 2, 1100)
-    assert sum(weight for _, weight in enumerate_families(*points, "avoid_diagonal")) == 1101
+    assert sum(weight for _, weight in
+               reference_enumerate_families_stack(*points, "avoid_diagonal")) == 1101
 
 
 def reference_slot_column_steps(x, carry, starts, ends, constraint):
-    """The k-slot column steps that _column_steps replaced.
+    """The k-slot column steps that reference_exit_product replaced.
 
     ``carry`` holds one entry per path: the height at which it crossed into
     column x, or None while unstarted and after finishing.
@@ -129,7 +207,7 @@ def to_slots(pairs, k):
 
 
 def reference_column_steps(x, carry, starts, ends, constraint):
-    """The recursive search over exit assignments that _column_steps replaced."""
+    """The recursive search over exit assignments that reference_exit_product replaced."""
     actives = []
     for i, (sx, sy) in enumerate(starts):
         if sx == x:
@@ -215,13 +293,19 @@ def test_column_steps_match_the_recursive_search(state, constraint):
     slots = list(reference_slot_column_steps(x, carry, starts, ends, constraint))
     want = list(reference_column_steps(x, carry, starts, ends, constraint))
     assert [(w, nxt) for w, nxt, _ in slots] == [(w, nxt) for w, nxt, _ in want]
-    got = _column_steps(x, *to_pairs(x, carry, starts), ends, constraint)
+    pairs, entering = to_pairs(x, carry, starts)
+    got = reference_exit_product(x, pairs, entering, ends, constraint)
     assert [(w, to_slots(nxt, len(starts)), list(segments)) for w, nxt, segments in got] == slots
     # each segment climbs from the path's entry to the exit the search chose
     for (_, _, segments), (_, _, moves) in zip(slots, want):
         assert sorted((i, y) for i, _, y in segments) == sorted((i, y) for i, y, _ in moves)
         for i, entry, _ in segments:
             assert entry == (starts[i][1] if starts[i][0] == x else carry[i])
+    # moving one path at a time gives the product's weights summed by next carry
+    summed = {}
+    for w, nxt, _ in got:
+        summed[nxt] = summed.get(nxt, 0) + w
+    assert _column(x, {pairs: 1}, entering, ends, constraint) == summed
 
 
 def sweep(layer, steps):
@@ -256,14 +340,60 @@ def test_no_sweep_carries_a_path_into_its_start_column():
                                        if sx == x)
                         slots = sweep(slots, lambda carry: reference_slot_column_steps(
                             x, carry, starts, ends, constraint))
-                        pairs = sweep(pairs, lambda carry: _column_steps(
-                            x, carry, entering.get(x, ()), ends, constraint))
+                        pairs = _column(x, pairs, entering.get(x, ()), ends, constraint)
                     assert slots.get((None,) * len(starts), 0) == pairs.get((), 0) == \
                         count_families(starts, ends, constraint)
 
 
+@st.composite
+def endpoint_sets(draw):
+    """k <= 4 paths with starts near the origin and ends near their starts.
+
+    Now and then two paths share a start, or an end lies left of or below
+    its start (a family with no monotone route).
+    """
+    starts, ends = [], []
+    for _ in range(draw(st.integers(0, 4))):
+        if starts and draw(st.integers(0, 4)) == 0:
+            start = draw(st.sampled_from(starts))
+        else:
+            start = (draw(st.integers(-2, 3)), draw(st.integers(-2, 3)))
+        starts.append(start)
+        ends.append((start[0] + draw(st.integers(-1, 4)), start[1] + draw(st.integers(-1, 4))))
+    return starts, ends
+
+
+def reference_count_families(starts, ends, constraint):
+    """The column sweep over reference_exit_product that _column replaced."""
+    spans = _columns(starts, ends, constraint)
+    if spans is None:
+        return 0
+    columns, entering = spans
+    layer = {(): 1}
+    for x in columns:
+        layer = sweep(layer, lambda carry: reference_exit_product(
+            x, carry, entering.get(x, ()), ends, constraint))
+    return layer.get((), 0)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=500)
+@given(points=endpoint_sets(), constraint=st.sampled_from(CONSTRAINTS))
+@example(points=([(0, 0), (0, 0)], [(2, 2), (3, 3)]), constraint="none")
+@example(points=([(0, 1), (1, 0)], [(1, 2), (2, 1)]), constraint="weighted_below")
+@example(points=([(0, 0), (1, 2)], [(2, -1), (3, 4)]), constraint="avoid_diagonal")
+def test_count_families_matches_the_exit_product_sweep(points, constraint):
+    assert count_families(*points, constraint) == reference_count_families(*points, constraint)
+
+
+def test_count_families_on_the_largest_benchmark_region():
+    # the weighted upper half of n = 12, m = 4, as the benchmark's family ops count it
+    spec = validate(12, 4)
+    assert count_families(*noncrossing_endpoints(spec, "upper"), "weighted_below") == \
+        215334590359516790625 == count_region(spec, "upper_weighted").value
+
+
 def reference_enumerate_families(starts, ends, constraint):
-    """The recursive column sweep that enumerate_families replaced."""
+    """The recursive column sweep that reference_enumerate_families_stack replaced."""
     if any(ex < ax or ey < ay for (ax, ay), (ex, ey) in zip(starts, ends)):
         return
     xmax = max(x for x, _ in ends)
@@ -291,7 +421,7 @@ def test_enumerate_families_matches_the_recursive_sweep():
         pictures.append(noncrossing_endpoints(validate(*args), "lower"))
     for points in pictures:
         for constraint in CONSTRAINTS:
-            got = list(enumerate_families(*points, constraint))
+            got = list(reference_enumerate_families_stack(*points, constraint))
             assert got == list(reference_enumerate_families(*points, constraint))
 
 
@@ -374,7 +504,7 @@ def test_the_empty_family_is_counted_once():
     # det_exact([]) is 1: zero paths form one (empty) family
     for constraint in CONSTRAINTS:
         assert count_families([], [], constraint) == 1
-        assert list(enumerate_families([], [], constraint)) == [((), 1)]
+        assert list(reference_enumerate_families_stack([], [], constraint)) == [((), 1)]
 
 
 def test_count_families_half_regions():
@@ -453,8 +583,8 @@ def test_enumerate_families_weights_two_ways():
     starts, ends = lgv_points(spec, "lower")
     for constraint in ("avoid_diagonal", "weighted_below"):
         total = 0
-        for paths, weight in enumerate_families(starts, ends, constraint):
-            assert weight == family_weight(paths, constraint)
+        for paths, weight in reference_enumerate_families_stack(starts, ends, constraint):
+            assert weight == reference_family_weight(paths, constraint)
             flat = [v for path in paths for v in path]
             assert len(flat) == len(set(flat))  # vertex-disjoint
             total += weight

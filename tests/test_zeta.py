@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from holeyhex.matrices import count_region
+from holeyhex.matrices import count_region, det_exact, hole_matrix
 from holeyhex.oracle import enumerate_tilings, tiling_is_exact_cover
 from holeyhex.regions import (HALVES, LEFT, RIGHT, build_region, fused_pairs, half_shift,
                               hole_cell_half, neighbors, spec_grid, validate)
@@ -386,16 +386,25 @@ def test_stored_images_share_one_object_per_rhombus(monkeypatch):
 def test_verify_injection_outcomes_are_pinned():
     # every report or error on the n <= 6, m = 1, p <= 2 grid, hashed from
     # the partner-map walk and the per-rhombus cover check; a fused upper
-    # pair raises even when its region has no tilings
+    # pair raises even when its region has no tilings.  An injection bounds
+    # the holey count by the unholed one, so an ok region has |det E| <= 1
     rows = []
+    injective = over_one = 0
     for spec in spec_grid(6, 1, 2):
         for kind in HALVES:
+            det = abs(det_exact(hole_matrix(spec, kind)))
+            over_one += det > 1
             try:
                 got = verify_injection(spec, kind)
             except (TransmissionError, ValueError) as exc:
                 got = [type(exc).__name__, str(exc)]
+            else:
+                if got["ok"]:
+                    assert det <= 1, (spec.to_text(), kind, det)
+                    injective += 1
             rows.append([spec.to_text(), kind, got])
     assert len(rows) == 118
+    assert (injective, over_one) == (56, 3)
     assert hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest() == \
         "eafd645ebc6060f3f95baf2fcfba68a155cc2c09aca66a6c4530c4c402d23647"
 
