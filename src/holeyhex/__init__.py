@@ -7,8 +7,7 @@ from .regions import (InducedHole, RegionSpec, SpecValidationError, TriangularRe
 from .matrices import (CountResult, closed_form_entry, count_region, det_exact,
                        hole_matrix, lu_factor_entry, path_count, path_matrix,
                        verify_lu)
-from .oracle import (count_families, count_free_boundary, count_symmetric, count_tilings,
-                     enumerate_tilings)
+from .oracle import count_families, count_tilings, enumerate_tilings
 from .asymptotics import (CorrelationReport, cauchy_det, classify_regime, entry_asym,
                           finite_correlation, predicted_interaction, separation_sweep,
                           size_sweep)

@@ -19,7 +19,8 @@ from statistics import linear_regression
 from typing import Sequence
 
 from .matrices import det_exact, hole_matrix
-from .regions import InducedHole, RegionSpec, distance, half_shift, induced_holes, validate
+from .regions import (InducedHole, RegionSpec, distance, free_boundary_holes, half_shift,
+                      induced_holes, merge_induced_holes, validate)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -130,10 +131,9 @@ def predicted_interaction(holes: Sequence[InducedHole], model: str = "bulk") -> 
 
 def finite_correlation(spec: RegionSpec, model: str = "bulk") -> CorrelationReport:
     """Exact finite-size determinants against the asymptotic prediction."""
-    if model == "free_boundary" and not spec.is_mirror_symmetric:
-        raise ValueError("free-boundary model requires R = -L")
     # a free boundary's right holes are images; the model is checked before any determinant
-    holes = [h for h in induced_holes(spec) if model != "free_boundary" or h.charge < 0]
+    holes = (merge_induced_holes(free_boundary_holes(spec, "free_boundary model"), ())
+             if model == "free_boundary" else induced_holes(spec))
     predicted = predicted_interaction(holes, model)
     det_lower = det_exact(hole_matrix(spec, "lower"))
     det_upper = det_exact(hole_matrix(spec, "upper"))

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .arith import (GammaPoleError, binomial, factor_ratios, gamma_product, gamma_ratio,
                     hyp_terminating, product_formula, ratio_series)
-from .regions import HALVES, RegionSpec, half_shift, lgv_points
+from .regions import HALVES, RegionSpec, free_boundary_holes, half_shift, lgv_points
 
 HALF = Fraction(1, 2)
 
@@ -51,7 +51,7 @@ def _show(x) -> str:
 # ---------------------------------------------------------------------------
 # path counts
 
-def path_count(start, end, variant: str = "plain") -> int:
+def path_count(start, end, variant: str = "none") -> int:
     """Number of north/east lattice paths from start to end.
 
     ``avoid_diagonal`` counts paths never touching y = x via the reflection
@@ -73,7 +73,7 @@ def _reflected_count(start, end, variant: str, comb) -> int:
             return 0
         return comb(east + north, east)
 
-    if variant == "plain":
+    if variant == "none":
         return plain(c, d)
     if variant == "avoid_diagonal":
         return plain(c, d) - plain(d, c)
@@ -403,15 +403,15 @@ def count_region(spec: RegionSpec, kind: str) -> CountResult:
     lower           |det Q_lower|  == TC(n,m) * |det E_lower|
     upper_weighted  |det Q_upper|  == VS(n,m) * |det E_upper|
     full            lower * upper_weighted == box(n,m) * detE_lower * detE_upper
-    free_half       == upper_weighted, requires R = -L and every left hole < 0
+    free_half       == upper_weighted, for a spec facing a free boundary
 
     ``kind`` may be any spelling in COUNT_KINDS.  A disagreement between
     routes means a formula bug and raises RouteMismatchError.
     """
     kind = COUNT_KINDS.get(kind, kind)
     n, m = spec.n, spec.m
-    if kind == "free_half" and (not spec.is_mirror_symmetric or any(x >= 0 for x in spec.left)):
-        raise ValueError("free_half requires R = -L with every left hole < 0")
+    if kind == "free_half":
+        free_boundary_holes(spec, "free_half count")
     if kind in ("lower", "upper_weighted", "free_half"):
         # upper_weighted is the upper half, and free_half is counted as it (Ciucu 1997)
         half_kind = "lower" if kind == "lower" else "upper"

@@ -13,8 +13,7 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-from .regions import (RegionSpec, TriangularRegion, build_region, free_region, half_shift,
-                      lgv_points, validate)
+from .regions import RegionSpec, TriangularRegion, half_shift, lgv_points
 
 DEFAULT_BUDGET = 10 ** 8
 
@@ -90,29 +89,6 @@ def tiling_is_exact_cover(region: TriangularRegion, tiling) -> bool:
     cells = len(region.cells)
     return ((2 * len(tiling) == cells or sum(map(len, tiling)) == cells)
             and region.rhombi.issuperset(tiling) and len(frozenset().union(*tiling)) == cells)
-
-
-# ---------------------------------------------------------------------------
-# symmetric and free-boundary counts
-
-def count_symmetric(spec: RegionSpec, axis: str) -> int:
-    """Tilings of the full holey hexagon invariant under a reflection: the
-    free region's for the vertical axis, and the lower half's for the
-    horizontal one, as an axis cell can only pair with its own vertical
-    partner (a slanted rhombus would overlap its mirror image)."""
-    if axis == "horizontal":
-        return count_tilings(build_region(spec, "lower"))
-    if axis == "vertical":
-        return count_tilings(free_region(spec))
-    raise ValueError(f"unknown axis {axis!r}")
-
-
-def count_free_boundary(n: int, m: int, left: Sequence[int]) -> int:
-    """Tilings of the left half hexagon against a vertical free boundary, for
-    left-pointing holes left of it (every left hole < 0), mirrored by R = -L."""
-    if any(x >= 0 for x in left):
-        raise ValueError("a free boundary needs every left hole < 0")
-    return count_tilings(free_region(validate(n, m, left, [-x for x in left])))
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,15 @@ def half_shift(kind: str, what: str) -> int:
     return d
 
 
+def free_boundary_holes(spec: RegionSpec, what: str) -> tuple:
+    """The left holes of a spec facing a free boundary at its centre line: each
+    left of it, with the right holes as their mirror images.  Any other spec
+    has no ``what``."""
+    if not spec.is_mirror_symmetric or any(x >= 0 for x in spec.left):
+        raise ValueError(f"{what} needs R = -L with every left hole < 0")
+    return spec.left
+
+
 class SpecValidationError(ValueError):
     """Invalid region description; carries the complete violation list."""
 
@@ -347,7 +356,9 @@ def build_region(spec: RegionSpec, kind: str) -> TriangularRegion:
 
     A half keeps the hexagon's cells on its side of the axis (h >= 0 in the
     upper half, d = 1); each hole then removes its four cells from the full
-    region and its one cell from a half.
+    region and its one cell from a half.  The lower half's tilings are the full
+    region's horizontally symmetric ones, as an axis cell can only pair with its
+    own vertical partner (a slanted rhombus would overlap its mirror image).
     """
     if kind not in KINDS:
         raise ValueError(f"unknown region kind {kind!r}")
@@ -392,7 +403,7 @@ def lgv_points(spec: RegionSpec, kind: str) -> tuple[list[Point], list[Point]]:
     hole, all strictly below the diagonal y = x.  For the full region the
     boundary points are the 2m points (i, 1-i), i = 1-m..m, and every hole
     contributes a mirrored pair of points (one for each unit edge of its
-    vertical side), so that the plain path-count determinant equals the
+    vertical side), so that the unconstrained path-count determinant equals the
     full-region tiling count.
     """
     if kind not in KINDS:

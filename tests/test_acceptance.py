@@ -23,6 +23,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -34,9 +35,8 @@ from holeyhex.asymptotics import (aspect_m, classify_regime, separation_sweep,
                                   size_sweep)
 from holeyhex.matrices import (closed_form_entry, count_region, det_exact,
                                hole_matrix, hole_matrix_entry)
-from holeyhex.oracle import (count_families, count_free_boundary, count_symmetric,
-                             count_tilings, noncrossing_endpoints)
-from holeyhex.regions import build_region, spec_grid, validate
+from holeyhex.oracle import count_families, count_tilings, noncrossing_endpoints
+from holeyhex.regions import build_region, free_region, spec_grid, validate
 from holeyhex.zeta import verify_injection
 
 
@@ -99,9 +99,9 @@ def test_criterion_4_free_boundary_equivalence():
     values = {}
     for n, m, left in cases:
         spec = validate(n, m, left, [-x for x in left])
-        symmetric = count_symmetric(spec, "vertical")
+        symmetric = count_tilings(free_region(spec))
         weighted = count_region(spec, "upper_weighted").value
-        free = count_free_boundary(n, m, left)
+        free = count_region(spec, "free").value
         assert symmetric == weighted == free, spec.to_text()
         values[(n, m, tuple(left))] = symmetric
     assert values[(2, 1, ())] == 10
@@ -143,6 +143,37 @@ def test_criterion_5_determinant_bounds():
         "injection said to prove it) fails whenever an apart-pointing pair is "
         "separated widely relative to m."
     )
+
+
+def _apart_pair_determinants(xi):
+    """|det E| in both halves for every apart-pointing single pair (L < R) with
+    n <= 32 even and m = xi * n / 2 a whole number."""
+    for n in range(2, 33, 2):
+        m = Fraction(xi) * n / 2
+        if m.denominator != 1:
+            continue
+        for left, right in combinations(range(-n + 2, n - 1, 2), 2):
+            spec = validate(n, int(m), [left], [right])
+            for kind in ("lower", "upper"):
+                yield spec, kind, abs(det_exact(hole_matrix(spec, kind)))
+
+
+def test_criterion_5_determinant_bounds_for_apart_pairs():
+    # the bound holds for every apart-pointing single pair at xi = 2m/n in {1, 2, 4} ...
+    entries = violations = 0
+    for xi in (1, 2, 4):
+        for spec, kind, det in _apart_pair_determinants(xi):
+            entries += 1
+            violations += det > 1
+    assert (entries, violations) == (15600, 0)
+    # ... and not at xi = 1/2, so the grid above is not vacuous
+    beyond = [(spec.to_text(), kind) for spec, kind, det in
+              _apart_pair_determinants(Fraction(1, 2)) if det > 1]
+    assert beyond[0] == ("n=12 m=3 L=-8 R=6", "upper")
+    assert len(beyond) == 1247
+    announce("5 (bounds, apart pairs)", True,
+             f"|det E| <= 1 on {entries} apart-pointing single-pair entries at "
+             f"xi in {{1, 2, 4}}, n <= 32; {len(beyond)} violations at xi = 1/2")
 
 
 def test_criterion_5_determinant_signs():

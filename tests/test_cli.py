@@ -80,14 +80,6 @@ def test_zeta_rejects_a_fused_pair_without_tilings(capsys):
     assert "fuses into a hexagonal hole" in err
 
 
-def test_count_free_needs_left_holes_left_of_centre(capsys):
-    # the upper-weighted count (9) is not the free region's 3 tilings here
-    code, out, err = run(capsys, "count", "--kind", "free", "--n", "4", "--m", "1",
-                         "--left=2", "--right=-2")
-    assert (code, out) == (2, "")
-    assert err == "error: free_half requires R = -L with every left hole < 0\n"
-
-
 def test_budget_stop_exits_2(capsys, monkeypatch):
     zeta_module = sys.modules["holeyhex.zeta"]  # the package's `zeta` is the function
     monkeypatch.setattr(zeta_module, "enumerate_tilings",
@@ -222,24 +214,23 @@ def test_size_sweep_follows_the_model(capsys):
     assert out.splitlines()[1:] == rows
 
 
-def test_free_boundary_size_sweep_needs_mirrored_holes(capsys):
-    code, out, err = run(capsys, "sweep", "--n-values", "20,40", "--left=-2", "--right=4",
-                         "--model", "free_boundary")
-    assert code == 2
-    assert out == ""
-    assert err == "error: free-boundary model requires R = -L\n"
+@pytest.mark.parametrize("holes", [("--left=2", "--right=-2"), ("--left=-2", "--right=4")],
+                         ids=["left_hole_right_of_centre", "not_mirrored"])
+@pytest.mark.parametrize("argv, caller", [
+    (("count", "--kind", "free", "--n", "8", "--m", "4"), "free_half count"),
+    (("correlate", "--model", "free_boundary", "--n", "8", "--m", "4"), "free_boundary model"),
+    (("sweep", "--model", "free_boundary", "--n-values", "8,16"), "free_boundary model"),
+], ids=["count", "correlate", "sweep"])
+def test_the_free_boundary_rule_has_one_message(capsys, argv, caller, holes):
+    # a mirrored left hole right of centre faces no free boundary: the upper-weighted
+    # count is not its free region's
+    assert run(capsys, *argv, *holes) == \
+        (2, "", f"error: {caller} needs R = -L with every left hole < 0\n")
 
 
-@pytest.mark.parametrize("argv, message", [
-    (("correlate", "--n", "8", "--m", "4", "--left=2", "--right=-2", "--model", "free_boundary"),
-     "free-boundary holes must lie left of the conductor"),
-    (("sweep", "--n-values", "8,16", "--left=2", "--right=-2", "--model", "free_boundary"),
-     "free-boundary holes must lie left of the conductor"),
-    (("sweep", "--xi", "1/100", "--size", "4", "--separations", "2"),
-     "aspect ratio too small for this n"),
-])
-def test_model_and_aspect_errors_exit_2(capsys, argv, message):
-    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+def test_an_aspect_ratio_too_small_exits_2(capsys):
+    assert run(capsys, "sweep", "--xi", "1/100", "--size", "4", "--separations", "2") == \
+        (2, "", "error: aspect ratio too small for this n\n")
 
 
 def test_zeta_exits_1_on_an_invalid_image(capsys, monkeypatch):

@@ -37,8 +37,8 @@ def brute_paths(start, end):
 
 
 def test_path_count_plain():
-    assert path_count((0, 0), (2, 1), "plain") == 3
-    assert path_count((0, 0), (-1, 0), "plain") == 0
+    assert path_count((0, 0), (2, 1), "none") == 3
+    assert path_count((0, 0), (-1, 0), "none") == 0
 
 
 def test_path_count_avoid_diagonal_against_enumeration():

@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 from holeyhex.arith import product_formula
 from holeyhex.matrices import count_region, det_exact, path_count, path_matrix
 from holeyhex.oracle import (CONSTRAINTS, BudgetExceededError, _column, _columns,
-                             count_families, count_free_boundary, count_symmetric,
-                             count_tilings, enumerate_tilings, noncrossing_endpoints,
-                             tiling_is_exact_cover)
+                             count_families, count_tilings, enumerate_tilings,
+                             noncrossing_endpoints, tiling_is_exact_cover)
 from holeyhex.regions import (KINDS, LEFT, RIGHT, TriangularRegion, build_region, free_region,
                               hexagon_cells, lgv_points, neighbors, spec_grid, validate)
 
@@ -554,7 +553,7 @@ def test_full_point_determinant_counts_tilings():
                  (6, 1, [-2, 2], [-4, 0])]:
         spec = validate(*args)
         starts, ends = lgv_points(spec, "full")
-        rows = [[Fraction(path_count(s, e, "plain")) for e in ends] for s in starts]
+        rows = [[Fraction(path_count(s, e, "none")) for e in ends] for s in starts]
         assert abs(det_exact(rows)) == count_tilings(build_region(spec, "full"))
 
 
@@ -592,26 +591,30 @@ def test_enumerate_families_weights_two_ways():
 
 
 def test_count_symmetric():
+    # horizontally symmetric tilings are the lower half's, vertically symmetric
+    # ones the free region's
     spec = validate(2, 1)
-    assert count_symmetric(spec, "horizontal") == 2
-    assert count_symmetric(spec, "vertical") == 10
+    assert count_tilings(build_region(spec, "lower")) == 2
+    assert count_tilings(free_region(spec)) == 10
     with pytest.raises(ValueError, match="R = -L"):
-        count_symmetric(validate(4, 1, [-2], [0]), "vertical")
+        free_region(validate(4, 1, [-2], [0]))
     with pytest.raises(ValueError):
-        count_symmetric(spec, "diagonal")
+        build_region(spec, "diagonal")
 
 
 def test_count_free_boundary():
-    assert count_free_boundary(2, 1, []) == 10
-    assert count_free_boundary(2, 1, []) == product_formula("vertical_symmetric", 2, 1)
-    assert count_free_boundary(4, 1, [-2]) == \
-        count_region(validate(4, 1, [-2], [2]), "upper_weighted").value
+    assert count_tilings(free_region(validate(2, 1))) == 10 == \
+        product_formula("vertical_symmetric", 2, 1)
+    spec = validate(4, 1, [-2], [2])
+    assert count_tilings(free_region(spec)) == count_region(spec, "upper_weighted").value
     # out of reach of filtering the full hexagon's 34,763,300 tilings
-    assert count_free_boundary(8, 1, []) == 24310 == product_formula("vertical_symmetric", 8, 1)
-    # a hole at or right of the boundary is not left of it (276 and 3 were returned)
-    for n, left in ((6, [2, -4]), (4, [2]), (4, [0])):
-        with pytest.raises(ValueError, match="every left hole < 0"):
-            count_free_boundary(n, 1, left)
+    assert count_tilings(free_region(validate(8, 1))) == 24310 == \
+        product_formula("vertical_symmetric", 8, 1)
+    # the free region exists for any R = -L; a left hole right of centre faces
+    # no free boundary, and the weighted upper half (9) does not count it
+    spec = validate(4, 1, [2], [-2])
+    assert count_tilings(free_region(spec)) == 3
+    assert count_region(spec, "upper_weighted").value == 9
 
 
 def reflect_horizontal(cell):
@@ -637,10 +640,10 @@ def reference_count_symmetric(spec, axis):
 def test_count_symmetric_matches_enumerate_and_filter():
     checked = 0
     for spec in spec_grid(4, 1, 2):
-        assert count_symmetric(spec, "horizontal") == \
+        assert count_tilings(build_region(spec, "lower")) == \
             reference_count_symmetric(spec, "horizontal"), spec.to_text()
         if spec.is_mirror_symmetric:
-            assert count_symmetric(spec, "vertical") == \
+            assert count_tilings(free_region(spec)) == \
                 reference_count_symmetric(spec, "vertical"), spec.to_text()
             checked += 1
     assert checked == 4
@@ -648,7 +651,7 @@ def test_count_symmetric_matches_enumerate_and_filter():
 
 def test_horizontal_symmetric_count_is_the_lower_count():
     for spec in spec_grid(6, 2, 2):
-        assert count_symmetric(spec, "horizontal") == count_region(spec, "lower").value, \
+        assert count_tilings(build_region(spec, "lower")) == count_region(spec, "lower").value, \
             spec.to_text()
 
 
@@ -657,8 +660,8 @@ def test_free_boundary_count_is_the_free_count():
                 if spec.is_mirror_symmetric and all(x < 0 for x in spec.left)]
     assert len(mirrored) == 50
     for spec in mirrored:
-        assert count_free_boundary(spec.n, spec.m, spec.left) == \
-            count_region(spec, "free").value, spec.to_text()
+        assert count_tilings(free_region(spec)) == count_region(spec, "free").value, \
+            spec.to_text()
 
 
 def test_free_region_tilings_unfold_to_distinct_full_tilings():
@@ -682,7 +685,7 @@ def test_free_region_tilings_unfold_to_distinct_full_tilings():
                     image |= {rhombus, mirror}
             assert tiling_is_exact_cover(full, image), spec.to_text()
             images.add(frozenset(image))
-        assert len(images) == tilings == count_symmetric(spec, "vertical"), spec.to_text()
+        assert len(images) == tilings == count_tilings(free), spec.to_text()
         unfolded += tilings
     assert unfolded == 6359  # over the 13 mirrored specs
 

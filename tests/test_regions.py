@@ -5,7 +5,8 @@ import pytest
 
 from holeyhex.regions import (HALVES, KINDS, LEFT, RIGHT, RegionSpec, SpecValidationError,
                               build_region,
-                              check, distance, free_region, hexagon_cells, hole_cell_half,
+                              check, distance, free_boundary_holes, free_region, hexagon_cells,
+                              hole_cell_half,
                               induced_holes, lgv_points, merge_induced_holes, neighbors,
                               parse_spec, spec_grid, validate)
 
@@ -181,6 +182,19 @@ def test_free_region_is_the_full_region_left_of_centre():
             assert own | mirror(own) == whole and not own & mirror(own)
         assert free.free_edge == {cell for cell in free.cells if cell[0] == 0}
         assert all(cell[2] == LEFT for cell in free.free_edge)
+
+
+def test_free_boundary_holes_are_left_of_centre_and_mirrored():
+    facing = 0
+    for spec in spec_grid(8, 1, 2):
+        if spec.is_mirror_symmetric and all(x < 0 for x in spec.left):
+            assert free_boundary_holes(spec, "a test") == spec.left
+            facing += 1
+        else:
+            with pytest.raises(ValueError,
+                               match=r"^a test needs R = -L with every left hole < 0$"):
+                free_boundary_holes(spec, "a test")
+    assert facing == 14
 
 
 def test_free_half_is_not_a_region_kind():
