@@ -3,10 +3,12 @@
 Each oracle has one search state, counted by a layered sweep that keeps
 only the current {state: count} layer.  A tiling state is the first
 uncovered cell plus the covered cells from it on; the sweep steps one
-cell at a time, and the tilings are enumerated by walking the same states
-depth first.  A path-family state is the (height, path) pairs of the
-paths crossing into a column; the sweep steps each column one path at a
-time.  Nothing here touches the determinant machinery.
+cell at a time, each forced cell (whose one later partner has no other
+earlier partner) folded into the step before it, and the tilings are
+enumerated by walking the same states depth first.  A path-family state
+is the (height, path) pairs of the paths crossing into a column; the
+sweep steps each column one path at a time.  Nothing here touches the
+determinant machinery.
 """
 
 from __future__ import annotations
@@ -58,25 +60,60 @@ def enumerate_tilings(region: TriangularRegion, budget: int = DEFAULT_BUDGET) ->
                 stack.append((lo + 1, (mask | 1 << off) >> 1, len(chosen), ((lo, lo + off),)))
 
 
+def _steps(ahead) -> list:
+    """count_tilings' steps over the cells of ``ahead`` (``region.order``'s
+    offsets): per step, its cell's partner offsets and the offset of the
+    forced next cell folded into it, or 0.
+
+    A cell is forced when its one later partner, at offset o > 0, has it as
+    its only earlier partner.  No earlier cell can cover that partner, so bit
+    o is clear when the cell is reached: a covered cell shifts through and a
+    free one takes its partner, a bijection on masks that never merges two
+    states.
+    """
+    earlier = [0] * len(ahead)
+    for lo, offsets in enumerate(ahead):
+        for off in offsets:
+            if off:
+                earlier[lo + off] += 1
+    forced = [0] * (len(ahead) + 1)  # one past the last cell, which has no next
+    for lo, offsets in enumerate(ahead):
+        if len(offsets) == 1 and offsets[0] and earlier[lo + offsets[0]] == 1:
+            forced[lo] = offsets[0]
+    steps, lo = [], 0
+    while lo < len(ahead):
+        steps.append((ahead[lo], forced[lo + 1]))
+        lo += 2 if forced[lo + 1] else 1
+    return steps
+
+
 def count_tilings(region: TriangularRegion) -> int:
     """Exact tiling count by a layered transfer sweep over the cells.
 
     The layer at cell ``lo`` maps the covered cells from ``lo`` on (bit 0
     is ``lo``) to the number of ways to cover every cell before ``lo``.
     A covered ``lo`` shifts through; a free one pairs with each free
-    partner after it.  Slab-major cell order keeps the masks narrow.
+    partner after it.  A step with a forced cell folded in (``_steps``)
+    steps that cell too, on each key it makes: covered (bit 1 set), it
+    shifts through; free, it sets its partner's bit first.  The layer is
+    then rebuilt once per folded pair, not once per cell.  Slab-major cell
+    order keeps the masks narrow.
     """
     _, ahead = region.order
     layer = {0: 1}
-    for offsets in ahead:
+    for offsets, forced in _steps(ahead):
+        bits = [1 << off for off in offsets]
+        partner, shift = (2 << forced, 2) if forced else (0, 1)
         nxt: dict = {}
         for mask, ways in layer.items():
             if mask & 1:
-                nxt[mask >> 1] = nxt.get(mask >> 1, 0) + ways
+                key = (mask if mask & 2 else mask | partner) >> shift
+                nxt[key] = nxt.get(key, 0) + ways
                 continue
-            for off in offsets:
-                if not mask >> off & 1:
-                    key = (mask | 1 << off) >> 1
+            for bit in bits:
+                if not mask & bit:
+                    key = mask | bit
+                    key = (key if key & 2 else key | partner) >> shift
                     nxt[key] = nxt.get(key, 0) + ways
         layer = nxt
     return layer.get(0, 0)

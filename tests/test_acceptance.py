@@ -96,16 +96,21 @@ def test_criterion_3_half_region_counts():
 
 def test_criterion_4_free_boundary_equivalence():
     cases = [(2, 1, []), (4, 1, [-2]), (4, 2, [-2]), (6, 1, [-4, -2])]
-    values = {}
+    values = []
     for n, m, left in cases:
         spec = validate(n, m, left, [-x for x in left])
+        # three independent routes: the transfer sweep on the free region, the
+        # weighted path-family sweep on the upper half, and its determinants
+        # (count_region's "free" runs the same determinants as "upper_weighted")
         symmetric = count_tilings(free_region(spec))
+        families = count_families(*noncrossing_endpoints(spec, "upper"), "weighted_below")
         weighted = count_region(spec, "upper_weighted").value
         free = count_region(spec, "free").value
-        assert symmetric == weighted == free, spec.to_text()
-        values[(n, m, tuple(left))] = symmetric
-    assert values[(2, 1, ())] == 10
-    announce("4", True, f"vertical-symmetric = weighted-upper = free-boundary on {len(cases)} specs")
+        assert symmetric == families == weighted == free, spec.to_text()
+        values.append(symmetric)
+    assert values == [10, 35, 84, 84]
+    announce("4", True, "vertical-symmetric tilings = weighted upper families = weighted upper"
+             f" determinants on {len(cases)} specs")
 
 
 def _bound_sweep(samples=220, seed=20250810):

@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 
 from holeyhex.arith import product_formula
 from holeyhex.matrices import count_region, det_exact, path_count, path_matrix
-from holeyhex.oracle import (CONSTRAINTS, BudgetExceededError, _column, _columns,
+from holeyhex.oracle import (CONSTRAINTS, BudgetExceededError, _column, _columns, _steps,
                              count_families, count_tilings, enumerate_tilings,
                              noncrossing_endpoints, tiling_is_exact_cover)
 from holeyhex.regions import (KINDS, LEFT, RIGHT, TriangularRegion, build_region, free_region,
-                              hexagon_cells, lgv_points, neighbors, spec_grid, validate)
+                              fused_pairs, hexagon_cells, lgv_points, neighbors, spec_grid,
+                              validate)
 
 
 def hexagon_region(n, m):
@@ -143,6 +144,75 @@ def test_count_tilings_matches_enumeration(region):
     for constraint in CONSTRAINTS:
         assert count_families(*points, constraint) == \
             sum(weight for _, weight in reference_enumerate_families_stack(*points, constraint))
+
+
+def reference_count_tilings(region):
+    """The per-cell transfer sweep that count_tilings' folded steps replaced:
+    the layer is rebuilt once per cell, forced or not."""
+    _, ahead = region.order
+    layer = {0: 1}
+    for offsets in ahead:
+        nxt = {}
+        for mask, ways in layer.items():
+            if mask & 1:
+                nxt[mask >> 1] = nxt.get(mask >> 1, 0) + ways
+                continue
+            for off in offsets:
+                if not mask >> off & 1:
+                    key = (mask | 1 << off) >> 1
+                    nxt[key] = nxt.get(key, 0) + ways
+        layer = nxt
+    return layer.get(0, 0)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(region=small_regions())
+def test_count_tilings_matches_the_per_cell_sweep(region):
+    assert count_tilings(region) == reference_count_tilings(region)
+
+
+def test_count_tilings_matches_the_per_cell_sweep_on_free_and_fused_regions():
+    free = fused = 0
+    for spec in spec_grid(6, 2, 2):
+        regions = []
+        if spec.is_mirror_symmetric:
+            regions.append(free_region(spec))
+            free += 1
+        if fused_pairs(spec):
+            regions.append(build_region(spec, "upper"))
+            fused += 1
+        for region in regions:
+            assert count_tilings(region) == reference_count_tilings(region), \
+                (region.kind, spec.to_text())
+    assert (free, fused) == (26, 54)
+    for spec in (validate(8, 2, [-4], [4]), validate(6, 3, [-2], [2])):  # the benchmark's shapes
+        region = build_region(spec, "full")
+        assert count_tilings(region) == reference_count_tilings(region), spec.to_text()
+    cell = (0, 0, RIGHT)
+    empty = TriangularRegion("full", frozenset(), frozenset(), None)
+    alone = TriangularRegion("full", frozenset({cell}), frozenset(), None)
+    half = TriangularRegion("free", frozenset({cell}), frozenset(), None, frozenset({cell}))
+    for region, total in ((empty, 1), (alone, 0), (half, 1)):
+        assert count_tilings(region) == reference_count_tilings(region) == total
+
+
+def test_the_sweep_folds_every_forced_cell_of_a_rhombus_region():
+    # the right-pointing cell of each strip pair is forced and folded into
+    # the step before it; a folded cell's partner has no other earlier partner
+    for spec, folded, cells in ((validate(10, 3), 210, 440), (validate(12, 2), 228, 480)):
+        _, ahead = build_region(spec, "full").order
+        steps = _steps(ahead)
+        lo, seen = 0, 0
+        for offsets, forced in steps:
+            assert offsets == ahead[lo]
+            if forced:
+                assert ahead[lo + 1] == [forced]
+                partner = lo + 1 + forced
+                assert sum(partner - i in ahead[i] for i in range(partner)) == 1
+                seen += 1
+            lo += 2 if forced else 1
+        assert lo == len(ahead) == cells
+        assert (seen, len(steps)) == (folded, cells - folded), spec.to_text()
 
 
 def test_count_families_has_no_depth_limit():
