@@ -11,6 +11,6 @@ from .oracle import count_families, count_tilings, enumerate_tilings
 from .asymptotics import (CorrelationReport, cauchy_det, classify_regime, entry_asym,
                           finite_correlation, predicted_interaction, separation_sweep,
                           size_sweep)
-from .zeta import pair_holes, propagation_path, transmit, verify_injection, zeta
+from .zeta import pair_holes, verify_injection, zeta
 
 __version__ = "0.1.0"

@@ -10,10 +10,12 @@ partner, and the merged pair is covered by a fresh rhombus.
 
 Cells outside the ribbons are never touched, so the map is local; whether
 it is injective is checked exhaustively by verify_injection rather than
-assumed.  All that no tiling changes (whether the map is defined, each
-pair's hole cells, case and walks) is planned once per region, and every
-tile a walk probes or a transmission adds is the region's own object
-(``TriangularRegion.mates``), so a tiling costs the length of its ribbons.
+assumed.  The map has one way in, a private plan per region behind both
+``zeta`` and ``verify_injection``: all that no tiling changes (whether the
+map is defined, each pair's hole cells, case and walks) is worked out
+there once, and every tile a walk probes or a transmission adds is the
+region's own object (``TriangularRegion.mates``), so a tiling costs the
+length of its ribbons.
 """
 
 from __future__ import annotations
@@ -59,15 +61,11 @@ _EDGE_STEPS = {(1, 1, LEFT): (1, 1), (1, -1, LEFT): (1, -1)}
 def _route(region: TriangularRegion, pair) -> tuple:
     """The part of a pair's propagation path that no tiling changes: the unit
     hole that is transmitted, the unit hole it must end beside, and the
-    (first cell, steps) of each walk: none, one in case (i), two in case (ii)."""
+    (first cell, steps) of each walk: one in case (i), two in case (ii)."""
     (pos1, orient1), (pos2, orient2) = pair
-    if pos1 >= pos2 or orient1 == orient2:
-        raise ValueError("pair must be two positions of differing orientation")
     cell1 = hole_cell_half(pos1, orient1, region.kind)
     cell2 = hole_cell_half(pos2, orient2, region.kind)
-    if cell2 in region.mates.get(cell1, ()):  # a caller's pair may hold no hole of the region
-        walks = []  # contiguous holes already share an edge
-    elif orient1 == LEFT:
+    if orient1 == LEFT:
         # case (i): from the left hole's vertical edge the walk crosses one
         # column per rhombus, so it ends; it must end on the partner hole
         walks = [((cell1[0], cell1[1], RIGHT), _EDGE_STEPS)]
@@ -114,8 +112,6 @@ def _walk(tiles, region: TriangularRegion, cell, steps):
 
 def _path(tiles, region: TriangularRegion, partner, walks) -> list:
     """The ribbon of ``tiles`` along the walks of a pair's route."""
-    if not walks:
-        return []
     if len(walks) == 1:  # case (i)
         ribbon, end = _walk(tiles, region, *walks[0])
         if end != partner:
@@ -138,43 +134,6 @@ def _path(tiles, region: TriangularRegion, partner, walks) -> list:
     return path1[:i1 + 1] + list(reversed(path2[:i2]))
 
 
-def propagation_path(tiling, region: TriangularRegion, pair) -> list:
-    """The ordered ribbon of rhombi of ``tiling`` between a pair of unit holes."""
-    _, partner, walks = _route(region, pair)
-    return _path(tiling, region, partner, walks)
-
-
-def transmit(tiling, ribbon, hole_cell, region: TriangularRegion):
-    """Slide a unit hole along a ribbon by triangle/rhombus interchanges.
-
-    Returns (tiles, final_hole_cell).  Each step swaps the hole with the
-    adjacent cell of the next rhombus, so only ribbon rhombi are altered;
-    each tile it adds is the region's own object in ``region.mates``.
-    """
-    if hole_cell not in region.mates:
-        raise ValueError(f"hole cell {hole_cell} is not a cell of the region")
-    tiles = set(tiling)
-    return tiles, _transmit(tiles, ribbon, hole_cell, region.mates)
-
-
-def _transmit(tiles: set, ribbon, hole, mates):
-    """transmit in place on ``tiles``, adding the tiles of ``mates`` (as in
-    ``TriangularRegion.mates``); returns the final hole cell."""
-    for rhombus in ribbon:
-        if rhombus not in tiles:
-            raise TransmissionError("ribbon rhombus missing from tiling")
-        a, b = tuple(rhombus)
-        near = a if a[2] != hole[2] else b
-        far = b if near is a else a
-        swapped = mates[hole].get(near)
-        if swapped is None:
-            raise TransmissionError("ribbon rhombus not adjacent to the hole")
-        tiles.remove(rhombus)
-        tiles.add(swapped)
-        hole = far
-    return hole
-
-
 class _Plan:
     """The transmission map of one region, with all that no tiling changes
     worked out once: that the map is defined there and each hole pair's
@@ -190,14 +149,26 @@ class _Plan:
         self.routes = [_route(region, pair) for pair in pair_holes(spec.right, spec.left)]
 
     def map(self, tiling):
-        """zeta of one tiling of the region."""
+        """zeta of one tiling of the region.  Along each pair's ribbon the
+        leading hole swaps with the near cell of each rhombus in turn, so
+        only ribbon rhombi change; one rhombus then covers it and its partner."""
         mates = self.region.mates
         tiles = set(tiling)
         ribbons = []
         for hole, partner, walks in self.routes:
             ribbon = _path(tiles, self.region, partner, walks)
             ribbons.append(ribbon)
-            hole = _transmit(tiles, ribbon, hole, mates)
+            for rhombus in ribbon:
+                if rhombus not in tiles:
+                    raise TransmissionError("ribbon rhombus missing from tiling")
+                a, b = tuple(rhombus)
+                near = a if a[2] != hole[2] else b
+                swapped = mates[hole].get(near)
+                if swapped is None:
+                    raise TransmissionError("ribbon rhombus not adjacent to the hole")
+                tiles.remove(rhombus)
+                tiles.add(swapped)
+                hole = b if near is a else a
             cover = mates[hole].get(partner)
             if cover is None:
                 raise TransmissionError("transmitted hole did not reach its partner")

@@ -9,8 +9,7 @@ from holeyhex.matrices import count_region, det_exact, hole_matrix
 from holeyhex.oracle import enumerate_tilings, tiling_is_exact_cover
 from holeyhex.regions import (HALVES, LEFT, RIGHT, build_region, fused_pairs, half_shift,
                               hole_cell_half, neighbors, spec_grid, validate)
-from holeyhex.zeta import (TransmissionError, pair_holes, propagation_path, transmit,
-                           upper_weight, verify_injection, zeta)
+from holeyhex.zeta import TransmissionError, pair_holes, upper_weight, verify_injection, zeta
 
 # every holed spec at (n, m) = (2, 1), (4, 1), (6, 1) and (4, 2); m = 2 at
 # n = 4 reaches the walks' second step below the axis
@@ -54,6 +53,12 @@ def reference_pair_holes(right, left):
         else:
             raise ValueError("orientations cannot be paired off")
     return pairs
+
+
+def route_path(tiles, region, pair) -> list:
+    """The ribbon of ``tiles`` between a pair's holes, by the plan's own route and path."""
+    zeta_module = sys.modules["holeyhex.zeta"]  # the package's `zeta` is the function
+    return zeta_module._path(tiles, region, *zeta_module._route(region, pair)[1:])
 
 
 def reference_partner_map(tiling) -> dict:
@@ -117,38 +122,32 @@ def test_propagation_path_shapes():
     spec = validate(4, 1, [-2], [2])
     region = build_region(spec, "lower")
     for tiling in enumerate_tilings(region):
-        ribbon = propagation_path(tiling, region, ((-2, LEFT), (2, RIGHT)))
+        _, (ribbon,) = zeta(tiling, region)
         assert len(ribbon) == 4  # one rhombus per column step
         for a, b in zip(ribbon, ribbon[1:]):
             assert not a & b
             assert any(x in neighbors(y) for x in a for y in b)
 
 
-def test_contiguous_pair_gives_empty_ribbon():
-    spec = validate(4, 1, [2], [0])  # fused pair: unit holes share an edge upstairs
-    region = build_region(spec, "upper")
-    tiling = next(enumerate_tilings(region))
-    assert propagation_path(tiling, region, ((0, RIGHT), (2, LEFT))) == []
-
-
-def test_a_pair_that_is_no_hole_of_the_region_breaks_the_walk():
-    spec = validate(4, 1, [-2], [2])
-    region = build_region(spec, "lower")
-    tiling = next(enumerate_tilings(region))
-    with pytest.raises(TransmissionError, match="^walk left the region$"):
-        propagation_path(tiling, region, ((-4, LEFT), (2, RIGHT)))
-
-
-def test_transmit_turns_ribbon_into_rhombi():
-    spec = validate(4, 1, [-2], [2])
-    region = build_region(spec, "lower")
-    tiling = next(enumerate_tilings(region))
-    ribbon = propagation_path(tiling, region, ((-2, LEFT), (2, RIGHT)))
-    tiles, hole = transmit(tiling, ribbon, hole_cell_half(-2, LEFT, "lower"), region)
-    assert len(tiles) == len(tiling)  # one removed per interchange, one added
-    assert hole[2] == LEFT
-    with pytest.raises(ValueError, match="is not a cell of the region"):
-        transmit(tiling, ribbon, (-6, -1, LEFT), region)
+def test_every_route_has_the_walks_of_its_case():
+    # the plan's pairs come from pair_holes alone: a pair whose left hole
+    # points left gets one walk, any other two, and outside a fused upper
+    # region no pair's hole cells share an edge, so no route is empty
+    zeta_module = sys.modules["holeyhex.zeta"]
+    walk_counts = {1: 0, 2: 0}
+    for spec in spec_grid(6, 2, 2):
+        for kind in HALVES:
+            if kind == "upper" and fused_pairs(spec):
+                continue
+            region = build_region(spec, kind)
+            plan = zeta_module._Plan(region)
+            pairs = pair_holes(spec.right, spec.left)
+            assert len(plan.routes) == len(pairs)
+            for pair, (cell1, cell2, walks) in zip(pairs, plan.routes):
+                assert len(walks) == (1 if pair[0][1] == LEFT else 2), (spec, kind, pair)
+                assert cell2 not in region.mates[cell1], (spec, kind, pair)
+                walk_counts[len(walks)] += 1
+    assert walk_counts == {1: 140, 2: 108}
 
 
 def test_zeta_images_are_valid_tilings():
@@ -269,17 +268,14 @@ def test_zeta_walks_the_partner_map_of_its_current_tiling(monkeypatch):
     # the partners that the partner map of the tile set as it stands gives
     zeta_module = sys.modules["holeyhex.zeta"]  # the package's `zeta` is the function
     current, checked = [], []
-    transmit_in_place = zeta_module._transmit
     path, walk = zeta_module._path, zeta_module._walk
 
-    def recording_transmit(tiles, ribbon, hole, mates):
-        current[:] = [tiles]
-        return transmit_in_place(tiles, ribbon, hole, mates)
-
     def checked_path(tiles, region, partner, walks):
-        if current:
+        if current:  # a later pair's walks see the set the earlier ones transmitted on
             assert tiles is current[0], (region.spec, partner)
             checked.append(partner)
+        else:
+            current.append(tiles)
         return path(tiles, region, partner, walks)
 
     def checked_walk(tiles, region, cell, steps):
@@ -287,7 +283,6 @@ def test_zeta_walks_the_partner_map_of_its_current_tiling(monkeypatch):
         assert got == outcome(reference_walk, reference_partner_map(tiles), region, cell, steps)
         return walk(tiles, region, cell, steps)
 
-    monkeypatch.setattr(zeta_module, "_transmit", recording_transmit)
     monkeypatch.setattr(zeta_module, "_path", checked_path)
     monkeypatch.setattr(zeta_module, "_walk", checked_walk)
     for args, kind in (((6, 1, [-4, -2], [0, 4]), "upper"),
@@ -326,7 +321,7 @@ def reference_zeta(tiling, region):
     tiles = set(tiling)
     ribbons = []
     for pair in pair_holes(spec.right, spec.left):
-        ribbon = propagation_path(tiles, region, pair)
+        ribbon = route_path(tiles, region, pair)
         ribbons.append(ribbon)
         hole = hole_cell_half(*pair[0], region.kind)
         other = hole_cell_half(*pair[1], region.kind)
@@ -443,7 +438,7 @@ def test_fused_upper_pair_is_rejected_before_enumerating(monkeypatch):
             verify_injection(validate(*args), "upper")
 
 
-# case (ii) of propagation_path written once per half, before both halves
+# case (ii) of the propagation path written once per half, before both halves
 # came from the shift d: four slant directions and per-half first cells
 REFERENCE_SLANT_STEPS = {
     "se": (LEFT, {(0, 0, RIGHT): (1, -1), (-1, -1, RIGHT): (0, -2)}),
@@ -474,7 +469,7 @@ def reference_slant_walk(partner, region, first_cell, direction):
 
 
 def reference_boundary_paths(tiling, region, pair):
-    """propagation_path for a right-pointing hole left of a left-pointing one."""
+    """The propagation path for a right-pointing hole left of a left-pointing one."""
     (pos1, _), (pos2, _) = pair
     partner = reference_partner_map(tiling)
     if region.kind == "lower":
@@ -514,13 +509,13 @@ def test_boundary_paths_match_per_half_reference():
             for tiling in enumerate_tilings(region):
                 for pair in pairs:
                     args = (tiling, region, pair)
-                    assert outcome(propagation_path, *args) == \
+                    assert outcome(route_path, *args) == \
                         outcome(reference_boundary_paths, *args), (region.spec, pair)
                     compared += 1
     assert compared == 435  # tilings times case-(ii) pairs
 
 
-# propagation_path with one walker per case, before both cases shared one walk
+# the propagation path with one walker per case, before both cases shared one walk
 def reference_vertical_edge_walk(partner, region, start_edge, goal_edge):
     ribbon = []
     c, k = start_edge
@@ -590,15 +585,17 @@ def reference_propagation_path(partner, region, pair):
 def test_one_walk_matches_the_two_walker_reference(monkeypatch):
     # ribbons or error messages of every pair, and zeta's images and ribbons
     zeta_module = sys.modules["holeyhex.zeta"]
-    outcomes = {}  # (case, kind, "ok" or error message) -> propagation_path calls
+    outcomes = {}  # (case, kind, "ok" or error message) -> route_path calls
     for spec in WALK_SPECS:
         for kind in HALVES:
+            if kind == "upper" and fused_pairs(spec):
+                continue  # no plan: test_zeta_rejects_fused_upper_pairs
             region = build_region(spec, kind)
             tilings = list(enumerate_tilings(region))
             for tiling in tilings:
                 partner = reference_partner_map(tiling)
                 for pair in pair_holes(spec.right, spec.left):
-                    got = outcome(propagation_path, tiling, region, pair)
+                    got = outcome(route_path, tiling, region, pair)
                     assert got == outcome(reference_propagation_path,
                                           partner, region, pair), (region.spec, pair)
                     key = ("i" if pair[0][1] == LEFT else "ii", kind,
@@ -612,7 +609,6 @@ def test_one_walk_matches_the_two_walker_reference(monkeypatch):
                               lambda tiles, region, partner, walks: reference_propagation_path(
                                   reference_partner_map(tiles), region, pair_of[partner]))
                 assert images == [outcome(zeta, tiling, region) for tiling in tilings]
-    # both cases and both halves, and the one error case (i) meets here
-    assert outcomes == {("i", "lower", "ok"): 1015, ("i", "upper", "ok"): 4455,
-                        ("i", "upper", "walk left the region"): 1736,
-                        ("ii", "lower", "ok"): 188, ("ii", "upper", "ok"): 1393}
+    # both cases and both halves, and no error outside a fused upper region
+    assert outcomes == {("i", "lower", "ok"): 1015, ("i", "upper", "ok"): 4257,
+                        ("ii", "lower", "ok"): 188, ("ii", "upper", "ok"): 247}
