@@ -80,23 +80,23 @@ def cmd_sweep(args) -> int:
         xi = None
     if xi is None or xi <= 0:
         raise ValueError(f"--xi must be a positive rational, got {args.xi!r}")
-    if bool(args.separations) == bool(args.n_values):
+    separations, n_values, left, right = (regions.parse_int_list(text) for text in (
+        args.separations, args.n_values, args.left, args.right))
+    if bool(separations) == bool(n_values):
         raise ValueError("sweep needs exactly one of --separations and --n-values")
-    given = {"--left": args.left, "--right": args.right, "--scale-holes": args.scale_holes,
+    given = {"--left": left, "--right": right, "--scale-holes": args.scale_holes,
              "--size": args.size is not None}
-    foreign = ("--left", "--right", "--scale-holes") if args.separations else ("--size",)
+    foreign = ("--left", "--right", "--scale-holes") if separations else ("--size",)
     stray = [flag for flag in foreign if given[flag]]
     if stray:
-        mode = "--separations" if args.separations else "--n-values"
+        mode = "--separations" if separations else "--n-values"
         raise ValueError(f"a {mode} sweep does not take {', '.join(stray)}")
-    if args.separations:
-        sweep_args = (200 if args.size is None else args.size, xi,
-                      regions.parse_int_list(args.separations), args.model)
+    if separations:
+        sweep_args = (200 if args.size is None else args.size, xi, separations, args.model)
         reports_of, sweep = asymptotics.separation_reports, asymptotics.separation_sweep
         trailer = "# slope={!r} intercept={!r}"
     else:
-        sweep_args = (regions.parse_int_list(args.left), regions.parse_int_list(args.right), xi,
-                      regions.parse_int_list(args.n_values), args.scale_holes, args.model)
+        sweep_args = (left, right, xi, n_values, args.scale_holes, args.model)
         reports_of, sweep = asymptotics.size_reports, asymptotics.size_sweep
         trailer = "# trend={!r}"
     if args.fit:

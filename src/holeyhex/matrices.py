@@ -13,7 +13,6 @@ sweeps cheap.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -60,18 +59,13 @@ def path_count(start, end, variant: str = "none") -> int:
     reflection principle turns into the sum P(end) + P(end reflected).
     Both endpoints are expected weakly below y = x - 1.
     """
-    return _reflected_count(start, end, variant, math.comb)
-
-
-def _reflected_count(start, end, variant: str, comb) -> int:
-    """path_count with the binomial coefficient taken from ``comb``."""
     (a, b), (c, d) = start, end
 
     def plain(cx, dy):
         east, north = cx - a, dy - b
         if east < 0 or north < 0:
             return 0
-        return comb(east + north, east)
+        return math.comb(east + north, east)
 
     if variant == "none":
         return plain(c, d)
@@ -82,6 +76,14 @@ def _reflected_count(start, end, variant: str, comb) -> int:
     raise ValueError(f"unknown path count variant {variant!r}")
 
 
+def _binomial_row(t: int) -> list:
+    """C(t, 0), ..., C(t, t) by the multiplicative recurrence; empty for t < 0."""
+    row = [1] if t >= 0 else []
+    for k in range(t):
+        row.append(row[-1] * (t - k) // (k + 1))
+    return row
+
+
 # Every path-matrix entry, LU factor entry, hole-matrix entry and closed
 # form below is written once for both halves, with some of its parameters
 # moved by the half's shift d = half_shift(kind, ...).
@@ -89,14 +91,27 @@ def path_matrix(spec: RegionSpec, kind: str) -> Matrix:
     """The (m+p) x (m+p) constrained path-count matrix for a half region.
 
     Paths avoid the diagonal below the axis (d = 0) and are weighted by
-    their diagonal touches above it (d = 1).  Entries are ints.  They share
-    few binomials (334 distinct ones for the 2401 entries at n = 188,
-    m = 47, p = 2), so each is computed once per call.
+    their diagonal touches above it (d = 1).  Entries are ints: from start
+    (a, b) to end (c, e), with T = c + e - a - b steps, the entry is
+    C(T, c - a) + (2d - 1) C(T, e - a), path_count's reflection sum or
+    difference.  C(T, k) is 0 unless 0 <= k <= T, so both terms are 0 when
+    T < 0.  The step totals take at most (1 + |L|)(1 + |R|) values; each
+    one's binomial row is built once per call and both terms are read from
+    it by index.
     """
-    variant = "weighted_below" if half_shift(kind, "path matrix") else "avoid_diagonal"
+    sign = 2 * half_shift(kind, "path matrix") - 1
     starts, ends = lgv_points(spec, kind)
-    comb = functools.cache(math.comb)
-    return [[_reflected_count(s, e, variant, comb) for e in ends] for s in starts]
+    end_totals = {c + e for c, e in ends}
+    rows = {u - v: _binomial_row(u - v) for v in {a + b for a, b in starts} for u in end_totals}
+    matrix = []
+    for a, b in starts:
+        out = []
+        for c, e in ends:
+            t = c + e - a - b
+            row, k, j = rows[t], c - a, e - a
+            out.append((row[k] if 0 <= k <= t else 0) + sign * (row[j] if 0 <= j <= t else 0))
+        matrix.append(out)
+    return matrix
 
 
 def _hole_to_hole(l: int, r: int, d: int) -> Fraction:

@@ -160,11 +160,14 @@ def test_sweep_requires_a_mode(capsys):
     assert "separations" in err
 
 
-@pytest.mark.parametrize("modes", [("--separations=",),
-                                   ("--separations", "2", "--n-values", "20", "--left=-2",
-                                    "--right=2")])
+@pytest.mark.parametrize("modes", [("--size", "20", "--separations="),
+                                   ("--size", "20", "--separations", "2", "--n-values", "20",
+                                    "--left=-2", "--right=2"),
+                                   # lists that parse to nothing name no mode
+                                   ("--xi", "1", "--size", "10", "--separations", ","),
+                                   ("--xi", "1", "--n-values", ",", "--left=-1", "--right=1")])
 def test_sweep_takes_exactly_one_mode(capsys, modes):
-    code, out, err = run(capsys, "sweep", "--size", "20", *modes)
+    code, out, err = run(capsys, "sweep", *modes)
     assert code == 2
     assert out == ""
     assert err == "error: sweep needs exactly one of --separations and --n-values\n"

@@ -65,12 +65,41 @@ def test_path_matrix_values():
     spec = validate(4, 1, [0], [2])
     assert path_matrix(spec, "lower") == [[14, 5], [2, 1]]
     assert path_matrix(spec, "upper") == [[126, 35], [10, 3]]
-    for spec in (spec, validate(10, 3, [-6, 2], [-2, 6]), validate(12, 2, [4], [-4])):
-        for kind, variant in (("lower", "avoid_diagonal"), ("upper", "weighted_below")):
-            starts, ends = lgv_points(spec, kind)
-            rows = path_matrix(spec, kind)
-            assert rows == [[path_count(s, e, variant) for e in ends] for s in starts]
-            assert {type(x) for row in rows for x in row} == {int}
+
+
+@st.composite
+def path_matrix_specs(draw):
+    """Valid specs with n <= 200, 1 <= m <= n and p <= 3, drawn to reach the
+    zero binomials: m close to n, a hole pair at the edges +-(n - 2), and
+    right holes left of left holes (hole-to-hole T < 0, or k > T)."""
+    n = 2 * draw(st.integers(1, 100))
+    m = draw(st.integers(1, n) | st.integers(max(1, n - 3), n))
+    positions = list(range(-n + 2, n - 1, 2))
+    p = draw(st.integers(0, min(3, len(positions) // 2)))
+    edge = draw(st.sampled_from([0, 1, -1])) if p else 0
+    left, right = ([edge * (n - 2)], [-edge * (n - 2)]) if edge else ([], [])
+    inner = positions[1:-1] if edge else positions
+    k = p - len(left)
+    chosen = draw(st.lists(st.sampled_from(inner), min_size=2 * k, max_size=2 * k, unique=True))
+    return validate(n, m, left + chosen[:k], right + chosen[k:])
+
+
+@settings(DIFFERENTIAL, max_examples=25)
+@given(spec=path_matrix_specs())
+@example(spec=validate(2, 2))
+@example(spec=validate(4, 1, [0], [2]))
+@example(spec=validate(10, 3, [-6, 2], [-2, 6]))
+@example(spec=validate(12, 2, [4], [-4]))
+@example(spec=validate(200, 200, [198], [-198]))              # right hole left of the left one
+@example(spec=validate(60, 58, [-58, 0, 4], [-2, 6, 58]))
+@example(spec=validate(188, 47, [-2], [2]))                   # the benchmark's count shapes
+@example(spec=validate(168, 84, [-2, 4], [-4, 6]))
+def test_path_matrix_matches_path_count(spec):
+    for kind, variant in (("lower", "avoid_diagonal"), ("upper", "weighted_below")):
+        starts, ends = lgv_points(spec, kind)
+        rows = path_matrix(spec, kind)
+        assert rows == [[path_count(s, e, variant) for e in ends] for s in starts]
+        assert {type(x) for row in rows for x in row} == {int}
 
 
 @pytest.mark.parametrize("function, what", [(path_matrix, "path matrix"),
