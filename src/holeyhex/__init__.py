@@ -5,8 +5,7 @@ from .regions import (InducedHole, RegionSpec, SpecValidationError, TriangularRe
                       build_region, distance, induced_holes, lgv_points,
                       merge_induced_holes, parse_spec, validate)
 from .matrices import (CountResult, closed_form_entry, count_region, det_exact,
-                       hole_matrix, lu_factor_entry, path_count, path_matrix,
-                       verify_lu)
+                       hole_matrix, path_count, path_matrix)
 from .oracle import count_families, count_tilings, enumerate_tilings
 from .asymptotics import (CorrelationReport, cauchy_det, classify_regime, entry_asym,
                           finite_correlation, predicted_interaction, separation_sweep,

@@ -1,9 +1,12 @@
-"""Path-count matrices, their LU factors, hole matrices, and exact counts.
+"""Path-count matrices, hole matrices, and exact counts.
 
 The source of truth for every matrix entry is the reflection-principle path
-count; the printed Gamma-ratio and hypergeometric closed forms are evaluated
-only as cross-checks.  The hole (Schur-complement) matrices are computed by
-the subtraction formula
+count; the printed hypergeometric closed forms are evaluated only as
+cross-checks.  The printed path entries and the explicit LU factors, through
+which the paper proves the hole-matrix formulas, are test references
+(tests/test_matrices.py); only the LU factors' hole rows are kept here, as
+the terms of the Schur sum.  The hole (Schur-complement) matrices are
+computed by the subtraction formula
 
     e[i][j] = Q[m+i][m+j] - sum_{s=1..m} B(s; l_i) * D(s; r_j)
 
@@ -84,8 +87,8 @@ def _binomial_row(t: int) -> list:
     return row
 
 
-# Every path-matrix entry, LU factor entry, hole-matrix entry and closed
-# form below is written once for both halves, with some of its parameters
+# Every path-matrix entry, Schur term, hole-matrix entry and closed form
+# below is written once for both halves, with some of its parameters
 # moved by the half's shift d = half_shift(kind, ...).
 def path_matrix(spec: RegionSpec, kind: str) -> Matrix:
     """The (m+p) x (m+p) constrained path-count matrix for a half region.
@@ -121,61 +124,20 @@ def _hole_to_hole(l: int, r: int, d: int) -> Fraction:
     return Fraction(binomial(r - l + 1, (r - l) // 2), (r - l + 1) ** (1 - d))
 
 
-def printed_path_entry(spec: RegionSpec, kind: str, i: int, j: int,
-                       mixed_variant: str = "recurrence") -> Fraction:
-    """The closed-form matrix entry as printed, for cross-checking.
-
-    Indices are 1-based.  For the lower matrix the hole-row/boundary-column
-    entry appears in print in two versions that disagree for j >= 2;
-    ``mixed_variant`` selects ``"display"`` (the matrix display, which the
-    cross-check reports as off) or ``"recurrence"`` (the identity used in
-    the LU proof, which matches the path counts).  The upper entries add
-    the reflected binomial where the lower ones subtract it, and lack the
-    lower ones' ballot factors (2i-1)/(n+r+1) and (2j-1)/(n-l+1).
-    """
-    n, m, d = spec.n, spec.m, half_shift(kind, "printed entries")
-    half = n // 2
-    for name, index in (("row", i), ("column", j)):
-        _hole(range(1, m + spec.p + 1), index, 1, name)
-    if i <= m and j <= m:
-        return Fraction(binomial(2 * n, n + j - i) + (2 * d - 1) * binomial(2 * n, n + 1 - i - j))
-    if i <= m:
-        r = spec.right[j - m - 1]
-        ballot = Fraction((2 * i - 1) ** (1 - d), (n + r + 1) ** (1 - d))
-        return ballot * binomial(n + r + 1, half + r // 2 + 1 - i)
-    if j <= m:
-        l = spec.left[i - m - 1]
-        if mixed_variant == "display" and d == 0:
-            k = half - l // 2 - 1 + j
-        else:
-            k = half - l // 2 + 1 - j
-        ballot = Fraction((2 * j - 1) ** (1 - d), (n - l + 1) ** (1 - d))
-        return ballot * binomial(n - l + 1, k)
-    return _hole_to_hole(spec.left[i - m - 1], spec.right[j - m - 1], d)
-
-
 # ---------------------------------------------------------------------------
-# LU factor entries
+# hole matrices
 
-# Gamma arguments of the explicit LU factor entries, as (numerators,
-# denominators), for both halves: d is HALVES[kind].  Boundary blocks
-# take (n, i, j, d); hole blocks take (n, s, x, d) with s the boundary index
-# and x the hole position, l for ``l_hole`` and r for ``u_hole``.  Each
-# boundary block carries a pair Gamma(2i-1)/Gamma(2i-1) or
-# Gamma(2j-1)/Gamma(2j-1) that cancels at d = 1, so that one list serves
-# both halves.  Hole entries carry the sign (-1)**(s+1) and, in the lower
+# Gamma arguments of the hole rows of the explicit LU factors (rows of L,
+# ``l_hole``, and columns of U, ``u_hole``), as (numerators, denominators),
+# for both halves: d is HALVES[kind].  Each takes (n, s, x, d) with s the
+# boundary index and x the hole position, l for ``l_hole`` and r for
+# ``u_hole``.  Hole entries carry the sign (-1)**(s+1) and, in the lower
 # region, a factor 1/2: HALF ** (1 - d).
 _LU_GAMMA_ARGS = {
-    "l_boundary": lambda n, i, j, d: (
-        [2 * i - d, n + 1, i + j - 1, 2 * j + n],
-        [2 * i - 1, 2 * j - d, i - j + 1, j - i + n + 1, i + j + n]),
     "l_hole": lambda n, s, l, d: (
         [s + n - 1 + d, 2 * s + n, n - l + 1 + d, s + l // 2 + n // 2 - 1],
         [s, 2 * s + 2 * n - 2 + 2 * d, n // 2 - l // 2 + 1, l // 2 + n // 2,
          s - l // 2 + n // 2 + 1]),
-    "u_boundary": lambda n, i, j, d: (
-        [2 * j - d, n + 1, i + j - 1, 2 * i + 2 * n - 1 + d],
-        [2 * j - 1, j - i + 1, 2 * i + n - 1, i - j + n + 1, i + j + n]),
     "u_hole": lambda n, s, r, d: (
         [2 * s + 1 - 2 * d, s + n, n + r + 1 + d, s + n // 2 - r // 2 - 1],
         [2 * s + n - 1, s + 1 - d, n // 2 - r // 2, n // 2 + r // 2 + 1,
@@ -183,41 +145,11 @@ _LU_GAMMA_ARGS = {
 }
 
 
-def lu_factor_entry(block: str, i: int, j: int, spec: RegionSpec, kind: str) -> Fraction:
-    """One entry of the explicit LU factors of a half-region path matrix.
-
-    ``l_boundary``/``u_boundary`` take boundary indices 1..m (diagonal
-    entries of the L factor evaluate to exactly 1); ``l_hole`` rows and
-    ``u_hole`` columns take a hole index in m+1..m+p, with the relevant
-    hole position read off the spec.  Signs alternate with the boundary
-    index as printed.
-    """
-    args, d = _LU_GAMMA_ARGS.get(block), HALVES.get(kind)
-    if args is None or d is None:
-        raise ValueError(f"unknown LU block {block!r} for kind {kind!r}")
-    n, m = spec.n, spec.m
-    boundary = range(1, m + 1)
-    if block in ("l_hole", "u_hole"):
-        s, x = ((j, _hole(spec.left, i, m + 1)) if block == "l_hole"
-                else (i, _hole(spec.right, j, m + 1)))
-        _hole(boundary, s, 1, "boundary")
-        sign = -1 if s % 2 == 0 else 1
-        return sign * gamma_ratio(*args(n, s, x, d)) * HALF ** (1 - d)
-    for index in (i, j):
-        _hole(boundary, index, 1, "boundary")
-    if (block == "l_boundary" and j > i) or (block == "u_boundary" and i > j):
-        return Fraction(0)
-    return gamma_ratio(*args(n, i, j, d))
-
-
-def _hole(positions, index: int, first: int, name: str = "hole") -> int:
-    """The position of hole ``index``, where the holes are numbered from ``first``.
-
-    Any other 1-based index is checked by passing the range of its values.
-    """
-    if not first <= index < first + len(positions):
-        raise IndexError(f"{name} index {index} outside {first}..{first + len(positions) - 1}")
-    return positions[index - first]
+def _hole(positions, index: int) -> int:
+    """The position of hole ``index``, where the holes are numbered from 1."""
+    if not 1 <= index <= len(positions):
+        raise IndexError(f"hole index {index} outside 1..{len(positions)}")
+    return positions[index - 1]
 
 
 def hole_matrix_entry(spec: RegionSpec, kind: str, i: int, j: int) -> Fraction:
@@ -234,8 +166,8 @@ def hole_matrix_entry(spec: RegionSpec, kind: str, i: int, j: int) -> Fraction:
     arith.ratio_series sums the rest from the ratios.
     """
     n, m, d = spec.n, spec.m, half_shift(kind, "hole matrix")
-    l = _hole(spec.left, i, 1)
-    r = _hole(spec.right, j, 1)
+    l = _hole(spec.left, i)
+    r = _hole(spec.right, j)
     l_hole, u_hole = _LU_GAMMA_ARGS["l_hole"], _LU_GAMMA_ARGS["u_hole"]
     total = _hole_to_hole(l, r, d)
     if m < 1:
@@ -286,8 +218,8 @@ def closed_form_entry(spec: RegionSpec, kind: str, i: int, j: int) -> Fraction:
     the upper half's parameters are the lower half's moved by d = 1.
     """
     n, m, d = spec.n, spec.m, half_shift(kind, "closed form")
-    l = _hole(spec.left, i, 1)
-    r = _hole(spec.right, j, 1)
+    l = _hole(spec.left, i)
+    r = _hole(spec.right, j)
     N, Lh, Rh = Fraction(n, 2), Fraction(l, 2), Fraction(r, 2)
     two = Fraction(2)
     if r > l:
@@ -358,33 +290,6 @@ def det_exact(matrix: Matrix) -> Fraction:
                                  for x, y in zip(row[col + 1:], tail)]
                 denom *= row_scale
     return Fraction(numer, denom)
-
-
-def verify_lu(spec: RegionSpec, kind: str) -> dict:
-    """Check Q = L*U entrywise on the three boundary-touching blocks.
-
-    Returns {"ok": bool, "checked": int, "first_failure": (block, i, j) or
-    None}.
-    """
-    m, p = spec.m, spec.p
-    q = path_matrix(spec, kind)
-    boundary, holes = range(1, m + 1), range(m + 1, m + p + 1)
-    checked = 0
-    failure = None
-    for name, rows, cols, l_block, u_block in (
-            ("boundary", boundary, boundary, "l_boundary", "u_boundary"),
-            ("boundary_to_hole", boundary, holes, "l_boundary", "u_hole"),
-            ("hole_to_boundary", holes, boundary, "l_hole", "u_boundary")):
-        for i in rows:
-            for j in cols:
-                # L and U are triangular on the boundary indices
-                total = sum(lu_factor_entry(l_block, i, s, spec, kind)
-                            * lu_factor_entry(u_block, s, j, spec, kind)
-                            for s in range(1, min(i, j, m) + 1))
-                checked += 1
-                if total != q[i - 1][j - 1] and failure is None:
-                    failure = (name, i, j)
-    return {"ok": failure is None, "checked": checked, "first_failure": failure}
 
 
 @dataclass(frozen=True)
