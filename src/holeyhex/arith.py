@@ -2,11 +2,12 @@
 
 Everything in this module is integer or rational and exact: binomial
 coefficients with the zero-outside-range convention, ratios of Gamma
-values at integer arguments, terminating series summed from linear term
-factors (the Schur hole sums and the hypergeometric sums), and the three
-classical product formulas that count hexagon tilings and two of their
-symmetry classes.  The products are built from prime exponents: no big
-integer is ever divided.
+values at integer arguments (cancelled pairwise into falling factorials),
+terminating series summed from reduced ratios of linear term factors (the
+Schur hole sums and the hypergeometric sums; the sums come back unreduced),
+and the three classical product formulas that count hexagon tilings and two
+of their symmetry classes.  The products are built from prime exponents: no
+big integer is ever divided.
 
 All functions are pure and reentrant.  The one piece of module state, the
 table of prime factorisations behind the products, only ever grows and is
@@ -51,6 +52,12 @@ def gamma_ratio(numerator_args: Sequence[int], denominator_args: Sequence[int]) 
     matched by a denominator pole has no finite value and raises
     GammaPoleError; matched pole pairs are refused as well since no caller
     in this package needs reflection-style limits.
+
+    Both lists are sorted and paired largest with largest, so each pair
+    Gamma(a)/Gamma(b) cancels to a falling factorial: (a-1)!/(b-1)! on the
+    numerator side when a >= b, its inverse on the denominator side
+    otherwise.  Only the unpaired smallest arguments of the longer list
+    take a full factorial.
     """
     num_poles = sum(1 for a in numerator_args if a <= 0)
     den_poles = sum(1 for b in denominator_args if b <= 0)
@@ -60,11 +67,17 @@ def gamma_ratio(numerator_args: Sequence[int], denominator_args: Sequence[int]) 
         raise GammaPoleError("pole-for-pole gamma ratio is undefined without limits")
     if den_poles:
         return Fraction(0)
-    num = 1
-    for a in numerator_args:
+    tops = sorted(numerator_args, reverse=True)
+    bottoms = sorted(denominator_args, reverse=True)
+    num = den = 1
+    for a, b in zip(tops, bottoms):
+        if a >= b:
+            num *= math.perm(a - 1, a - b)
+        else:
+            den *= math.perm(b - 1, b - a)
+    for a in tops[len(bottoms):]:
         num *= math.factorial(a - 1)
-    den = 1
-    for b in denominator_args:
+    for b in bottoms[len(tops):]:
         den *= math.factorial(b - 1)
     return Fraction(num, den)
 
@@ -146,11 +159,16 @@ def _factor_products(factors: Sequence[tuple[int, int]], count: int) -> Iterator
 def ratio_series(ratios: Sequence[tuple[int, int]]) -> tuple[int, int]:
     """1 + r_1 (1 + r_2 (... (1 + r_K))) for integer ratios r_k = p_k / q_k.
 
-    Summed by backward Horner over one common denominator; the pair comes
-    back unreduced, so that a caller folds in its own factors before one Fraction.
+    Summed by backward Horner over one common denominator.  Each ratio is
+    cut by gcd(p_k, q_k) before its step, which keeps the partial sums
+    small; the sum itself comes back unreduced, so that a caller folds in
+    its own factors before one Fraction.
     """
     num = den = 1
     for p, q in reversed(ratios):
+        g = math.gcd(p, q)
+        if g > 1:
+            p, q = p // g, q // g
         num, den = q * den + p * num, q * den
     return num, den
 

@@ -1,9 +1,11 @@
 """Samplers for the classical hypergeometric identities used by the entry
-closed forms, and the rising factorial they are written in.  Each check
-returns the number of sampled tuples verified exactly; shared by the unit
-tests and the acceptance suite."""
+closed forms, the rising factorial they are written in, and the Gamma ratio
+as a plain quotient of factorial products.  Each check returns the number
+of sampled tuples verified exactly; shared by the unit tests and the
+acceptance suite."""
 
 from fractions import Fraction
+import math
 import random
 
 from holeyhex.arith import (GammaPoleError, NonTerminatingSeriesError, gamma_ratio,
@@ -21,6 +23,26 @@ def pochhammer(a, b: int) -> Fraction:
     for t in range(b):
         result *= a + t
     return result
+
+
+def reference_gamma_ratio(numerator_args, denominator_args) -> Fraction:
+    """prod Gamma(a_i) / prod Gamma(b_j) at integers as one quotient of two
+    factorial products, with arith.gamma_ratio's pole rules and messages."""
+    num_poles = sum(1 for a in numerator_args if a <= 0)
+    den_poles = sum(1 for b in denominator_args if b <= 0)
+    if num_poles > den_poles:
+        raise GammaPoleError("gamma pole in numerator")
+    if num_poles and num_poles == den_poles:
+        raise GammaPoleError("pole-for-pole gamma ratio is undefined without limits")
+    if den_poles:
+        return Fraction(0)
+    num = 1
+    for a in numerator_args:
+        num *= math.factorial(a - 1)
+    den = 1
+    for b in denominator_args:
+        den *= math.factorial(b - 1)
+    return Fraction(num, den)
 
 
 def check_wellpoised_5f4(samples: int, seed: int = 2024) -> int:

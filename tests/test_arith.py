@@ -14,7 +14,7 @@ from holeyhex.arith import (GammaPoleError, NonTerminatingSeriesError, binomial,
 from holeyhex.matrices import closed_form_entry, det_exact, path_matrix
 from holeyhex.oracle import count_tilings
 from holeyhex.regions import TriangularRegion, hexagon_cells, validate
-from identity_checks import pochhammer
+from identity_checks import pochhammer, reference_gamma_ratio
 
 
 def hexagon_region(n, m):
@@ -68,6 +68,35 @@ def test_gamma_ratio_numerator_pole():
         gamma_ratio([0], [0])
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(tops=st.lists(st.integers(-3, 2000), max_size=6),
+       bottoms=st.lists(st.integers(-3, 2000), max_size=6))
+@example(tops=[0], bottoms=[2])
+@example(tops=[-3, 0, 5], bottoms=[-1, 1500])
+@example(tops=[0, 5], bottoms=[-1, 3])
+@example(tops=[3], bottoms=[0, 5])
+@example(tops=[1500, 1500, 3, 3], bottoms=[3, 1500, 2000])
+@example(tops=[], bottoms=[2000, 1, 1])
+@example(tops=[7, 7, 7, 2, 1, 1], bottoms=[])
+def test_gamma_ratio_matches_factorial_products(tops, bottoms):
+    # value and type, or error class and message, poles included
+    assert outcome(gamma_ratio, tops, bottoms) == outcome(reference_gamma_ratio, tops, bottoms)
+
+
+def test_gamma_ratio_pairs_arguments_instead_of_building_factorials(monkeypatch):
+    tops, bottoms = [2000, 1999, 7, 7, 1], [1998, 3, 900, 7, 2]
+    expected = reference_gamma_ratio(tops, bottoms), reference_gamma_ratio([6, 5, 4], [10])
+    calls = []
+    real = math.factorial
+    monkeypatch.setattr(arith.math, "factorial", lambda x: calls.append(x) or real(x))
+    # lists of equal length cancel pair by pair and build no factorial
+    assert gamma_ratio(tops, bottoms) == expected[0]
+    assert calls == []
+    # only the two smallest numerator arguments are left over after the pair
+    assert gamma_ratio([6, 5, 4], [10]) == expected[1]
+    assert sorted(calls) == [3, 4]
+
+
 def test_hyp_terminating_values():
     assert hyp_terminating([-1, 2], [3], 1) == Fraction(1, 3)
     assert hyp_terminating([5, Fraction(1, 2)], [7], 0) == 1
@@ -108,6 +137,27 @@ def test_ratio_series_sums_from_the_innermost_ratio():
     assert ratio_series([(-5, 2)]) == (-3, 2)
     # 1 + (1/2)(1 + 1/3), unreduced
     assert ratio_series([(1, 2), (1, 3)]) == (10, 6)
+    # each ratio is cut to lowest terms before its step; the sum is not
+    assert ratio_series([(2, 4)]) == (3, 2)
+
+
+def reference_ratio_series(ratios):
+    """Backward Horner on the ratios exactly as given, with no gcd."""
+    num = den = 1
+    for p, q in reversed(ratios):
+        num, den = q * den + p * num, q * den
+    return num, den
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(ratios=st.lists(st.tuples(st.integers(-720, 720),
+                                 st.integers(-720, 720).filter(bool)), max_size=12))
+@example(ratios=[(0, 5), (6, -4), (-9, -3)])
+@example(ratios=[(12, 8), (-15, 10), (0, -7), (360, 720)])
+def test_ratio_series_matches_unreduced_horner(ratios):
+    num, den = ratio_series(ratios)
+    assert type(num) is int and type(den) is int
+    assert Fraction(num, den) == Fraction(*reference_ratio_series(ratios))
 
 
 def test_factor_ratios_of_no_terms():
