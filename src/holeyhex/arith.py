@@ -169,7 +169,8 @@ def ratio_series(ratios: Sequence[tuple[int, int]]) -> tuple[int, int]:
         g = math.gcd(p, q)
         if g > 1:
             p, q = p // g, q // g
-        num, den = q * den + p * num, q * den
+        den *= q
+        num = den + p * num
     return num, den
 
 

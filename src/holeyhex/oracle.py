@@ -4,11 +4,12 @@ Each oracle has one search state, counted by a layered sweep that keeps
 only the current {state: count} layer.  A tiling state is the first
 uncovered cell plus the covered cells from it on; the sweep steps one
 cell at a time, each forced cell (whose one later partner has no other
-earlier partner) folded into the step before it, and the tilings are
-enumerated by walking the same states depth first.  A path-family state
-is the (height, path) pairs of the paths crossing into a column; the
-sweep steps each column one path at a time.  Nothing here touches the
-determinant machinery.
+earlier partner, ``_forced``) folded into the step before it, and the
+tilings are enumerated by walking the same states depth first over
+per-cell partner tables built once per call, a forced cell taking its
+one partner in place.  A path-family state is the (height, path) pairs
+of the paths crossing into a column; the sweep steps each column one
+path at a time.  Nothing here touches the determinant machinery.
 """
 
 from __future__ import annotations
@@ -35,51 +36,75 @@ def enumerate_tilings(region: TriangularRegion, budget: int = DEFAULT_BUDGET) ->
     Walks count_tilings' states depth first on an explicit stack, so it
     has no recursion limit; each uncovered ``lo`` is one branch node, and
     ``lo`` pairs with each free partner in ascending order (a free-edge
-    ``lo`` first with itself, its half rhombus).  Each tiling is made of
-    the region's own tile objects (``tiles``).  Past ``budget`` nodes the
+    ``lo`` first with itself, its half rhombus).  Each cell's later
+    partners are tabled once per call as (mask bit, index pair), in stack
+    order; a forced cell (``_forced``), whose one partner is always free,
+    takes it in place, with no push or pop.  Each tiling is made of the
+    region's own tile objects (``tiles``).  Past ``budget`` nodes the
     error carries the index pairs chosen so far.
     """
     cells, ahead = region.order
     tiles = region.tiles
+    forced = _forced(ahead)
+    # reversed, so that the stack pops the first partner's tilings first
+    later = [[(1 << off, (lo, lo + off)) for off in reversed(offsets)]
+             for lo, offsets in enumerate(ahead)]
     nodes = 0
-    chosen = []  # the index pairs chosen on the way to the popped state
+    chosen = []  # the index pairs chosen on the way to the current state
     stack = [(0, 0, 0, ())]  # (lo, covered mask from lo on, len(chosen) before, (last pair,))
     while stack:
         lo, mask, depth, last = stack.pop()
         chosen[depth:] = last
-        while mask & 1:
-            lo, mask = lo + 1, mask >> 1
-        if lo == len(cells):
-            yield frozenset(map(tiles.__getitem__, chosen))
-            continue
-        nodes += 1
-        if nodes > budget:
-            raise BudgetExceededError(nodes, tuple(chosen))
-        for off in reversed(ahead[lo]):  # the first partner's tilings come first
-            if not mask >> off & 1:
-                stack.append((lo + 1, (mask | 1 << off) >> 1, len(chosen), ((lo, lo + off),)))
+        while True:
+            while mask & 1:
+                lo, mask = lo + 1, mask >> 1
+            if lo == len(cells):
+                yield frozenset(map(tiles.__getitem__, chosen))
+                break
+            nodes += 1
+            if nodes > budget:
+                raise BudgetExceededError(nodes, tuple(chosen))
+            if not forced[lo]:
+                for bit, pair in later[lo]:
+                    if not mask & bit:
+                        stack.append((lo + 1, (mask | bit) >> 1, len(chosen), (pair,)))
+                break
+            (bit, pair), = later[lo]
+            chosen.append(pair)
+            lo, mask = lo + 1, (mask | bit) >> 1
 
 
-def _steps(ahead) -> list:
-    """count_tilings' steps over the cells of ``ahead`` (``region.order``'s
-    offsets): per step, its cell's partner offsets and the offset of the
-    forced next cell folded into it, or 0.
+def _forced(ahead) -> list:
+    """Per cell of ``ahead`` (``region.order``'s offsets), the offset of its
+    one later partner when the cell is forced, else 0; one more 0 follows,
+    for one past the last cell.
 
     A cell is forced when its one later partner, at offset o > 0, has it as
     its only earlier partner.  No earlier cell can cover that partner, so bit
-    o is clear when the cell is reached: a covered cell shifts through and a
-    free one takes its partner, a bijection on masks that never merges two
-    states.
+    o is clear whenever the cell is reached uncovered.
     """
     earlier = [0] * len(ahead)
     for lo, offsets in enumerate(ahead):
         for off in offsets:
             if off:
                 earlier[lo + off] += 1
-    forced = [0] * (len(ahead) + 1)  # one past the last cell, which has no next
+    forced = [0] * (len(ahead) + 1)
     for lo, offsets in enumerate(ahead):
         if len(offsets) == 1 and offsets[0] and earlier[lo + offsets[0]] == 1:
             forced[lo] = offsets[0]
+    return forced
+
+
+def _steps(ahead) -> list:
+    """count_tilings' steps over the cells of ``ahead`` (``region.order``'s
+    offsets): per step, its cell's partner offsets and the offset of the
+    forced next cell folded into it (``_forced``), or 0.
+
+    A forced cell's partner bit is clear when the cell is reached, so a
+    covered cell shifts through and a free one takes its partner, a
+    bijection on masks that never merges two states.
+    """
+    forced = _forced(ahead)
     steps, lo = [], 0
     while lo < len(ahead):
         steps.append((ahead[lo], forced[lo + 1]))

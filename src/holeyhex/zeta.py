@@ -15,7 +15,9 @@ assumed.  The map has one way in, a private plan per region behind both
 map is defined, each pair's hole cells, case and walks) is worked out
 there once, and every tile a walk probes or a transmission adds is the
 region's own object (``TriangularRegion.mates``), so a tiling costs the
-length of its ribbons.
+length of its ribbons.  Each walk's step rule is a table built with the
+plan, {chain cell: [(tile, next chain cell or None), ...]}, so a step is
+one lookup and at most three tile membership tests.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ _EDGE_STEPS = {(1, 1, LEFT): (1, 1), (1, -1, LEFT): (1, -1)}
 def _route(region: TriangularRegion, pair) -> tuple:
     """The part of a pair's propagation path that no tiling changes: the unit
     hole that is transmitted, the unit hole it must end beside, and the
-    (first cell, steps) of each walk: one in case (i), two in case (ii)."""
+    (first cell, table) of each walk: one in case (i), two in case (ii)."""
     (pos1, orient1), (pos2, orient2) = pair
     cell1 = hole_cell_half(pos1, orient1, region.kind)
     cell2 = hole_cell_half(pos2, orient2, region.kind)
@@ -81,45 +83,63 @@ def _route(region: TriangularRegion, pair) -> tuple:
         for first in ((cell1[0] + 1, cell1[1] + v, LEFT), (cell2[0] - 1, cell2[1] + v, RIGHT)):
             e, other = (1, RIGHT) if first[2] == LEFT else (-1, LEFT)
             walks.append((first, {(0, 0, other): (e, v), (-e, v, other): (0, 2 * v)}))
-    return cell1, cell2, walks
+    return cell1, cell2, [(first, _table(region, first, steps)) for first, steps in walks]
 
 
-def _walk(tiles, region: TriangularRegion, cell, steps):
+def _table(region: TriangularRegion, first, steps) -> dict:
+    """A walk's step rule as a table: for each region cell the rule reaches
+    from ``first``, each tile of ``region.mates`` it may lie in, in ``mates``
+    order, with the chain cell that follows it.  ``steps`` maps the partner's
+    offset (dc, dh, orientation) to the offset of the next chain cell; a
+    partner at any other offset is a rhombus entered backwards (None)."""
+    table, todo = {}, [first]
+    while todo:
+        cell = todo.pop()
+        if cell in table or cell not in region.cells:
+            continue
+        c, h, orient = cell
+        row = table[cell] = []
+        for mate, tile in region.mates[cell].items():
+            step = steps.get((mate[0] - c, mate[1] - h, mate[2]))
+            nxt = None if step is None else (c + step[0], h + step[1], orient)
+            row.append((tile, nxt))
+            if nxt is not None:
+                todo.append(nxt)
+    return table
+
+
+def _walk(tiles, cell, table):
     """Follow a path across rhombi from ``cell`` until it leaves the region.
 
-    Each chain cell keeps the first cell's orientation; its partner is the
-    neighbour whose tile in ``region.mates`` is in ``tiles``, and ``steps``
-    maps the partner's offset (dc, dh, orientation) to the offset of the
-    next chain cell.  Returns the ribbon and the first chain cell outside
-    ``region.cells``; the caller judges where the walk ended.
+    ``table`` (``_table``) lists, per chain cell, its tiles with the chain
+    cell each leads to; the chain cell's tile is the one in ``tiles``.
+    Returns the ribbon and the first chain cell outside ``region.cells``
+    (the first without a row); the caller judges where the walk ended.
     """
-    cells, mates = region.cells, region.mates
-    orient = cell[2]
     ribbon = []
-    while cell in cells:
-        for mate, rhombus in mates[cell].items():
-            if rhombus in tiles:
+    while (row := table.get(cell)) is not None:
+        for tile, nxt in row:
+            if tile in tiles:
                 break
         else:
             raise TransmissionError("walk hit an uncovered cell")
-        step = steps.get((mate[0] - cell[0], mate[1] - cell[1], mate[2]))
-        if step is None:
+        if nxt is None:
             raise TransmissionError("walk entered a rhombus backwards")
-        ribbon.append(rhombus)
-        cell = (cell[0] + step[0], cell[1] + step[1], orient)
+        ribbon.append(tile)
+        cell = nxt
     return ribbon, cell
 
 
 def _path(tiles, region: TriangularRegion, partner, walks) -> list:
     """The ribbon of ``tiles`` along the walks of a pair's route."""
     if len(walks) == 1:  # case (i)
-        ribbon, end = _walk(tiles, region, *walks[0])
+        ribbon, end = _walk(tiles, *walks[0])
         if end != partner:
             raise TransmissionError("walk left the region")
         return ribbon
     paths = []
-    for first, steps in walks:
-        path, end = _walk(tiles, region, first, steps)
+    for first, table in walks:
+        path, end = _walk(tiles, first, table)
         if end in region.hole_cells:
             raise TransmissionError("slant walk ran into a hole")
         paths.append(path)

@@ -149,15 +149,30 @@ def reference_ratio_series(ratios):
     return num, den
 
 
+def reference_gcd_ratio_series(ratios):
+    """ratio_series with each ratio cut by its gcd and q * den formed twice
+    per step, as the step was written before it formed it once."""
+    num = den = 1
+    for p, q in reversed(ratios):
+        g = math.gcd(p, q)
+        if g > 1:
+            p, q = p // g, q // g
+        num, den = q * den + p * num, q * den
+    return num, den
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(ratios=st.lists(st.tuples(st.integers(-720, 720),
                                  st.integers(-720, 720).filter(bool)), max_size=12))
 @example(ratios=[(0, 5), (6, -4), (-9, -3)])
 @example(ratios=[(12, 8), (-15, 10), (0, -7), (360, 720)])
 def test_ratio_series_matches_unreduced_horner(ratios):
+    # the same value as Horner with no gcd, and the same unreduced pair,
+    # which callers fold their own factors into, as the two-product step
     num, den = ratio_series(ratios)
     assert type(num) is int and type(den) is int
     assert Fraction(num, den) == Fraction(*reference_ratio_series(ratios))
+    assert (num, den) == reference_gcd_ratio_series(ratios)
 
 
 def test_factor_ratios_of_no_terms():

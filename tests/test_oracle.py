@@ -6,10 +6,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from holeyhex import oracle
 from holeyhex.arith import product_formula
 from holeyhex.matrices import count_region, det_exact, path_count, path_matrix
-from holeyhex.oracle import (CONSTRAINTS, BudgetExceededError, _column, _columns, _steps,
-                             count_families, count_tilings, enumerate_tilings,
+from holeyhex.oracle import (CONSTRAINTS, BudgetExceededError, _column, _columns, _forced,
+                             _steps, count_families, count_tilings, enumerate_tilings,
                              noncrossing_endpoints, tiling_is_exact_cover)
 from holeyhex.regions import (KINDS, LEFT, RIGHT, TriangularRegion, build_region, free_region,
                               fused_pairs, hexagon_cells, lgv_points, neighbors, spec_grid,
@@ -532,10 +533,13 @@ def reference_enumerate_index_tilings(cells, partners, budget):
 
 
 def reference_tilings(region, budget=10 ** 8):
-    """The recursive search's tilings of the region, in its order."""
+    """The recursive search's tilings of the region, in its order; a
+    free-edge cell is also its own partner, its half rhombus."""
     cells, _ = region.order
     index = {cell: i for i, cell in enumerate(cells)}
-    partners = [sorted(index[nb] for nb in neighbors(cell) if nb in index) for cell in cells]
+    partners = [sorted([index[nb] for nb in neighbors(cell) if nb in index]
+                       + ([i] if cell in region.free_edge else []))
+                for i, cell in enumerate(cells)]
     rhombus = {(i, j): frozenset((cells[i], cells[j])) for i, nbs in enumerate(partners) for j in nbs}
     for pairs in reference_enumerate_index_tilings(cells, partners, budget):
         yield frozenset(map(rhombus.__getitem__, pairs))
@@ -561,6 +565,67 @@ def test_budget_errors_match_the_recursive_search():
             with pytest.raises(BudgetExceededError) as want:
                 list(reference_tilings(region, budget))
             assert (got.value.nodes, got.value.partial) == (want.value.nodes, want.value.partial)
+
+
+# the search's shapes: a rhombus hexagon, a holey full hexagon, two holey
+# halves with forced cells among their holes, and a free region with few
+# enough tilings to finish inside the budgets
+SEARCH_REGIONS = [
+    ((4, 2, [], []), "full"),
+    ((6, 2, [-2, 2], [0, 4]), "full"),
+    ((6, 3, [-4, 2], [-2, 4]), "lower"),
+    ((6, 2, [-4, 4], [-2, 0]), "upper"),
+    ((4, 1, [-2], [2]), "free"),
+]
+
+
+def search_region(args, kind):
+    spec = validate(*args)
+    return free_region(spec) if kind == "free" else build_region(spec, kind)
+
+
+def outcome_of(search, region, budget):
+    """A search's tilings, or the (nodes, partial) of its budget error."""
+    try:
+        return list(search(region, budget))
+    except BudgetExceededError as exc:
+        return exc.nodes, exc.partial
+
+
+def test_every_budget_stops_where_the_recursive_search_stops():
+    # for every budget up to 400 both searches raise after the same node
+    # with the same partial choice, or both finish with the same tilings;
+    # a forced cell taken in place still counts as one branch node
+    finished = 0
+    for args, kind in SEARCH_REGIONS:
+        region = search_region(args, kind)
+        for budget in range(1, 401):
+            got, want = (outcome_of(search, region, budget)
+                         for search in (enumerate_tilings, reference_tilings))
+            assert got == want, (args, kind, budget)
+            finished += isinstance(got, list)
+    assert finished == 275  # the free region's search takes 126 nodes, the others over 400
+
+
+def test_taking_forced_cells_in_place_changes_no_tiling(monkeypatch):
+    # with no cell forced every cell branches through the stack; the
+    # tilings and their order stay the same
+    for args, kind in SEARCH_REGIONS:
+        region = search_region(args, kind)
+        got = list(islice(enumerate_tilings(region), 2000))
+        with monkeypatch.context() as patch:
+            patch.setattr(oracle, "_forced", lambda ahead: [0] * (len(ahead) + 1))
+            assert got == list(islice(enumerate_tilings(region), 2000)), (args, kind)
+
+
+def test_forced_cells_are_pinned():
+    _, ahead = search_region((6, 3, [-4, 2], [-2, 4]), "lower").order
+    forced = _forced(ahead)
+    assert (sum(map(bool, forced)), len(ahead), forced[-1]) == (43, 98, 0)
+    for lo, off in enumerate(forced[:-1]):
+        if off:
+            assert ahead[lo] == [off]
+            assert sum(lo + off - i in ahead[i] for i in range(lo + off)) == 1
 
 
 def test_count_families_tiny_hexagon():

@@ -1,7 +1,7 @@
 import hashlib
 import json
 import sys
-from itertools import product
+from itertools import islice, product
 
 import pytest
 
@@ -87,6 +87,23 @@ def reference_walk(partner, region, cell, steps):
     return ribbon, cell
 
 
+def reference_route_steps(region, pair) -> list:
+    """Each walk's (first cell, step rule) of a pair's route, as the plan kept
+    them before it tabled them: a rule maps the partner's offset
+    (dc, dh, orientation) to the offset of the next chain cell."""
+    (pos1, orient1), (pos2, orient2) = pair
+    cell1 = hole_cell_half(pos1, orient1, region.kind)
+    cell2 = hole_cell_half(pos2, orient2, region.kind)
+    if orient1 == LEFT:
+        return [((cell1[0], cell1[1], RIGHT), {(1, 1, LEFT): (1, 1), (1, -1, LEFT): (1, -1)})]
+    v = 2 * HALVES[region.kind] - 1
+    walks = []
+    for first in ((cell1[0] + 1, cell1[1] + v, LEFT), (cell2[0] - 1, cell2[1] + v, RIGHT)):
+        e, other = (1, RIGHT) if first[2] == LEFT else (-1, LEFT)
+        walks.append((first, {(0, 0, other): (e, v), (-e, v, other): (0, 2 * v)}))
+    return walks
+
+
 def outcome(function, *args):
     """What a call gives: its value, or its exception's class and message."""
     try:
@@ -129,18 +146,23 @@ def test_propagation_path_shapes():
             assert any(x in neighbors(y) for x in a for y in b)
 
 
-def test_every_route_has_the_walks_of_its_case():
+def test_every_route_has_the_walks_of_its_case(monkeypatch):
     # the plan's pairs come from pair_holes alone: a pair whose left hole
     # points left gets one walk, any other two, and outside a fused upper
-    # region no pair's hole cells share an edge, so no route is empty
+    # region no pair's hole cells share an edge, so no route is empty.  A
+    # plan tables each walk's step rule once, and mapping a tiling tables none
     zeta_module = sys.modules["holeyhex.zeta"]
+    table, tabled = zeta_module._table, []
+    monkeypatch.setattr(zeta_module, "_table", lambda *args: tabled.append(args) or table(*args))
     walk_counts = {1: 0, 2: 0}
+    plans = []
     for spec in spec_grid(6, 2, 2):
         for kind in HALVES:
             if kind == "upper" and fused_pairs(spec):
                 continue
             region = build_region(spec, kind)
             plan = zeta_module._Plan(region)
+            plans.append(plan)
             pairs = pair_holes(spec.right, spec.left)
             assert len(plan.routes) == len(pairs)
             for pair, (cell1, cell2, walks) in zip(pairs, plan.routes):
@@ -148,6 +170,12 @@ def test_every_route_has_the_walks_of_its_case():
                 assert cell2 not in region.mates[cell1], (spec, kind, pair)
                 walk_counts[len(walks)] += 1
     assert walk_counts == {1: 140, 2: 108}
+    assert len(tabled) == 140 + 2 * 108
+    tabled.clear()
+    for plan in plans:
+        for tiling in islice(enumerate_tilings(plan.region), 20):
+            outcome(plan.map, tiling)
+    assert tabled == []
 
 
 def test_zeta_images_are_valid_tilings():
@@ -263,11 +291,13 @@ def test_upper_weight_statistic_matches_determinant():
 
 
 def test_zeta_walks_the_partner_map_of_its_current_tiling(monkeypatch):
-    # zeta's walks look partners up, through the region's mates, in the tile
-    # set that each transmission mutates; every walk must find, cell by cell,
-    # the partners that the partner map of the tile set as it stands gives
+    # zeta's walks look partners up, through their tables of the region's
+    # mates, in the tile set that each transmission mutates; every walk must
+    # find, cell by cell, the partners that the partner map of the tile set as
+    # it stands gives, stepping by its route's rule
     zeta_module = sys.modules["holeyhex.zeta"]  # the package's `zeta` is the function
     current, checked = [], []
+    pair_of, rules = {}, {}  # partner hole -> pair; first cell -> (region, step rule)
     path, walk = zeta_module._path, zeta_module._walk
 
     def checked_path(tiles, region, partner, walks):
@@ -276,23 +306,62 @@ def test_zeta_walks_the_partner_map_of_its_current_tiling(monkeypatch):
             checked.append(partner)
         else:
             current.append(tiles)
+        rules.clear()
+        for first, steps in reference_route_steps(region, pair_of[partner]):
+            rules[first] = region, steps
         return path(tiles, region, partner, walks)
 
-    def checked_walk(tiles, region, cell, steps):
-        got = outcome(walk, tiles, region, cell, steps)
+    def checked_walk(tiles, cell, table):
+        region, steps = rules[cell]
+        got = outcome(walk, tiles, cell, table)
         assert got == outcome(reference_walk, reference_partner_map(tiles), region, cell, steps)
-        return walk(tiles, region, cell, steps)
+        return walk(tiles, cell, table)
 
     monkeypatch.setattr(zeta_module, "_path", checked_path)
     monkeypatch.setattr(zeta_module, "_walk", checked_walk)
     for args, kind in (((6, 1, [-4, -2], [0, 4]), "upper"),
                        ((6, 2, [-4, 2], [0, 4]), "lower"),
                        ((8, 1, [-6, -2, 4], [-4, 0, 6]), "lower")):
-        region = build_region(validate(*args), kind)
+        spec = validate(*args)
+        region = build_region(spec, kind)
+        pair_of.clear()
+        for pair in pair_holes(spec.right, spec.left):
+            pair_of[hole_cell_half(*pair[1], kind)] = pair
         for tiling in enumerate_tilings(region):
             current.clear()
             zeta(tiling, region)
     assert len(checked) == 54 + 160 + 2 * 186
+
+
+def test_every_walk_table_follows_its_step_rule():
+    # a walk's table has a row for each region cell that its step rule
+    # reaches from the first cell, listing the cell's tiles in mates order,
+    # each with cell + step, or None where the partner's offset has no step
+    zeta_module = sys.modules["holeyhex.zeta"]
+    entries = {True: 0, False: 0}  # stepping on, entered backwards
+    for spec in WALK_SPECS:
+        for kind in HALVES:
+            if kind == "upper" and fused_pairs(spec):
+                continue
+            region = build_region(spec, kind)
+            for pair in pair_holes(spec.right, spec.left):
+                _, _, walks = zeta_module._route(region, pair)
+                rules = reference_route_steps(region, pair)
+                assert [first for first, _ in walks] == [first for first, _ in rules]
+                for (first, table), (_, steps) in zip(walks, rules):
+                    reached = {first} | {nxt for row in table.values() for _, nxt in row}
+                    assert set(table) == reached & region.cells, (spec, kind, pair)
+                    for cell, row in table.items():
+                        mates = region.mates[cell]
+                        assert [tile for tile, _ in row] == list(mates.values())
+                        for (tile, nxt), (mate, own) in zip(row, mates.items()):
+                            assert tile is own
+                            step = steps.get((mate[0] - cell[0], mate[1] - cell[1], mate[2]))
+                            want = None if step is None else \
+                                (cell[0] + step[0], cell[1] + step[1], cell[2])
+                            assert nxt == want, (spec, kind, pair, cell, mate)
+                            entries[nxt is not None] += 1
+    assert entries == {True: 3172, False: 1936}
 
 
 def reference_transmit(tiles, ribbon, hole):
@@ -311,6 +380,49 @@ def reference_transmit(tiles, ribbon, hole):
     return hole
 
 
+def reference_rule_walk(tiles, region, cell, steps):
+    """zeta's walk before its step rule was tabled: each chain cell's tile is
+    found among its mates, and the partner's offset is looked up in ``steps``."""
+    orient = cell[2]
+    ribbon = []
+    while cell in region.cells:
+        for mate, rhombus in region.mates[cell].items():
+            if rhombus in tiles:
+                break
+        else:
+            raise TransmissionError("walk hit an uncovered cell")
+        step = steps.get((mate[0] - cell[0], mate[1] - cell[1], mate[2]))
+        if step is None:
+            raise TransmissionError("walk entered a rhombus backwards")
+        ribbon.append(rhombus)
+        cell = (cell[0] + step[0], cell[1] + step[1], orient)
+    return ribbon, cell
+
+
+def reference_route_path(tiles, region, pair) -> list:
+    """The ribbon of ``tiles`` between a pair's holes, each walk stepping by
+    its route's rule (``reference_rule_walk``)."""
+    walks = reference_route_steps(region, pair)
+    if len(walks) == 1:  # case (i)
+        ribbon, end = reference_rule_walk(tiles, region, *walks[0])
+        if end != hole_cell_half(*pair[1], region.kind):
+            raise TransmissionError("walk left the region")
+        return ribbon
+    paths = []
+    for first, steps in walks:
+        path, end = reference_rule_walk(tiles, region, first, steps)
+        if end in region.hole_cells:
+            raise TransmissionError("slant walk ran into a hole")
+        paths.append(path)
+    path1, path2 = paths
+    common = set(path1) & set(path2)
+    if len(common) != 1:
+        raise TransmissionError(
+            f"boundary paths share {len(common)} rhombi instead of exactly one")
+    turn = common.pop()
+    return path1[:path1.index(turn) + 1] + list(reversed(path2[:path2.index(turn)]))
+
+
 def reference_zeta(tiling, region):
     """zeta before its per-region plan: the check, the pairs, their hole cells
     and their paths redone for each tiling, and a new rhombus for each swap."""
@@ -321,7 +433,7 @@ def reference_zeta(tiling, region):
     tiles = set(tiling)
     ribbons = []
     for pair in pair_holes(spec.right, spec.left):
-        ribbon = route_path(tiles, region, pair)
+        ribbon = reference_route_path(tiles, region, pair)
         ribbons.append(ribbon)
         hole = hole_cell_half(*pair[0], region.kind)
         other = hole_cell_half(*pair[1], region.kind)
