@@ -81,7 +81,7 @@ def _forced(ahead) -> list:
 
     A cell is forced when its one later partner, at offset o > 0, has it as
     its only earlier partner.  No earlier cell can cover that partner, so bit
-    o is clear whenever the cell is reached uncovered.
+    o is clear when the cell is reached.
     """
     earlier = [0] * len(ahead)
     for lo, offsets in enumerate(ahead):
