@@ -79,12 +79,22 @@ def path_count(start, end, variant: str = "none") -> int:
     raise ValueError(f"unknown path count variant {variant!r}")
 
 
-def _binomial_row(t: int) -> list:
-    """C(t, 0), ..., C(t, t) by the multiplicative recurrence; empty for t < 0."""
-    row = [1] if t >= 0 else []
-    for k in range(t):
+def _binomial_row(t: int, lo: int, hi: int) -> list:
+    """C(t, k) at index k for lo <= k <= hi, and None below lo: one
+    ``math.comb``, then the multiplicative recurrence; no binomial when
+    lo > hi.  Needs 0 <= lo and hi <= t."""
+    row = [None] * lo + ([math.comb(t, lo)] if lo <= hi else [])
+    for k in range(lo, hi):
         row.append(row[-1] * (t - k) // (k + 1))
     return row
+
+
+def _spans(points) -> dict:
+    """Per coordinate total x + y of the points, their least and greatest x."""
+    xs = {}
+    for x, y in points:
+        xs.setdefault(x + y, []).append(x)
+    return {total: (min(group), max(group)) for total, group in xs.items()}
 
 
 # Every path-matrix entry, Schur term, hole-matrix entry and closed form
@@ -98,14 +108,20 @@ def path_matrix(spec: RegionSpec, kind: str) -> Matrix:
     (a, b) to end (c, e), with T = c + e - a - b steps, the entry is
     C(T, c - a) + (2d - 1) C(T, e - a), path_count's reflection sum or
     difference.  C(T, k) is 0 unless 0 <= k <= T, so both terms are 0 when
-    T < 0.  The step totals take at most (1 + |L|)(1 + |R|) values; each
-    one's binomial row is built once per call and both terms are read from
-    it by index.
+    T < 0.  The step totals take at most (1 + |L|)(1 + |R|) values; for each
+    one only the window of k that its entries read (bounded by the least and
+    greatest a and c among the points of each total) is built, once per
+    call, and both terms are read from it by index.
     """
     sign = 2 * half_shift(kind, "path matrix") - 1
     starts, ends = lgv_points(spec, kind)
-    end_totals = {c + e for c, e in ends}
-    rows = {u - v: _binomial_row(u - v) for v in {a + b for a, b in starts} for u in end_totals}
+    windows = {}  # step total -> least and greatest k read, as c - a or e - a = u - c - a
+    for v, (alo, ahi) in _spans(starts).items():
+        for u, (clo, chi) in _spans(ends).items():
+            lo, hi = windows.get(u - v, (math.inf, -math.inf))
+            windows[u - v] = (min(lo, clo - ahi, u - chi - ahi),
+                              max(hi, chi - alo, u - clo - alo))
+    rows = {t: _binomial_row(t, max(lo, 0), min(hi, t)) for t, (lo, hi) in windows.items()}
     matrix = []
     for a, b in starts:
         out = []

@@ -12,13 +12,17 @@ The hexagon has sides n, 2m, n, n, 2m, n clockwise from the southwest, its
 two vertical sides of length 2m at columns -n and n, and its horizontal
 symmetry axis at h = 0.  A side-two hole at even position x has its
 vertical edge in column x, centred on the axis.
+
+Each hexagon's geometry is built once per kind: a small cache keeps the
+unholed region of each (n, m, kind), and every holey region of that hexagon
+is its cells less the hole cells, with its cell order restricted from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import combinations
+from functools import cached_property, lru_cache
+from itertools import accumulate, combinations
 from math import sqrt
 from typing import Iterable, Iterator, Sequence
 
@@ -307,7 +311,23 @@ class TriangularRegion:
     def order(self) -> tuple:
         """The cells in slab-major order, which keeps a sweep's uncovered frontier
         inside ~one column, and per cell the ascending offsets of its later
-        partners (offset 0 first for a free-edge cell: its half rhombus)."""
+        partners (offset 0 first for a free-edge cell: its half rhombus).
+
+        A region cut from its unholed region (a spec's cells within it) takes
+        that region's order restricted to its own cells: they are a subsequence,
+        as slab-major keys are unique, and each offset is re-indexed through the
+        running count of kept cells.  Only an unholed region, or one built by
+        hand without a spec, sorts its cells and probes ``neighbors``."""
+        whole = self._whole()
+        if whole is not None:
+            cells, ahead = whole.order
+            keep = [cell in self.cells for cell in cells]
+            rank = list(accumulate(keep, initial=0))  # kept cells before each index
+            return ([cell for cell, kept in zip(cells, keep) if kept],
+                    [[rank[lo + off] - rank[lo] for off in offsets
+                      if (keep[lo + off] if off else cell in self.free_edge)]
+                     for lo, (cell, offsets) in enumerate(zip(cells, ahead)) if keep[lo]])
+
         def key(cell):
             c, h, o = cell
             return (2 * c + (1 if o == RIGHT else -1), h, o)
@@ -319,6 +339,16 @@ class TriangularRegion:
         for cell in self.free_edge:
             ahead[index[cell]].insert(0, 0)
         return cells, ahead
+
+    def _whole(self):
+        """The unholed region of this one's spec and kind when this one lies
+        inside it and is not it, else None."""
+        if self.spec is None or self.kind not in (*KINDS, "free"):
+            return None
+        whole = _unholed(self.spec.n, self.spec.m, self.kind)
+        if whole is self or not (self.cells <= whole.cells and self.free_edge <= whole.free_edge):
+            return None
+        return whole
 
     @cached_property
     def tiles(self) -> dict:
@@ -351,20 +381,29 @@ class TriangularRegion:
         return mates
 
 
-def build_region(spec: RegionSpec, kind: str) -> TriangularRegion:
-    """Materialise the cell set of the full region or a half region.
+# the unholed regions kept at once: a sweep over the hole placements of a few
+# hexagons, in every kind, reuses each one
+_UNHOLED_REGIONS = 16
 
-    A half keeps the hexagon's cells on its side of the axis (h >= 0 in the
-    upper half, d = 1); each hole then removes its four cells from the full
-    region and its one cell from a half.  The lower half's tilings are the full
-    region's horizontally symmetric ones, as an axis cell can only pair with its
-    own vertical partner (a slanted rhombus would overlap its mirror image).
-    """
-    if kind not in KINDS:
-        raise ValueError(f"unknown region kind {kind!r}")
-    cells = hexagon_cells(spec.n, spec.m)
+
+@lru_cache(maxsize=_UNHOLED_REGIONS)
+def _unholed(n: int, m: int, kind: str) -> TriangularRegion:
+    """The unholed region of ``kind`` (a region kind or "free") of the hexagon
+    with sides n, 2m; every region of that hexagon and kind is cut from it."""
+    cells = hexagon_cells(n, m)
+    spec = RegionSpec(n, m, (), ())
+    if kind == "free":
+        cells = frozenset((c, h, o) for c, h, o in cells if c < 0 or c == 0 and o == LEFT)
+        return TriangularRegion(kind, cells, frozenset(), spec,
+                                frozenset(cell for cell in cells if cell[0] == 0))
     if kind in HALVES:
         cells = frozenset(cell for cell in cells if (cell[1] >= 0) == HALVES[kind])
+    return TriangularRegion(kind, cells, frozenset(), spec)
+
+
+def _removed(spec: RegionSpec, kind: str, cells: frozenset) -> frozenset:
+    """The cells the holes of ``spec`` take out of ``cells``, its unholed
+    region of ``kind``: four per hole in the full region, one in a half."""
     where = "the hexagon" if kind == "full" else f"the {kind} region"
     removed = set()
     for x, orient in [(x, LEFT) for x in spec.left] + [(x, RIGHT) for x in spec.right]:
@@ -378,19 +417,48 @@ def build_region(spec: RegionSpec, kind: str) -> TriangularRegion:
         # that would otherwise be forced, so they leave the region as well
         for r in fused_pairs(spec):
             removed |= {(r, 1, RIGHT), (r + 2, 1, LEFT)}
-    return TriangularRegion(kind, cells - removed, frozenset(removed), spec)
+    return frozenset(removed)
+
+
+def build_region(spec: RegionSpec, kind: str) -> TriangularRegion:
+    """Materialise the cell set of the full region or a half region.
+
+    A half keeps the hexagon's cells on its side of the axis (h >= 0 in the
+    upper half, d = 1); each hole then removes its four cells from the full
+    region and its one cell from a half.  The lower half's tilings are the full
+    region's horizontally symmetric ones, as an axis cell can only pair with its
+    own vertical partner (a slanted rhombus would overlap its mirror image).
+
+    Each (n, m, kind) has one unholed region, kept in a small cache: a spec
+    with no holes gets that region itself, so its tile tables are built once
+    per hexagon, and any other spec's region is its cells less the hole cells,
+    whose ``order`` is restricted from it.
+    """
+    if kind not in KINDS:
+        raise ValueError(f"unknown region kind {kind!r}")
+    whole = _unholed(spec.n, spec.m, kind)
+    if not spec.left and not spec.right:
+        return whole
+    removed = _removed(spec, kind, whole.cells)
+    return TriangularRegion(kind, whole.cells - removed, removed, spec)
 
 
 def free_region(spec: RegionSpec) -> TriangularRegion:
     """The full region left of its centre line, whose column-0 cells form a free
     edge; its tilings are the full region's vertically symmetric ones (Ciucu,
-    "Enumeration of perfect matchings in graphs with reflective symmetry", 1997)."""
+    "Enumeration of perfect matchings in graphs with reflective symmetry", 1997).
+
+    Like ``build_region``'s kinds it is cut from its own cached unholed region:
+    the full region's hole cells leave it, and those left of the line are its
+    hole cells."""
     if not spec.is_mirror_symmetric:
         raise ValueError("vertical symmetry needs R = -L")
-    full = build_region(spec, "full")
-    cells, holes = (frozenset((c, h, o) for c, h, o in group if c < 0 or c == 0 and o == LEFT)
-                    for group in (full.cells, full.hole_cells))
-    return TriangularRegion("free", cells, holes, spec, frozenset(x for x in cells if x[0] == 0))
+    whole = _unholed(spec.n, spec.m, "free")
+    if not spec.left:
+        return whole
+    removed = _removed(spec, "full", _unholed(spec.n, spec.m, "full").cells)
+    return TriangularRegion("free", whole.cells - removed, removed & whole.cells, spec,
+                            whole.free_edge - removed)
 
 
 # ---------------------------------------------------------------------------

@@ -17,11 +17,15 @@ there once, and every tile a walk probes or a transmission adds is the
 region's own object (``TriangularRegion.mates``), so a tiling costs the
 length of its ribbons.  Each walk's step rule is a table built with the
 plan, {chain cell: [(tile, next chain cell or None), ...]}, so a step is
-one lookup and at most three tile membership tests.
+one lookup and at most three tile membership tests.  ``zeta`` keeps the
+plan of the last region it mapped.  The unholed target of
+``verify_injection`` is the region ``build_region`` keeps for the whole
+hexagon, so its tiles are built once per hexagon, not once per spec.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable
 
 from .regions import (HALVES, LEFT, RIGHT, RegionSpec, TriangularRegion, build_region,
@@ -196,14 +200,22 @@ class _Plan:
         return frozenset(tiles), ribbons
 
 
+@lru_cache(maxsize=1)
+def _plan(region: TriangularRegion) -> _Plan:
+    """The plan of the last region ``zeta`` mapped a tiling of."""
+    return _Plan(region)
+
+
 def zeta(tiling, region: TriangularRegion):
     """Map a tiling of a holey half region to one of the unholed region.
 
     Pairs are consumed in extraction order; after each transmission the two
     unit holes of the pair sit edge to edge and are covered by one new
-    rhombus.  Returns (image, ribbons), one ribbon per pair.
+    rhombus.  Returns (image, ribbons), one ribbon per pair.  The plan of the
+    last region mapped is kept, so mapping the tilings of one region one call
+    at a time builds it once.
     """
-    return _Plan(region).map(tiling)
+    return _plan(region).map(tiling)
 
 
 def _axis_rhombi(region: TriangularRegion) -> list:
@@ -233,7 +245,7 @@ def verify_injection(spec: RegionSpec, kind: str = "lower") -> dict:
     """
     plan = _Plan(build_region(spec, kind))  # an undefined map raises before enumerating
     region = plan.region
-    target = build_region(spec.unholed(), kind)
+    target = build_region(spec.unholed(), kind)  # shared by every spec of the hexagon
     images = set()  # each image as the map returns it: its tiles are the plan's shared ones
     tilings = 0
     valid = True

@@ -3,10 +3,12 @@ import random
 
 import pytest
 
+from holeyhex import regions
+from holeyhex.oracle import count_tilings, enumerate_tilings
 from holeyhex.regions import (HALVES, KINDS, LEFT, RIGHT, RegionSpec, SpecValidationError,
-                              build_region,
-                              check, distance, free_boundary_holes, free_region, hexagon_cells,
-                              hole_cell_half,
+                              TriangularRegion, build_region,
+                              check, distance, free_boundary_holes, free_region, fused_pairs,
+                              hexagon_cells, hole_cell_half,
                               induced_holes, lgv_points, merge_induced_holes, neighbors,
                               parse_spec, spec_grid, validate)
 
@@ -266,3 +268,112 @@ def test_hole_cell_half_matches_per_half_reference():
                     outcome(reference_hole_cell_half, *args), args
     with pytest.raises(ValueError, match="no single hole cell for kind 'full'"):
         hole_cell_half(0, LEFT, "full")
+
+
+def reference_order(region):
+    """TriangularRegion.order by sorting the cells and probing ``neighbors``, as
+    every region did before holey regions restricted their unholed region's."""
+    def key(cell):
+        c, h, o = cell
+        return (2 * c + (1 if o == RIGHT else -1), h, o)
+
+    cells = sorted(region.cells, key=key)
+    index = {cell: i for i, cell in enumerate(cells)}
+    ahead = [sorted(index[nb] - lo for nb in neighbors(cell) if index.get(nb, -1) > lo)
+             for lo, cell in enumerate(cells)]
+    for cell in region.free_edge:
+        ahead[index[cell]].insert(0, 0)
+    return cells, ahead
+
+
+def grid_regions():
+    """Every region of spec_grid(6, 2, 2): each kind, and the free region of
+    each mirrored spec, with its unholed region."""
+    for spec in spec_grid(6, 2, 2):
+        for kind in KINDS:
+            yield build_region(spec, kind), build_region(spec.unholed(), kind)
+        if spec.is_mirror_symmetric:
+            yield free_region(spec), free_region(spec.unholed())
+
+
+def test_order_restricts_the_unholed_order():
+    # a holey region's order is its unholed region's restricted to its cells;
+    # only the unholed region sorts, and both agree with sort-and-probe
+    restricted = fused = free = 0
+    for region, whole in grid_regions():
+        assert region.order == reference_order(region), (region.spec, region.kind)
+        if region is whole:
+            assert region._whole() is None
+            continue
+        assert region._whole() is whole, (region.spec, region.kind)
+        restricted += 1
+        fused += region.kind == "upper" and bool(fused_pairs(region.spec))
+        free += region.kind == "free"
+    assert (restricted, fused, free) == (3 * 112 + 20, 54, 20)
+
+
+def test_a_holey_region_orders_without_probing_neighbors(monkeypatch):
+    spec = validate(6, 2, [-4, 2], [-2, 4])
+    wholes = [build_region(spec.unholed(), kind) for kind in KINDS] + [free_region(spec.unholed())]
+    for whole in wholes:
+        assert whole.order
+
+    def no_probe(cell):
+        raise AssertionError("a restricted order probed neighbors")
+
+    monkeypatch.setattr(regions, "neighbors", no_probe)
+    holey = [build_region(spec, kind) for kind in KINDS] + [free_region(validate(6, 2, [-4], [4]))]
+    for region in holey:
+        assert region.order == reference_order(region)
+
+
+def test_a_region_built_by_hand_orders_as_sort_and_probe():
+    cells = hexagon_cells(4, 2) - {(0, 1, RIGHT), (1, 0, LEFT)}
+    for spec in (None, validate(4, 2)):
+        region = TriangularRegion("full", cells, frozenset(), spec)
+        assert region.order == reference_order(region)
+    assert TriangularRegion("full", cells, frozenset(), None)._whole() is None
+    # the free-edge half rhombi of a hand-built free region come first
+    free = free_region(validate(4, 1, [-2], [2]))
+    alone = TriangularRegion("free", free.cells, free.hole_cells, None, free.free_edge)
+    assert alone.order == free.order == reference_order(free)
+    assert sum(offsets[:1] == [0] for offsets in alone.order[1]) == len(free.free_edge) > 0
+
+
+def test_each_hexagon_has_one_unholed_region():
+    for spec in (validate(4, 1), validate(6, 2, [-2], [2])):
+        for kind in KINDS:
+            whole = build_region(spec.unholed(), kind)
+            assert build_region(spec.unholed(), kind) is whole
+            assert whole.spec == spec.unholed() and not whole.hole_cells
+        assert free_region(spec.unholed()) is free_region(spec.unholed())
+    # a holey region is a new region every time, cut from the shared one
+    spec = validate(6, 2, [-2], [2])
+    assert build_region(spec, "full") is not build_region(spec, "full")
+    assert build_region(spec, "full") == build_region(spec, "full")
+
+
+def test_restricted_orders_change_no_count_or_tiling():
+    # each region against a copy built by hand, which sorts its own cells
+    def copy(region):
+        return TriangularRegion(region.kind, region.cells, region.hole_cells, None,
+                                region.free_edge)
+
+    regions_m1 = [region for region, _ in grid_regions() if region.spec.m == 1]
+    for region in regions_m1:
+        assert count_tilings(region) == count_tilings(copy(region)), (region.spec, region.kind)
+        if region.spec.n <= 4:
+            assert list(enumerate_tilings(region)) == list(enumerate_tilings(copy(region)))
+    assert len(regions_m1) == 3 * 59 + 13
+
+
+def test_the_unholed_region_cache_is_bounded():
+    cache = regions._unholed
+    assert cache.cache_info().maxsize == regions._UNHOLED_REGIONS == 16
+    for n in range(2, 14, 2):
+        for m in (1, 2):
+            for kind in KINDS:
+                build_region(validate(n, m), kind)
+                assert cache.cache_info().currsize <= 16
+    build_region(validate(4, 1), "lower")
+    assert build_region(validate(4, 1), "lower") is build_region(validate(4, 1), "lower")

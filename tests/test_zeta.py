@@ -178,6 +178,24 @@ def test_every_route_has_the_walks_of_its_case(monkeypatch):
     assert tabled == []
 
 
+def test_zeta_builds_one_plan_per_region(monkeypatch):
+    # zeta keeps the plan of the last region it mapped: mapping every tiling of
+    # one region builds one plan, another region builds its own, and the kept
+    # plan maps each tiling as a fresh plan does
+    zeta_module = sys.modules["holeyhex.zeta"]
+    plan, built = zeta_module._Plan, []
+    monkeypatch.setattr(zeta_module, "_Plan", lambda region: built.append(region) or plan(region))
+    zeta_module._plan.cache_clear()
+    region = build_region(validate(6, 2, [-4, 2], [0, 4]), "lower")
+    tilings = list(enumerate_tilings(region))
+    images = [zeta(tiling, region) for tiling in tilings]
+    assert len(built) == 1 and built[0] is region and len(tilings) == 160
+    other = build_region(validate(4, 1, [-2], [2]), "upper")
+    zeta(next(enumerate_tilings(other)), other)
+    assert len(built) == 2 and built[1] is other
+    assert images == [plan(region).map(tiling) for tiling in tilings]
+
+
 def test_zeta_images_are_valid_tilings():
     for args in INJECTIVE_SPECS:
         spec = validate(*args)
