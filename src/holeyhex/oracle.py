@@ -40,8 +40,8 @@ def enumerate_tilings(region: TriangularRegion, budget: int = DEFAULT_BUDGET) ->
     partners are tabled once per call as (mask bit, index pair), in stack
     order; a forced cell (``_forced``), whose one partner is always free,
     takes it in place, with no push or pop.  Each tiling is made of the
-    region's own tile objects (``tiles``).  Past ``budget`` nodes the
-    error carries the index pairs chosen so far.
+    region's ``tiles``, objects shared by every region of its hexagon.  Past
+    ``budget`` nodes the error carries the index pairs chosen so far.
     """
     cells, ahead = region.order
     tiles = region.tiles

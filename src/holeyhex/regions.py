@@ -15,7 +15,7 @@ vertical edge in column x, centred on the axis.
 
 Each hexagon's geometry is built once per kind: a small cache keeps the
 unholed region of each (n, m, kind), and every holey region of that hexagon
-is its cells less the hole cells, with its cell order restricted from it.
+is its cells less the hole cells, sharing its cell order and tile objects.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ Point = tuple  # (x, y) lattice point for north/east paths
 # per-half rule, here and in matrices and zeta, is written once in terms of d.
 HALVES = {"lower": 0, "upper": 1}
 KINDS = ("full", *HALVES)
+REGION_KINDS = (*KINDS, "free")  # and the full region left of its centre line
 
 
 def half_shift(kind: str, what: str) -> int:
@@ -313,11 +314,11 @@ class TriangularRegion:
         inside ~one column, and per cell the ascending offsets of its later
         partners (offset 0 first for a free-edge cell: its half rhombus).
 
-        A region cut from its unholed region (a spec's cells within it) takes
-        that region's order restricted to its own cells: they are a subsequence,
-        as slab-major keys are unique, and each offset is re-indexed through the
-        running count of kept cells.  Only an unholed region, or one built by
-        hand without a spec, sorts its cells and probes ``neighbors``."""
+        A region cut from its unholed region (``_whole``) takes that region's
+        order restricted to its own cells: they are a subsequence, as slab-major
+        keys are unique, and each offset is re-indexed through the running count
+        of kept cells.  Only an unholed or hand-built region sorts its cells and
+        probes ``neighbors``."""
         whole = self._whole()
         if whole is not None:
             cells, ahead = whole.order
@@ -341,21 +342,23 @@ class TriangularRegion:
         return cells, ahead
 
     def _whole(self):
-        """The unholed region of this one's spec and kind when this one lies
-        inside it and is not it, else None."""
-        if self.spec is None or self.kind not in (*KINDS, "free"):
+        """The unholed region this one is cut from (its cells and hole cells are
+        that region's cells) when this one is not it, else None."""
+        if self.spec is None or self.kind not in REGION_KINDS:
             return None
         whole = _unholed(self.spec.n, self.spec.m, self.kind)
-        if whole is self or not (self.cells <= whole.cells and self.free_edge <= whole.free_edge):
+        if whole is self or not (self.cells | self.hole_cells == whole.cells
+                                 and self.free_edge <= whole.free_edge):
             return None
         return whole
 
     @cached_property
     def tiles(self) -> dict:
-        """Every tile as a frozenset, by the index pair (lo, lo + off) of its cells in
-        ``order``: one object per tile, which every enumerated tiling shares."""
+        """Every tile as its object in ``mates``, by the index pair (lo, lo + off)
+        of its cells in ``order``, which every enumerated tiling shares."""
         cells, ahead = self.order
-        return {(lo, lo + off): frozenset((cell, cells[lo + off]))
+        mates = self.mates
+        return {(lo, lo + off): mates[cell][cells[lo + off]]
                 for lo, cell in enumerate(cells) for off in ahead[lo]}
 
     @cached_property
@@ -365,19 +368,19 @@ class TriangularRegion:
 
     @cached_property
     def mates(self) -> dict:
-        """``mates[cell][mate]``: the tile of two edge-sharing cells of the region
-        with its holes filled in, for each cell in ``neighbors`` order.  A tile of
-        the region is its object in ``tiles``; one that takes a hole cell is one
-        new object, shared by both of its cells."""
-        own = {tile: tile for tile in self.tiles.values()}
-        filled = self.cells | self.hole_cells
-        mates = {}
-        for cell in filled:
-            row = mates[cell] = {}
-            for mate in neighbors(cell):
-                if mate in filled:
-                    tile = frozenset((cell, mate))
-                    row[mate] = own.setdefault(tile, tile)
+        """``mates[cell][mate]``: the tile of ``cell`` and ``mate`` (mate = cell for
+        a free-edge half rhombus), one frozenset per tile of ``order``.  A region
+        cut from its unholed region shares that region's, which is this one with
+        its holes filled in, so every region of a hexagon has one object per tile."""
+        whole = self._whole()
+        if whole is not None:
+            return whole.mates
+        cells, ahead = self.order
+        mates = {cell: {} for cell in cells}
+        for lo, cell in enumerate(cells):
+            for off in ahead[lo]:
+                mate = cells[lo + off]
+                mates[cell][mate] = mates[mate][cell] = frozenset((cell, mate))
         return mates
 
 
@@ -388,8 +391,8 @@ _UNHOLED_REGIONS = 16
 
 @lru_cache(maxsize=_UNHOLED_REGIONS)
 def _unholed(n: int, m: int, kind: str) -> TriangularRegion:
-    """The unholed region of ``kind`` (a region kind or "free") of the hexagon
-    with sides n, 2m; every region of that hexagon and kind is cut from it."""
+    """The unholed region of ``kind`` of the hexagon with sides n, 2m; every
+    region of that hexagon and kind is cut from it."""
     cells = hexagon_cells(n, m)
     spec = RegionSpec(n, m, (), ())
     if kind == "free":
@@ -401,14 +404,15 @@ def _unholed(n: int, m: int, kind: str) -> TriangularRegion:
     return TriangularRegion(kind, cells, frozenset(), spec)
 
 
-def _removed(spec: RegionSpec, kind: str, cells: frozenset) -> frozenset:
-    """The cells the holes of ``spec`` take out of ``cells``, its unholed
-    region of ``kind``: four per hole in the full region, one in a half."""
-    where = "the hexagon" if kind == "full" else f"the {kind} region"
+def _removed(spec: RegionSpec, kind: str) -> frozenset:
+    """The cells the holes of ``spec`` take out of its hexagon's region of
+    ``kind``: four per hole in the full and free regions, one in a half."""
+    full = kind not in HALVES
+    cells = _unholed(spec.n, spec.m, "full" if full else kind).cells
+    where = "the hexagon" if full else f"the {kind} region"
     removed = set()
     for x, orient in [(x, LEFT) for x in spec.left] + [(x, RIGHT) for x in spec.right]:
-        hole = (hole_cells_full(x, orient) if kind == "full"
-                else {hole_cell_half(x, orient, kind)})
+        hole = hole_cells_full(x, orient) if full else {hole_cell_half(x, orient, kind)}
         if not hole <= cells:
             raise ValueError(f"hole at {x} does not fit inside {where}")
         removed |= hole
@@ -421,43 +425,32 @@ def _removed(spec: RegionSpec, kind: str, cells: frozenset) -> frozenset:
 
 
 def build_region(spec: RegionSpec, kind: str) -> TriangularRegion:
-    """Materialise the cell set of the full region or a half region.
+    """Materialise the cell set of a region kind, one of ``REGION_KINDS``.
 
     A half keeps the hexagon's cells on its side of the axis (h >= 0 in the
     upper half, d = 1); each hole then removes its four cells from the full
     region and its one cell from a half.  The lower half's tilings are the full
     region's horizontally symmetric ones, as an axis cell can only pair with its
     own vertical partner (a slanted rhombus would overlap its mirror image).
+    The free region (R = -L) is the full region left of its centre line, its
+    column-0 cells a free edge, whose tilings are the full region's vertically
+    symmetric ones (Ciucu, "Enumeration of perfect matchings in graphs with
+    reflective symmetry", 1997).
 
     Each (n, m, kind) has one unholed region, kept in a small cache: a spec
     with no holes gets that region itself, so its tile tables are built once
     per hexagon, and any other spec's region is its cells less the hole cells,
-    whose ``order`` is restricted from it.
+    whose ``order`` and ``mates`` come from it.
     """
-    if kind not in KINDS:
+    if kind not in REGION_KINDS:
         raise ValueError(f"unknown region kind {kind!r}")
+    if kind == "free" and not spec.is_mirror_symmetric:
+        raise ValueError("vertical symmetry needs R = -L")
     whole = _unholed(spec.n, spec.m, kind)
     if not spec.left and not spec.right:
         return whole
-    removed = _removed(spec, kind, whole.cells)
-    return TriangularRegion(kind, whole.cells - removed, removed, spec)
-
-
-def free_region(spec: RegionSpec) -> TriangularRegion:
-    """The full region left of its centre line, whose column-0 cells form a free
-    edge; its tilings are the full region's vertically symmetric ones (Ciucu,
-    "Enumeration of perfect matchings in graphs with reflective symmetry", 1997).
-
-    Like ``build_region``'s kinds it is cut from its own cached unholed region:
-    the full region's hole cells leave it, and those left of the line are its
-    hole cells."""
-    if not spec.is_mirror_symmetric:
-        raise ValueError("vertical symmetry needs R = -L")
-    whole = _unholed(spec.n, spec.m, "free")
-    if not spec.left:
-        return whole
-    removed = _removed(spec, "full", _unholed(spec.n, spec.m, "full").cells)
-    return TriangularRegion("free", whole.cells - removed, removed & whole.cells, spec,
+    removed = _removed(spec, kind)
+    return TriangularRegion(kind, whole.cells - removed, removed & whole.cells, spec,
                             whole.free_edge - removed)
 
 

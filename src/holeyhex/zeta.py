@@ -14,13 +14,13 @@ assumed.  The map has one way in, a private plan per region behind both
 ``zeta`` and ``verify_injection``: all that no tiling changes (whether the
 map is defined, each pair's hole cells, case and walks) is worked out
 there once, and every tile a walk probes or a transmission adds is the
-region's own object (``TriangularRegion.mates``), so a tiling costs the
-length of its ribbons.  Each walk's step rule is a table built with the
-plan, {chain cell: [(tile, next chain cell or None), ...]}, so a step is
-one lookup and at most three tile membership tests.  ``zeta`` keeps the
-plan of the last region it mapped.  The unholed target of
+object every region of the hexagon shares (``TriangularRegion.mates``), so
+a tiling costs the length of its ribbons.  Each walk's step rule is a table
+built with the plan, {chain cell: [(tile, next chain cell or None), ...]},
+so a step is one lookup and at most three tile membership tests.  ``zeta``
+keeps the plan of the last region it mapped.  The unholed target of
 ``verify_injection`` is the region ``build_region`` keeps for the whole
-hexagon, so its tiles are built once per hexagon, not once per spec.
+hexagon, whose tiles are the objects its images are made of.
 """
 
 from __future__ import annotations
@@ -161,8 +161,8 @@ def _path(tiles, region: TriangularRegion, partner, walks) -> list:
 class _Plan:
     """The transmission map of one region, with all that no tiling changes
     worked out once: that the map is defined there and each hole pair's
-    route.  Its tiles are the region's ``mates``, so every rhombus a
-    transmission adds is the object the region's tilings already use."""
+    route.  Its tiles are the region's ``mates``, shared by every region of
+    the hexagon, so every rhombus a transmission adds is the target's own."""
 
     def __init__(self, region: TriangularRegion):
         spec = region.spec
@@ -246,7 +246,7 @@ def verify_injection(spec: RegionSpec, kind: str = "lower") -> dict:
     plan = _Plan(build_region(spec, kind))  # an undefined map raises before enumerating
     region = plan.region
     target = build_region(spec.unholed(), kind)  # shared by every spec of the hexagon
-    images = set()  # each image as the map returns it: its tiles are the plan's shared ones
+    images = set()  # each image as the map returns it, made of the target's tiles
     tilings = 0
     valid = True
     weight_monotone = True

@@ -36,7 +36,7 @@ from holeyhex.asymptotics import (aspect_m, classify_regime, separation_sweep,
 from holeyhex.matrices import (closed_form_entry, count_region, det_exact,
                                hole_matrix, hole_matrix_entry)
 from holeyhex.oracle import count_families, count_tilings, noncrossing_endpoints
-from holeyhex.regions import build_region, free_region, spec_grid, validate
+from holeyhex.regions import build_region, spec_grid, validate
 from holeyhex.zeta import verify_injection
 
 
@@ -102,7 +102,7 @@ def test_criterion_4_free_boundary_equivalence():
         # three independent routes: the transfer sweep on the free region, the
         # weighted path-family sweep on the upper half, and its determinants
         # (count_region's "free" runs the same determinants as "upper_weighted")
-        symmetric = count_tilings(free_region(spec))
+        symmetric = count_tilings(build_region(spec, "free"))
         families = count_families(*noncrossing_endpoints(spec, "upper"), "weighted_below")
         weighted = count_region(spec, "upper_weighted").value
         free = count_region(spec, "free").value

@@ -13,12 +13,9 @@ from holeyhex.arith import (GammaPoleError, NonTerminatingSeriesError, binomial,
                             ratio_series)
 from holeyhex.matrices import closed_form_entry, det_exact, path_matrix
 from holeyhex.oracle import count_tilings
-from holeyhex.regions import TriangularRegion, hexagon_cells, validate
+from holeyhex.regions import validate
+from helpers import hexagon_region, outcome
 from identity_checks import pochhammer, reference_gamma_ratio
-
-
-def hexagon_region(n, m):
-    return TriangularRegion("full", hexagon_cells(n, m), frozenset(), None)
 
 
 def test_binomial_values():
@@ -249,15 +246,6 @@ def reference_hyp_terminating(num_params, den_params, z):
             factor /= b + k
         term *= factor / (k + 1)
     return total
-
-
-def outcome(function, *args):
-    """What a call gives: its value and type, or its exception and message."""
-    try:
-        value = function(*args)
-    except Exception as exc:  # the exception is the outcome compared
-        return type(exc), str(exc)
-    return type(value), value
 
 
 rationals = st.one_of(st.integers(-12, 12),

@@ -40,3 +40,29 @@ def test_zeta_imports_no_cell_neighbours():
     imported = imported_names(SOURCE / "zeta.py")
     assert "regions" in imported
     assert "neighbors" not in imported
+
+
+def neighbor_reads(tree):
+    """The enclosing class and function names of every read of ``neighbors``."""
+    reads = []
+
+    def visit(node, scope):
+        if isinstance(node, ast.Name) and node.id == "neighbors" or \
+                isinstance(node, ast.Attribute) and node.attr == "neighbors":
+            reads.append(scope)
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = (*scope, node.name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, ())
+    return reads
+
+
+def test_only_the_unholed_sort_probes_neighbors():
+    # which cells form a tile is derived once, by TriangularRegion.order's sort;
+    # every other tile table, mates included, reads order
+    reads = {path.stem: neighbor_reads(ast.parse(path.read_text()))
+             for path in sorted(SOURCE.glob("*.py"))}
+    assert {module: found for module, found in reads.items() if found} == \
+        {"regions": [("TriangularRegion", "order")]}

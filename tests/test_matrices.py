@@ -15,6 +15,7 @@ from holeyhex.matrices import (HALF, _LU_GAMMA_ARGS, closed_form_entry, count_re
 from holeyhex.oracle import count_families, count_tilings, noncrossing_endpoints
 from holeyhex.regions import (HALVES, RegionSpec, build_region, lgv_points, spec_grid,
                               validate)
+from helpers import outcome
 from identity_checks import reference_gamma_ratio
 
 DIFFERENTIAL = settings(derandomize=True, database=None, deadline=None)
@@ -700,15 +701,6 @@ def reference_closed_form_entry(spec, kind, i, j):
             pi_half_power=-2)
         return -series * prefactor * two ** (r - l + 2)
     raise ValueError(f"no closed form for kind {kind!r}")
-
-
-def outcome(function, *args):
-    """What a call gives: its value and type, or its exception and message."""
-    try:
-        value = function(*args)
-    except Exception as exc:  # the exception is the outcome compared
-        return type(exc), str(exc)
-    return type(value), value
 
 
 @st.composite

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 from itertools import islice, product, zip_longest
 
@@ -12,13 +13,9 @@ from holeyhex.matrices import count_region, det_exact, path_count, path_matrix
 from holeyhex.oracle import (CONSTRAINTS, BudgetExceededError, _column, _columns, _forced,
                              _steps, count_families, count_tilings, enumerate_tilings,
                              noncrossing_endpoints, tiling_is_exact_cover)
-from holeyhex.regions import (KINDS, LEFT, RIGHT, TriangularRegion, build_region, free_region,
-                              fused_pairs, hexagon_cells, lgv_points, neighbors, spec_grid,
-                              validate)
-
-
-def hexagon_region(n, m):
-    return TriangularRegion("full", hexagon_cells(n, m), frozenset(), None)
+from holeyhex.regions import (KINDS, LEFT, RIGHT, TriangularRegion, build_region, fused_pairs,
+                              lgv_points, neighbors, spec_grid, validate)
+from helpers import hexagon_region
 
 
 def test_enumerate_small_hexagons():
@@ -177,7 +174,7 @@ def test_count_tilings_matches_the_per_cell_sweep_on_free_and_fused_regions():
     for spec in spec_grid(6, 2, 2):
         regions = []
         if spec.is_mirror_symmetric:
-            regions.append(free_region(spec))
+            regions.append(build_region(spec, "free"))
             free += 1
         if fused_pairs(spec):
             regions.append(build_region(spec, "upper"))
@@ -221,8 +218,19 @@ def test_count_families_has_no_depth_limit():
     points = noncrossing_endpoints(validate(2, 1100), "lower")
     assert count_families(*points, "avoid_diagonal") == 1101 == \
         product_formula("transpose_complement", 2, 1100)
-    assert sum(weight for _, weight in
-               reference_enumerate_families_stack(*points, "avoid_diagonal")) == 1101
+    # the reference at 151 columns, under a limit 100 frames above this test's
+    # own depth, which a search recursing once per column would exceed
+    points = noncrossing_endpoints(validate(2, 150), "lower")
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    try:
+        assert sum(weight for _, weight in
+                   reference_enumerate_families_stack(*points, "avoid_diagonal")) == 151
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def reference_slot_column_steps(x, carry, starts, ends, constraint):
@@ -580,8 +588,7 @@ SEARCH_REGIONS = [
 
 
 def search_region(args, kind):
-    spec = validate(*args)
-    return free_region(spec) if kind == "free" else build_region(spec, kind)
+    return build_region(validate(*args), kind)
 
 
 def outcome_of(search, region, budget):
@@ -730,25 +737,25 @@ def test_count_symmetric():
     # ones the free region's
     spec = validate(2, 1)
     assert count_tilings(build_region(spec, "lower")) == 2
-    assert count_tilings(free_region(spec)) == 10
+    assert count_tilings(build_region(spec, "free")) == 10
     with pytest.raises(ValueError, match="R = -L"):
-        free_region(validate(4, 1, [-2], [0]))
+        build_region(validate(4, 1, [-2], [0]), "free")
     with pytest.raises(ValueError):
         build_region(spec, "diagonal")
 
 
 def test_count_free_boundary():
-    assert count_tilings(free_region(validate(2, 1))) == 10 == \
+    assert count_tilings(build_region(validate(2, 1), "free")) == 10 == \
         product_formula("vertical_symmetric", 2, 1)
     spec = validate(4, 1, [-2], [2])
-    assert count_tilings(free_region(spec)) == count_region(spec, "upper_weighted").value
+    assert count_tilings(build_region(spec, "free")) == count_region(spec, "upper_weighted").value
     # out of reach of filtering the full hexagon's 34,763,300 tilings
-    assert count_tilings(free_region(validate(8, 1))) == 24310 == \
+    assert count_tilings(build_region(validate(8, 1), "free")) == 24310 == \
         product_formula("vertical_symmetric", 8, 1)
     # the free region exists for any R = -L; a left hole right of centre faces
     # no free boundary, and the weighted upper half (9) does not count it
     spec = validate(4, 1, [2], [-2])
-    assert count_tilings(free_region(spec)) == 3
+    assert count_tilings(build_region(spec, "free")) == 3
     assert count_region(spec, "upper_weighted").value == 9
 
 
@@ -778,7 +785,7 @@ def test_count_symmetric_matches_enumerate_and_filter():
         assert count_tilings(build_region(spec, "lower")) == \
             reference_count_symmetric(spec, "horizontal"), spec.to_text()
         if spec.is_mirror_symmetric:
-            assert count_tilings(free_region(spec)) == \
+            assert count_tilings(build_region(spec, "free")) == \
                 reference_count_symmetric(spec, "vertical"), spec.to_text()
             checked += 1
     assert checked == 4
@@ -795,7 +802,7 @@ def test_free_boundary_count_is_the_free_count():
                 if spec.is_mirror_symmetric and all(x < 0 for x in spec.left)]
     assert len(mirrored) == 50
     for spec in mirrored:
-        assert count_tilings(free_region(spec)) == count_region(spec, "free").value, \
+        assert count_tilings(build_region(spec, "free")) == count_region(spec, "free").value, \
             spec.to_text()
 
 
@@ -804,7 +811,7 @@ def test_free_region_tilings_unfold_to_distinct_full_tilings():
     for spec in spec_grid(6, 1, 2):
         if not spec.is_mirror_symmetric:
             continue
-        free, full = free_region(spec), build_region(spec, "full")
+        free, full = build_region(spec, "free"), build_region(spec, "full")
         images, tilings = set(), 0
         for tiling in enumerate_tilings(free):
             tilings += 1
@@ -898,7 +905,7 @@ def test_exact_cover_matches_the_per_rhombus_reference():
     for spec in spec_grid(4, 2, 2):
         if not spec.is_mirror_symmetric:
             continue
-        region = free_region(spec)
+        region = build_region(spec, "free")
         for index, tiling in enumerate(enumerate_tilings(region)):
             assert tiling_is_exact_cover(region, tiling)
             assert reference_is_exact_cover(region, tiling)
@@ -916,7 +923,7 @@ def test_region_rhombi_are_the_edge_sharing_pairs():
     for spec in spec_grid(4, 2, 2):
         regions = [build_region(spec, kind) for kind in KINDS]
         if spec.is_mirror_symmetric:
-            regions.append(free_region(spec))
+            regions.append(build_region(spec, "free"))
         for region in regions:
             assert region.rhombi == {frozenset((a, b)) for a in region.cells
                                      for b in neighbors(a) if b in region.cells} | \

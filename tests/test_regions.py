@@ -5,9 +5,9 @@ import pytest
 
 from holeyhex import regions
 from holeyhex.oracle import count_tilings, enumerate_tilings
-from holeyhex.regions import (HALVES, KINDS, LEFT, RIGHT, RegionSpec, SpecValidationError,
-                              TriangularRegion, build_region,
-                              check, distance, free_boundary_holes, free_region, fused_pairs,
+from holeyhex.regions import (HALVES, KINDS, LEFT, REGION_KINDS, RIGHT, RegionSpec,
+                              SpecValidationError, TriangularRegion, build_region,
+                              check, distance, free_boundary_holes, fused_pairs,
                               hexagon_cells, hole_cell_half,
                               induced_holes, lgv_points, merge_induced_holes, neighbors,
                               parse_spec, spec_grid, validate)
@@ -177,9 +177,9 @@ def test_free_region_is_the_full_region_left_of_centre():
         assert all(not build_region(spec, kind).free_edge for kind in KINDS)
         if not spec.is_mirror_symmetric:
             with pytest.raises(ValueError, match="vertical symmetry needs R = -L"):
-                free_region(spec)
+                build_region(spec, "free")
             continue
-        free, full = free_region(spec), build_region(spec, "full")
+        free, full = build_region(spec, "free"), build_region(spec, "full")
         for own, whole in ((free.cells, full.cells), (free.hole_cells, full.hole_cells)):
             assert own | mirror(own) == whole and not own & mirror(own)
         assert free.free_edge == {cell for cell in free.cells if cell[0] == 0}
@@ -200,7 +200,8 @@ def test_free_boundary_holes_are_left_of_centre_and_mirrored():
 
 
 def test_free_half_is_not_a_region_kind():
-    # a free-boundary count sweeps free_region, which build_region does not build
+    # a free-boundary count sweeps build_region(spec, "free"); free_half names
+    # a determinant count kind, not a region
     with pytest.raises(ValueError, match="unknown region kind 'free_half'"):
         build_region(validate(6, 1, [-2], [2]), "free_half")
 
@@ -236,6 +237,7 @@ def test_spec_grid_order():
 
 def test_matrix_halves_are_the_region_halves():
     assert KINDS == ("full", *HALVES)
+    assert REGION_KINDS == (*KINDS, "free")
     # path_matrix and count_region read each half's path variant and
     # prefactor off its shift d as 0 below the axis and 1 above
     assert HALVES == {"lower": 0, "upper": 1}
@@ -293,7 +295,7 @@ def grid_regions():
         for kind in KINDS:
             yield build_region(spec, kind), build_region(spec.unholed(), kind)
         if spec.is_mirror_symmetric:
-            yield free_region(spec), free_region(spec.unholed())
+            yield build_region(spec, "free"), build_region(spec.unholed(), "free")
 
 
 def test_order_restricts_the_unholed_order():
@@ -314,7 +316,7 @@ def test_order_restricts_the_unholed_order():
 
 def test_a_holey_region_orders_without_probing_neighbors(monkeypatch):
     spec = validate(6, 2, [-4, 2], [-2, 4])
-    wholes = [build_region(spec.unholed(), kind) for kind in KINDS] + [free_region(spec.unholed())]
+    wholes = [build_region(spec.unholed(), kind) for kind in REGION_KINDS]
     for whole in wholes:
         assert whole.order
 
@@ -322,7 +324,8 @@ def test_a_holey_region_orders_without_probing_neighbors(monkeypatch):
         raise AssertionError("a restricted order probed neighbors")
 
     monkeypatch.setattr(regions, "neighbors", no_probe)
-    holey = [build_region(spec, kind) for kind in KINDS] + [free_region(validate(6, 2, [-4], [4]))]
+    holey = [build_region(spec, kind) for kind in KINDS] + \
+        [build_region(validate(6, 2, [-4], [4]), "free")]
     for region in holey:
         assert region.order == reference_order(region)
 
@@ -334,7 +337,7 @@ def test_a_region_built_by_hand_orders_as_sort_and_probe():
         assert region.order == reference_order(region)
     assert TriangularRegion("full", cells, frozenset(), None)._whole() is None
     # the free-edge half rhombi of a hand-built free region come first
-    free = free_region(validate(4, 1, [-2], [2]))
+    free = build_region(validate(4, 1, [-2], [2]), "free")
     alone = TriangularRegion("free", free.cells, free.hole_cells, None, free.free_edge)
     assert alone.order == free.order == reference_order(free)
     assert sum(offsets[:1] == [0] for offsets in alone.order[1]) == len(free.free_edge) > 0
@@ -342,15 +345,47 @@ def test_a_region_built_by_hand_orders_as_sort_and_probe():
 
 def test_each_hexagon_has_one_unholed_region():
     for spec in (validate(4, 1), validate(6, 2, [-2], [2])):
-        for kind in KINDS:
+        for kind in REGION_KINDS:
             whole = build_region(spec.unholed(), kind)
             assert build_region(spec.unholed(), kind) is whole
             assert whole.spec == spec.unholed() and not whole.hole_cells
-        assert free_region(spec.unholed()) is free_region(spec.unholed())
     # a holey region is a new region every time, cut from the shared one
     spec = validate(6, 2, [-2], [2])
     assert build_region(spec, "full") is not build_region(spec, "full")
     assert build_region(spec, "full") == build_region(spec, "full")
+
+
+def test_every_cut_region_shares_its_hexagons_tiles():
+    # a cut region's cells and hole cells are its unholed region's, so it reads
+    # its tiles there: one object per tile for every region of a hexagon
+    shared = 0
+    for region, whole in grid_regions():
+        if region is whole:
+            continue
+        assert region.mates is whole.mates, (region.spec, region.kind)
+        cells = region.order[0]
+        for (lo, hi), tile in region.tiles.items():
+            assert tile is whole.mates[cells[lo]][cells[hi]], (region.spec, region.kind)
+            shared += 1
+    assert shared > 0
+
+
+def test_mates_are_the_tiles_of_order():
+    # a region not cut from its hexagon (unholed, or built by hand, with or
+    # without a spec) builds its mates from its own order, over its own cells:
+    # each tile under both of its cells, a half rhombus under its one cell
+    free = build_region(validate(4, 1, [-2], [2]), "free")
+    cells = hexagon_cells(4, 2) - {(0, 1, RIGHT), (1, 0, LEFT)}
+    for region in (build_region(validate(4, 1), "full"), build_region(validate(4, 1), "free"),
+                   TriangularRegion("free", free.cells, free.hole_cells, None, free.free_edge),
+                   TriangularRegion("full", cells, frozenset(), validate(4, 2))):
+        assert region._whole() is None and region.mates.keys() == region.cells
+        listed = {(a, b): tile for a, row in region.mates.items() for b, tile in row.items()}
+        assert listed == {(a, b): tile for tile in region.rhombi
+                          for a in tile for b in tile if a != b or len(tile) == 1}
+        ordered = region.order[0]
+        assert all(tile is region.mates[ordered[lo]][ordered[hi]]
+                   for (lo, hi), tile in region.tiles.items())
 
 
 def test_restricted_orders_change_no_count_or_tiling():

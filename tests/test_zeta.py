@@ -7,8 +7,10 @@ import pytest
 
 from holeyhex.matrices import count_region, det_exact, hole_matrix
 from holeyhex.oracle import enumerate_tilings, tiling_is_exact_cover
-from holeyhex.regions import (HALVES, LEFT, RIGHT, build_region, fused_pairs, half_shift,
-                              hole_cell_half, neighbors, spec_grid, validate)
+from holeyhex import regions
+from holeyhex.regions import (HALVES, LEFT, REGION_KINDS, RIGHT, build_region,
+                              fused_pairs, half_shift, hole_cell_half, neighbors, spec_grid,
+                              validate)
 from holeyhex.zeta import TransmissionError, pair_holes, upper_weight, verify_injection, zeta
 
 # every holed spec at (n, m) = (2, 1), (4, 1), (6, 1) and (4, 2); m = 2 at
@@ -506,6 +508,37 @@ def test_stored_images_share_one_object_per_rhombus(monkeypatch):
             verify_injection(spec, kind)
             tiles = [rhombus for image in images for rhombus in image]
             assert len({id(rhombus) for rhombus in tiles}) == len(set(tiles)), (spec, kind)
+            # and each is the unholed target's own object
+            target = build_region(spec.unholed(), kind)
+            assert all(target.mates[a][b] is rhombus
+                       for rhombus in set(tiles) for a, b in [tuple(rhombus)]), (spec, kind)
+
+
+def test_cut_regions_run_without_probing_neighbors(monkeypatch):
+    # once a hexagon's unholed regions have their tables, its holey and free
+    # cuts read their tiles from them: no region but an unholed one probes
+    zeta_module = sys.modules["holeyhex.zeta"]
+    for kind in REGION_KINDS:
+        assert build_region(validate(6, 1), kind).tiles
+
+    def no_probe(cell):
+        raise AssertionError("a cut region probed neighbors")
+
+    monkeypatch.setattr(regions, "neighbors", no_probe)
+    # the upper region of the second spec has a fused pair, and no map
+    cuts = [((6, 1, [2], [4]), HALVES), ((6, 1, [-4, 0], [-2, 2]), ("full", "lower")),
+            ((6, 1, [-2], [2]), ("free",)), ((6, 1, [-4, -2], [2, 4]), ("free",))]
+    checked = 0
+    for args, kinds in cuts:
+        spec = validate(*args)
+        for kind in kinds:
+            region = build_region(spec, kind)
+            assert region.hole_cells and region.mates and region.tiles, (args, kind)
+            if kind in HALVES:
+                assert zeta_module._Plan(region).routes
+                assert verify_injection(spec, kind)["tilings"] > 0
+                checked += 1
+    assert checked == 3
 
 
 def test_verify_injection_outcomes_are_pinned():
