@@ -2,7 +2,9 @@
 
 Everything in this module is integer or rational and exact: binomial
 coefficients with the zero-outside-range convention, ratios of Gamma
-values at integer arguments (cancelled pairwise into falling factorials),
+values at integer and half-integer arguments (a half-integer rewritten as
+integer ones, a power of 4 and sqrt(pi); then all cancelled pairwise into
+falling factorials),
 terminating series summed from reduced ratios of linear term factors (the
 Schur hole sums and the hypergeometric sums; the sums come back unreduced),
 and the three classical product formulas that count hexagon tilings and two
@@ -82,51 +84,39 @@ def gamma_ratio(numerator_args: Sequence[int], denominator_args: Sequence[int]) 
     return Fraction(num, den)
 
 
-def _gamma_half(a: Fraction) -> tuple[Fraction, int]:
-    """Gamma(a) for half-integer a as (rational, exponent of sqrt(pi)).
-
-    Gamma(k + 1/2) = (2k)! / (4^k k!) sqrt(pi) and
-    Gamma(1/2 - k) = (-4)^k k! / (2k)! sqrt(pi) for k >= 0.
-    """
-    if a.denominator != 2:
-        raise ValueError(f"Gamma argument {a} is not a half-integer")
-    k = math.floor(a)
-    if k >= 0:
-        return Fraction(math.factorial(2 * k), 4 ** k * math.factorial(k)), 1
-    return Fraction((-4) ** -k * math.factorial(-k), math.factorial(-2 * k)), 1
-
-
 def gamma_product(numerators: Sequence, denominators: Sequence,
                   pi_half_power: int = 0) -> Fraction:
     """Exact prod Gamma(num) / prod Gamma(den) * pi^(pi_half_power/2).
 
-    Arguments may be integers or half-integers.  The sqrt(pi) factors from
-    half-integer arguments must cancel against pi_half_power exactly; the
-    caller pairing them up is what keeps this module free of floating
-    point.
+    Arguments may be integers or half-integers.  Each half-integer is turned
+    into integer Gamma arguments, a power of 4 and one sqrt(pi), for k >= 0:
+    Gamma(k + 1/2) = sqrt(pi) Gamma(2k + 1) / (4^k Gamma(k + 1)) and
+    Gamma(1/2 - k) = sqrt(pi) (-4)^k Gamma(k + 1) / Gamma(2k + 1).  One
+    gamma_ratio then pairs all the integer arguments.  The sqrt(pi) factors
+    must cancel against pi_half_power exactly; the caller pairing them up is
+    what keeps this module free of floating point.
     """
-    num_int, den_int = [], []
-    value = Fraction(1)
+    sides = ([], [])  # the integer Gamma arguments above and below the bar
+    fours = flips = 0  # the exponent of 4 and the number of sign changes
     power = pi_half_power
-    for a in numerators:
-        a = Fraction(a)
-        if a.denominator == 1:
-            num_int.append(int(a))
-        else:
-            v, p = _gamma_half(a)
-            value *= v
-            power += p
-    for b in denominators:
-        b = Fraction(b)
-        if b.denominator == 1:
-            den_int.append(int(b))
-        else:
-            v, p = _gamma_half(b)
-            value /= v
-            power -= p
+    for side, args in enumerate((numerators, denominators)):
+        sign = -1 if side else 1  # a denominator's factors enter inverted
+        for a in map(Fraction, args):
+            if a.denominator == 1:
+                sides[side].append(int(a))
+                continue
+            if a.denominator != 2:
+                raise ValueError(f"Gamma argument {a} is not a half-integer")
+            k = math.floor(a)  # a = k + 1/2, and a = 1/2 - (-k) when k < 0
+            same, other = (2 * k + 1, k + 1) if k >= 0 else (1 - k, 1 - 2 * k)
+            sides[side].append(same)
+            sides[1 - side].append(other)
+            fours -= sign * k
+            flips -= min(k, 0)
+            power += sign
     if power != 0:
         raise ArithmeticError("sqrt(pi) factors do not cancel")
-    return value * gamma_ratio(num_int, den_int)
+    return (-1) ** flips * Fraction(4) ** fours * gamma_ratio(*sides)
 
 
 def factor_ratios(tops: Sequence[tuple[int, int]], bottoms: Sequence[tuple[int, int]],

@@ -1,6 +1,9 @@
 """Command-line front end: counts, verification sweeps, correlations, zeta.
 
-Exact integers are always emitted as decimal strings.  The verbs raise on bad
+Exact values (``count``'s count and factors, ``formulas``' value) are emitted
+as decimal strings, a fraction as ``"a/b"``; sizes and tallies (``n``, ``m``,
+``zeta``'s ``tilings`` and ``distinct_images``) are JSON numbers, and the rest
+of a ``correlate`` report is floats.  The verbs raise on bad
 input; ``main`` alone writes the error to stderr and picks the exit code: 0 for
 success, 1 for a verification failure (two routes to a count that disagree, a
 transmission that breaks the construction, or a report that is not ok), 2 for

@@ -431,8 +431,58 @@ def reference_gamma_half(a):
 
 def test_gamma_half_closed_form():
     for twice in range(-81, 162, 2):
-        value, power = arith._gamma_half(Fraction(twice, 2))
-        assert type(value) is Fraction and value == reference_gamma_half(Fraction(twice, 2))
-        assert type(power) is int and power == 1
+        a = Fraction(twice, 2)
+        value = arith.gamma_product([a], [], -1)
+        assert type(value) is Fraction and value == reference_gamma_half(a)
+        assert arith.gamma_product([], [a], 1) == 1 / value
     with pytest.raises(ValueError, match="not a half-integer"):
         arith.gamma_product([Fraction(1, 3)], [], -1)
+
+
+def reference_gamma_product(numerators, denominators, pi_half_power=0):
+    """arith.gamma_product argument by argument: each half-integer Gamma value
+    stepped from Gamma(1/2) with its own sqrt(pi), the integer ones as one
+    quotient of factorial products; the same errors and messages."""
+    integers = ([], [])
+    value = Fraction(1)
+    power = pi_half_power
+    for side, args in enumerate((numerators, denominators)):
+        for a in map(Fraction, args):
+            if a.denominator == 1:
+                integers[side].append(int(a))
+            elif a.denominator != 2:
+                raise ValueError(f"Gamma argument {a} is not a half-integer")
+            elif side:
+                value /= reference_gamma_half(a)
+                power -= 1
+            else:
+                value *= reference_gamma_half(a)
+                power += 1
+    if power != 0:
+        raise ArithmeticError("sqrt(pi) factors do not cancel")
+    return value * reference_gamma_ratio(*integers)
+
+
+# integers (poles at 0 and below included) as ints, half-integers as Fractions
+half_or_whole = st.integers(-41, 401).map(lambda t: Fraction(t, 2) if t % 2 else t // 2)
+
+
+def half_integers(args):
+    return sum(Fraction(a).denominator == 2 for a in args)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(tops=st.lists(half_or_whole, max_size=6), bottoms=st.lists(half_or_whole, max_size=6),
+       unbalanced=st.sampled_from([0, 0, 0, 1]))
+@example(tops=[Fraction(-81, 2), 3], bottoms=[Fraction(161, 2), 0], unbalanced=0)
+@example(tops=[0, Fraction(1, 2)], bottoms=[2], unbalanced=0)
+@example(tops=[-1, Fraction(-3, 2)], bottoms=[0, Fraction(5, 2)], unbalanced=0)
+@example(tops=[Fraction(-1, 2), Fraction(-5, 2)], bottoms=[Fraction(-3, 2)], unbalanced=0)
+@example(tops=[Fraction(7, 2)], bottoms=[Fraction(1, 3)], unbalanced=0)
+@example(tops=[Fraction(200, 3), 0], bottoms=[], unbalanced=1)
+@example(tops=[Fraction(9, 2), 4], bottoms=[Fraction(9, 2), 4], unbalanced=1)
+def test_gamma_product_matches_the_per_argument_route(tops, bottoms, unbalanced):
+    # value and type, or error class and message: poles, stray thirds, sqrt(pi) left over
+    power = half_integers(bottoms) - half_integers(tops) + unbalanced
+    assert outcome(arith.gamma_product, tops, bottoms, power) == \
+        outcome(reference_gamma_product, tops, bottoms, power)

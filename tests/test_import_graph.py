@@ -42,27 +42,49 @@ def test_zeta_imports_no_cell_neighbours():
     assert "neighbors" not in imported
 
 
-def neighbor_reads(tree):
-    """The enclosing class and function names of every read of ``neighbors``."""
-    reads = []
+def scopes_of(tree, matches):
+    """The enclosing class and function names of every node that ``matches``."""
+    found = []
 
     def visit(node, scope):
-        if isinstance(node, ast.Name) and node.id == "neighbors" or \
-                isinstance(node, ast.Attribute) and node.attr == "neighbors":
-            reads.append(scope)
+        if matches(node):
+            found.append(scope)
         if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
             scope = (*scope, node.name)
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
 
     visit(tree, ())
-    return reads
+    return found
+
+
+def reads_neighbors(node):
+    return isinstance(node, ast.Name) and node.id == "neighbors" or \
+        isinstance(node, ast.Attribute) and node.attr == "neighbors"
 
 
 def test_only_the_unholed_sort_probes_neighbors():
     # which cells form a tile is derived once, by TriangularRegion.order's sort;
     # every other tile table, mates included, reads order
-    reads = {path.stem: neighbor_reads(ast.parse(path.read_text()))
+    reads = {path.stem: scopes_of(ast.parse(path.read_text()), reads_neighbors)
              for path in sorted(SOURCE.glob("*.py"))}
     assert {module: found for module, found in reads.items() if found} == \
         {"regions": [("TriangularRegion", "order")]}
+
+
+def builds_factorials(node):
+    """A call of a function named factorial or perm, as math's attribute or by
+    a bare name imported from math."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    return name in {"factorial", "perm"}
+
+
+def test_only_gamma_ratio_builds_factorials():
+    # every exact Gamma value, half-integers included, goes through gamma_ratio's pairing
+    calls = {module: set(scopes_of(ast.parse((SOURCE / f"{module}.py").read_text()),
+                                   builds_factorials))
+             for module in ("arith", "matrices")}
+    assert calls == {"arith": {("gamma_ratio",)}, "matrices": set()}

@@ -1,16 +1,18 @@
 import math
 import random
+from itertools import combinations
 
 import pytest
 
 from holeyhex import regions
 from holeyhex.oracle import count_tilings, enumerate_tilings
-from holeyhex.regions import (HALVES, KINDS, LEFT, REGION_KINDS, RIGHT, RegionSpec,
-                              SpecValidationError, TriangularRegion, build_region,
+from holeyhex.regions import (HALVES, KINDS, LEFT, REGION_KINDS, RIGHT, InducedHole,
+                              RegionSpec, SpecValidationError, TriangularRegion, build_region,
                               check, distance, free_boundary_holes, fused_pairs,
-                              hexagon_cells, hole_cell_half,
+                              hexagon_cells, hole_cell_half, hole_cells_full,
                               induced_holes, lgv_points, merge_induced_holes, neighbors,
                               parse_spec, spec_grid, validate)
+from helpers import triangle_cells
 
 
 def sample_specs(rng, count, max_n=12, max_m=4, max_p=3):
@@ -412,3 +414,53 @@ def test_the_unholed_region_cache_is_bounded():
                 assert cache.cache_info().currsize <= 16
     build_region(validate(4, 1), "lower")
     assert build_region(validate(4, 1), "lower") is build_region(validate(4, 1), "lower")
+
+
+def test_a_side_two_triangle_is_a_side_two_hole():
+    for n, m in [(2, 1), (4, 1), (6, 2), (8, 1)]:
+        for x in range(-n + 2, n - 1, 2):
+            for orient in (LEFT, RIGHT):
+                assert triangle_cells(n, m, x, orient, 2) == hole_cells_full(x, orient)
+
+
+def run_and_triangle_regions(hexagons):
+    """For each (n, m, side): every spec whose left or right holes are one run of
+    side / 2 side-two holes at spacing two, with as many holes of the other
+    orientation elsewhere; with the run as an InducedHole, and the hexagon's
+    cells less the run's side-``side`` triangle and the other holes, built by
+    hand.  A triangle that does not fit in the hexagon or meets another hole is
+    skipped."""
+    for n, m, side in hexagons:
+        k = side // 2
+        positions = range(-n + 2, n - 1, 2)
+        for orient, other in ((LEFT, RIGHT), (RIGHT, LEFT)):
+            for first in range(len(positions) - k + 1):
+                run = InducedHole(orient, tuple(positions[first:first + k]))
+                triangle = triangle_cells(n, m, run.position, orient, side)
+                if len(triangle) < side * side:
+                    continue
+                rest = [x for x in positions if x not in run.constituents]
+                for others in combinations(rest, k):
+                    cut = frozenset().union(*(hole_cells_full(y, other) for y in others))
+                    if cut & triangle:
+                        continue
+                    holes = (run.constituents, others)
+                    spec = validate(n, m, *(holes if orient == LEFT else holes[::-1]))
+                    yield spec, run, TriangularRegion(
+                        "full", hexagon_cells(n, m) - triangle - cut, frozenset(), None)
+
+
+def test_a_run_of_side_two_holes_tiles_as_one_triangular_hole():
+    # the triangle's cells outside the run's holes are forced, so the hexagon less
+    # the run and the hexagon less the triangle have as many tilings (full regions)
+    counts = []
+    for spec, run, triangle_hole in run_and_triangle_regions(
+            [(6, 1, 4), (6, 2, 4), (8, 1, 6), (8, 2, 6)]):
+        assert run in induced_holes(spec)
+        full = build_region(spec, "full")
+        # the triangle holds the 4k cells of the run's k holes and 4k^2 - 4k more
+        assert triangle_hole.cells < full.cells
+        assert len(full.cells - triangle_hole.cells) == run.side ** 2 - 2 * run.side
+        counts.append(count_tilings(full))
+        assert counts[-1] == count_tilings(triangle_hole), spec
+    assert len(counts) == 54 and sum(map(bool, counts)) == 48
