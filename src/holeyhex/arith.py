@@ -11,9 +11,7 @@ and the three classical product formulas that count hexagon tilings and two
 of their symmetry classes.  The products are built from prime exponents: no
 big integer is ever divided.
 
-All functions are pure and reentrant.  The one piece of module state, the
-table of prime factorisations behind the products, only ever grows and is
-swapped in whole, so concurrent callers see either the old or the new table.
+All functions are pure and reentrant.
 """
 
 from __future__ import annotations
@@ -218,30 +216,6 @@ _PRODUCTS = {
 }
 PRODUCT_KINDS = tuple(_PRODUCTS)
 
-# _FACTORS[b] lists the prime factors of b, with multiplicity, for 2 <= b <
-# len(_FACTORS), read off a smallest-prime-factor sieve.  It starts empty and
-# is replaced by a longer list whenever a product needs a larger base, so
-# readers only ever see a complete table.
-_FACTORS: list = []
-
-
-def _factor_table(size: int) -> list:
-    """The prime factors of every integer below ``size``, cached."""
-    global _FACTORS
-    if len(_FACTORS) < size:
-        size = max(size, 2 * len(_FACTORS), 64)
-        spf = list(range(size))
-        for p in range(2, math.isqrt(size - 1) + 1):
-            if spf[p] == p:
-                for q in range(p * p, size, p):
-                    if spf[q] == q:
-                        spf[q] = p
-        factors = [()] * size
-        for b in range(2, size):
-            factors[b] = (spf[b],) + factors[b // spf[b]]
-        _FACTORS = factors
-    return _FACTORS
-
 
 def _product_tree(values: list) -> int:
     """Product of ``values`` as a balanced binary tree of multiplications."""
@@ -261,9 +235,11 @@ def product_formula(kind: str, n: int, m: int) -> int:
     index pairs with i + j = s put +k on the base s + top and -k on
     s + bottom.  Row i of a block covers an interval of sums, so marking
     each row's two ends in a difference array and taking one prefix sum
-    gives every base's exponent without visiting the pairs.  The bases are
-    split into primes through a cached factor table and the result is the
-    product of the prime powers, multiplied as a balanced tree.  A negative
+    gives every base's exponent without visiting the pairs.  A sieve of
+    smallest prime factors, built per call, splits the bases into primes:
+    from the largest base down, each composite hands its exponent down to
+    its smallest prime p and to base // p.  The result is the product of
+    the prime powers, multiplied as a balanced tree.  A negative
     prime exponent means the quotient is not an integer and raises
     ArithmeticError, which catches index-range transcription mistakes
     immediately.
@@ -282,12 +258,19 @@ def product_formula(kind: str, n: int, m: int) -> int:
             steps[last + top + 1] -= 1
             steps[first + bottom] -= 1
             steps[last + bottom + 1] += 1
-    factors = _factor_table(len(steps))
-    primes = [0] * len(steps)
-    for base, e in enumerate(accumulate(steps)):
-        if e:
-            for p in factors[base]:
-                primes[p] += e
-    if min(primes) < 0:
+    exponents = list(accumulate(steps))
+    spf = list(range(len(steps)))  # the smallest prime factor of each base
+    for p in range(2, math.isqrt(len(steps) - 1) + 1):
+        if spf[p] == p:
+            for q in range(p * p, len(steps), p):
+                if spf[q] == q:
+                    spf[q] = p
+    for base in range(len(steps) - 1, 3, -1):
+        e, p = exponents[base], spf[base]
+        if e and p < base:
+            exponents[p] += e
+            exponents[base // p] += e
+            exponents[base] = 0
+    if min(exponents[2:]) < 0:
         raise ArithmeticError(f"{kind} product did not reduce to an integer")
-    return _product_tree([p ** e for p, e in enumerate(primes) if e])
+    return _product_tree([p ** e for p, e in enumerate(exponents[2:], 2) if e])

@@ -181,9 +181,9 @@ class InducedHole:
     ``position`` is the lattice offset of the midpoint of the induced
     hole's vertical edge (the leftmost constituent for right-pointing
     holes, the rightmost for left-pointing ones); distances between holes
-    are measured between these midpoints.  In the full region such a run
-    leaves as many tilings as one triangular hole of side ``side`` there
-    (tests/test_regions.py,
+    are measured between these midpoints.  In the full region and in both
+    halves (the upper one's weighted count too) such a run leaves as many
+    tilings as one triangular hole of side ``side`` (tests/test_regions.py,
     test_a_run_of_side_two_holes_tiles_as_one_triangular_hole).
     """
 

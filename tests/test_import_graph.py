@@ -88,3 +88,11 @@ def test_only_gamma_ratio_builds_factorials():
                                    builds_factorials))
              for module in ("arith", "matrices")}
     assert calls == {"arith": {("gamma_ratio",)}, "matrices": set()}
+
+
+def test_no_module_keeps_global_state():
+    # every function of the package is pure and reentrant: none rebinds a module name
+    found = {path.stem: scopes_of(ast.parse(path.read_text()),
+                                  lambda node: isinstance(node, ast.Global))
+             for path in sorted(SOURCE.glob("*.py"))}
+    assert {module: scopes for module, scopes in found.items() if scopes} == {}

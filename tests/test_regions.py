@@ -12,6 +12,7 @@ from holeyhex.regions import (HALVES, KINDS, LEFT, REGION_KINDS, RIGHT, InducedH
                               hexagon_cells, hole_cell_half, hole_cells_full,
                               induced_holes, lgv_points, merge_induced_holes, neighbors,
                               parse_spec, spec_grid, validate)
+from holeyhex.zeta import upper_weight
 from helpers import triangle_cells
 
 
@@ -423,16 +424,18 @@ def test_a_side_two_triangle_is_a_side_two_hole():
                 assert triangle_cells(n, m, x, orient, 2) == hole_cells_full(x, orient)
 
 
-def run_and_triangle_regions(hexagons):
+def run_and_triangle_regions(hexagons, kind):
     """For each (n, m, side): every spec whose left or right holes are one run of
     side / 2 side-two holes at spacing two, with as many holes of the other
-    orientation elsewhere; with the run as an InducedHole, and the hexagon's
-    cells less the run's side-``side`` triangle and the other holes, built by
-    hand.  A triangle that does not fit in the hexagon or meets another hole is
-    skipped."""
+    orientation elsewhere; with the run as an InducedHole, and the unholed
+    region of ``kind`` less the run's side-``side`` triangle and the other holes
+    (four cells each in the full region, ``hole_cell_half`` in a half), built by
+    hand.  A triangle that does not fit in the hexagon or meets another hole's
+    four cells is skipped, so every kind sees the same specs."""
     for n, m, side in hexagons:
         k = side // 2
         positions = range(-n + 2, n - 1, 2)
+        unholed = build_region(RegionSpec(n, m, (), ()), kind).cells
         for orient, other in ((LEFT, RIGHT), (RIGHT, LEFT)):
             for first in range(len(positions) - k + 1):
                 run = InducedHole(orient, tuple(positions[first:first + k]))
@@ -441,26 +444,42 @@ def run_and_triangle_regions(hexagons):
                     continue
                 rest = [x for x in positions if x not in run.constituents]
                 for others in combinations(rest, k):
-                    cut = frozenset().union(*(hole_cells_full(y, other) for y in others))
-                    if cut & triangle:
+                    if frozenset().union(*(hole_cells_full(y, other) for y in others)) & triangle:
                         continue
                     holes = (run.constituents, others)
                     spec = validate(n, m, *(holes if orient == LEFT else holes[::-1]))
+                    cut = {cell for y in others for cell in (
+                        hole_cells_full(y, other) if kind == "full"
+                        else {hole_cell_half(y, other, kind)})}
                     yield spec, run, TriangularRegion(
-                        "full", hexagon_cells(n, m) - triangle - cut, frozenset(), None)
+                        kind, unholed - triangle - cut, frozenset(), None)
 
 
-def test_a_run_of_side_two_holes_tiles_as_one_triangular_hole():
-    # the triangle's cells outside the run's holes are forced, so the hexagon less
-    # the run and the hexagon less the triangle have as many tilings (full regions)
+def upper_weights(region):
+    """The sum of upper_weight over the tilings of an upper region: det E_upper's
+    weighted count."""
+    return sum(upper_weight(region, tiling) for tiling in enumerate_tilings(region))
+
+
+# by region kind and triangle side: 4k^2 - 4k in the full region for k holes
+FORCED_CELLS = {"full": {4: 8, 6: 24}, "lower": {4: 4, 6: 12}, "upper": {4: 8, 6: 18}}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_run_of_side_two_holes_tiles_as_one_triangular_hole(kind):
+    # the triangle's cells outside the run's holes are forced, so the region less
+    # the run and the region less the triangle have as many tilings, in the full
+    # region and in both halves, and as large a weighted count in the upper one
     counts = []
     for spec, run, triangle_hole in run_and_triangle_regions(
-            [(6, 1, 4), (6, 2, 4), (8, 1, 6), (8, 2, 6)]):
+            [(6, 1, 4), (6, 2, 4), (8, 1, 6), (8, 2, 6)], kind):
         assert run in induced_holes(spec)
-        full = build_region(spec, "full")
-        # the triangle holds the 4k cells of the run's k holes and 4k^2 - 4k more
-        assert triangle_hole.cells < full.cells
-        assert len(full.cells - triangle_hole.cells) == run.side ** 2 - 2 * run.side
-        counts.append(count_tilings(full))
+        region = build_region(spec, kind)
+        # the triangle's cells that the run's holes leave in the region
+        assert triangle_hole.cells < region.cells
+        assert len(region.cells - triangle_hole.cells) == FORCED_CELLS[kind][run.side]
+        counts.append(count_tilings(region))
         assert counts[-1] == count_tilings(triangle_hole), spec
+        if kind == "upper":
+            assert upper_weights(region) == upper_weights(triangle_hole), spec
     assert len(counts) == 54 and sum(map(bool, counts)) == 48
