@@ -96,3 +96,47 @@ def test_no_module_keeps_global_state():
                                   lambda node: isinstance(node, ast.Global))
              for path in sorted(SOURCE.glob("*.py"))}
     assert {module: scopes for module, scopes in found.items() if scopes} == {}
+
+
+def unbounded_cache(node):
+    """A ``cache`` decorator, or an ``lru_cache`` one called with maxsize None."""
+    call = node if isinstance(node, ast.Call) else None
+    func = node.func if call else node
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    if name == "cache":
+        return True
+    if name != "lru_cache" or call is None:
+        return False  # a bare lru_cache keeps its default 128 entries
+    maxsize = call.args[:1] + [k.value for k in call.keywords if k.arg == "maxsize"]
+    return any(isinstance(arg, ast.Constant) and arg.value is None for arg in maxsize)
+
+
+def unbounded_caches(tree):
+    """The scopes of every unbounded cache decorator on a function that takes
+    parameters; one without parameters holds a single entry."""
+    decorators = {id(decorator) for node in ast.walk(tree)
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and any(vars(node.args).values())
+                  for decorator in node.decorator_list}
+    return scopes_of(tree, lambda node: id(node) in decorators and unbounded_cache(node))
+
+
+@pytest.mark.parametrize("source, found", [
+    ("@functools.cache\ndef f(x): pass", [("f",)]),
+    ("@cache\ndef f(*xs): pass", [("f",)]),
+    ("@lru_cache(maxsize=None)\ndef f(x): pass", [("f",)]),
+    ("class C:\n    @functools.lru_cache(None)\n    def f(self): pass", [("C", "f")]),
+    ("@functools.cache\ndef f(): pass", []),
+    ("@lru_cache(maxsize=16)\ndef f(x): pass", []),
+    ("@lru_cache\ndef f(x): pass", []),
+])
+def test_the_unbounded_cache_check_sees_each_spelling(source, found):
+    assert unbounded_caches(ast.parse(source)) == found
+
+
+def test_every_cache_with_parameters_is_bounded():
+    # per-hexagon caches (regions' unholed regions, matrices' boundary eliminations)
+    # keep a fixed number of entries however many hexagons a process counts
+    found = {path.stem: unbounded_caches(ast.parse(path.read_text()))
+             for path in sorted(SOURCE.glob("*.py"))}
+    assert {module: scopes for module, scopes in found.items() if scopes} == {}

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from holeyhex import matrices
 from holeyhex.arith import GammaPoleError, binomial, hyp_terminating, product_formula
-from holeyhex.matrices import (HALF, _LU_GAMMA_ARGS, closed_form_entry, count_region,
-                               det_exact, gamma_product, hole_matrix,
-                               hole_matrix_entry, path_count, path_matrix)
+from holeyhex.matrices import (HALF, _LU_GAMMA_ARGS, _boundary_steps, _eliminate,
+                               closed_form_entry, count_region, det_exact, gamma_product,
+                               hole_matrix, hole_matrix_entry, path_count, path_matrix)
 from holeyhex.oracle import count_families, count_tilings, noncrossing_endpoints
 from holeyhex.regions import (HALVES, RegionSpec, build_region, lgv_points, spec_grid,
                               validate)
@@ -66,11 +67,11 @@ def test_path_matrix_values():
 
 
 @st.composite
-def path_matrix_specs(draw):
-    """Valid specs with n <= 200, 1 <= m <= n and p <= 3, drawn to reach the
+def path_matrix_specs(draw, max_n=200):
+    """Valid specs with n <= max_n, 1 <= m <= n and p <= 3, drawn to reach the
     zero binomials: m close to n, a hole pair at the edges +-(n - 2), and
     right holes left of left holes (hole-to-hole T < 0, or k > T)."""
-    n = 2 * draw(st.integers(1, 100))
+    n = 2 * draw(st.integers(1, max_n // 2))
     m = draw(st.integers(1, n) | st.integers(max(1, n - 3), n))
     positions = list(range(-n + 2, n - 1, 2))
     p = draw(st.integers(0, min(3, len(positions) // 2)))
@@ -309,17 +310,69 @@ def reference_row_content_det(matrix):
 
 
 def test_det_exact_matches_row_content_reference_on_path_matrices():
+    # with and without the hexagon half's recorded boundary elimination as its lead
     for spec in spec_grid(6, 3, 2):
         for kind in HALVES:
             q = path_matrix(spec, kind)
-            assert det_exact(q) == reference_row_content_det(q) == fraction_det(q), \
-                (spec.to_text(), kind)
+            lead = _boundary_steps(spec.n, spec.m, kind)
+            assert det_exact(q) == det_exact(q, lead) == reference_row_content_det(q) \
+                == fraction_det(q), (spec.to_text(), kind)
     # the benchmark's path-matrix shapes: 49 x 49 and 86 x 86
     for spec, kinds in ((validate(188, 47, [-92, 14], [-30, 146]), HALVES),
                         (validate(168, 84, [-60, 38], [-2, 120]), ["lower"])):
         for kind in kinds:
             q = path_matrix(spec, kind)
-            assert det_exact(q) == reference_row_content_det(q), (spec.to_text(), kind)
+            lead = _boundary_steps(spec.n, spec.m, kind)
+            assert det_exact(q) == det_exact(q, lead) == reference_row_content_det(q), \
+                (spec.to_text(), kind)
+
+
+@settings(DIFFERENTIAL, max_examples=25)
+@given(spec=path_matrix_specs(max_n=100))  # a 200 x 200 determinant takes seconds
+@example(spec=validate(2, 2))                                 # p = 0: the lead is the whole matrix
+@example(spec=validate(40, 7))
+@example(spec=validate(60, 30, [-58], [58]))                  # holes at -+(n - 2)
+@example(spec=validate(60, 30, [58], [-58]))
+@example(spec=validate(60, 58, [-58, 0, 4], [-2, 6, 58]))     # p = 3
+@example(spec=validate(24, 5, [-6, 2, 10], [-10, -2, 14]))
+def test_det_exact_with_the_boundary_lead_matches_det_exact(spec):
+    for kind in HALVES:
+        q = path_matrix(spec, kind)
+        # every path matrix of a hexagon half leads with its unholed path matrix,
+        # so one recorded elimination per (n, m, half) serves every hole placement
+        assert [row[:spec.m] for row in q[:spec.m]] == path_matrix(spec.unholed(), kind)
+        plain, led = det_exact(q), det_exact(q, _boundary_steps(spec.n, spec.m, kind))
+        assert led == plain and type(led) is type(plain) is Fraction, (spec.to_text(), kind)
+
+
+def test_a_cached_boundary_elimination_is_left_as_it_was():
+    spec = validate(24, 6, [-4, 8], [-8, 2])
+    entries = {kind: _boundary_steps(24, 6, kind) for kind in HALVES}
+    count_region(spec, "full")
+    count_region(validate(24, 6, [0], [6]), "full")  # another placement in the same hexagon
+    for kind, entry in entries.items():
+        assert _boundary_steps(24, 6, kind) is entry == _boundary_steps.__wrapped__(24, 6, kind)
+
+
+def test_the_boundary_elimination_does_not_pivot():
+    with pytest.raises(ArithmeticError, match="^zero pivot in column 0; "):
+        _eliminate([[0, 1], [1, 0]], 0, [])
+
+
+def test_count_region_hands_det_exact_each_whole_path_matrix(monkeypatch):
+    # perfbench's det_exact span sizes its calls by their first argument
+    firsts, original = [], matrices.det_exact
+
+    def recording(*args):
+        firsts.append(args[0])
+        return original(*args)
+
+    monkeypatch.setattr(matrices, "det_exact", recording)
+    spec = validate(12, 3, [-2, 4], [-4, 6])
+    count_region(spec, "full")
+    # per half: the (m+p)-square path matrix, then the p x p hole matrix
+    assert [len(first) for first in firsts] == [5, 2, 5, 2]
+    assert firsts[0::2] == [path_matrix(spec, kind) for kind in HALVES]
 
 
 @st.composite

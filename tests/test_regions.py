@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from holeyhex import regions
+from holeyhex import matrices, regions
 from holeyhex.oracle import count_tilings, enumerate_tilings
 from holeyhex.regions import (HALVES, KINDS, LEFT, REGION_KINDS, RIGHT, InducedHole,
                               RegionSpec, SpecValidationError, TriangularRegion, build_region,
@@ -415,6 +415,17 @@ def test_the_unholed_region_cache_is_bounded():
                 assert cache.cache_info().currsize <= 16
     build_region(validate(4, 1), "lower")
     assert build_region(validate(4, 1), "lower") is build_region(validate(4, 1), "lower")
+
+
+def test_the_boundary_elimination_cache_is_bounded():
+    # one recorded path-matrix elimination per hexagon half, as many as unholed regions
+    cache = matrices._boundary_steps
+    assert cache.cache_info().maxsize == regions._UNHOLED_REGIONS == 16
+    for n in range(2, 20, 2):
+        for kind in HALVES:
+            matrices.count_region(validate(n, 1), kind)  # 18 hexagon halves
+            assert cache.cache_info().currsize <= 16
+    assert cache.cache_info().currsize == 16
 
 
 def test_a_side_two_triangle_is_a_side_two_hole():
