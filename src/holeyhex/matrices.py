@@ -324,10 +324,12 @@ def _eliminate(work, start: int, steps=None) -> tuple:
 def _boundary_steps(n: int, m: int, kind: str) -> tuple:
     """The unholed (n, m) half's path matrix, which leads every path matrix of
     that hexagon half, eliminated as a ``det_exact`` lead: (numer, denom,
-    steps), its determinant and its recorded ``_eliminate`` steps."""
-    steps = []
-    numer, denom = _eliminate(path_matrix(RegionSpec(n, m, (), ()), kind), 0, steps)
-    return numer, denom, tuple(steps)
+    steps, row, column), its determinant, its recorded ``_eliminate`` steps
+    and its first row and column, which ``det_exact`` checks."""
+    block, steps = path_matrix(RegionSpec(n, m, (), ()), kind), []
+    first = tuple(block[0]), tuple(row[0] for row in block)
+    numer, denom = _eliminate(block, 0, steps)
+    return numer, denom, tuple(steps), *first
 
 
 def _replay(work, steps) -> int:
@@ -370,19 +372,24 @@ def det_exact(matrix: Matrix, lead: tuple | None = None) -> Fraction:
     ``lead``, the leading k x k block's elimination as ``_boundary_steps``
     records it (the first k rows must be integer), is replayed without
     pivoting on the rest of the matrix (``_replay``) before the last size - k
-    columns are eliminated as above; the result is the same Fraction.
+    columns are eliminated as above; the result is the same Fraction.  A lead
+    of any other block (its size, first row or first column) raises ValueError.
     """
     size = len(matrix)
     if any(len(row) != size for row in matrix):
         raise ValueError(f"det_exact needs a square matrix, got {size} rows of lengths "
                          f"{[len(row) for row in matrix]}")
+    lead_numer, lead_denom, steps, first_row, first_column = lead or (1, 1, (), (), ())
+    k = len(steps)
+    if k and (k > size or tuple(matrix[0][:k]) != first_row
+              or tuple(row[0] for row in matrix[:k]) != first_column):
+        raise ValueError(f"the lead is not this {size} x {size} matrix's leading {k} x {k} block")
     denom = 1
     work = []
     for row in matrix:
         lcm = math.lcm(*(x.denominator for x in row))
         denom *= lcm
         work.append([x.numerator * (lcm // x.denominator) for x in row])
-    lead_numer, lead_denom, steps = lead or (1, 1, ())
     denom *= lead_denom * _replay(work, steps)
     numer, rest_denom = _eliminate(work, len(steps))
     return Fraction(lead_numer * numer, denom * rest_denom)

@@ -6,10 +6,11 @@ uncovered cell plus the covered cells from it on; the sweep steps one
 cell at a time, each forced cell (whose one later partner has no other
 earlier partner, ``_forced``) folded into the step before it, and the
 tilings are enumerated by walking the same states depth first over
-per-cell partner tables built once per call, a forced cell taking its
-one partner in place.  A path-family state is the (height, path) pairs
-of the paths crossing into a column; the sweep steps each column one
-path at a time.  Nothing here touches the determinant machinery.
+per-cell tables of later partners and their ``mates`` tiles, built once
+per call, a forced cell taking its one partner in place.  A path-family
+state is the (height, path) pairs of the paths crossing into a column;
+the sweep steps each column one path at a time.  Nothing here touches
+the determinant machinery.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ Tiling = frozenset  # of frozenset({cell, cell}) rhombi; a half rhombus is froze
 
 
 class BudgetExceededError(RuntimeError):
+    """A search past its budget of branch nodes; ``partial``: the tiles chosen."""
+
     def __init__(self, nodes: int, partial):
         super().__init__(f"search budget exceeded after {nodes} branch nodes")
         self.nodes = nodes
@@ -37,21 +40,21 @@ def enumerate_tilings(region: TriangularRegion, budget: int = DEFAULT_BUDGET) ->
     has no recursion limit; each uncovered ``lo`` is one branch node, and
     ``lo`` pairs with each free partner in ascending order (a free-edge
     ``lo`` first with itself, its half rhombus).  Each cell's later
-    partners are tabled once per call as (mask bit, index pair), in stack
-    order; a forced cell (``_forced``), whose one partner is always free,
-    takes it in place, with no push or pop.  Each tiling is made of the
-    region's ``tiles``, objects shared by every region of its hexagon.  Past
-    ``budget`` nodes the error carries the index pairs chosen so far.
+    partners are tabled once per call as (mask bit, tile), the tile being
+    its object in ``region.mates``, shared by every region of the hexagon, in
+    stack order; a forced cell (``_forced``), whose one partner is always
+    free, takes it in place, with no push or pop.  Past ``budget`` nodes the
+    error carries the tiles chosen so far.
     """
     cells, ahead = region.order
-    tiles = region.tiles
+    mates = region.mates
     forced = _forced(ahead)
     # reversed, so that the stack pops the first partner's tilings first
-    later = [[(1 << off, (lo, lo + off)) for off in reversed(offsets)]
-             for lo, offsets in enumerate(ahead)]
+    later = [[(1 << off, mates[cell][cells[lo + off]]) for off in reversed(offsets)]
+             for lo, (cell, offsets) in enumerate(zip(cells, ahead))]
     nodes = 0
-    chosen = []  # the index pairs chosen on the way to the current state
-    stack = [(0, 0, 0, ())]  # (lo, covered mask from lo on, len(chosen) before, (last pair,))
+    chosen = []  # the tiles chosen on the way to the current state
+    stack = [(0, 0, 0, ())]  # (lo, covered mask from lo on, len(chosen) before, (last tile,))
     while stack:
         lo, mask, depth, last = stack.pop()
         chosen[depth:] = last
@@ -59,18 +62,18 @@ def enumerate_tilings(region: TriangularRegion, budget: int = DEFAULT_BUDGET) ->
             while mask & 1:
                 lo, mask = lo + 1, mask >> 1
             if lo == len(cells):
-                yield frozenset(map(tiles.__getitem__, chosen))
+                yield frozenset(chosen)
                 break
             nodes += 1
             if nodes > budget:
                 raise BudgetExceededError(nodes, tuple(chosen))
             if not forced[lo]:
-                for bit, pair in later[lo]:
+                for bit, tile in later[lo]:
                     if not mask & bit:
-                        stack.append((lo + 1, (mask | bit) >> 1, len(chosen), (pair,)))
+                        stack.append((lo + 1, (mask | bit) >> 1, len(chosen), (tile,)))
                 break
-            (bit, pair), = later[lo]
-            chosen.append(pair)
+            (bit, tile), = later[lo]
+            chosen.append(tile)
             lo, mask = lo + 1, (mask | bit) >> 1
 
 

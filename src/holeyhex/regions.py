@@ -15,12 +15,12 @@ vertical edge in column x, centred on the axis.
 
 Each hexagon's geometry is built once per kind: a small cache keeps the
 unholed region of each (n, m, kind), and every holey region of that hexagon
-is its cells less the hole cells, sharing its cell order and tile objects.
+is its cells less the hole cells and holds it, sharing its order and tiles.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import accumulate, combinations
 from math import sqrt
@@ -303,13 +303,14 @@ def fused_pairs(spec: RegionSpec) -> list[int]:
 
 @dataclass(frozen=True)
 class TriangularRegion:
-    """An explicit cell set together with its hole bookkeeping."""
+    """An explicit cell set, its hole bookkeeping and the region it was cut from."""
 
     kind: str
     cells: frozenset
     hole_cells: frozenset
     spec: RegionSpec
     free_edge: frozenset = frozenset()  # cells a half rhombus may also cover alone
+    whole: TriangularRegion | None = field(default=None, compare=False, repr=False)
 
     @cached_property
     def order(self) -> tuple:
@@ -317,14 +318,13 @@ class TriangularRegion:
         inside ~one column, and per cell the ascending offsets of its later
         partners (offset 0 first for a free-edge cell: its half rhombus).
 
-        A region cut from its unholed region (``_whole``) takes that region's
+        A region cut from its unholed region (``whole``) takes that region's
         order restricted to its own cells: they are a subsequence, as slab-major
         keys are unique, and each offset is re-indexed through the running count
         of kept cells.  Only an unholed or hand-built region sorts its cells and
         probes ``neighbors``."""
-        whole = self._whole()
-        if whole is not None:
-            cells, ahead = whole.order
+        if self.whole is not None:
+            cells, ahead = self.whole.order
             keep = [cell in self.cells for cell in cells]
             rank = list(accumulate(keep, initial=0))  # kept cells before each index
             return ([cell for cell, kept in zip(cells, keep) if kept],
@@ -344,30 +344,14 @@ class TriangularRegion:
             ahead[index[cell]].insert(0, 0)
         return cells, ahead
 
-    def _whole(self):
-        """The unholed region this one is cut from (its cells and hole cells are
-        that region's cells) when this one is not it, else None."""
-        if self.spec is None or self.kind not in REGION_KINDS:
-            return None
-        whole = _unholed(self.spec.n, self.spec.m, self.kind)
-        if whole is self or not (self.cells | self.hole_cells == whole.cells
-                                 and self.free_edge <= whole.free_edge):
-            return None
-        return whole
-
-    @cached_property
-    def tiles(self) -> dict:
-        """Every tile as its object in ``mates``, by the index pair (lo, lo + off)
-        of its cells in ``order``, which every enumerated tiling shares."""
-        cells, ahead = self.order
-        mates = self.mates
-        return {(lo, lo + off): mates[cell][cells[lo + off]]
-                for lo, cell in enumerate(cells) for off in ahead[lo]}
-
     @cached_property
     def rhombi(self) -> frozenset:
-        """Every tile as a frozenset: edge-sharing pairs and free-edge cells alone."""
-        return frozenset(self.tiles.values())
+        """Every tile of ``order`` as its object in ``mates``: edge-sharing pairs
+        and free-edge cells alone."""
+        cells, ahead = self.order
+        mates = self.mates
+        return frozenset(mates[cell][cells[lo + off]]
+                         for lo, cell in enumerate(cells) for off in ahead[lo])
 
     @cached_property
     def mates(self) -> dict:
@@ -375,9 +359,8 @@ class TriangularRegion:
         a free-edge half rhombus), one frozenset per tile of ``order``.  A region
         cut from its unholed region shares that region's, which is this one with
         its holes filled in, so every region of a hexagon has one object per tile."""
-        whole = self._whole()
-        if whole is not None:
-            return whole.mates
+        if self.whole is not None:
+            return self.whole.mates
         cells, ahead = self.order
         mates = {cell: {} for cell in cells}
         for lo, cell in enumerate(cells):
@@ -443,7 +426,7 @@ def build_region(spec: RegionSpec, kind: str) -> TriangularRegion:
     Each (n, m, kind) has one unholed region, kept in a small cache: a spec
     with no holes gets that region itself, so its tile tables are built once
     per hexagon, and any other spec's region is its cells less the hole cells,
-    whose ``order`` and ``mates`` come from it.
+    holding it as ``whole``, whose ``order`` and ``mates`` it reads.
     """
     if kind not in REGION_KINDS:
         raise ValueError(f"unknown region kind {kind!r}")
@@ -454,7 +437,7 @@ def build_region(spec: RegionSpec, kind: str) -> TriangularRegion:
         return whole
     removed = _removed(spec, kind)
     return TriangularRegion(kind, whole.cells - removed, removed & whole.cells, spec,
-                            whole.free_edge - removed)
+                            whole.free_edge - removed, whole)
 
 
 # ---------------------------------------------------------------------------

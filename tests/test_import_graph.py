@@ -72,6 +72,23 @@ def test_only_the_unholed_sort_probes_neighbors():
         {"regions": [("TriangularRegion", "order")]}
 
 
+def calls_unholed(node):
+    """A call of ``_unholed``, by its bare name or as an attribute."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    return (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)) == "_unholed"
+
+
+def test_only_the_constructors_look_up_unholed_regions():
+    # a cut region holds the region it was cut from, so no table of it goes
+    # back to the cache, where an evicted hexagon would be rebuilt
+    calls = {path.stem: scopes_of(ast.parse(path.read_text()), calls_unholed)
+             for path in sorted(SOURCE.glob("*.py"))}
+    assert {module: sorted(found) for module, found in calls.items() if found} == \
+        {"regions": [("_removed",), ("build_region",)]}
+
+
 def builds_factorials(node):
     """A call of a function named factorial or perm, as math's attribute or by
     a bare name imported from math."""

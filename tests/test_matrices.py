@@ -354,6 +354,19 @@ def test_a_cached_boundary_elimination_is_left_as_it_was():
         assert _boundary_steps(24, 6, kind) is entry == _boundary_steps.__wrapped__(24, 6, kind)
 
 
+def test_a_lead_of_another_block_raises():
+    # a replayed lead of another block would give a wrong determinant: the other
+    # half's record, a larger hexagon's record that fits the 3 x 3 matrix exactly,
+    # and a record larger than the matrix
+    for spec, want, lead in [(validate(12, 3, [-2], [4]), 8648766395650, (12, 3, "upper")),
+                             (validate(12, 2, [-2], [4]), 3846141880, (12, 3, "lower")),
+                             (validate(12, 1, [-2], [4]), 426590, (12, 3, "lower"))]:
+        q = path_matrix(spec, "lower")
+        assert det_exact(q) == det_exact(q, _boundary_steps(spec.n, spec.m, "lower")) == want
+        with pytest.raises(ValueError, match="^the lead is not this "):
+            det_exact(q, _boundary_steps(*lead))
+
+
 def test_the_boundary_elimination_does_not_pivot():
     with pytest.raises(ArithmeticError, match="^zero pivot in column 0; "):
         _eliminate([[0, 1], [1, 0]], 0, [])

@@ -542,15 +542,19 @@ def reference_enumerate_index_tilings(cells, partners, budget):
 
 def reference_tilings(region, budget=10 ** 8):
     """The recursive search's tilings of the region, in its order; a
-    free-edge cell is also its own partner, its half rhombus."""
+    free-edge cell is also its own partner, its half rhombus.  A budget
+    error's index pairs become their tiles, one tile per pair."""
     cells, _ = region.order
     index = {cell: i for i, cell in enumerate(cells)}
     partners = [sorted([index[nb] for nb in neighbors(cell) if nb in index]
                        + ([i] if cell in region.free_edge else []))
                 for i, cell in enumerate(cells)]
     rhombus = {(i, j): frozenset((cells[i], cells[j])) for i, nbs in enumerate(partners) for j in nbs}
-    for pairs in reference_enumerate_index_tilings(cells, partners, budget):
-        yield frozenset(map(rhombus.__getitem__, pairs))
+    try:
+        for pairs in reference_enumerate_index_tilings(cells, partners, budget):
+            yield frozenset(map(rhombus.__getitem__, pairs))
+    except BudgetExceededError as exc:
+        raise BudgetExceededError(exc.nodes, tuple(map(rhombus.__getitem__, exc.partial))) from None
 
 
 def test_enumerate_tilings_matches_the_recursive_search():

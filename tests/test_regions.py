@@ -308,9 +308,9 @@ def test_order_restricts_the_unholed_order():
     for region, whole in grid_regions():
         assert region.order == reference_order(region), (region.spec, region.kind)
         if region is whole:
-            assert region._whole() is None
+            assert region.whole is None
             continue
-        assert region._whole() is whole, (region.spec, region.kind)
+        assert region.whole is whole, (region.spec, region.kind)
         restricted += 1
         fused += region.kind == "upper" and bool(fused_pairs(region.spec))
         free += region.kind == "free"
@@ -338,7 +338,7 @@ def test_a_region_built_by_hand_orders_as_sort_and_probe():
     for spec in (None, validate(4, 2)):
         region = TriangularRegion("full", cells, frozenset(), spec)
         assert region.order == reference_order(region)
-    assert TriangularRegion("full", cells, frozenset(), None)._whole() is None
+    assert TriangularRegion("full", cells, frozenset(), None).whole is None
     # the free-edge half rhombi of a hand-built free region come first
     free = build_region(validate(4, 1, [-2], [2]), "free")
     alone = TriangularRegion("free", free.cells, free.hole_cells, None, free.free_edge)
@@ -366,9 +366,10 @@ def test_every_cut_region_shares_its_hexagons_tiles():
         if region is whole:
             continue
         assert region.mates is whole.mates, (region.spec, region.kind)
-        cells = region.order[0]
-        for (lo, hi), tile in region.tiles.items():
-            assert tile is whole.mates[cells[lo]][cells[hi]], (region.spec, region.kind)
+        for tile in region.rhombi:
+            # min and max are a tile's two cells, or a half rhombus's one cell twice
+            assert tile <= region.cells, (region.spec, region.kind)
+            assert tile is whole.mates[min(tile)][max(tile)], (region.spec, region.kind)
             shared += 1
     assert shared > 0
 
@@ -382,13 +383,14 @@ def test_mates_are_the_tiles_of_order():
     for region in (build_region(validate(4, 1), "full"), build_region(validate(4, 1), "free"),
                    TriangularRegion("free", free.cells, free.hole_cells, None, free.free_edge),
                    TriangularRegion("full", cells, frozenset(), validate(4, 2))):
-        assert region._whole() is None and region.mates.keys() == region.cells
+        assert region.whole is None and region.mates.keys() == region.cells
         listed = {(a, b): tile for a, row in region.mates.items() for b, tile in row.items()}
         assert listed == {(a, b): tile for tile in region.rhombi
                           for a in tile for b in tile if a != b or len(tile) == 1}
-        ordered = region.order[0]
-        assert all(tile is region.mates[ordered[lo]][ordered[hi]]
-                   for (lo, hi), tile in region.tiles.items())
+        ordered, ahead = region.order
+        assert all(tile is region.mates[min(tile)][max(tile)] for tile in region.rhombi)
+        assert region.rhombi == {frozenset((cell, ordered[lo + off]))
+                                 for lo, cell in enumerate(ordered) for off in ahead[lo]}
 
 
 def test_restricted_orders_change_no_count_or_tiling():
@@ -415,6 +417,22 @@ def test_the_unholed_region_cache_is_bounded():
                 assert cache.cache_info().currsize <= 16
     build_region(validate(4, 1), "lower")
     assert build_region(validate(4, 1), "lower") is build_region(validate(4, 1), "lower")
+
+
+def test_a_cut_region_keeps_its_hexagon_after_the_cache_evicts_it():
+    # a cut region holds the region it was cut from, so reading its tables
+    # after 17 other hexagons have passed through the cache rebuilds nothing
+    cut = build_region(validate(6, 2, [-2], [4]), "lower")
+    whole = build_region(validate(6, 2), "lower")
+    others = [(n, m) for n in (2, 4, 8, 10, 12, 14) for m in (1, 2, 3)][:17]
+    for n, m in others:
+        build_region(validate(n, m), "lower")
+    assert regions._unholed.cache_info().currsize == 16
+    misses = regions._unholed.cache_info().misses
+    assert cut.order == reference_order(cut) and cut.mates is whole.mates
+    assert cut.rhombi and all(tile <= cut.cells for tile in cut.rhombi)
+    assert regions._unholed.cache_info().misses == misses
+    assert cut.whole is whole is not build_region(validate(6, 2), "lower")
 
 
 def test_the_boundary_elimination_cache_is_bounded():

@@ -519,7 +519,7 @@ def test_cut_regions_run_without_probing_neighbors(monkeypatch):
     # cuts read their tiles from them: no region but an unholed one probes
     zeta_module = sys.modules["holeyhex.zeta"]
     for kind in REGION_KINDS:
-        assert build_region(validate(6, 1), kind).tiles
+        assert build_region(validate(6, 1), kind).rhombi
 
     def no_probe(cell):
         raise AssertionError("a cut region probed neighbors")
@@ -533,7 +533,7 @@ def test_cut_regions_run_without_probing_neighbors(monkeypatch):
         spec = validate(*args)
         for kind in kinds:
             region = build_region(spec, kind)
-            assert region.hole_cells and region.mates and region.tiles, (args, kind)
+            assert region.hole_cells and region.mates and region.rhombi, (args, kind)
             if kind in HALVES:
                 assert zeta_module._Plan(region).routes
                 assert verify_injection(spec, kind)["tilings"] > 0
