@@ -15,13 +15,16 @@ sweeps cheap.
 
 The path matrices of one hexagon half share their leading m x m block
 (boundary starts to boundary ends), so its elimination is recorded once per
-(n, m, half), about 0.8 MiB at n = 200 and 4.8 MiB at n = 400 (m = n/2), and
-replayed for every hole placement; regions._UNHOLED_REGIONS records are kept.
+(n, m, half), with its determinant checked against the half's product
+formula, about 0.8 MiB at n = 200 and 4.8 MiB at n = 400 (m = n/2), and
+replayed for every hole placement, which does per-entry work only on its
+hole rows and columns; regions._UNHOLED_REGIONS records are kept.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -87,13 +90,16 @@ def path_count(start, end, variant: str = "none") -> int:
 
 
 def _binomial_row(t: int, lo: int, hi: int) -> list:
-    """C(t, k) at index k for lo <= k <= hi, and None below lo: one
-    ``math.comb``, then the multiplicative recurrence; no binomial when
-    lo > hi.  Needs 0 <= lo and hi <= t."""
-    row = [None] * lo + ([math.comb(t, lo)] if lo <= hi else [])
-    for k in range(lo, hi):
+    """C(t, k) at index k - lo for lo <= k <= hi, 0 where k < 0 or k > t: one
+    ``math.comb``, then the multiplicative recurrence; no binomial when the
+    window misses 0..t."""
+    first, last = max(lo, 0), min(hi, t)
+    if first > last:
+        return [0] * (hi - lo + 1)
+    row = [0] * (first - lo) + [math.comb(t, first)]
+    for k in range(first, last):
         row.append(row[-1] * (t - k) // (k + 1))
-    return row
+    return row + [0] * (hi - last)
 
 
 def _spans(points) -> dict:
@@ -117,25 +123,30 @@ def path_matrix(spec: RegionSpec, kind: str) -> Matrix:
     difference.  C(T, k) is 0 unless 0 <= k <= T, so both terms are 0 when
     T < 0.  The step totals take at most (1 + |L|)(1 + |R|) values; for each
     one only the window of k that its entries read (bounded by the least and
-    greatest a and c among the points of each total) is built, once per
-    call, and both terms are read from it by index.
+    greatest a and c among the points of each total) is built once per call,
+    0 outside 0..T.  A row's m boundary ends (n + j, n + 1 - j) share
+    T = 2n + 1 - a - b, along which c - a rises and e - a falls by one: its
+    first m entries add or subtract two slices of that window, the second
+    reversed.  Only the hole ends' entries are read one at a time.
     """
-    sign = 2 * half_shift(kind, "path matrix") - 1
+    combine = operator.add if half_shift(kind, "path matrix") else operator.sub
     starts, ends = lgv_points(spec, kind)
+    n, m = spec.n, spec.m
     windows = {}  # step total -> least and greatest k read, as c - a or e - a = u - c - a
     for v, (alo, ahi) in _spans(starts).items():
         for u, (clo, chi) in _spans(ends).items():
             lo, hi = windows.get(u - v, (math.inf, -math.inf))
             windows[u - v] = (min(lo, clo - ahi, u - chi - ahi),
                               max(hi, chi - alo, u - clo - alo))
-    rows = {t: _binomial_row(t, max(lo, 0), min(hi, t)) for t, (lo, hi) in windows.items()}
+    rows = {t: (lo, _binomial_row(t, lo, hi)) for t, (lo, hi) in windows.items()}
     matrix = []
     for a, b in starts:
-        out = []
-        for c, e in ends:
-            t = c + e - a - b
-            row, k, j = rows[t], c - a, e - a
-            out.append((row[k] if 0 <= k <= t else 0) + sign * (row[j] if 0 <= j <= t else 0))
+        lo, row = rows[2 * n + 1 - a - b]
+        x, y = n + 1 - a - lo, n + 1 - m - a - lo  # c - a at j = 1 and e - a at j = m
+        out = list(map(combine, row[x:x + m], row[y:y + m][::-1]))
+        for c, e in ends[m:]:
+            lo, row = rows[c + e - a - b]
+            out.append(combine(row[c - a - lo], row[e - a - lo]))
         matrix.append(out)
     return matrix
 
@@ -323,23 +334,31 @@ def _eliminate(work, start: int, steps=None) -> tuple:
 @lru_cache(maxsize=_UNHOLED_REGIONS)
 def _boundary_steps(n: int, m: int, kind: str) -> tuple:
     """The unholed (n, m) half's path matrix, which leads every path matrix of
-    that hexagon half, eliminated as a ``det_exact`` lead: (numer, denom,
-    steps, row, column), its determinant, its recorded ``_eliminate`` steps
-    and its first row and column, which ``det_exact`` checks."""
+    that hexagon half, eliminated as a ``det_exact`` lead: (prefactor, 1,
+    steps, row, column), its determinant, checked here against the half's
+    product formula (a mismatch raises RouteMismatchError), its recorded
+    ``_eliminate`` steps and its first row and column, which ``det_exact``
+    checks."""
     block, steps = path_matrix(RegionSpec(n, m, (), ()), kind), []
     first = tuple(block[0]), tuple(row[0] for row in block)
-    numer, denom = _eliminate(block, 0, steps)
-    return numer, denom, tuple(steps), *first
+    det = Fraction(*_eliminate(block, 0, steps))
+    prefactor = product_formula("vertical_symmetric" if HALVES[kind] else "transpose_complement",
+                                n, m)
+    if det != prefactor:
+        raise RouteMismatchError(f"{kind}: |det Q| = {_show(det)} but prefactor * |det E| = "
+                                 f"{_show(prefactor)}")
+    return prefactor, 1, tuple(steps), *first
 
 
 def _replay(work, steps) -> int:
     """Replay ``steps``, the recorded elimination of the leading k x k block of
     the integer rows ``work``, on the rest of them in place; returns the
-    denominator factor.  Each column first multiplies every remaining border
-    entry (column k on) by s = c/g, c the pivot row's content and g its gcd
-    with the row's border, so that c divides the whole pivot row."""
+    denominator factor.  The first k rows of ``work`` are their borders only
+    (column k on).  Each column first multiplies every remaining border entry
+    by s = c/g, c the pivot row's content and g its gcd with the row's
+    border, so that c divides the whole pivot row."""
     k, size = len(steps), len(work)
-    borders = [row[k:] for row in work[:k]]
+    borders = work[:k]
     rest = work[k:]
     denom = 1
     for col, (content, pivot, tail, scales) in enumerate(steps):
@@ -372,8 +391,9 @@ def det_exact(matrix: Matrix, lead: tuple | None = None) -> Fraction:
     ``lead``, the leading k x k block's elimination as ``_boundary_steps``
     records it (the first k rows must be integer), is replayed without
     pivoting on the rest of the matrix (``_replay``) before the last size - k
-    columns are eliminated as above; the result is the same Fraction.  A lead
-    of any other block (its size, first row or first column) raises ValueError.
+    columns are eliminated as above; the result is the same Fraction, and the
+    first k rows are read only from column k on.  A lead of any other block
+    (its size, first row or first column) raises ValueError.
     """
     size = len(matrix)
     if any(len(row) != size for row in matrix):
@@ -386,7 +406,7 @@ def det_exact(matrix: Matrix, lead: tuple | None = None) -> Fraction:
         raise ValueError(f"the lead is not this {size} x {size} matrix's leading {k} x {k} block")
     denom = 1
     work = []
-    for row in matrix:
+    for row in [*(row[k:] for row in matrix[:k]), *matrix[k:]]:  # a lead row's border only
         lcm = math.lcm(*(x.denominator for x in row))
         denom *= lcm
         work.append([x.numerator * (lcm // x.denominator) for x in row])
@@ -438,9 +458,8 @@ def count_region(spec: RegionSpec, kind: str) -> CountResult:
     if kind in ("lower", "upper_weighted", "free_half"):
         # upper_weighted is the upper half, and free_half is counted as it (Ciucu 1997)
         half_kind = "lower" if kind == "lower" else "upper"
-        det_q = det_exact(path_matrix(spec, half_kind), _boundary_steps(n, m, half_kind))
-        prefactor = product_formula("vertical_symmetric" if HALVES[half_kind]
-                                    else "transpose_complement", n, m)
+        lead = _boundary_steps(n, m, half_kind)
+        det_q, prefactor = det_exact(path_matrix(spec, half_kind), lead), lead[0]
         det_e = det_exact(hole_matrix(spec, half_kind))
         if abs(det_q) != prefactor * abs(det_e):
             raise RouteMismatchError(

@@ -281,7 +281,9 @@ def test_transmission_error_exits_1(capsys, monkeypatch):
 
 
 def test_route_mismatch_on_a_huge_count_exits_1(capsys, monkeypatch):
-    # both sides of this mismatch have far more than 4300 decimal digits
+    # both sides of this mismatch have far more than 4300 decimal digits; the
+    # prefactor is checked when a hexagon half is recorded, so no record is warm
+    matrices._boundary_steps.cache_clear()
     product_formula = matrices.product_formula
     monkeypatch.setattr(matrices, "product_formula",
                         lambda *args: product_formula(*args) + 1)

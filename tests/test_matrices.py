@@ -93,6 +93,10 @@ def path_matrix_specs(draw, max_n=200):
 @example(spec=validate(60, 58, [-58, 0, 4], [-2, 6, 58]))
 @example(spec=validate(188, 47, [-2], [2]))                   # the benchmark's count shapes
 @example(spec=validate(168, 84, [-2, 4], [-4, 6]))
+@example(spec=validate(2, 5))                                 # m > n: slices read k < 0
+@example(spec=validate(4, 9, [0], [2]))
+@example(spec=validate(6, 11, [-4], [4]))
+@example(spec=validate(8, 30, [-6, 4], [2, 6]))
 def test_path_matrix_matches_path_count(spec):
     for kind, variant in (("lower", "avoid_diagonal"), ("upper", "weighted_below")):
         starts, ends = lgv_points(spec, kind)
@@ -352,6 +356,41 @@ def test_a_cached_boundary_elimination_is_left_as_it_was():
     count_region(validate(24, 6, [0], [6]), "full")  # another placement in the same hexagon
     for kind, entry in entries.items():
         assert _boundary_steps(24, 6, kind) is entry == _boundary_steps.__wrapped__(24, 6, kind)
+
+
+def test_the_record_holds_the_checked_prefactor():
+    for n in range(2, 13, 2):
+        for m in range(1, 7):
+            for kind, formula in (("lower", "transpose_complement"),
+                                  ("upper", "vertical_symmetric")):
+                prefactor = product_formula(formula, n, m)
+                assert _boundary_steps(n, m, kind)[:2] == (prefactor, 1), (n, m, kind)
+                assert prefactor == det_exact(path_matrix(validate(n, m), kind))
+
+
+def test_a_record_whose_prefactor_disagrees_raises(monkeypatch):
+    original = matrices.product_formula
+    monkeypatch.setattr(matrices, "product_formula", lambda *args: original(*args) + 1)
+    _boundary_steps.cache_clear()
+    with pytest.raises(matrices.RouteMismatchError, match=r"^lower: \|det Q\| = "):
+        _boundary_steps(12, 3, "lower")
+    assert _boundary_steps.cache_info().currsize == 0
+
+
+def test_another_placement_computes_no_half_product(monkeypatch):
+    # the halves' prefactors come with the hexagon's record; only full's box is per count
+    calls, original = [], matrices.product_formula
+
+    def recording(*args):
+        calls.append(args[0])
+        return original(*args)
+
+    count_region(validate(16, 4, [-2], [2]), "full")  # records both halves
+    monkeypatch.setattr(matrices, "product_formula", recording)
+    for kind, want in (("lower", []), ("upper", []), ("free", []), ("full", ["box"])):
+        calls.clear()
+        count_region(validate(16, 4, [-6], [6]), kind)
+        assert calls == want, kind
 
 
 def test_a_lead_of_another_block_raises():
