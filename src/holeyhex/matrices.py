@@ -16,9 +16,10 @@ sweeps cheap.
 The path matrices of one hexagon half share their leading m x m block
 (boundary starts to boundary ends), so its elimination is recorded once per
 (n, m, half), with its determinant checked against the half's product
-formula, about 0.8 MiB at n = 200 and 4.8 MiB at n = 400 (m = n/2), and
+formula, about 0.8 MiB at n = 200 and 4.9 MiB at n = 400 (m = n/2), and
 replayed for every hole placement, which does per-entry work only on its
-hole rows and columns; regions._UNHOLED_REGIONS records are kept.
+hole rows and columns, one hole column at a time; regions._UNHOLED_REGIONS
+records are kept.
 """
 
 from __future__ import annotations
@@ -304,8 +305,9 @@ def _eliminate(work, start: int, steps=None) -> tuple:
     """Eliminate columns start.. of the integer rows ``work`` in place, each
     pivot row divided by its content; returns the determinant factor as
     (numer, denom), numer 0 when a column has no pivot.  A list ``steps``
-    gets each column's (content, pivot, tail, scales), scales as ``_clear``
-    lists them, and forbids row swaps: a zero pivot raises ArithmeticError."""
+    gets each column's (content, pivot, tail, row_scales, top_scales), the
+    P/g and a/g that ``_clear`` applied to each row below the pivot, and
+    forbids row swaps: a zero pivot raises ArithmeticError."""
     size = len(work)
     numer = denom = 1
     for col in range(start, size):
@@ -327,7 +329,7 @@ def _eliminate(work, start: int, steps=None) -> tuple:
         numer *= content * pivot
         denom *= _clear(work[col + 1:], col, pivot, tail, scales)
         if steps is not None:
-            steps.append((content, pivot, tuple(tail), tuple(scales)))
+            steps.append((content, pivot, tuple(tail), tuple(scales[::2]), tuple(scales[1::2])))
     return numer, denom
 
 
@@ -354,24 +356,27 @@ def _replay(work, steps) -> int:
     """Replay ``steps``, the recorded elimination of the leading k x k block of
     the integer rows ``work``, on the rest of them in place; returns the
     denominator factor.  The first k rows of ``work`` are their borders only
-    (column k on).  Each column first multiplies every remaining border entry
-    by s = c/g, c the pivot row's content and g its gcd with the row's
-    border, so that c divides the whole pivot row."""
+    (column k on), held here as one list per hole column.  Each recorded
+    column first multiplies every remaining border entry by s = c/g, c the
+    pivot row's content and g its gcd with the row's border, so that c
+    divides the whole pivot row; then, in one pass per hole column, each later
+    lead row's entry x becomes (s*r)*x - q*t, r and q that row's recorded
+    scales and t the pivot row's entry over g."""
     k, size = len(steps), len(work)
-    borders = work[:k]
+    columns = [list(c) for c in zip(*work[:k])]
     rest = work[k:]
     denom = 1
-    for col, (content, pivot, tail, scales) in enumerate(steps):
-        g = math.gcd(content, *borders[col])
+    for col, (content, pivot, tail, row_scales, top_scales) in enumerate(steps):
+        g = math.gcd(content, *(c[col] for c in columns))
         s = content // g
         if s > 1:
             denom *= s ** (size - k)
             for row in rest:
                 row[k:] = [s * x for x in row[k:]]
-        top = [x // g for x in borders[col]]
-        for i, row_scale, top_scale in zip(range(col + 1, k), scales[::2], scales[1::2]):
-            row_scale *= s
-            borders[i] = [row_scale * x - top_scale * y for x, y in zip(borders[i], top)]
+            row_scales = [s * r for r in row_scales]
+        top = [c[col] // g for c in columns]
+        for c, t in zip(columns, top):
+            c[col + 1:] = [r * x - q * t for x, r, q in zip(c[col + 1:], row_scales, top_scales)]
         denom *= _clear(rest, col, pivot, [*tail, *top])
     return denom
 
@@ -425,12 +430,16 @@ class CountResult:
     factors: dict
 
     def to_json_dict(self) -> dict:
-        # str() prints an int as "a" and a Fraction as "a/b", or "a" when b = 1
+        # str() prints an int as "a" and a Fraction as "a/b", or "a" when b = 1;
+        # a factor of value +-count (a half's path_det) reuses the count's digits
+        count = str(self.value)
+        shown = {-self.value: "-" + count, self.value: count}  # "0" wins at count 0
         return {
             "spec": self.spec.to_text(),
             "kind": self.kind,
-            "count": str(self.value),
-            "factors": {name: str(value) for name, value in self.factors.items()},
+            "count": count,
+            "factors": {name: shown.get(value) or str(value)
+                        for name, value in self.factors.items()},
         }
 
 

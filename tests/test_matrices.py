@@ -339,6 +339,9 @@ def test_det_exact_matches_row_content_reference_on_path_matrices():
 @example(spec=validate(60, 30, [58], [-58]))
 @example(spec=validate(60, 58, [-58, 0, 4], [-2, 6, 58]))     # p = 3
 @example(spec=validate(24, 5, [-6, 2, 10], [-10, -2, 14]))
+@example(spec=validate(24, 6, [-10, -6, 2, 10], [-8, -2, 6, 14]))  # p = 4
+# the replay scales the hole columns (s = 41) first at column 9 (lower) and 8 (upper)
+@example(spec=validate(12, 19, [-2], [-8]))
 def test_det_exact_with_the_boundary_lead_matches_det_exact(spec):
     for kind in HALVES:
         q = path_matrix(spec, kind)
@@ -487,6 +490,11 @@ def test_count_region_routes_and_factors():
     assert full.value == lower.value * upper.value
     record = full.to_json_dict()
     assert record["count"] == "112" and record["factors"]["box"] == "1764"
+    # a half's path_det is -count here, printed from the count's digits
+    lower = count_region(validate(4, 1, [0], [-2]), "lower")
+    record = lower.to_json_dict()
+    assert record["factors"] == {name: str(value) for name, value in lower.factors.items()}
+    assert lower.factors["path_det"] < 0 and record["factors"]["path_det"] == "-" + record["count"]
 
 
 def test_count_region_matches_oracle():
