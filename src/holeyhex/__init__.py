@@ -2,8 +2,7 @@
 
 from .arith import binomial, gamma_ratio, hyp_terminating, product_formula
 from .regions import (InducedHole, RegionSpec, SpecValidationError, TriangularRegion,
-                      build_region, distance, induced_holes, lgv_points,
-                      merge_induced_holes, parse_spec, validate)
+                      build_region, distance, lgv_points, merge_induced_holes, validate)
 from .matrices import (CountResult, closed_form_entry, count_region, det_exact,
                        hole_matrix, path_count, path_matrix)
 from .oracle import count_families, count_tilings, enumerate_tilings

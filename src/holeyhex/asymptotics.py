@@ -20,7 +20,7 @@ from typing import Sequence
 
 from .matrices import det_exact, hole_matrix
 from .regions import (InducedHole, RegionSpec, distance, free_boundary_holes, half_shift,
-                      induced_holes, merge_induced_holes, validate)
+                      merge_induced_holes, validate)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -133,7 +133,7 @@ def finite_correlation(spec: RegionSpec, model: str = "bulk") -> CorrelationRepo
     """Exact finite-size determinants against the asymptotic prediction."""
     # a free boundary's right holes are images; the model is checked before any determinant
     holes = (merge_induced_holes(free_boundary_holes(spec, "free_boundary model"), ())
-             if model == "free_boundary" else induced_holes(spec))
+             if model == "free_boundary" else merge_induced_holes(spec.left, spec.right))
     predicted = predicted_interaction(holes, model)
     det_lower = det_exact(hole_matrix(spec, "lower"))
     det_upper = det_exact(hole_matrix(spec, "upper"))

@@ -214,6 +214,8 @@ def hole_matrix_entry(spec: RegionSpec, kind: str, i: int, j: int) -> Fraction:
         raise GammaPoleError(
             f"Schur term of hole pair ({l}, {r}) at n={n} has a Gamma argument "
             f"below 1; hole positions must lie in [{2 - n}, {n - 2}]")
+    # at m = 1 the sum is its s = 1 term: skipping the empty ratio tables halves
+    # the entry's cost, which a `holeyhex verify --max-m 1` grid pays per entry
     acc_n = acc_d = 1
     if m > 1:
         (l_num, l_den), (u_num, u_den) = l_hole(n, 2, l, d), u_hole(n, 2, r, d)
@@ -344,10 +346,10 @@ def _boundary_steps(n: int, m: int, kind: str) -> tuple:
     block, steps = path_matrix(RegionSpec(n, m, (), ()), kind), []
     first = tuple(block[0]), tuple(row[0] for row in block)
     det = Fraction(*_eliminate(block, 0, steps))
-    prefactor = product_formula("vertical_symmetric" if HALVES[kind] else "transpose_complement",
-                                n, m)
+    formula = "vertical_symmetric" if HALVES[kind] else "transpose_complement"
+    prefactor = product_formula(formula, n, m)
     if det != prefactor:
-        raise RouteMismatchError(f"{kind}: |det Q| = {_show(det)} but prefactor * |det E| = "
+        raise RouteMismatchError(f"{kind}: unholed det Q = {_show(det)} but {formula}({n}, {m}) = "
                                  f"{_show(prefactor)}")
     return prefactor, 1, tuple(steps), *first
 

@@ -148,28 +148,6 @@ def spec_grid(max_n: int, max_m: int, max_p: int) -> Iterator[RegionSpec]:
                         yield validate(n, m, left, [x for x in chosen if x not in left])
 
 
-_SPEC_FIELDS = {"n": int, "m": int, "L": parse_int_list, "R": parse_int_list}
-
-
-def parse_spec(text: str) -> RegionSpec:
-    """Parse the canonical form ``n=<n> m=<m> L=<l1,...> R=<r1,...>``."""
-    fields, problems = {}, []
-    for token in text.split():
-        key, _, value = token.partition("=")
-        try:
-            parsed = _SPEC_FIELDS[key](value)
-        except (KeyError, ValueError):
-            problems.append(f"unknown or malformed field {token!r}")
-            continue
-        if key in fields:
-            problems.append(f"repeated field {token!r}")
-        fields[key] = parsed
-    problems += [f"missing field {key}=" for key in ("n", "m") if key not in fields]
-    if problems:
-        raise SpecValidationError(problems)
-    return validate(fields["n"], fields["m"], fields.get("L", ()), fields.get("R", ()))
-
-
 # ---------------------------------------------------------------------------
 # induced holes and charges
 
@@ -212,23 +190,13 @@ def merge_induced_holes(left: Sequence[int], right: Sequence[int]) -> list[Induc
     """
     tagged = sorted([(x, LEFT) for x in left] + [(x, RIGHT) for x in right])
     holes: list[InducedHole] = []
-    run: list[int] = []
-    run_orient = None
     for x, orient in tagged:
-        if run and orient == run_orient and x == run[-1] + 2:
-            run.append(x)
+        last = holes[-1] if holes else None
+        if last and orient == last.orientation and x == last.constituents[-1] + 2:
+            holes[-1] = InducedHole(orient, (*last.constituents, x))
         else:
-            if run:
-                holes.append(InducedHole(run_orient, tuple(run)))
-            run = [x]
-            run_orient = orient
-    if run:
-        holes.append(InducedHole(run_orient, tuple(run)))
+            holes.append(InducedHole(orient, (x,)))
     return holes
-
-
-def induced_holes(spec: RegionSpec) -> list[InducedHole]:
-    return merge_induced_holes(spec.left, spec.right)
 
 
 def distance(x: int, y: int) -> float:

@@ -157,3 +157,60 @@ def test_every_cache_with_parameters_is_bounded():
     found = {path.stem: unbounded_caches(ast.parse(path.read_text()))
              for path in sorted(SOURCE.glob("*.py"))}
     assert {module: scopes for module, scopes in found.items() if scopes} == {}
+
+
+PERFBENCH = SOURCE.parent.parent / "perfbench"
+
+# public names that no program code calls, each kept for a reason
+UNCALLED = {
+    "zeta.zeta": "perfbench spans it by name, and test_perfbench expects that binding",
+    "zeta.upper_weight": "the tests' reference weight of an upper-half tiling",
+    "matrices.path_count": "the tests' reference count of one path",
+    "asymptotics.entry_asym": "ROADMAP item 15 decides it",
+    "asymptotics.cauchy_det": "ROADMAP item 15 decides it",
+    "asymptotics.classify_regime": "ROADMAP item 15 decides it",
+}
+
+
+def loaded_names(tree, skip=None):
+    """Every name read in ``tree``, bare or as an attribute, outside ``skip``."""
+    names = set()
+
+    def visit(node):
+        if node is skip:
+            return
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(tree)
+    return names
+
+
+def uncalled_public_names():
+    """Each public module-level function or class of the package that no other
+    package module, no perfbench program and no other code of its own module reads."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SOURCE.glob("*.py"))
+             if path.stem != "__init__"}
+    bench = set().union(*(loaded_names(ast.parse(path.read_text()))
+                          for path in sorted(PERFBENCH.glob("*.py"))
+                          if not path.stem.startswith("test_")))
+    read = {module: loaded_names(tree) for module, tree in trees.items()}
+    found = set()
+    for module, tree in trees.items():
+        elsewhere = bench.union(*(names for other, names in read.items() if other != module))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and \
+                    not node.name.startswith("_") and node.name not in elsewhere and \
+                    node.name not in loaded_names(tree, skip=node):
+                found.add(f"{module}.{node.name}")
+    return found
+
+
+def test_every_public_function_has_a_caller():
+    # a function that only its own tests call is surface to remove, or an exception
+    # with its reason; an exception that gains a caller leaves the list
+    assert uncalled_public_names() == set(UNCALLED)

@@ -375,7 +375,9 @@ def test_a_record_whose_prefactor_disagrees_raises(monkeypatch):
     original = matrices.product_formula
     monkeypatch.setattr(matrices, "product_formula", lambda *args: original(*args) + 1)
     _boundary_steps.cache_clear()
-    with pytest.raises(matrices.RouteMismatchError, match=r"^lower: \|det Q\| = "):
+    with pytest.raises(matrices.RouteMismatchError,
+                       match=r"^lower: unholed det Q = 21706243125300 "
+                             r"but transpose_complement\(12, 3\) = 21706243125301$"):
         _boundary_steps(12, 3, "lower")
     assert _boundary_steps.cache_info().currsize == 0
 
@@ -415,7 +417,11 @@ def test_the_boundary_elimination_does_not_pivot():
 
 
 def test_count_region_hands_det_exact_each_whole_path_matrix(monkeypatch):
-    # perfbench's det_exact span sizes its calls by their first argument
+    # perfbench's det_exact span sizes its calls by their first argument, and
+    # perfbench/test_perfbench.py::test_self_times_add_up_and_stay_nonnegative
+    # asserts max_dim >= 4, which only the whole 4 x 4 path matrix of its
+    # count --n 12 --m 3 op meets; moving the boundary replay out of det_exact
+    # (ROADMAP item 18) waits until that assertion follows the call shape
     firsts, original = [], matrices.det_exact
 
     def recording(*args):

@@ -10,8 +10,8 @@ from holeyhex.regions import (HALVES, KINDS, LEFT, REGION_KINDS, RIGHT, InducedH
                               RegionSpec, SpecValidationError, TriangularRegion, build_region,
                               check, distance, free_boundary_holes, fused_pairs,
                               hexagon_cells, hole_cell_half, hole_cells_full,
-                              induced_holes, lgv_points, merge_induced_holes, neighbors,
-                              parse_spec, spec_grid, validate)
+                              lgv_points, merge_induced_holes, neighbors, spec_grid,
+                              validate)
 from holeyhex.zeta import upper_weight
 from helpers import triangle_cells
 
@@ -34,26 +34,6 @@ def test_validate_figure_spec():
     spec = validate(10, 2, [-2, 6], [-8, 0])
     assert spec.left == (-2, 6) and spec.right == (-8, 0)
     assert spec.p == 2
-    assert parse_spec(spec.to_text()) == spec
-
-
-def test_parse_spec_names_missing_fields():
-    with pytest.raises(SpecValidationError, match="missing field m="):
-        parse_spec("n=4 L=0 R=2")
-    with pytest.raises(SpecValidationError) as info:
-        parse_spec("L=0 R=2")
-    assert info.value.violations == ["missing field n=", "missing field m="]
-    for text, token in (("n=4 m", "'m'"), ("n=4 m=x", "'m=x'"), ("n=4 m=1 Q=3", "'Q=3'")):
-        with pytest.raises(SpecValidationError, match=token):
-            parse_spec(text)
-
-
-def test_parse_spec_names_repeated_fields():
-    for text, tokens in (("n=4 n=6 m=1", ["'n=6'"]), ("n=6 m=1 L=-2 R=2 L=-4", ["'L=-4'"]),
-                         ("n=4 m=1 m=1 n=4", ["'m=1'", "'n=4'"])):
-        with pytest.raises(SpecValidationError) as info:
-            parse_spec(text)
-        assert info.value.violations == [f"repeated field {token}" for token in tokens]
 
 
 def test_validate_rejects_duplicates():
@@ -98,7 +78,7 @@ def test_induced_hole_positions_and_charges():
 def test_induced_holes_partition_and_charge():
     rng = random.Random(4)
     for spec in sample_specs(rng, 40):
-        holes = induced_holes(spec)
+        holes = merge_induced_holes(spec.left, spec.right)
         seen = sorted(x for h in holes for x in h.constituents)
         assert seen == sorted(spec.left + spec.right)
         assert sum(h.charge for h in holes) == 0
@@ -502,7 +482,7 @@ def test_a_run_of_side_two_holes_tiles_as_one_triangular_hole(kind):
     counts = []
     for spec, run, triangle_hole in run_and_triangle_regions(
             [(6, 1, 4), (6, 2, 4), (8, 1, 6), (8, 2, 6)], kind):
-        assert run in induced_holes(spec)
+        assert run in merge_induced_holes(spec.left, spec.right)
         region = build_region(spec, kind)
         # the triangle's cells that the run's holes leave in the region
         assert triangle_hole.cells < region.cells
