@@ -4,8 +4,10 @@ Each oracle has one search state, counted by a layered sweep that keeps
 only the current {state: count} layer.  A tiling state is the first
 uncovered cell plus the covered cells from it on; the sweep steps one
 cell at a time, each forced cell (whose one later partner has no other
-earlier partner, ``_forced``) folded into the step before it, and the
-tilings are enumerated by walking the same states depth first over
+earlier partner, ``_forced``) folded into the step before it, and stops
+at the centre line of a region that is its own mirror image, whose count
+is the sum of the squares of that layer's counts.  The tilings are
+enumerated by walking the same states depth first over
 per-cell tables of later partners and their ``mates`` tiles, built once
 per call, a forced cell taking its one partner in place.  A path-family
 state is the (height, path) pairs of the paths crossing into a column;
@@ -98,10 +100,11 @@ def _forced(ahead) -> list:
     return forced
 
 
-def _steps(ahead) -> list:
-    """count_tilings' steps over the cells of ``ahead`` (``region.order``'s
-    offsets): per step, its cell's partner offsets and the offset of the
-    forced next cell folded into it (``_forced``), or 0.
+def _steps(ahead, stop: int) -> list:
+    """count_tilings' steps over the first ``stop`` cells of ``ahead``
+    (``region.order``'s offsets): per step, its cell's partner offsets and
+    the offset of the forced next cell folded into it (``_forced``), or 0.
+    A cell at ``stop`` or later is never folded in.
 
     A forced cell's partner bit is clear when the cell is reached, so a
     covered cell shifts through and a free one takes its partner, a
@@ -109,9 +112,10 @@ def _steps(ahead) -> list:
     """
     forced = _forced(ahead)
     steps, lo = [], 0
-    while lo < len(ahead):
-        steps.append((ahead[lo], forced[lo + 1]))
-        lo += 2 if forced[lo + 1] else 1
+    while lo < stop:
+        fold = forced[lo + 1] if lo + 1 < stop else 0
+        steps.append((ahead[lo], fold))
+        lo += 2 if fold else 1
     return steps
 
 
@@ -126,10 +130,17 @@ def count_tilings(region: TriangularRegion) -> int:
     shifts through; free, it sets its partner's bit first.  The layer is
     then rebuilt once per folded pair, not once per cell.  Slab-major cell
     order keeps the masks narrow.
+
+    A region that is its own mirror image (``region.mirror_cut``) is swept
+    only over its cells left of the centre line.  Each key of that layer is
+    a set of column-0 vertical rhombi crossing the line, and the right half
+    of a tiling is the mirror image of a left half with the same crossing
+    set, so the count is the sum of the squares of the layer's counts.
     """
     _, ahead = region.order
+    cut = region.mirror_cut
     layer = {0: 1}
-    for offsets, forced in _steps(ahead):
+    for offsets, forced in _steps(ahead, len(ahead) if cut is None else cut):
         bits = [1 << off for off in offsets]
         partner, shift = (2 << forced, 2) if forced else (0, 1)
         nxt: dict = {}
@@ -144,7 +155,9 @@ def count_tilings(region: TriangularRegion) -> int:
                     key = (key if key & 2 else key | partner) >> shift
                     nxt[key] = nxt.get(key, 0) + ways
         layer = nxt
-    return layer.get(0, 0)
+    if cut is None:
+        return layer.get(0, 0)
+    return sum(ways * ways for ways in layer.values())
 
 
 def tiling_is_exact_cover(region: TriangularRegion, tiling) -> bool:

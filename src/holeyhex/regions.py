@@ -260,6 +260,18 @@ def hole_cell_half(position: int, orientation: str, kind: str) -> Cell:
     return (position + (-d if orientation == LEFT else d), d - 1, orientation)
 
 
+def _mirror(cell: Cell) -> Cell:
+    """The cell's image across the centre column line c = 0."""
+    c, h, o = cell
+    return (-c, h, LEFT if o == RIGHT else RIGHT)
+
+
+def _left_of_centre(cell: Cell) -> bool:
+    """Whether the cell lies left of the centre column line: a free region's cell."""
+    c, _, o = cell
+    return c < 0 or c == 0 and o == LEFT
+
+
 def fused_pairs(spec: RegionSpec) -> list[int]:
     """Right holes r with a left hole at r + 2.
 
@@ -313,6 +325,28 @@ class TriangularRegion:
         return cells, ahead
 
     @cached_property
+    def mirror_cut(self) -> int | None:
+        """How many leading cells of ``order`` lie left of the centre column
+        line (c < 0, or c = 0 and left-pointing) when the region is its own
+        mirror image under (c, h, o) -> (-c, h, flipped o); else None.
+
+        Slab-major order puts those cells first, and only the vertical rhombi
+        of column 0 cross the line.  A region with a free edge is never its
+        own image.  An unholed or hand-built region compares its cells once; a
+        region cut from ``whole`` is its image when ``whole`` is and its hole
+        cells are, so it reads only those."""
+        if self.free_edge:
+            return None
+        if self.whole is not None:
+            if self.whole.mirror_cut is None or not all(
+                    _mirror(cell) in self.hole_cells for cell in self.hole_cells):
+                return None
+            return self.whole.mirror_cut - sum(map(_left_of_centre, self.hole_cells))
+        if not all(_mirror(cell) in self.cells for cell in self.cells):
+            return None
+        return sum(map(_left_of_centre, self.cells))
+
+    @cached_property
     def rhombi(self) -> frozenset:
         """Every tile of ``order`` as its object in ``mates``: edge-sharing pairs
         and free-edge cells alone."""
@@ -350,7 +384,7 @@ def _unholed(n: int, m: int, kind: str) -> TriangularRegion:
     cells = hexagon_cells(n, m)
     spec = RegionSpec(n, m, (), ())
     if kind == "free":
-        cells = frozenset((c, h, o) for c, h, o in cells if c < 0 or c == 0 and o == LEFT)
+        cells = frozenset(filter(_left_of_centre, cells))
         return TriangularRegion(kind, cells, frozenset(), spec,
                                 frozenset(cell for cell in cells if cell[0] == 0))
     if kind in HALVES:

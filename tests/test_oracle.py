@@ -144,12 +144,13 @@ def test_count_tilings_matches_enumeration(region):
             sum(weight for _, weight in reference_enumerate_families_stack(*points, constraint))
 
 
-def reference_count_tilings(region):
-    """The per-cell transfer sweep that count_tilings' folded steps replaced:
-    the layer is rebuilt once per cell, forced or not."""
+def reference_layer(region, stop):
+    """The per-cell transfer sweep that count_tilings' folded steps replaced,
+    over the first ``stop`` cells of ``order``: the layer is rebuilt once per
+    cell, forced or not."""
     _, ahead = region.order
     layer = {0: 1}
-    for offsets in ahead:
+    for offsets in ahead[:stop]:
         nxt = {}
         for mask, ways in layer.items():
             if mask & 1:
@@ -160,7 +161,12 @@ def reference_count_tilings(region):
                     key = (mask | 1 << off) >> 1
                     nxt[key] = nxt.get(key, 0) + ways
         layer = nxt
-    return layer.get(0, 0)
+    return layer
+
+
+def reference_count_tilings(region):
+    """The per-cell sweep over every cell, mirror-symmetric region or not."""
+    return reference_layer(region, len(region.cells)).get(0, 0)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -194,23 +200,53 @@ def test_count_tilings_matches_the_per_cell_sweep_on_free_and_fused_regions():
         assert count_tilings(region) == reference_count_tilings(region) == total
 
 
+def test_count_tilings_matches_the_per_cell_sweep_on_mirror_symmetric_regions():
+    # count_tilings sweeps these only to their centre line and sums the squares
+    symmetric = [spec for spec in spec_grid(6, 2, 2) if spec.is_mirror_symmetric]
+    assert (len(symmetric), sum(bool(fused_pairs(spec)) for spec in symmetric)) == (26, 2)
+    regions = [build_region(spec, kind) for spec in symmetric for kind in KINDS]
+    regions += [build_region(validate(10, 3), "full"), build_region(validate(12, 2), "full")]
+    for region in regions:
+        assert region.mirror_cut is not None, (region.kind, region.spec.to_text())
+        assert count_tilings(region) == reference_count_tilings(region), \
+            (region.kind, region.spec.to_text())
+
+
+def test_the_centre_line_layer_counts_the_free_and_the_full_region():
+    # each key of the full region's layer at its centre line is a set of
+    # column-0 rhombi crossing the line: the free region covers their left
+    # cells with half rhombi, and the full region mirrors each left half
+    for spec in spec_grid(6, 2, 2):
+        if not spec.is_mirror_symmetric:
+            continue
+        full = build_region(spec, "full")
+        layer = reference_layer(full, full.mirror_cut)
+        assert sum(layer.values()) == count_tilings(build_region(spec, "free")), spec.to_text()
+        assert sum(ways * ways for ways in layer.values()) == count_tilings(full), spec.to_text()
+
+
 def test_the_sweep_folds_every_forced_cell_of_a_rhombus_region():
     # the right-pointing cell of each strip pair is forced and folded into
-    # the step before it; a folded cell's partner has no other earlier partner
-    for spec, folded, cells in ((validate(10, 3), 210, 440), (validate(12, 2), 228, 480)):
-        _, ahead = build_region(spec, "full").order
-        steps = _steps(ahead)
-        lo, seen = 0, 0
-        for offsets, forced in steps:
-            assert offsets == ahead[lo]
-            if forced:
-                assert ahead[lo + 1] == [forced]
-                partner = lo + 1 + forced
-                assert sum(partner - i in ahead[i] for i in range(partner)) == 1
-                seen += 1
-            lo += 2 if forced else 1
-        assert lo == len(ahead) == cells
-        assert (seen, len(steps)) == (folded, cells - folded), spec.to_text()
+    # the step before it; a folded cell's partner has no other earlier partner.
+    # Swept to the centre line, no cell past the line is folded in.
+    for spec, whole_order, half_order in ((validate(10, 3), (210, 440), (105, 220)),
+                                          (validate(12, 2), (228, 480), (114, 240))):
+        region = build_region(spec, "full")
+        _, ahead = region.order
+        assert (len(ahead), region.mirror_cut) == (whole_order[1], half_order[1])
+        for folded, stop in (whole_order, half_order):
+            steps = _steps(ahead, stop)
+            lo, seen = 0, 0
+            for offsets, forced in steps:
+                assert offsets == ahead[lo]
+                if forced:
+                    assert lo + 1 < stop and ahead[lo + 1] == [forced]
+                    partner = lo + 1 + forced
+                    assert sum(partner - i in ahead[i] for i in range(partner)) == 1
+                    seen += 1
+                lo += 2 if forced else 1
+            assert lo == stop
+            assert (seen, len(steps)) == (folded, stop - folded), (spec.to_text(), stop)
 
 
 def test_count_families_has_no_depth_limit():

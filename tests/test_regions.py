@@ -326,6 +326,44 @@ def test_a_region_built_by_hand_orders_as_sort_and_probe():
     assert sum(offsets[:1] == [0] for offsets in alone.order[1]) == len(free.free_edge) > 0
 
 
+def left_of_centre(cell):
+    c, _, o = cell
+    return c < 0 or c == 0 and o == LEFT
+
+
+def test_the_mirror_cut_counts_the_cells_left_of_the_centre_line():
+    # a copy built by hand compares every cell with its image; a cut region
+    # compares only its hole cells, and must agree
+    symmetric = 0
+    for region, _ in grid_regions():
+        where = (region.kind, region.spec.to_text())
+        copy = TriangularRegion(region.kind, region.cells, region.hole_cells, None,
+                                region.free_edge)
+        assert region.mirror_cut == copy.mirror_cut, where
+        if region.kind == "free" or not region.spec.is_mirror_symmetric:
+            assert region.mirror_cut is None, where
+            continue
+        image = {(-c, h, RIGHT if o == LEFT else LEFT) for c, h, o in region.cells}
+        assert image == region.cells, where
+        cells, _ = region.order
+        assert region.mirror_cut == sum(map(left_of_centre, cells)), where
+        assert all(left_of_centre(cell) for cell in cells[:region.mirror_cut]), where
+        symmetric += 1
+    assert symmetric == 3 * 26
+    cell = (0, 0, RIGHT)
+    empty = TriangularRegion("full", frozenset(), frozenset(), None)
+    alone = TriangularRegion("full", frozenset({cell}), frozenset(), None)
+    half = TriangularRegion("free", frozenset({cell}), frozenset(), None, frozenset({cell}))
+    assert (empty.mirror_cut, alone.mirror_cut, half.mirror_cut) == (0, None, None)
+    assert count_tilings(empty) == 1
+    # mirror-image cells with half rhombi on the line: the halves do not mirror
+    cells = hexagon_cells(4, 1)
+    edged = TriangularRegion("full", cells, frozenset(), None,
+                             frozenset(cell for cell in cells if cell[0] == 0))
+    assert edged.mirror_cut is None
+    assert count_tilings(edged) == sum(1 for _ in enumerate_tilings(edged))
+
+
 def test_each_hexagon_has_one_unholed_region():
     for spec in (validate(4, 1), validate(6, 2, [-2], [2])):
         for kind in REGION_KINDS:
