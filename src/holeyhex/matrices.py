@@ -32,7 +32,7 @@ from functools import lru_cache
 
 from .arith import (GammaPoleError, binomial, factor_ratios, gamma_product, gamma_ratio,
                     hyp_terminating, product_formula, ratio_series)
-from .regions import (_UNHOLED_REGIONS, HALVES, RegionSpec, free_boundary_holes, half_shift,
+from .regions import (_UNHOLED_REGIONS, RegionSpec, free_boundary_holes, half_shift,
                       lgv_points)
 
 HALF = Fraction(1, 2)
@@ -164,7 +164,7 @@ def _hole_to_hole(l: int, r: int, d: int) -> Fraction:
 
 # Gamma arguments of the hole rows of the explicit LU factors (rows of L,
 # ``l_hole``, and columns of U, ``u_hole``), as (numerators, denominators),
-# for both halves: d is HALVES[kind].  Each takes (n, s, x, d) with s the
+# for both halves: d is half_shift(kind, ...).  Each takes (n, s, x, d) with s the
 # boundary index and x the hole position, l for ``l_hole`` and r for
 # ``u_hole``.  Hole entries carry the sign (-1)**(s+1) and, in the lower
 # region, a factor 1/2: HALF ** (1 - d).
@@ -338,20 +338,20 @@ def _eliminate(work, start: int, steps=None) -> tuple:
 @lru_cache(maxsize=_UNHOLED_REGIONS)
 def _boundary_steps(n: int, m: int, kind: str) -> tuple:
     """The unholed (n, m) half's path matrix, which leads every path matrix of
-    that hexagon half, eliminated as a ``det_exact`` lead: (prefactor, 1,
-    steps, row, column), its determinant, checked here against the half's
-    product formula (a mismatch raises RouteMismatchError), its recorded
-    ``_eliminate`` steps and its first row and column, which ``det_exact``
-    checks."""
+    that hexagon half, eliminated as a ``det_exact`` lead: (prefactor, steps,
+    first_row, first_column), its determinant, checked here against the
+    half's product formula (a mismatch raises RouteMismatchError), its
+    recorded ``_eliminate`` steps and its first row and column, which
+    ``det_exact`` checks."""
     block, steps = path_matrix(RegionSpec(n, m, (), ()), kind), []
     first = tuple(block[0]), tuple(row[0] for row in block)
     det = Fraction(*_eliminate(block, 0, steps))
-    formula = "vertical_symmetric" if HALVES[kind] else "transpose_complement"
+    formula = "vertical_symmetric" if half_shift(kind, "prefactor") else "transpose_complement"
     prefactor = product_formula(formula, n, m)
     if det != prefactor:
         raise RouteMismatchError(f"{kind}: unholed det Q = {_show(det)} but {formula}({n}, {m}) = "
                                  f"{_show(prefactor)}")
-    return prefactor, 1, tuple(steps), *first
+    return prefactor, tuple(steps), *first
 
 
 def _replay(work, steps) -> int:
@@ -396,17 +396,18 @@ def det_exact(matrix: Matrix, lead: tuple | None = None) -> Fraction:
     determinant of the empty matrix is 1; a non-square one raises ValueError.
 
     ``lead``, the leading k x k block's elimination as ``_boundary_steps``
-    records it (the first k rows must be integer), is replayed without
-    pivoting on the rest of the matrix (``_replay``) before the last size - k
-    columns are eliminated as above; the result is the same Fraction, and the
-    first k rows are read only from column k on.  A lead of any other block
-    (its size, first row or first column) raises ValueError.
+    records it, (determinant, steps, first_row, first_column) with the first
+    k rows integer, is replayed without pivoting on the rest of the matrix
+    (``_replay``) before the last size - k columns are eliminated as above;
+    the result is the same Fraction, and the first k rows are read only from
+    column k on.  A lead of any other block (its size, first row or first
+    column) raises ValueError.
     """
     size = len(matrix)
     if any(len(row) != size for row in matrix):
         raise ValueError(f"det_exact needs a square matrix, got {size} rows of lengths "
                          f"{[len(row) for row in matrix]}")
-    lead_numer, lead_denom, steps, first_row, first_column = lead or (1, 1, (), (), ())
+    lead_det, steps, first_row, first_column = lead or (1, (), (), ())
     k = len(steps)
     if k and (k > size or tuple(matrix[0][:k]) != first_row
               or tuple(row[0] for row in matrix[:k]) != first_column):
@@ -417,9 +418,9 @@ def det_exact(matrix: Matrix, lead: tuple | None = None) -> Fraction:
         lcm = math.lcm(*(x.denominator for x in row))
         denom *= lcm
         work.append([x.numerator * (lcm // x.denominator) for x in row])
-    denom *= lead_denom * _replay(work, steps)
+    denom *= _replay(work, steps)
     numer, rest_denom = _eliminate(work, len(steps))
-    return Fraction(lead_numer * numer, denom * rest_denom)
+    return Fraction(lead_det * numer, denom * rest_denom)
 
 
 @dataclass(frozen=True)
@@ -445,10 +446,11 @@ class CountResult:
         }
 
 
-# every accepted count-kind spelling -> the kind a CountResult reports
-COUNT_KINDS = {"full": "full", "lower": "lower",
-               "upper": "upper_weighted", "upper_weighted": "upper_weighted",
-               "free": "free_half", "free_half": "free_half"}
+# every accepted count-kind spelling -> (the kind a CountResult reports, the half it
+# counts or None for both); free_half is the weighted upper half's count (Ciucu 1997)
+COUNT_KINDS = {"full": ("full", None), "lower": ("lower", "lower"),
+               "upper": ("upper_weighted", "upper"), "upper_weighted": ("upper_weighted", "upper"),
+               "free": ("free_half", "upper"), "free_half": ("free_half", "upper")}
 
 
 def count_region(spec: RegionSpec, kind: str) -> CountResult:
@@ -462,16 +464,16 @@ def count_region(spec: RegionSpec, kind: str) -> CountResult:
     ``kind`` may be any spelling in COUNT_KINDS.  A disagreement between
     routes means a formula bug and raises RouteMismatchError.
     """
-    kind = COUNT_KINDS.get(kind, kind)
+    if kind not in COUNT_KINDS:
+        raise ValueError(f"unknown count kind {kind!r}")
+    kind, half = COUNT_KINDS[kind]
     n, m = spec.n, spec.m
     if kind == "free_half":
         free_boundary_holes(spec, "free_half count")
-    if kind in ("lower", "upper_weighted", "free_half"):
-        # upper_weighted is the upper half, and free_half is counted as it (Ciucu 1997)
-        half_kind = "lower" if kind == "lower" else "upper"
-        lead = _boundary_steps(n, m, half_kind)
-        det_q, prefactor = det_exact(path_matrix(spec, half_kind), lead), lead[0]
-        det_e = det_exact(hole_matrix(spec, half_kind))
+    if half:
+        lead = _boundary_steps(n, m, half)
+        det_q, prefactor = det_exact(path_matrix(spec, half), lead), lead[0]
+        det_e = det_exact(hole_matrix(spec, half))
         if abs(det_q) != prefactor * abs(det_e):
             raise RouteMismatchError(
                 f"{kind}: |det Q| = {_show(det_q)} but prefactor * |det E| = "
@@ -484,26 +486,24 @@ def count_region(spec: RegionSpec, kind: str) -> CountResult:
             "hole_det": det_e,
             "path_det": det_q,
         })
-    if kind == "full":
-        lower = count_region(spec, "lower")
-        upper = count_region(spec, "upper_weighted")
-        box = product_formula("box", n, m)
-        det_lower = lower.factors["hole_det"]
-        det_upper = upper.factors["hole_det"]
-        product = box * det_lower * det_upper
-        if det_lower * det_upper < 0:
-            raise RouteMismatchError(
-                f"hole determinants have opposite signs: {_show(det_lower)}, "
-                f"{_show(det_upper)}")
-        if product != lower.value * upper.value:
-            raise RouteMismatchError(
-                f"full: box * detE * detE = {_show(product)} but factor product = "
-                f"{_show(lower.value * upper.value)}")
-        return CountResult(spec, "full", lower.value * upper.value, {
-            "box": box,
-            "lower": lower.value,
-            "upper_weighted": upper.value,
-            "hole_det_lower": det_lower,
-            "hole_det_upper": det_upper,
-        })
-    raise ValueError(f"unknown count kind {kind!r}")
+    lower = count_region(spec, "lower")
+    upper = count_region(spec, "upper_weighted")
+    box = product_formula("box", n, m)
+    det_lower = lower.factors["hole_det"]
+    det_upper = upper.factors["hole_det"]
+    product = box * det_lower * det_upper
+    if det_lower * det_upper < 0:
+        raise RouteMismatchError(
+            f"hole determinants have opposite signs: {_show(det_lower)}, "
+            f"{_show(det_upper)}")
+    if product != lower.value * upper.value:
+        raise RouteMismatchError(
+            f"full: box * detE * detE = {_show(product)} but factor product = "
+            f"{_show(lower.value * upper.value)}")
+    return CountResult(spec, "full", lower.value * upper.value, {
+        "box": box,
+        "lower": lower.value,
+        "upper_weighted": upper.value,
+        "hole_det_lower": det_lower,
+        "hole_det_upper": det_upper,
+    })

@@ -356,6 +356,12 @@ class TriangularRegion:
                          for lo, cell in enumerate(cells) for off in ahead[lo])
 
     @cached_property
+    def axis_rhombi(self) -> tuple:
+        """The tiles of ``rhombi`` whose cells all lie on h = 0: the vertical
+        rhombus of every column whose two axis cells both lie in the region."""
+        return tuple(rhombus for rhombus in self.rhombi if all(cell[1] == 0 for cell in rhombus))
+
+    @cached_property
     def mates(self) -> dict:
         """``mates[cell][mate]``: the tile of ``cell`` and ``mate`` (mate = cell for
         a free-edge half rhombus), one frozenset per tile of ``order``.  A region

@@ -17,10 +17,11 @@ there once, and every tile a walk probes or a transmission adds is the
 object every region of the hexagon shares (``TriangularRegion.mates``), so
 a tiling costs the length of its ribbons.  Each walk's step rule is a table
 built with the plan, {chain cell: [(tile, next chain cell or None), ...]},
-so a step is one lookup and at most three tile membership tests.  ``zeta``
-keeps the plan of the last region it mapped.  The unholed target of
+so a step is one lookup and at most three tile membership tests.  Both keep
+the plan of the last region mapped.  The unholed target of
 ``verify_injection`` is the region ``build_region`` keeps for the whole
-hexagon, whose tiles are the objects its images are made of.
+hexagon, whose tiles are the objects its images are made of; an upper
+tiling's weight reads each region's ``axis_rhombi``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable
 
-from .regions import (HALVES, LEFT, RIGHT, RegionSpec, TriangularRegion, build_region,
+from .regions import (LEFT, RIGHT, RegionSpec, TriangularRegion, build_region,
                       fused_pairs, half_shift, hole_cell_half)
 from .oracle import enumerate_tilings, tiling_is_exact_cover
 
@@ -82,7 +83,7 @@ def _route(region: TriangularRegion, pair) -> tuple:
         # alternates a cell of its first cell's orientation with its partner,
         # sideways by e = +1 from left-pointing cells and -1 from right-pointing
         # ones, and must end on the boundary, not in a hole.
-        v = 2 * HALVES[region.kind] - 1
+        v = 2 * half_shift(region.kind, "boundary walk") - 1
         walks = []
         for first in ((cell1[0] + 1, cell1[1] + v, LEFT), (cell2[0] - 1, cell2[1] + v, RIGHT)):
             e, other = (1, RIGHT) if first[2] == LEFT else (-1, LEFT)
@@ -202,7 +203,7 @@ class _Plan:
 
 @lru_cache(maxsize=1)
 def _plan(region: TriangularRegion) -> _Plan:
-    """The plan of the last region ``zeta`` mapped a tiling of."""
+    """The plan of the last region ``zeta`` or ``verify_injection`` mapped."""
     return _Plan(region)
 
 
@@ -218,23 +219,14 @@ def zeta(tiling, region: TriangularRegion):
     return _plan(region).map(tiling)
 
 
-def _axis_rhombi(region: TriangularRegion) -> list:
-    """The h = 0 rhombus of every column whose two axis cells both lie in the region."""
-    axis = {cell for cell in region.cells if cell[1] == 0}
-    return [rhombus for rhombus in region.rhombi if rhombus <= axis]
-
-
-def _axis_weight(axis: list, tiling) -> int:
-    return 2 ** sum(rhombus not in tiling for rhombus in axis)
-
-
 def upper_weight(region: TriangularRegion, tiling) -> int:
     """Weight of an upper-region tiling: 2 per crossed axis-level edge.
 
     A straddling column contributes a factor 2 exactly when its two h = 0
-    cells are covered by slanted rhombi instead of pairing with each other.
+    cells are covered by slanted rhombi instead of pairing with each other,
+    that is when its rhombus of ``region.axis_rhombi`` is not in the tiling.
     """
-    return _axis_weight(_axis_rhombi(region), tiling)
+    return 2 ** sum(rhombus not in tiling for rhombus in region.axis_rhombi)
 
 
 def verify_injection(spec: RegionSpec, kind: str = "lower") -> dict:
@@ -243,21 +235,21 @@ def verify_injection(spec: RegionSpec, kind: str = "lower") -> dict:
     For the upper region the report also states whether the weight never
     decreases under the map.
     """
-    plan = _Plan(build_region(spec, kind))  # an undefined map raises before enumerating
+    plan = _plan(build_region(spec, kind))  # an undefined map raises before enumerating
     region = plan.region
     target = build_region(spec.unholed(), kind)  # shared by every spec of the hexagon
     images = set()  # each image as the map returns it, made of the target's tiles
     tilings = 0
     valid = True
     weight_monotone = True
-    # only the upper half has h = 0 cells, so only it has axis rhombi to weigh
-    axes = (_axis_rhombi(region), _axis_rhombi(target)) if kind == "upper" else None
+    # only the upper half (d = 1) has h = 0 cells, so only it has axis rhombi to weigh
+    weighed = half_shift(kind, "upper weight")
     for tiling in enumerate_tilings(region):
         tilings += 1
         image, _ = plan.map(tiling)
         if not tiling_is_exact_cover(target, image):
             valid = False
-        if axes and _axis_weight(axes[0], tiling) > _axis_weight(axes[1], image):
+        if weighed and upper_weight(region, tiling) > upper_weight(target, image):
             weight_monotone = False
         images.add(image)
     report = {
@@ -268,7 +260,7 @@ def verify_injection(spec: RegionSpec, kind: str = "lower") -> dict:
         "valid_images": valid,
         "ok": valid and len(images) == tilings,
     }
-    if kind == "upper":
+    if weighed:
         report["weight_monotone"] = weight_monotone
         report["ok"] = report["ok"] and weight_monotone
     return report

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from holeyhex import asymptotics
 from holeyhex.asymptotics import (CSV_HEADER, aspect_m, cauchy_det, classify_regime,
                                   entry_asym, finite_correlation,
                                   predicted_interaction, separation_sweep, size_sweep)
@@ -59,6 +60,22 @@ def test_cauchy_det_rejects_coincident():
 def test_cauchy_det_rejects_unequal_hole_counts():
     with pytest.raises(ValueError, match="^need equally many holes of each orientation$"):
         cauchy_det([-2], [2, 4])
+
+
+def test_cauchy_det_checks_the_product_against_the_direct_determinant(monkeypatch):
+    # the closed product is asserted against det [1/(r_j - l_i)]; a direct
+    # determinant off by a factor 2 must not pass
+    det_exact = asymptotics.det_exact
+    monkeypatch.setattr(asymptotics, "det_exact", lambda matrix: 2 * det_exact(matrix))
+    with pytest.raises(ArithmeticError, match="^Cauchy product and direct determinant disagree$"):
+        cauchy_det([-4, 0], [-2, 2])
+
+
+def test_free_boundary_prediction_rejects_a_hole_right_of_the_conductor():
+    # a left-pointing run at or right of the centre line has no mirror image across it
+    for left in ([0], [2], [-4, 2]):
+        with pytest.raises(ValueError, match="^free-boundary holes must lie left of the conductor$"):
+            predicted_interaction(merge_induced_holes(left, []), "free_boundary")
 
 
 def test_predicted_interaction_pair():

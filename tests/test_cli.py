@@ -270,6 +270,27 @@ def test_route_mismatch_exits_1(capsys, monkeypatch):
     assert "|det Q| = 5 but prefactor * |det E| = 4" in err
 
 
+def test_a_half_count_route_mismatch_exits_1(capsys, monkeypatch):
+    # count_region's own half check: entry (1, 1) of the hole matrix doubled
+    hole_matrix = matrices.hole_matrix
+    monkeypatch.setattr(matrices, "hole_matrix", lambda spec, kind: [
+        [2 * x if (i, j) == (0, 0) else x for j, x in enumerate(row)]
+        for i, row in enumerate(hole_matrix(spec, kind))])
+    assert run(capsys, "count", "--n", "4", "--m", "1", "--left", "0", "--right", "2",
+               "--kind", "lower") == \
+        (1, "", "verification failed: lower: |det Q| = 4 but prefactor * |det E| = 8\n")
+
+
+def test_a_full_count_route_mismatch_exits_1(capsys, monkeypatch):
+    # count_region's own full check: box(4, 1) = 1764 plus 1
+    product_formula = matrices.product_formula
+    monkeypatch.setattr(matrices, "product_formula",
+                        lambda which, n, m: product_formula(which, n, m) + (which == "box"))
+    assert run(capsys, "count", "--n", "4", "--m", "1", "--left", "0", "--right", "2") == \
+        (1, "", "verification failed: full: box * detE * detE = 7060/63 "
+                "but factor product = 112\n")
+
+
 def test_transmission_error_exits_1(capsys, monkeypatch):
     zeta_module = sys.modules["holeyhex.zeta"]  # the package's `zeta` is the function
 

@@ -159,12 +159,58 @@ def test_every_cache_with_parameters_is_bounded():
     assert {module: scopes for module, scopes in found.items() if scopes} == {}
 
 
+def names_halves(node):
+    """``HALVES``, by its bare name or as an attribute."""
+    return (node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)) == "HALVES"
+
+
+def reads_a_half_shift(node):
+    """A subscript of ``HALVES`` or a call of its ``get``, or a comparison with
+    the half name "lower" or "upper", alone or in a literal tuple, list or set."""
+    if isinstance(node, ast.Subscript):
+        return names_halves(node.value)
+    if isinstance(node, ast.Call):
+        func = node.func
+        return isinstance(func, ast.Attribute) and func.attr == "get" and names_halves(func.value)
+    if not isinstance(node, ast.Compare):
+        return False
+    operands = [item for operand in (node.left, *node.comparators)
+                for item in (operand.elts if isinstance(operand, (ast.Tuple, ast.List, ast.Set))
+                             else [operand])]
+    return any(isinstance(item, ast.Constant) and item.value in {"lower", "upper"}
+               for item in operands)
+
+
+@pytest.mark.parametrize("source, found", [
+    ("HALVES[kind]", True),
+    ("regions.HALVES[kind]", True),
+    ("HALVES.get(kind)", True),
+    ("kind == 'upper'", True),
+    ("'lower' != region.kind", True),
+    ("kind in ('lower', 'free_half')", True),
+    ("kind == 'free_half'", False),
+    ("kind in HALVES", False),
+    ("count_region(spec, 'lower')", False),
+    ("half_shift(kind, 'path matrix')", False),
+])
+def test_the_half_rule_check_sees_each_spelling(source, found):
+    assert any(map(reads_a_half_shift, ast.walk(ast.parse(source)))) == found
+
+
+def test_every_per_half_rule_reads_half_shift():
+    # each half's shift d comes from the one checked lookup, regions.half_shift:
+    # outside regions no module reads HALVES for it or compares a kind with a half
+    sites = sorted((path.name, node.lineno) for path in SOURCE.glob("*.py") if path.stem != "regions"
+                   for node in ast.walk(ast.parse(path.read_text())) if reads_a_half_shift(node))
+    assert not sites, "per-half rules that skip half_shift: " + \
+        ", ".join(f"{name}:{line}" for name, line in sites)
+
+
 PERFBENCH = SOURCE.parent.parent / "perfbench"
 
 # public names that no program code calls, each kept for a reason
 UNCALLED = {
     "zeta.zeta": "perfbench spans it by name, and test_perfbench expects that binding",
-    "zeta.upper_weight": "the tests' reference weight of an upper-half tiling",
     "matrices.path_count": "the tests' reference count of one path",
     "asymptotics.entry_asym": "ROADMAP item 15 decides it",
     "asymptotics.cauchy_det": "ROADMAP item 15 decides it",

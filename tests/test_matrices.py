@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from holeyhex import matrices
 from holeyhex.arith import GammaPoleError, binomial, hyp_terminating, product_formula
-from holeyhex.matrices import (HALF, _LU_GAMMA_ARGS, _boundary_steps, _eliminate,
+from holeyhex.matrices import (COUNT_KINDS, HALF, _LU_GAMMA_ARGS, _boundary_steps, _eliminate,
                                closed_form_entry, count_region, det_exact, gamma_product,
                                hole_matrix, hole_matrix_entry, path_count, path_matrix)
 from holeyhex.oracle import count_families, count_tilings, noncrossing_endpoints
@@ -57,6 +57,11 @@ def test_path_count_weighted_against_enumeration():
             expected += 2 ** sum(1 for x, y in p if x == y)
         assert path_count(start, end, "weighted_below") == expected
     assert path_count((6, 5), (7, 6), "weighted_below") == 3
+
+
+def test_path_count_rejects_an_unknown_variant():
+    with pytest.raises(ValueError, match="^unknown path count variant 'above'$"):
+        path_count((1, 0), (2, 1), "above")
 
 
 def test_path_matrix_values():
@@ -367,7 +372,7 @@ def test_the_record_holds_the_checked_prefactor():
             for kind, formula in (("lower", "transpose_complement"),
                                   ("upper", "vertical_symmetric")):
                 prefactor = product_formula(formula, n, m)
-                assert _boundary_steps(n, m, kind)[:2] == (prefactor, 1), (n, m, kind)
+                assert _boundary_steps(n, m, kind)[0] == prefactor, (n, m, kind)
                 assert prefactor == det_exact(path_matrix(validate(n, m), kind))
 
 
@@ -519,6 +524,88 @@ def test_count_region_free_half():
     # mirrored, but a left hole right of centre: the free region has 3 tilings, not 9
     with pytest.raises(ValueError, match="every left hole < 0"):
         count_region(validate(4, 1, [2], [-2]), "free")
+
+
+def double_first_hole_entry(monkeypatch):
+    """Make ``hole_matrix`` double entry (1, 1) of every hole matrix."""
+    original = matrices.hole_matrix
+
+    def doubled(spec, kind):
+        rows = original(spec, kind)
+        rows[0][0] *= 2
+        return rows
+
+    monkeypatch.setattr(matrices, "hole_matrix", doubled)
+
+
+@pytest.mark.parametrize("kind, args, message", [
+    ("lower", (4, 1, [0], [2]), "lower: |det Q| = 4 but prefactor * |det E| = 8"),
+    ("upper", (4, 1, [0], [2]), "upper_weighted: |det Q| = 28 but prefactor * |det E| = 56"),
+    ("free", (4, 1, [-2], [2]), "free_half: |det Q| = 35 but prefactor * |det E| = 70"),
+])
+def test_a_half_count_whose_routes_disagree_raises(monkeypatch, kind, args, message):
+    # det E doubled: the path determinant no longer equals prefactor * |det E|,
+    # and the message names the kind the count reports
+    double_first_hole_entry(monkeypatch)
+    with pytest.raises(matrices.RouteMismatchError, match=f"^{re.escape(message)}$"):
+        count_region(validate(*args), kind)
+
+
+def test_a_half_count_that_is_not_an_integer_raises(monkeypatch):
+    # a record whose prefactor is a third of the half's product formula scales
+    # det Q and prefactor * |det E| alike, so only the integrality check sees it
+    original = matrices._boundary_steps
+
+    def third(n, m, kind):
+        prefactor, *rest = original(n, m, kind)
+        return Fraction(prefactor, 3), *rest
+
+    monkeypatch.setattr(matrices, "_boundary_steps", third)
+    with pytest.raises(matrices.RouteMismatchError, match="^lower count is not an integer: 4/3$"):
+        count_region(validate(4, 1, [0], [2]), "lower")
+
+
+def test_hole_determinants_of_opposite_signs_raise(monkeypatch):
+    # the upper hole matrix negated: each half's count still checks out in
+    # absolute value, but the full count's factorization needs the same sign
+    original = matrices.hole_matrix
+    monkeypatch.setattr(matrices, "hole_matrix", lambda spec, kind: [
+        [-x for x in row] if kind == "upper" else row for row in original(spec, kind)])
+    spec = validate(4, 1, [0], [2])
+    assert count_region(spec, "upper").value == 28
+    with pytest.raises(matrices.RouteMismatchError,
+                       match="^hole determinants have opposite signs: 2/7, -2/9$"):
+        count_region(spec, "full")
+
+
+def test_a_full_count_whose_routes_disagree_raises(monkeypatch):
+    # box(4, 1) = 1764 plus 1: box * detE * detE is no longer the halves' product
+    original = matrices.product_formula
+    monkeypatch.setattr(matrices, "product_formula",
+                        lambda which, n, m: original(which, n, m) + (which == "box"))
+    with pytest.raises(matrices.RouteMismatchError,
+                       match=r"^full: box \* detE \* detE = 7060/63 but factor product = 112$"):
+        count_region(validate(4, 1, [0], [2]), "full")
+
+
+def test_an_unknown_count_kind_raises_before_any_work(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("an unknown kind reached the count")
+
+    for name in ("free_boundary_holes", "_boundary_steps", "path_matrix", "hole_matrix",
+                 "product_formula"):
+        monkeypatch.setattr(matrices, name, no_work)
+    for kind in ("sideways", "half", "free_half "):
+        with pytest.raises(ValueError, match=f"^unknown count kind {re.escape(repr(kind))}$"):
+            count_region(validate(4, 1, [-2], [2]), kind)
+
+
+def test_every_count_kind_names_its_reported_kind_and_half():
+    assert {reported for reported, _ in COUNT_KINDS.values()} == \
+        {"full", "lower", "upper_weighted", "free_half"}
+    for spelling, (reported, half) in COUNT_KINDS.items():
+        assert COUNT_KINDS[reported] == (reported, half), spelling  # each reported kind is a spelling
+        assert half is None if reported == "full" else half in HALVES, spelling
 
 
 def test_hole_determinant_signs_agree():

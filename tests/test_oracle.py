@@ -784,6 +784,13 @@ def test_count_symmetric():
         build_region(spec, "diagonal")
 
 
+def test_count_families_rejects_unpaired_points_and_unknown_constraints():
+    with pytest.raises(ValueError, match="^starts and ends must pair up$"):
+        count_families([(1, 0), (2, 0)], [(3, 2)], "none")
+    with pytest.raises(ValueError, match="^unknown constraint 'above'$"):
+        count_families([(1, 0)], [(3, 2)], "above")
+
+
 def test_count_free_boundary():
     assert count_tilings(build_region(validate(2, 1), "free")) == 10 == \
         product_formula("vertical_symmetric", 2, 1)

@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 from itertools import combinations
 
@@ -192,6 +193,31 @@ def test_free_half_is_not_a_region_kind():
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
         build_region(validate(4, 1), "sideways")
+
+
+def test_hexagon_cells_rejects_a_side_below_one():
+    for n, m in ((0, 1), (2, 0), (-2, 3)):
+        with pytest.raises(ValueError, match="^hexagon sides must be positive$"):
+            hexagon_cells(n, m)
+
+
+def test_the_axis_rhombi_are_the_vertical_rhombi_on_the_axis():
+    # one per column whose two h = 0 cells the region keeps, as its object in
+    # mates: none in the lower half, and in the upper half one per column less
+    # one per hole (a fused pair's two holes share a column)
+    for spec in spec_grid(6, 2, 2):
+        for kind in REGION_KINDS:
+            if kind == "free" and not spec.is_mirror_symmetric:
+                continue
+            region = build_region(spec, kind)
+            columns = [c for c in range(1 - spec.n, spec.n, 2)
+                       if {(c, 0, LEFT), (c, 0, RIGHT)} <= region.cells]
+            got = sorted(region.axis_rhombi, key=min)
+            want = [region.mates[(c, 0, LEFT)][(c, 0, RIGHT)] for c in columns]
+            assert got == want and all(map(operator.is_, got, want)), (spec, kind)
+            if kind in HALVES:
+                assert len(columns) == (spec.n - 2 * spec.p + len(fused_pairs(spec))) * HALVES[kind]
+    assert len(build_region(validate(6, 2), "upper").axis_rhombi) == 6
 
 
 @pytest.mark.parametrize("kind, where", [("full", "the hexagon"), ("lower", "the lower region"),

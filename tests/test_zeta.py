@@ -601,6 +601,53 @@ def test_fused_upper_pair_is_rejected_before_enumerating(monkeypatch):
             verify_injection(validate(*args), "upper")
 
 
+def test_verify_injection_leaves_its_plan_to_zeta(monkeypatch):
+    # plans have one constructor, _plan: a tiling of the region verify_injection
+    # checked maps with its plan, and an undefined map leaves the kept plan alone
+    zeta_module = sys.modules["holeyhex.zeta"]
+    plan, built = zeta_module._Plan, []
+    monkeypatch.setattr(zeta_module, "_Plan", lambda region: built.append(region) or plan(region))
+    zeta_module._plan.cache_clear()
+    spec = validate(*INJECTIVE_SPECS[0])
+    assert verify_injection(spec, "lower")["ok"]
+    region = build_region(spec, "lower")
+    tiling = next(enumerate_tilings(region))
+    assert zeta(tiling, region) == plan(region).map(tiling)
+    assert built == [region]
+    for _ in range(2):  # a raise is not cached: each call builds the plan anew
+        with pytest.raises(ValueError, match="fuses"):
+            verify_injection(validate(4, 1, [2], [0]), "upper")
+    assert len(built) == 3
+    zeta(tiling, region)
+    assert len(built) == 3
+
+
+def test_a_tile_set_the_walks_cannot_follow_raises():
+    # the map takes a tiling of its own region; on another tile set a walk can
+    # find no tile of its chain cell, enter a tile backwards, leave the region
+    # before its partner hole or meet its other walk in no tile.  (A ribbon tile
+    # missing from the tiling, a slant walk ending in a hole, and a transmitted
+    # hole not beside the next ribbon tile or its partner stay checked, though
+    # the walk tables reach none of them on any tile set.)
+    region = build_region(validate(4, 1, [-2], [0]), "lower")  # one case (i) pair
+    assert outcome(zeta, frozenset(), region) == (TransmissionError, "walk hit an uncovered cell")
+    assert outcome(zeta, region.rhombi, region) == \
+        (TransmissionError, "walk entered a rhombus backwards")
+    found = {}
+    for kind in HALVES:
+        for tiling in enumerate_tilings(build_region(region.spec.unholed(), kind)):
+            got = outcome(zeta, tiling, region)
+            key = kind, got[1] if got[0] is TransmissionError else "mapped"
+            found[key] = found.get(key, 0) + 1
+    # the lower tilings cover the hole cell; the upper ones no cell of the region
+    assert found == {("lower", "walk entered a rhombus backwards"): 9,
+                     ("lower", "walk left the region"): 3, ("lower", "mapped"): 2,
+                     ("upper", "walk hit an uncovered cell"): 42}
+    region = build_region(validate(4, 1, [2], [0]), "lower")  # one case (ii) pair
+    assert outcome(zeta, region.rhombi, region) == \
+        (TransmissionError, "boundary paths share 0 rhombi instead of exactly one")
+
+
 # case (ii) of the propagation path written once per half, before both halves
 # came from the shift d: four slant directions and per-half first cells
 REFERENCE_SLANT_STEPS = {
