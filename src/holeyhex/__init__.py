@@ -4,7 +4,7 @@ from .arith import binomial, gamma_ratio, hyp_terminating, product_formula
 from .regions import (InducedHole, RegionSpec, SpecValidationError, TriangularRegion,
                       build_region, distance, lgv_points, merge_induced_holes, validate)
 from .matrices import (CountResult, closed_form_entry, count_region, det_exact,
-                       hole_matrix, path_count, path_matrix)
+                       hole_matrix, path_matrix)
 from .oracle import count_families, count_tilings, enumerate_tilings
 from .asymptotics import (CorrelationReport, cauchy_det, classify_regime, entry_asym,
                           finite_correlation, predicted_interaction, separation_sweep,

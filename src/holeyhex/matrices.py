@@ -19,7 +19,10 @@ The path matrices of one hexagon half share their leading m x m block
 formula, about 0.8 MiB at n = 200 and 4.9 MiB at n = 400 (m = n/2), and
 replayed for every hole placement, which does per-entry work only on its
 hole rows and columns, one hole column at a time; regions._UNHOLED_REGIONS
-records are kept.
+records are kept.  The block is symmetric, so the record keeps each row only
+from its diagonal on and reads the entry below each pivot from the pivot
+row: about half the row updates of the whole block's elimination, with the
+same steps.
 """
 
 from __future__ import annotations
@@ -64,32 +67,6 @@ def _show(x) -> str:
 # ---------------------------------------------------------------------------
 # path counts
 
-def path_count(start, end, variant: str = "none") -> int:
-    """Number of north/east lattice paths from start to end.
-
-    ``avoid_diagonal`` counts paths never touching y = x via the reflection
-    difference P(end) - P(end reflected); ``weighted_below`` counts paths
-    weakly below the diagonal with weight 2 per diagonal touch, which the
-    reflection principle turns into the sum P(end) + P(end reflected).
-    Both endpoints are expected weakly below y = x - 1.
-    """
-    (a, b), (c, d) = start, end
-
-    def plain(cx, dy):
-        east, north = cx - a, dy - b
-        if east < 0 or north < 0:
-            return 0
-        return math.comb(east + north, east)
-
-    if variant == "none":
-        return plain(c, d)
-    if variant == "avoid_diagonal":
-        return plain(c, d) - plain(d, c)
-    if variant == "weighted_below":
-        return plain(c, d) + plain(d, c)
-    raise ValueError(f"unknown path count variant {variant!r}")
-
-
 def _binomial_row(t: int, lo: int, hi: int) -> list:
     """C(t, k) at index k - lo for lo <= k <= hi, 0 where k < 0 or k > t: one
     ``math.comb``, then the multiplicative recurrence; no binomial when the
@@ -120,7 +97,7 @@ def path_matrix(spec: RegionSpec, kind: str) -> Matrix:
     Paths avoid the diagonal below the axis (d = 0) and are weighted by
     their diagonal touches above it (d = 1).  Entries are ints: from start
     (a, b) to end (c, e), with T = c + e - a - b steps, the entry is
-    C(T, c - a) + (2d - 1) C(T, e - a), path_count's reflection sum or
+    C(T, c - a) + (2d - 1) C(T, e - a), the reflection principle's sum or
     difference.  C(T, k) is 0 unless 0 <= k <= T, so both terms are 0 when
     T < 0.  The step totals take at most (1 + |L|)(1 + |R|) values; for each
     one only the window of k that its entries read (bounded by the least and
@@ -283,11 +260,10 @@ def closed_form_entry(spec: RegionSpec, kind: str, i: int, j: int) -> Fraction:
 # ---------------------------------------------------------------------------
 # determinants and counts
 
-def _clear(rows, col: int, pivot: int, tail, scales=None) -> int:
+def _clear(rows, col: int, pivot: int, tail) -> int:
     """Clear column ``col`` of the integer ``rows`` in place under the reduced
     pivot row (pivot, *tail): entry a turns its row into (P/g)*row - (a/g)*top,
-    g = gcd(P, a).  Returns the product of the P/g; a list ``scales`` gets
-    each row's P/g and a/g in turn (1 and 0 where a = 0)."""
+    g = gcd(P, a).  Returns the product of the P/g."""
     denom = 1
     for row in rows:
         a = row[col]
@@ -296,26 +272,16 @@ def _clear(rows, col: int, pivot: int, tail, scales=None) -> int:
             row_scale, top_scale = pivot // g, a // g
             row[col + 1:] = [row_scale * x - top_scale * y for x, y in zip(row[col + 1:], tail)]
             denom *= row_scale
-            if scales is not None:
-                scales += row_scale, top_scale
-        elif scales is not None:
-            scales += 1, 0
     return denom
 
 
-def _eliminate(work, start: int, steps=None) -> tuple:
+def _eliminate(work, start: int) -> tuple:
     """Eliminate columns start.. of the integer rows ``work`` in place, each
     pivot row divided by its content; returns the determinant factor as
-    (numer, denom), numer 0 when a column has no pivot.  A list ``steps``
-    gets each column's (content, pivot, tail, row_scales, top_scales), the
-    P/g and a/g that ``_clear`` applied to each row below the pivot, and
-    forbids row swaps: a zero pivot raises ArithmeticError."""
+    (numer, denom), numer 0 when a column has no pivot."""
     size = len(work)
     numer = denom = 1
     for col in range(start, size):
-        if steps is not None and not work[col][col]:
-            raise ArithmeticError(f"zero pivot in column {col}; a lead is eliminated "
-                                  "without row swaps")
         pivot_row = next((r for r in range(col, size) if work[r][col]), None)
         if pivot_row is None:
             return 0, 1
@@ -327,12 +293,52 @@ def _eliminate(work, start: int, steps=None) -> tuple:
         if content > 1:
             top = [x // content for x in top]
         pivot, *tail = top
-        scales = None if steps is None else []
         numer *= content * pivot
-        denom *= _clear(work[col + 1:], col, pivot, tail, scales)
-        if steps is not None:
-            steps.append((content, pivot, tuple(tail), tuple(scales[::2]), tuple(scales[1::2])))
+        denom *= _clear(work[col + 1:], col, pivot, tail)
     return numer, denom
+
+
+def _record(block) -> tuple:
+    """Eliminate the symmetric integer ``block`` as ``_eliminate`` would, with
+    no row swaps (a zero pivot raises ArithmeticError), and record it:
+    (numer, denom, steps), the determinant numer/denom and each column's
+    (content, pivot, tail, row_scales, top_scales), the P/g and a/g applied
+    to each row below the pivot (1 and 0 where a = 0).
+
+    Each row is kept only from its diagonal on.  Row i is lam_i * S_i, with S
+    the rational Schur complement, which stays symmetric, and lam_i the
+    product of the P/g applied to row i so far.  So the entry of row i below
+    pivot column c is the pivot row's entry in column i times lam_i / lam_c,
+    an exact division, and the steps are those of the whole block's
+    elimination for about half of its row updates.
+    """
+    rows = [row[i:] for i, row in enumerate(block)]
+    lams = [1] * len(rows)
+    numer = denom = 1
+    steps = []
+    for col, top in enumerate(rows):
+        if not top[0]:
+            raise ArithmeticError(f"zero pivot in column {col}; a lead is eliminated "
+                                  "without row swaps")
+        lam = lams[col]
+        below = [x * lam_i // lam for x, lam_i in zip(top[1:], lams[col + 1:])]
+        content = math.gcd(*top)
+        if content > 1:
+            top = [x // content for x in top]
+        pivot, *tail = top
+        numer *= content * pivot
+        row_scales, top_scales = [1] * len(below), [0] * len(below)
+        for k, a in enumerate(below):
+            if a:
+                g = math.gcd(pivot, a)
+                row_scale = row_scales[k] = pivot // g
+                top_scale = top_scales[k] = a // g
+                i = col + 1 + k
+                rows[i] = [row_scale * x - top_scale * y for x, y in zip(rows[i], tail[k:])]
+                lams[i] *= row_scale
+                denom *= row_scale
+        steps.append((content, pivot, tuple(tail), tuple(row_scales), tuple(top_scales)))
+    return numer, denom, tuple(steps)
 
 
 @lru_cache(maxsize=_UNHOLED_REGIONS)
@@ -341,17 +347,26 @@ def _boundary_steps(n: int, m: int, kind: str) -> tuple:
     that hexagon half, eliminated as a ``det_exact`` lead: (prefactor, steps,
     first_row, first_column), its determinant, checked here against the
     half's product formula (a mismatch raises RouteMismatchError), its
-    recorded ``_eliminate`` steps and its first row and column, which
-    ``det_exact`` checks."""
-    block, steps = path_matrix(RegionSpec(n, m, (), ()), kind), []
-    first = tuple(block[0]), tuple(row[0] for row in block)
-    det = Fraction(*_eliminate(block, 0, steps))
+    ``_record`` steps and its first row and column, which ``det_exact``
+    checks.  The block is symmetric, C(2n, n + j - i) +- C(2n, n + 1 - i - j),
+    so it is checked to be and eliminated from its upper triangle; an
+    asymmetric block raises RouteMismatchError."""
+    block = path_matrix(RegionSpec(n, m, (), ()), kind)
+    if any(map(operator.ne, block, map(list, zip(*block)))):
+        i, j = next((i, j) for i, row in enumerate(block) for j in range(i)
+                    if row[j] != block[j][i])
+        raise RouteMismatchError(
+            f"{kind}: the unholed ({n}, {m}) boundary block is not symmetric: entry "
+            f"({i + 1}, {j + 1}) = {_show(block[i][j])} but ({j + 1}, {i + 1}) = "
+            f"{_show(block[j][i])}")
+    numer, denom, steps = _record(block)
+    det = Fraction(numer, denom)
     formula = "vertical_symmetric" if half_shift(kind, "prefactor") else "transpose_complement"
     prefactor = product_formula(formula, n, m)
     if det != prefactor:
         raise RouteMismatchError(f"{kind}: unholed det Q = {_show(det)} but {formula}({n}, {m}) = "
                                  f"{_show(prefactor)}")
-    return prefactor, tuple(steps), *first
+    return prefactor, steps, tuple(block[0]), tuple(row[0] for row in block)
 
 
 def _replay(work, steps) -> int:

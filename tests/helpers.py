@@ -1,5 +1,7 @@
 """Helpers shared by several test modules."""
 
+import math
+
 from holeyhex.regions import RIGHT, TriangularRegion, hexagon_cells
 
 
@@ -32,3 +34,30 @@ def triangle_cells(n, m, position, orientation, side):
     return frozenset((c, h, o) for c, h, o in hexagon_cells(n, m)
                      if inside(c, h - 1) and inside(c, h + 1)
                      and inside(c + (1 if o == RIGHT else -1), h))
+
+
+def path_count(start, end, variant="none"):
+    """Number of north/east lattice paths from start to end: the reference
+    count of one path, which ``path_matrix`` entries are checked against.
+
+    ``avoid_diagonal`` counts paths never touching y = x via the reflection
+    difference P(end) - P(end reflected); ``weighted_below`` counts paths
+    weakly below the diagonal with weight 2 per diagonal touch, which the
+    reflection principle turns into the sum P(end) + P(end reflected).
+    Both endpoints are expected weakly below y = x - 1.
+    """
+    (a, b), (c, d) = start, end
+
+    def plain(cx, dy):
+        east, north = cx - a, dy - b
+        if east < 0 or north < 0:
+            return 0
+        return math.comb(east + north, east)
+
+    if variant == "none":
+        return plain(c, d)
+    if variant == "avoid_diagonal":
+        return plain(c, d) - plain(d, c)
+    if variant == "weighted_below":
+        return plain(c, d) + plain(d, c)
+    raise ValueError(f"unknown path count variant {variant!r}")

@@ -211,7 +211,6 @@ PERFBENCH = SOURCE.parent.parent / "perfbench"
 # public names that no program code calls, each kept for a reason
 UNCALLED = {
     "zeta.zeta": "perfbench spans it by name, and test_perfbench expects that binding",
-    "matrices.path_count": "the tests' reference count of one path",
     "asymptotics.entry_asym": "ROADMAP item 15 decides it",
     "asymptotics.cauchy_det": "ROADMAP item 15 decides it",
     "asymptotics.classify_regime": "ROADMAP item 15 decides it",

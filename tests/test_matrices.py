@@ -10,13 +10,13 @@ from hypothesis import strategies as st
 
 from holeyhex import matrices
 from holeyhex.arith import GammaPoleError, binomial, hyp_terminating, product_formula
-from holeyhex.matrices import (COUNT_KINDS, HALF, _LU_GAMMA_ARGS, _boundary_steps, _eliminate,
+from holeyhex.matrices import (COUNT_KINDS, HALF, _LU_GAMMA_ARGS, _boundary_steps, _record,
                                closed_form_entry, count_region, det_exact, gamma_product,
-                               hole_matrix, hole_matrix_entry, path_count, path_matrix)
+                               hole_matrix, hole_matrix_entry, path_matrix)
 from holeyhex.oracle import count_families, count_tilings, noncrossing_endpoints
 from holeyhex.regions import (HALVES, RegionSpec, build_region, lgv_points, spec_grid,
                               validate)
-from helpers import outcome
+from helpers import outcome, path_count
 from identity_checks import reference_gamma_ratio
 
 DIFFERENTIAL = settings(derandomize=True, database=None, deadline=None)
@@ -318,6 +318,37 @@ def reference_row_content_det(matrix):
     return Fraction(numer, denom)
 
 
+def reference_recorded_elimination(block):
+    """The whole-matrix recorded elimination of an integer block, without row
+    swaps: (numer, denom, steps), each column's (content, pivot, tail,
+    row_scales, top_scales).  Every row below the pivot with entry a != 0 in
+    the pivot column is updated in full to (P/g)*row - (a/g)*top, so nothing
+    rests on the block's symmetry; a row with a = 0 records the scales 1, 0."""
+    work = [list(row) for row in block]
+    numer = denom = 1
+    steps = []
+    for col in range(len(work)):
+        assert work[col][col], f"zero pivot in column {col}"
+        top = work[col][col:]
+        content = math.gcd(*top)
+        pivot, *tail = [x // content for x in top]
+        numer *= content * pivot
+        row_scales, top_scales = [], []
+        for row in work[col + 1:]:
+            a = row[col]
+            row_scale, top_scale = 1, 0
+            if a:
+                g = math.gcd(pivot, a)
+                row_scale, top_scale = pivot // g, a // g
+                row[col + 1:] = [row_scale * x - top_scale * y
+                                 for x, y in zip(row[col + 1:], tail)]
+                denom *= row_scale
+            row_scales.append(row_scale)
+            top_scales.append(top_scale)
+        steps.append((content, pivot, tuple(tail), tuple(row_scales), tuple(top_scales)))
+    return numer, denom, tuple(steps)
+
+
 def test_det_exact_matches_row_content_reference_on_path_matrices():
     # with and without the hexagon half's recorded boundary elimination as its lead
     for spec in spec_grid(6, 3, 2):
@@ -418,7 +449,51 @@ def test_a_lead_of_another_block_raises():
 
 def test_the_boundary_elimination_does_not_pivot():
     with pytest.raises(ArithmeticError, match="^zero pivot in column 0; "):
-        _eliminate([[0, 1], [1, 0]], 0, [])
+        _record([[0, 1], [1, 0]])
+    with pytest.raises(ArithmeticError, match="^zero pivot in column 1; "):
+        _record([[2, 4], [4, 8]])
+
+
+def test_the_record_is_the_whole_block_elimination():
+    # the record keeps each row from its diagonal on and reads the entry below a
+    # pivot from the pivot row; its steps are those of the whole block's elimination
+    for n in range(1, 25):
+        for m in range(1, 13):
+            for kind in HALVES:
+                block = path_matrix(RegionSpec(n, m, (), ()), kind)
+                assert _record(block) == reference_recorded_elimination(block), (n, m, kind)
+
+
+@settings(DIFFERENTIAL, max_examples=25)
+@given(spec=path_matrix_specs(max_n=100))
+@example(spec=validate(100, 50))
+@example(spec=validate(100, 100))
+@example(spec=validate(188, 47))                              # the benchmark's boundary blocks
+@example(spec=validate(168, 84))
+def test_the_recorded_steps_match_the_whole_block_elimination(spec):
+    for kind in HALVES:
+        block = path_matrix(spec.unholed(), kind)
+        assert _boundary_steps(spec.n, spec.m, kind)[1] == \
+            reference_recorded_elimination(block)[2], (spec.to_text(), kind)
+
+
+@pytest.mark.parametrize("kind, below, above", [("lower", 1615153, 1615152),
+                                                ("upper", 2307361, 2307360)])
+def test_an_asymmetric_boundary_block_raises(monkeypatch, kind, below, above):
+    original = matrices.path_matrix
+
+    def skewed(spec, half):
+        block = original(spec, half)
+        block[3][1] += 1
+        return block
+
+    monkeypatch.setattr(matrices, "path_matrix", skewed)
+    _boundary_steps.cache_clear()
+    with pytest.raises(matrices.RouteMismatchError,
+                       match=rf"^{kind}: the unholed \(12, 5\) boundary block is not symmetric: "
+                             rf"entry \(4, 2\) = {below} but \(2, 4\) = {above}$"):
+        _boundary_steps(12, 5, kind)
+    assert _boundary_steps.cache_info().currsize == 0
 
 
 def test_count_region_hands_det_exact_each_whole_path_matrix(monkeypatch):

@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 
 from holeyhex import oracle
 from holeyhex.arith import product_formula
-from holeyhex.matrices import count_region, det_exact, path_count, path_matrix
+from holeyhex.matrices import count_region, det_exact, path_matrix
 from holeyhex.oracle import (CONSTRAINTS, BudgetExceededError, _column, _columns, _forced,
                              _steps, count_families, count_tilings, enumerate_tilings,
                              noncrossing_endpoints, tiling_is_exact_cover)
 from holeyhex.regions import (KINDS, LEFT, RIGHT, TriangularRegion, build_region, fused_pairs,
                               lgv_points, neighbors, spec_grid, validate)
-from helpers import hexagon_region
+from helpers import hexagon_region, path_count
 
 
 def test_enumerate_small_hexagons():
