@@ -301,7 +301,7 @@ def _eliminate(work, start: int) -> tuple:
 def _record(block) -> tuple:
     """Eliminate the symmetric integer ``block`` as ``_eliminate`` would, with
     no row swaps (a zero pivot raises ArithmeticError), and record it:
-    (numer, denom, steps), the determinant numer/denom and each column's
+    (det, steps), the determinant as a Fraction and each column's
     (content, pivot, tail, row_scales, top_scales), the P/g and a/g applied
     to each row below the pivot (1 and 0 where a = 0).
 
@@ -338,19 +338,18 @@ def _record(block) -> tuple:
                 lams[i] *= row_scale
                 denom *= row_scale
         steps.append((content, pivot, tuple(tail), tuple(row_scales), tuple(top_scales)))
-    return numer, denom, tuple(steps)
+    return Fraction(numer, denom), tuple(steps)
 
 
 @lru_cache(maxsize=_UNHOLED_REGIONS)
 def _boundary_steps(n: int, m: int, kind: str) -> tuple:
     """The unholed (n, m) half's path matrix, which leads every path matrix of
-    that hexagon half, eliminated as a ``det_exact`` lead: (prefactor, steps,
-    first_row, first_column), its determinant, checked here against the
-    half's product formula (a mismatch raises RouteMismatchError), its
-    ``_record`` steps and its first row and column, which ``det_exact``
-    checks.  The block is symmetric, C(2n, n + j - i) +- C(2n, n + 1 - i - j),
-    so it is checked to be and eliminated from its upper triangle; an
-    asymmetric block raises RouteMismatchError."""
+    that hexagon half, eliminated as a ``det_exact`` lead: (prefactor, steps),
+    its determinant, checked here against the half's product formula (a
+    mismatch raises RouteMismatchError), and its ``_record`` steps.  The
+    block is symmetric, C(2n, n + j - i) +- C(2n, n + 1 - i - j), so it is
+    checked to be and eliminated from its upper triangle; an asymmetric
+    block raises RouteMismatchError."""
     block = path_matrix(RegionSpec(n, m, (), ()), kind)
     if any(map(operator.ne, block, map(list, zip(*block)))):
         i, j = next((i, j) for i, row in enumerate(block) for j in range(i)
@@ -359,14 +358,13 @@ def _boundary_steps(n: int, m: int, kind: str) -> tuple:
             f"{kind}: the unholed ({n}, {m}) boundary block is not symmetric: entry "
             f"({i + 1}, {j + 1}) = {_show(block[i][j])} but ({j + 1}, {i + 1}) = "
             f"{_show(block[j][i])}")
-    numer, denom, steps = _record(block)
-    det = Fraction(numer, denom)
+    det, steps = _record(block)
     formula = "vertical_symmetric" if half_shift(kind, "prefactor") else "transpose_complement"
     prefactor = product_formula(formula, n, m)
     if det != prefactor:
         raise RouteMismatchError(f"{kind}: unholed det Q = {_show(det)} but {formula}({n}, {m}) = "
                                  f"{_show(prefactor)}")
-    return prefactor, steps, tuple(block[0]), tuple(row[0] for row in block)
+    return prefactor, steps
 
 
 def _replay(work, steps) -> int:
@@ -411,22 +409,27 @@ def det_exact(matrix: Matrix, lead: tuple | None = None) -> Fraction:
     determinant of the empty matrix is 1; a non-square one raises ValueError.
 
     ``lead``, the leading k x k block's elimination as ``_boundary_steps``
-    records it, (determinant, steps, first_row, first_column) with the first
-    k rows integer, is replayed without pivoting on the rest of the matrix
-    (``_replay``) before the last size - k columns are eliminated as above;
-    the result is the same Fraction, and the first k rows are read only from
-    column k on.  A lead of any other block (its size, first row or first
-    column) raises ValueError.
+    records it, (determinant, steps) with the first k rows integer, is
+    replayed without pivoting on the rest of the matrix (``_replay``) before
+    the last size - k columns are eliminated as above; the result is the
+    same Fraction, and the first k rows are read only from column k on.  The
+    block's first row is content * (pivot, *tail) of the first step, and as
+    the recorded block is symmetric, so is its first column: a matrix whose
+    size, first row or first column differs from it raises ValueError.
     """
     size = len(matrix)
     if any(len(row) != size for row in matrix):
         raise ValueError(f"det_exact needs a square matrix, got {size} rows of lengths "
                          f"{[len(row) for row in matrix]}")
-    lead_det, steps, first_row, first_column = lead or (1, (), (), ())
+    lead_det, steps = lead or (1, ())
     k = len(steps)
-    if k and (k > size or tuple(matrix[0][:k]) != first_row
-              or tuple(row[0] for row in matrix[:k]) != first_column):
-        raise ValueError(f"the lead is not this {size} x {size} matrix's leading {k} x {k} block")
+    if k:
+        content, pivot, tail = steps[0][:3]
+        first = tuple(content * x for x in (pivot, *tail))
+        if (k > size or tuple(matrix[0][:k]) != first
+                or tuple(row[0] for row in matrix[:k]) != first):
+            raise ValueError(f"the lead is not this {size} x {size} matrix's leading "
+                             f"{k} x {k} block")
     denom = 1
     work = []
     for row in [*(row[k:] for row in matrix[:k]), *matrix[k:]]:  # a lead row's border only

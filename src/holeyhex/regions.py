@@ -283,14 +283,18 @@ def fused_pairs(spec: RegionSpec) -> list[int]:
 
 @dataclass(frozen=True)
 class TriangularRegion:
-    """An explicit cell set, its hole bookkeeping and the region it was cut from."""
+    """An explicit cell set and the region it was cut from, if any."""
 
     kind: str
     cells: frozenset
-    hole_cells: frozenset
     spec: RegionSpec
     free_edge: frozenset = frozenset()  # cells a half rhombus may also cover alone
     whole: TriangularRegion | None = field(default=None, compare=False, repr=False)
+
+    @cached_property
+    def hole_cells(self) -> frozenset:
+        """The cells of ``whole`` that this region lacks; none without ``whole``."""
+        return frozenset() if self.whole is None else self.whole.cells - self.cells
 
     @cached_property
     def order(self) -> tuple:
@@ -301,16 +305,15 @@ class TriangularRegion:
         A region cut from its unholed region (``whole``) takes that region's
         order restricted to its own cells: they are a subsequence, as slab-major
         keys are unique, and each offset is re-indexed through the running count
-        of kept cells.  Only an unholed or hand-built region sorts its cells and
-        probes ``neighbors``."""
+        of kept cells (a kept free-edge cell keeps its offset 0).  Only an
+        unholed or hand-built region sorts its cells and probes ``neighbors``."""
         if self.whole is not None:
             cells, ahead = self.whole.order
             keep = [cell in self.cells for cell in cells]
             rank = list(accumulate(keep, initial=0))  # kept cells before each index
             return ([cell for cell, kept in zip(cells, keep) if kept],
-                    [[rank[lo + off] - rank[lo] for off in offsets
-                      if (keep[lo + off] if off else cell in self.free_edge)]
-                     for lo, (cell, offsets) in enumerate(zip(cells, ahead)) if keep[lo]])
+                    [[rank[lo + off] - rank[lo] for off in offsets if keep[lo + off]]
+                     for lo, offsets in enumerate(ahead) if keep[lo]])
 
         def key(cell):
             c, h, o = cell
@@ -391,11 +394,11 @@ def _unholed(n: int, m: int, kind: str) -> TriangularRegion:
     spec = RegionSpec(n, m, (), ())
     if kind == "free":
         cells = frozenset(filter(_left_of_centre, cells))
-        return TriangularRegion(kind, cells, frozenset(), spec,
+        return TriangularRegion(kind, cells, spec,
                                 frozenset(cell for cell in cells if cell[0] == 0))
     if kind in HALVES:
         cells = frozenset(cell for cell in cells if (cell[1] >= 0) == HALVES[kind])
-    return TriangularRegion(kind, cells, frozenset(), spec)
+    return TriangularRegion(kind, cells, spec)
 
 
 def _removed(spec: RegionSpec, kind: str) -> frozenset:
@@ -444,8 +447,7 @@ def build_region(spec: RegionSpec, kind: str) -> TriangularRegion:
     if not spec.left and not spec.right:
         return whole
     removed = _removed(spec, kind)
-    return TriangularRegion(kind, whole.cells - removed, removed & whole.cells, spec,
-                            whole.free_edge - removed, whole)
+    return TriangularRegion(kind, whole.cells - removed, spec, whole.free_edge - removed, whole)
 
 
 # ---------------------------------------------------------------------------

@@ -214,9 +214,13 @@ def zeta(tiling, region: TriangularRegion):
     unit holes of the pair sit edge to edge and are covered by one new
     rhombus.  Returns (image, ribbons), one ribbon per pair.  The plan of the
     last region mapped is kept, so mapping the tilings of one region one call
-    at a time builds it once.
+    at a time builds it once.  A region with no map raises ValueError, and
+    so does a tile set that is not a tiling of the region.
     """
-    return _plan(region).map(tiling)
+    plan = _plan(region)
+    if not tiling_is_exact_cover(region, tiling):
+        raise ValueError(f"the tile set is not a tiling of the {region.kind} region")
+    return plan.map(tiling)
 
 
 def upper_weight(region: TriangularRegion, tiling) -> int:

@@ -17,7 +17,7 @@ def outcome(function, *args):
 def hexagon_region(n, m):
     """The unholed hexagon with sides n, 2m, built by hand: unlike
     ``build_region`` it takes any n >= 1, odd ones included."""
-    return TriangularRegion("full", hexagon_cells(n, m), frozenset(), None)
+    return TriangularRegion("full", hexagon_cells(n, m), None)
 
 
 def triangle_cells(n, m, position, orientation, side):

@@ -320,10 +320,11 @@ def reference_row_content_det(matrix):
 
 def reference_recorded_elimination(block):
     """The whole-matrix recorded elimination of an integer block, without row
-    swaps: (numer, denom, steps), each column's (content, pivot, tail,
-    row_scales, top_scales).  Every row below the pivot with entry a != 0 in
-    the pivot column is updated in full to (P/g)*row - (a/g)*top, so nothing
-    rests on the block's symmetry; a row with a = 0 records the scales 1, 0."""
+    swaps: (det, steps), the determinant as a Fraction and each column's
+    (content, pivot, tail, row_scales, top_scales).  Every row below the
+    pivot with entry a != 0 in the pivot column is updated in full to
+    (P/g)*row - (a/g)*top, so nothing rests on the block's symmetry; a row
+    with a = 0 records the scales 1, 0."""
     work = [list(row) for row in block]
     numer = denom = 1
     steps = []
@@ -346,7 +347,7 @@ def reference_recorded_elimination(block):
             row_scales.append(row_scale)
             top_scales.append(top_scale)
         steps.append((content, pivot, tuple(tail), tuple(row_scales), tuple(top_scales)))
-    return numer, denom, tuple(steps)
+    return Fraction(numer, denom), tuple(steps)
 
 
 def test_det_exact_matches_row_content_reference_on_path_matrices():
@@ -447,6 +448,25 @@ def test_a_lead_of_another_block_raises():
             det_exact(q, _boundary_steps(*lead))
 
 
+def test_a_matrix_off_the_lead_in_its_first_row_or_column_raises():
+    # the lead's first row, and so its first column, is content * (pivot, *tail)
+    # of its first step: one entry of either changed beyond (0, 0) is another
+    # leading block; a change outside the m x m block is the rest's to eliminate
+    spec = validate(24, 6, [-10, -6, 2, 10], [-8, -2, 6, 14])
+    for kind in HALVES:
+        q = path_matrix(spec, kind)
+        lead = _boundary_steps(spec.n, spec.m, kind)
+        for i, j in [(0, j) for j in range(1, spec.m + 1)] + \
+                [(i, 0) for i in range(1, spec.m + 1)]:
+            changed = [list(row) for row in q]
+            changed[i][j] += 1
+            if spec.m in (i, j):
+                assert det_exact(changed, lead) == det_exact(changed) != det_exact(q)
+                continue
+            with pytest.raises(ValueError, match="^the lead is not this "):
+                det_exact(changed, lead)
+
+
 def test_the_boundary_elimination_does_not_pivot():
     with pytest.raises(ArithmeticError, match="^zero pivot in column 0; "):
         _record([[0, 1], [1, 0]])
@@ -474,7 +494,7 @@ def test_the_recorded_steps_match_the_whole_block_elimination(spec):
     for kind in HALVES:
         block = path_matrix(spec.unholed(), kind)
         assert _boundary_steps(spec.n, spec.m, kind)[1] == \
-            reference_recorded_elimination(block)[2], (spec.to_text(), kind)
+            reference_recorded_elimination(block)[1], (spec.to_text(), kind)
 
 
 @pytest.mark.parametrize("kind, below, above", [("lower", 1615153, 1615152),

@@ -193,9 +193,9 @@ def test_count_tilings_matches_the_per_cell_sweep_on_free_and_fused_regions():
         region = build_region(spec, "full")
         assert count_tilings(region) == reference_count_tilings(region), spec.to_text()
     cell = (0, 0, RIGHT)
-    empty = TriangularRegion("full", frozenset(), frozenset(), None)
-    alone = TriangularRegion("full", frozenset({cell}), frozenset(), None)
-    half = TriangularRegion("free", frozenset({cell}), frozenset(), None, frozenset({cell}))
+    empty = TriangularRegion("full", frozenset(), None)
+    alone = TriangularRegion("full", frozenset({cell}), None)
+    half = TriangularRegion("free", frozenset({cell}), None, frozenset({cell}))
     for region, total in ((empty, 1), (alone, 0), (half, 1)):
         assert count_tilings(region) == reference_count_tilings(region) == total
 

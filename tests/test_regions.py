@@ -342,12 +342,12 @@ def test_a_holey_region_orders_without_probing_neighbors(monkeypatch):
 def test_a_region_built_by_hand_orders_as_sort_and_probe():
     cells = hexagon_cells(4, 2) - {(0, 1, RIGHT), (1, 0, LEFT)}
     for spec in (None, validate(4, 2)):
-        region = TriangularRegion("full", cells, frozenset(), spec)
+        region = TriangularRegion("full", cells, spec)
         assert region.order == reference_order(region)
-    assert TriangularRegion("full", cells, frozenset(), None).whole is None
+    assert TriangularRegion("full", cells, None).whole is None
     # the free-edge half rhombi of a hand-built free region come first
     free = build_region(validate(4, 1, [-2], [2]), "free")
-    alone = TriangularRegion("free", free.cells, free.hole_cells, None, free.free_edge)
+    alone = TriangularRegion("free", free.cells, None, free.free_edge)
     assert alone.order == free.order == reference_order(free)
     assert sum(offsets[:1] == [0] for offsets in alone.order[1]) == len(free.free_edge) > 0
 
@@ -363,8 +363,7 @@ def test_the_mirror_cut_counts_the_cells_left_of_the_centre_line():
     symmetric = 0
     for region, _ in grid_regions():
         where = (region.kind, region.spec.to_text())
-        copy = TriangularRegion(region.kind, region.cells, region.hole_cells, None,
-                                region.free_edge)
+        copy = TriangularRegion(region.kind, region.cells, None, region.free_edge)
         assert region.mirror_cut == copy.mirror_cut, where
         if region.kind == "free" or not region.spec.is_mirror_symmetric:
             assert region.mirror_cut is None, where
@@ -377,14 +376,14 @@ def test_the_mirror_cut_counts_the_cells_left_of_the_centre_line():
         symmetric += 1
     assert symmetric == 3 * 26
     cell = (0, 0, RIGHT)
-    empty = TriangularRegion("full", frozenset(), frozenset(), None)
-    alone = TriangularRegion("full", frozenset({cell}), frozenset(), None)
-    half = TriangularRegion("free", frozenset({cell}), frozenset(), None, frozenset({cell}))
+    empty = TriangularRegion("full", frozenset(), None)
+    alone = TriangularRegion("full", frozenset({cell}), None)
+    half = TriangularRegion("free", frozenset({cell}), None, frozenset({cell}))
     assert (empty.mirror_cut, alone.mirror_cut, half.mirror_cut) == (0, None, None)
     assert count_tilings(empty) == 1
     # mirror-image cells with half rhombi on the line: the halves do not mirror
     cells = hexagon_cells(4, 1)
-    edged = TriangularRegion("full", cells, frozenset(), None,
+    edged = TriangularRegion("full", cells, None,
                              frozenset(cell for cell in cells if cell[0] == 0))
     assert edged.mirror_cut is None
     assert count_tilings(edged) == sum(1 for _ in enumerate_tilings(edged))
@@ -400,6 +399,23 @@ def test_each_hexagon_has_one_unholed_region():
     spec = validate(6, 2, [-2], [2])
     assert build_region(spec, "full") is not build_region(spec, "full")
     assert build_region(spec, "full") == build_region(spec, "full")
+
+
+def test_hole_cells_are_the_cells_the_holes_cut_from_the_whole_region():
+    # derived as whole.cells - cells: the holes' cells inside the unholed
+    # region, a fused upper pair's flanking cells included
+    cut = 0
+    for spec in spec_grid(8, 2, 2):
+        for kind in REGION_KINDS:
+            if kind == "free" and not spec.is_mirror_symmetric:
+                continue
+            region, whole = build_region(spec, kind), build_region(spec.unholed(), kind)
+            assert region.hole_cells == regions._removed(spec, kind) & whole.cells, \
+                (spec.to_text(), kind)
+            cut += region is not whole
+    assert cut == 1904
+    cells = hexagon_cells(4, 2) - {(0, 1, RIGHT), (1, 0, LEFT)}
+    assert TriangularRegion("full", cells, validate(4, 2, [0], [2])).hole_cells == frozenset()
 
 
 def test_every_cut_region_shares_its_hexagons_tiles():
@@ -425,8 +441,8 @@ def test_mates_are_the_tiles_of_order():
     free = build_region(validate(4, 1, [-2], [2]), "free")
     cells = hexagon_cells(4, 2) - {(0, 1, RIGHT), (1, 0, LEFT)}
     for region in (build_region(validate(4, 1), "full"), build_region(validate(4, 1), "free"),
-                   TriangularRegion("free", free.cells, free.hole_cells, None, free.free_edge),
-                   TriangularRegion("full", cells, frozenset(), validate(4, 2))):
+                   TriangularRegion("free", free.cells, None, free.free_edge),
+                   TriangularRegion("full", cells, validate(4, 2))):
         assert region.whole is None and region.mates.keys() == region.cells
         listed = {(a, b): tile for a, row in region.mates.items() for b, tile in row.items()}
         assert listed == {(a, b): tile for tile in region.rhombi
@@ -440,8 +456,7 @@ def test_mates_are_the_tiles_of_order():
 def test_restricted_orders_change_no_count_or_tiling():
     # each region against a copy built by hand, which sorts its own cells
     def copy(region):
-        return TriangularRegion(region.kind, region.cells, region.hole_cells, None,
-                                region.free_edge)
+        return TriangularRegion(region.kind, region.cells, None, region.free_edge)
 
     regions_m1 = [region for region, _ in grid_regions() if region.spec.m == 1]
     for region in regions_m1:
@@ -524,8 +539,7 @@ def run_and_triangle_regions(hexagons, kind):
                     cut = {cell for y in others for cell in (
                         hole_cells_full(y, other) if kind == "full"
                         else {hole_cell_half(y, other, kind)})}
-                    yield spec, run, TriangularRegion(
-                        kind, unholed - triangle - cut, frozenset(), None)
+                    yield spec, run, TriangularRegion(kind, unholed - triangle - cut, None)
 
 
 def upper_weights(region):

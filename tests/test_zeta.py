@@ -623,20 +623,28 @@ def test_verify_injection_leaves_its_plan_to_zeta(monkeypatch):
 
 
 def test_a_tile_set_the_walks_cannot_follow_raises():
-    # the map takes a tiling of its own region; on another tile set a walk can
-    # find no tile of its chain cell, enter a tile backwards, leave the region
-    # before its partner hole or meet its other walk in no tile.  (A ribbon tile
-    # missing from the tiling, a slant walk ending in a hole, and a transmitted
-    # hole not beside the next ribbon tile or its partner stay checked, though
-    # the walk tables reach none of them on any tile set.)
+    # zeta takes a tiling of its region and raises ValueError on any other tile
+    # set; the plan's map, which verify_injection calls on enumerated tilings
+    # alone, does not check.  There a walk can find no tile of its chain cell,
+    # enter a tile backwards, leave the region before its partner hole or meet
+    # its other walk in no tile.  (A ribbon tile missing from the tiling, a
+    # slant walk ending in a hole, and a transmitted hole not beside the next
+    # ribbon tile or its partner stay checked, though the walk tables reach
+    # none of them on any tile set.)
+    zeta_module = sys.modules["holeyhex.zeta"]
+    not_a_tiling = (ValueError, "the tile set is not a tiling of the lower region")
     region = build_region(validate(4, 1, [-2], [0]), "lower")  # one case (i) pair
-    assert outcome(zeta, frozenset(), region) == (TransmissionError, "walk hit an uncovered cell")
-    assert outcome(zeta, region.rhombi, region) == \
+    plan = zeta_module._Plan(region)
+    assert outcome(plan.map, frozenset()) == (TransmissionError, "walk hit an uncovered cell")
+    assert outcome(plan.map, region.rhombi) == \
         (TransmissionError, "walk entered a rhombus backwards")
+    assert outcome(zeta, frozenset(), region) == outcome(zeta, region.rhombi, region) == \
+        not_a_tiling
     found = {}
     for kind in HALVES:
         for tiling in enumerate_tilings(build_region(region.spec.unholed(), kind)):
-            got = outcome(zeta, tiling, region)
+            assert outcome(zeta, tiling, region) == not_a_tiling, kind
+            got = outcome(plan.map, tiling)
             key = kind, got[1] if got[0] is TransmissionError else "mapped"
             found[key] = found.get(key, 0) + 1
     # the lower tilings cover the hole cell; the upper ones no cell of the region
@@ -644,8 +652,10 @@ def test_a_tile_set_the_walks_cannot_follow_raises():
                      ("lower", "walk left the region"): 3, ("lower", "mapped"): 2,
                      ("upper", "walk hit an uncovered cell"): 42}
     region = build_region(validate(4, 1, [2], [0]), "lower")  # one case (ii) pair
-    assert outcome(zeta, region.rhombi, region) == \
+    plan = zeta_module._Plan(region)
+    assert outcome(plan.map, region.rhombi) == \
         (TransmissionError, "boundary paths share 0 rhombi instead of exactly one")
+    assert outcome(zeta, region.rhombi, region) == not_a_tiling
 
 
 # case (ii) of the propagation path written once per half, before both halves
