@@ -415,7 +415,9 @@ def det_exact(matrix: Matrix, lead: tuple | None = None) -> Fraction:
     same Fraction, and the first k rows are read only from column k on.  The
     block's first row is content * (pivot, *tail) of the first step, and as
     the recorded block is symmetric, so is its first column: a matrix whose
-    size, first row or first column differs from it raises ValueError.
+    size, first row or first column differs from it raises ValueError.  The
+    check is complete on a half's own path matrices: their leading k x k block
+    depends only on n, the half and k <= m, and a lead of k > m raises.
     """
     size = len(matrix)
     if any(len(row) != size for row in matrix):

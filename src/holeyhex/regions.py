@@ -3,10 +3,11 @@
 Cells live on the triangular lattice drawn with one family of lattice lines
 vertical.  A cell is a tuple ``(c, h, o)``: ``c`` is the column of its
 vertical edge, ``h`` the (doubled) height of that edge's midpoint, and
-``o`` the orientation -- ``"R"`` for a right-pointing unit triangle (body to
-the right of the edge, apex at column c+1) and ``"L"`` for a left-pointing
-one.  Lattice vertices are the points (c, h) with h = c + n (mod 2) for an
-order-n hexagon; cells satisfy h = c + n + 1 (mod 2).
+``o`` the orientation, the sign of the column step from that edge to the
+apex: +1 for a right-pointing unit triangle (body right of the edge, apex at
+column c + 1), -1 for a left-pointing one; each per-orientation rule is one
+formula in o.  Lattice vertices are the points (c, h) with h = c + n (mod 2)
+for an order-n hexagon; cells satisfy h = c + n + 1 (mod 2).
 
 The hexagon has sides n, 2m, n, n, 2m, n clockwise from the southwest, its
 two vertical sides of length 2m at columns -n and n, and its horizontal
@@ -26,10 +27,10 @@ from itertools import accumulate, combinations
 from math import sqrt
 from typing import Iterable, Iterator, Sequence
 
-LEFT = "L"
-RIGHT = "R"
+LEFT = -1
+RIGHT = 1
 
-Cell = tuple  # (c, h, o)
+Cell = tuple  # (c, h, o): apex vertex (c + o, h), o = LEFT or RIGHT
 Point = tuple  # (x, y) lattice point for north/east paths
 
 # The half regions below and above the symmetry axis and their shift d: each
@@ -165,7 +166,7 @@ class InducedHole:
     test_a_run_of_side_two_holes_tiles_as_one_triangular_hole).
     """
 
-    orientation: str
+    orientation: int  # LEFT or RIGHT
     constituents: tuple[int, ...]
 
     @property
@@ -174,13 +175,11 @@ class InducedHole:
 
     @property
     def charge(self) -> int:
-        return self.side if self.orientation == RIGHT else -self.side
+        return self.orientation * self.side
 
     @property
     def position(self) -> int:
-        if self.orientation == RIGHT:
-            return self.constituents[0]
-        return self.constituents[-1]
+        return self.constituents[0 if self.orientation == RIGHT else -1]
 
 
 def merge_induced_holes(left: Sequence[int], right: Sequence[int]) -> list[InducedHole]:
@@ -208,11 +207,9 @@ def distance(x: int, y: int) -> float:
 # cell geometry
 
 def neighbors(cell: Cell):
-    """The up-to-three cells sharing an edge with this one."""
+    """The up-to-three cells sharing an edge with this one, all of orientation -o."""
     c, h, o = cell
-    if o == RIGHT:
-        return ((c, h, LEFT), (c + 1, h + 1, LEFT), (c + 1, h - 1, LEFT))
-    return ((c, h, RIGHT), (c - 1, h + 1, RIGHT), (c - 1, h - 1, RIGHT))
+    return ((c, h, -o), (c + o, h + 1, -o), (c + o, h - 1, -o))
 
 
 def hexagon_cells(n: int, m: int) -> frozenset:
@@ -232,22 +229,17 @@ def hexagon_cells(n: int, m: int) -> frozenset:
                 continue
             if not (vertex_ok(c, h - 1) and vertex_ok(c, h + 1)):
                 continue
-            if vertex_ok(c + 1, h):
-                cells.append((c, h, RIGHT))
-            if vertex_ok(c - 1, h):
-                cells.append((c, h, LEFT))
+            cells += [(c, h, o) for o in (RIGHT, LEFT) if vertex_ok(c + o, h)]
     return frozenset(cells)
 
 
-def hole_cells_full(position: int, orientation: str) -> frozenset:
+def hole_cells_full(position: int, orientation: int) -> frozenset:
     """The four unit cells of a side-two hole in the full hexagon."""
-    x = position
-    if orientation == RIGHT:
-        return frozenset({(x, -1, RIGHT), (x, 1, RIGHT), (x + 1, 0, LEFT), (x + 1, 0, RIGHT)})
-    return frozenset({(x, -1, LEFT), (x, 1, LEFT), (x - 1, 0, RIGHT), (x - 1, 0, LEFT)})
+    x, o = position, orientation
+    return frozenset({(x, -1, o), (x, 1, o), (x + o, 0, -o), (x + o, 0, o)})
 
 
-def hole_cell_half(position: int, orientation: str, kind: str) -> Cell:
+def hole_cell_half(position: int, orientation: int, kind: str) -> Cell:
     """The single unit hole a side-two hole leaves in a half region.
 
     In the lower region (d = 0) it is the unit triangle below the axis.  In
@@ -257,19 +249,19 @@ def hole_cell_half(position: int, orientation: str, kind: str) -> Cell:
     triangle is what the transmission map moves.
     """
     d = half_shift(kind, "single hole cell")
-    return (position + (-d if orientation == LEFT else d), d - 1, orientation)
+    return (position + orientation * d, d - 1, orientation)
 
 
 def _mirror(cell: Cell) -> Cell:
-    """The cell's image across the centre column line c = 0."""
+    """The cell's image across the centre column line c = 0: (-c, h, -o)."""
     c, h, o = cell
-    return (-c, h, LEFT if o == RIGHT else RIGHT)
+    return (-c, h, -o)
 
 
 def _left_of_centre(cell: Cell) -> bool:
     """Whether the cell lies left of the centre column line: a free region's cell."""
     c, _, o = cell
-    return c < 0 or c == 0 and o == LEFT
+    return 2 * c + o < 0
 
 
 def fused_pairs(spec: RegionSpec) -> list[int]:
@@ -315,11 +307,8 @@ class TriangularRegion:
                     [[rank[lo + off] - rank[lo] for off in offsets if keep[lo + off]]
                      for lo, offsets in enumerate(ahead) if keep[lo]])
 
-        def key(cell):
-            c, h, o = cell
-            return (2 * c + (1 if o == RIGHT else -1), h, o)
-
-        cells = sorted(self.cells, key=key)
+        # 2c + o is odd, and h = c + n + 1 (mod 2) tells its two columns apart
+        cells = sorted(self.cells, key=lambda cell: (2 * cell[0] + cell[2], cell[1]))
         index = {cell: i for i, cell in enumerate(cells)}
         ahead = [sorted(index[nb] - lo for nb in neighbors(cell) if index.get(nb, -1) > lo)
                  for lo, cell in enumerate(cells)]
@@ -330,8 +319,8 @@ class TriangularRegion:
     @cached_property
     def mirror_cut(self) -> int | None:
         """How many leading cells of ``order`` lie left of the centre column
-        line (c < 0, or c = 0 and left-pointing) when the region is its own
-        mirror image under (c, h, o) -> (-c, h, flipped o); else None.
+        line (2c + o < 0) when the region is its own mirror image under
+        (c, h, o) -> (-c, h, -o); else None.
 
         Slab-major order puts those cells first, and only the vertical rhombi
         of column 0 cross the line.  A region with a free edge is never its

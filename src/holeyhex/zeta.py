@@ -79,15 +79,13 @@ def _route(region: TriangularRegion, pair) -> tuple:
     else:
         # case (ii): two boundary-bound paths meeting in exactly one rhombus.
         # They leave the axis vertically by v: through the zig-zag below the
-        # lower region (v = -1), over the top of the upper one (v = 1).  Each
-        # alternates a cell of its first cell's orientation with its partner,
-        # sideways by e = +1 from left-pointing cells and -1 from right-pointing
-        # ones, and must end on the boundary, not in a hole.
+        # lower region (v = -1), over the top of the upper one (v = 1).  The walk
+        # of hole cell (c, h, o) starts at (c + o, h + v, -o) and alternates cells
+        # of orientation -o with their partners of orientation o, stepping o
+        # columns sideways, and must end on the boundary, not in a hole.
         v = 2 * half_shift(region.kind, "boundary walk") - 1
-        walks = []
-        for first in ((cell1[0] + 1, cell1[1] + v, LEFT), (cell2[0] - 1, cell2[1] + v, RIGHT)):
-            e, other = (1, RIGHT) if first[2] == LEFT else (-1, LEFT)
-            walks.append((first, {(0, 0, other): (e, v), (-e, v, other): (0, 2 * v)}))
+        walks = [((c + o, h + v, -o), {(0, 0, o): (o, v), (-o, v, o): (0, 2 * v)})
+                 for c, h, o in (cell1, cell2)]
     return cell1, cell2, [(first, _table(region, first, steps)) for first, steps in walks]
 
 

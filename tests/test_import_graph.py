@@ -42,13 +42,13 @@ def test_zeta_imports_no_cell_neighbours():
     assert "neighbors" not in imported
 
 
-def scopes_of(tree, matches):
-    """The enclosing class and function names of every node that ``matches``."""
+def located(tree, matches):
+    """(enclosing class and function names, node) of every node that ``matches``."""
     found = []
 
     def visit(node, scope):
         if matches(node):
-            found.append(scope)
+            found.append((scope, node))
         if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
             scope = (*scope, node.name)
         for child in ast.iter_child_nodes(node):
@@ -56,6 +56,11 @@ def scopes_of(tree, matches):
 
     visit(tree, ())
     return found
+
+
+def scopes_of(tree, matches):
+    """The enclosing class and function names of every node that ``matches``."""
+    return [scope for scope, _ in located(tree, matches)]
 
 
 def reads_neighbors(node):
@@ -203,6 +208,44 @@ def test_every_per_half_rule_reads_half_shift():
     sites = sorted((path.name, node.lineno) for path in SOURCE.glob("*.py") if path.stem != "regions"
                    for node in ast.walk(ast.parse(path.read_text())) if reads_a_half_shift(node))
     assert not sites, "per-half rules that skip half_shift: " + \
+        ", ".join(f"{name}:{line}" for name, line in sites)
+
+
+def compares_an_orientation(node):
+    """A comparison with ``LEFT`` or ``RIGHT``, by its bare name or as an
+    attribute, as one of its operands."""
+    return isinstance(node, ast.Compare) and any(
+        (item.attr if isinstance(item, ast.Attribute) else getattr(item, "id", None))
+        in {"LEFT", "RIGHT"} for item in (node.left, *node.comparators))
+
+
+@pytest.mark.parametrize("source, found", [
+    ("o == RIGHT", True),
+    ("regions.LEFT != cell[2]", True),
+    ("x if first[2] == LEFT else y", True),
+    ("LEFT < o <= RIGHT", True),
+    ("(c + o, h, -o)", False),
+    ("self.orientation * self.side", False),
+    ("cells.append((c, h, RIGHT))", False),
+    ("stack[-1][1] != item[1]", False),
+])
+def test_the_orientation_rule_check_sees_each_spelling(source, found):
+    assert any(map(compares_an_orientation, ast.walk(ast.parse(source)))) == found
+
+
+# the two comparisons with an orientation that classify rather than compute: which
+# end of a run an induced hole's position is, and which case a hole pair's route is
+ORIENTATION_CLASSES = {("regions", ("InducedHole", "position"), "self.orientation == RIGHT"),
+                       ("zeta", ("_route",), "orient1 == LEFT")}
+
+
+def test_every_per_orientation_rule_is_a_formula_in_the_sign():
+    # a cell's orientation is the sign o of the column step from its vertical
+    # edge to its apex, so each per-orientation rule is one formula in o
+    sites = sorted((path.name, node.lineno) for path in SOURCE.glob("*.py")
+                   for scope, node in located(ast.parse(path.read_text()), compares_an_orientation)
+                   if (path.stem, scope, ast.unparse(node)) not in ORIENTATION_CLASSES)
+    assert not sites, "per-orientation rules that branch on a constant: " + \
         ", ".join(f"{name}:{line}" for name, line in sites)
 
 

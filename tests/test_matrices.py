@@ -467,6 +467,25 @@ def test_a_matrix_off_the_lead_in_its_first_row_or_column_raises():
                 det_exact(changed, lead)
 
 
+def test_a_half_lead_is_taken_exactly_for_the_blocks_it_leads():
+    # det_exact checks only a lead's size, first row and first column: enough for
+    # a half's own path matrices, whose leading k x k block is the unholed (n, k)
+    # block for every k <= m, and the first entry tells the hexagon side n apart
+    for spec in spec_grid(8, 3, 2):
+        for kind in HALVES:
+            q = path_matrix(spec, kind)
+            plain = det_exact(q)
+            for k in range(1, spec.m + spec.p + 1):
+                lead = _boundary_steps(spec.n, k, kind)
+                if k <= spec.m:
+                    assert det_exact(q, lead) == plain, (spec.to_text(), kind, k)
+                    continue
+                with pytest.raises(ValueError, match="^the lead is not this "):
+                    det_exact(q, lead)
+    corners = [path_matrix(validate(n, 1), kind)[0][0] for n in range(2, 61, 2) for kind in HALVES]
+    assert len(set(corners)) == len(corners)
+
+
 def test_the_boundary_elimination_does_not_pivot():
     with pytest.raises(ArithmeticError, match="^zero pivot in column 0; "):
         _record([[0, 1], [1, 0]])

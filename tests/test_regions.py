@@ -148,9 +148,29 @@ def test_half_regions_partition_the_hexagon():
 
 
 def test_cell_adjacency_is_symmetric():
-    for cell in [(0, 1, RIGHT), (3, -2, LEFT)]:
-        for other in neighbors(cell):
-            assert cell in neighbors(other)
+    # every cell of the hexagons up to n = 7, odd n included: adjacency, the
+    # mirror across the centre column line and the hole footprints agree
+    other = {LEFT: RIGHT, RIGHT: LEFT}
+    mirror = regions._mirror
+    seen = 0
+    for n in range(1, 8):
+        for m in range(1, 4):
+            cells = hexagon_cells(n, m)
+            assert {mirror(cell) for cell in cells} == cells
+            for cell in cells:
+                for nb in neighbors(cell):
+                    assert cell in neighbors(nb) and nb[2] == other[cell[2]]
+                image = mirror(cell)
+                assert mirror(image) == cell
+                assert {mirror(nb) for nb in neighbors(cell)} == set(neighbors(image))
+                assert regions._left_of_centre(cell) != regions._left_of_centre(image)
+            seen += len(cells)
+    assert seen == 2184
+    for x in range(-10, 11, 2):
+        for o in (LEFT, RIGHT):
+            assert hole_cells_full(-x, other[o]) == set(map(mirror, hole_cells_full(x, o)))
+            for kind in HALVES:
+                assert hole_cell_half(x, o, kind) in hole_cells_full(x, o)
 
 
 def test_free_region_is_the_full_region_left_of_centre():
