@@ -19,10 +19,11 @@ The path matrices of one hexagon half share their leading m x m block
 formula, about 0.8 MiB at n = 200 and 4.9 MiB at n = 400 (m = n/2), and
 replayed for every hole placement, which does per-entry work only on its
 hole rows and columns, one hole column at a time; regions._UNHOLED_REGIONS
-records are kept.  The block is symmetric, so the record keeps each row only
-from its diagonal on and reads the entry below each pivot from the pivot
-row: about half the row updates of the whole block's elimination, with the
-same steps.
+records are kept.  The block is symmetric, so the record reads the entry
+below each pivot from the pivot row and builds each row once, from its
+diagonal on, when it becomes the pivot row: each entry is one dot product
+with the earlier pivot rows (left-looking order), and the steps are those
+of the whole block's elimination.
 """
 
 from __future__ import annotations
@@ -305,40 +306,49 @@ def _record(block) -> tuple:
     (content, pivot, tail, row_scales, top_scales), the P/g and a/g applied
     to each row below the pivot (1 and 0 where a = 0).
 
-    Each row is kept only from its diagonal on.  Row i is lam_i * S_i, with S
-    the rational Schur complement, which stays symmetric, and lam_i the
-    product of the P/g applied to row i so far.  So the entry of row i below
-    pivot column c is the pivot row's entry in column i times lam_i / lam_c,
-    an exact division, and the steps are those of the whole block's
-    elimination for about half of its row updates.
+    Each row is built once, from its diagonal on, when it becomes the pivot
+    row (left-looking order).  Row i is lam_i * S_i, with S the rational Schur
+    complement, which stays symmetric, and lam_i the product of the P/g
+    applied to row i so far.  So row i's entry below pivot c is c's reduced
+    entry in column i times content_c * lam_i / lam_c, an exact division,
+    which gives that step's scales.  With nu_c = (a/g)_c times the P/g of the
+    later pivots, the row is lam_i * block[i][j] - sum_c nu_c * tail_c[j],
+    one dot product per entry: the steps of the whole block's elimination.
     """
-    rows = [row[i:] for i, row in enumerate(block)]
-    lams = [1] * len(rows)
+    steps = []  # per pivot: content, pivot, lam, tail, row_scales, top_scales
+    columns = [[] for _ in block]  # column j's entries of the reduced pivot rows
     numer = denom = 1
-    steps = []
-    for col, top in enumerate(rows):
+    for i, row in enumerate(block):
+        lam = 1
+        for (content, pivot, lam_c, _, row_scales, top_scales), x in zip(steps, columns[i]):
+            a = content * x * lam // lam_c
+            g = math.gcd(pivot, a) if a else pivot  # the scales 1, 0 where a = 0
+            row_scale, top_scale = pivot // g, a // g
+            lam *= row_scale
+            row_scales.append(row_scale)
+            top_scales.append(top_scale)
+        denom *= lam
+        nu, later = [], 1  # the scales just appended are row i's
+        for *_, row_scales, top_scales in reversed(steps):
+            nu.append(top_scales[-1] * later)
+            later *= row_scales[-1]
+        nu.reverse()
+        top = [lam * x - sum(map(operator.mul, nu, column))
+               for x, column in zip(row[i:], columns[i:])]
         if not top[0]:
-            raise ArithmeticError(f"zero pivot in column {col}; a lead is eliminated "
+            raise ArithmeticError(f"zero pivot in column {i}; a lead is eliminated "
                                   "without row swaps")
-        lam = lams[col]
-        below = [x * lam_i // lam for x, lam_i in zip(top[1:], lams[col + 1:])]
         content = math.gcd(*top)
         if content > 1:
             top = [x // content for x in top]
         pivot, *tail = top
         numer *= content * pivot
-        row_scales, top_scales = [1] * len(below), [0] * len(below)
-        for k, a in enumerate(below):
-            if a:
-                g = math.gcd(pivot, a)
-                row_scale = row_scales[k] = pivot // g
-                top_scale = top_scales[k] = a // g
-                i = col + 1 + k
-                rows[i] = [row_scale * x - top_scale * y for x, y in zip(rows[i], tail[k:])]
-                lams[i] *= row_scale
-                denom *= row_scale
-        steps.append((content, pivot, tuple(tail), tuple(row_scales), tuple(top_scales)))
-    return Fraction(numer, denom), tuple(steps)
+        for column, x in zip(columns[i + 1:], tail):
+            column.append(x)
+        steps.append((content, pivot, lam, tail, [], []))
+    return Fraction(numer, denom), tuple(
+        (content, pivot, tuple(tail), tuple(row_scales), tuple(top_scales))
+        for content, pivot, _, tail, row_scales, top_scales in steps)
 
 
 @lru_cache(maxsize=_UNHOLED_REGIONS)

@@ -491,6 +491,22 @@ def test_the_boundary_elimination_does_not_pivot():
         _record([[0, 1], [1, 0]])
     with pytest.raises(ArithmeticError, match="^zero pivot in column 1; "):
         _record([[2, 4], [4, 8]])
+    # a zero pivot in every column of 3 x 3 and 4 x 4 blocks: row k is built from
+    # the k pivots above it before its pivot is seen; its Schur entry is
+    # a_kk - sum_c a_kc^2 / a_cc = 0 over a diagonal leading block
+    rng = random.Random(49)
+    for size in (3, 4):
+        for k in range(size):
+            diagonal = [rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(k)]
+            across = [rng.choice([-2, -1, 1, 2]) * d for d in diagonal]  # a_kc, a multiple of a_cc
+            block = [[int(i == j) for j in range(size)] for i in range(size)]
+            for c, (d, x) in enumerate(zip(diagonal, across)):
+                block[c][c], block[k][c], block[c][k] = d, x, x
+            block[k][k] = sum(x * x // d for d, x in zip(diagonal, across))
+            for j in range(k + 1, size):  # a nonzero tail, so no step is a trivial one
+                block[k][j] = block[j][k] = rng.choice([-1, 1])
+            message = f"zero pivot in column {k}; a lead is eliminated without row swaps"
+            assert outcome(_record, block) == (ArithmeticError, message), block
 
 
 def test_the_record_is_the_whole_block_elimination():
@@ -501,6 +517,33 @@ def test_the_record_is_the_whole_block_elimination():
             for kind in HALVES:
                 block = path_matrix(RegionSpec(n, m, (), ()), kind)
                 assert _record(block) == reference_recorded_elimination(block), (n, m, kind)
+
+
+def test_the_record_is_the_whole_block_elimination_on_any_symmetric_block():
+    # cases the path blocks never produce: zero entries below a pivot (scales 1, 0),
+    # negative entries and a first row with content > 1; a strictly diagonally
+    # dominant block has no zero pivot
+    rng = random.Random(49)
+    zero_below = negative = first_content = 0
+    for _ in range(300):
+        size = rng.randint(1, 7)
+        block = [[0] * size for _ in range(size)]
+        for i in range(size):
+            for j in range(i):
+                block[i][j] = block[j][i] = rng.choice([0, 0, 0, -5, -2, -1, 1, 3, 8])
+        for i, row in enumerate(block):
+            row[i] = rng.choice([-1, 1]) * (sum(map(abs, row)) + rng.randint(1, 9))
+        scale = rng.choice([1, 2, 6])  # the first row and column times scale: content >= scale
+        block[0] = [scale * x for x in block[0]]
+        for row in block:
+            row[0] *= scale
+        det, steps = _record(block)
+        assert (det, steps) == reference_recorded_elimination(block), block
+        assert det == fraction_det(block), block
+        zero_below += any(0 in top_scales for *_, top_scales in steps)
+        negative += any(x < 0 for row in block for x in row)
+        first_content += steps[0][0] > 1
+    assert min(zero_below, negative, first_content) >= 30, (zero_below, negative, first_content)
 
 
 @settings(DIFFERENTIAL, max_examples=25)
