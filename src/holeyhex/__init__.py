@@ -6,9 +6,8 @@ from .regions import (InducedHole, RegionSpec, SpecValidationError, TriangularRe
 from .matrices import (CountResult, closed_form_entry, count_region, det_exact,
                        hole_matrix, path_matrix)
 from .oracle import count_families, count_tilings, enumerate_tilings
-from .asymptotics import (CorrelationReport, cauchy_det, classify_regime, entry_asym,
-                          finite_correlation, predicted_interaction, separation_sweep,
-                          size_sweep)
+from .asymptotics import (CorrelationReport, classify_regime, entry_asym, finite_correlation,
+                          predicted_interaction, separation_sweep, size_sweep)
 from .zeta import pair_holes, verify_injection, zeta
 
 __version__ = "0.1.0"

@@ -22,8 +22,6 @@ from .matrices import det_exact, hole_matrix
 from .regions import (InducedHole, RegionSpec, distance, free_boundary_holes, half_shift,
                       merge_induced_holes, validate)
 
-SQRT3 = math.sqrt(3.0)
-
 # holes in the bulk, or left-pointing holes facing a free boundary (image charges)
 MODELS = ("bulk", "free_boundary")
 
@@ -59,37 +57,6 @@ def entry_asym(r: int, l: int, xi: float, kind: str) -> float:
     base = (2.0 / (xi + 1.0)) ** (r - l + 2) / (math.pi * (r - l))
     scale = math.sqrt(xi * (xi + 2.0))
     return base / scale if half_shift(kind, "entry limit") else scale * base
-
-
-def cauchy_det(left: Sequence[int], right: Sequence[int]) -> float:
-    """|det| of the critical-limit hole matrix, in closed product form.
-
-    Entries are 1/(2 pi (x_i - y_j)) with x, y the rescaled hole positions;
-    the product form is the classical Cauchy evaluation.  Both the product
-    and the direct determinant are computed and must agree to 1e-12
-    relative; the product value is returned.
-    """
-    p = len(left)
-    if len(right) != p:
-        raise ValueError("need equally many holes of each orientation")
-    if len(set(left) | set(right)) != 2 * p:
-        raise ValueError("coincident hole positions")
-    if p == 0:
-        return 1.0
-    product = (1.0 / (2.0 * math.pi)) ** p
-    for i in range(1, p):
-        for j in range(i):
-            product *= distance(right[i], right[j]) * distance(left[i], left[j])
-    for l in left:
-        for r in right:
-            product /= distance(r, l)
-
-    # the direct matrix is [1/(r_j - l_i)] scaled by 1/(pi sqrt 3)
-    direct = float(det_exact([[Fraction(1, r - l) for r in right] for l in left]))
-    direct /= (math.pi * SQRT3) ** p
-    if abs(abs(direct) - product) > 1e-12 * max(product, 1.0):
-        raise ArithmeticError("Cauchy product and direct determinant disagree")
-    return product
 
 
 def _single_hole_constant(charge: int, model: str) -> float:

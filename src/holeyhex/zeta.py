@@ -19,9 +19,9 @@ a tiling costs the length of its ribbons.  Each walk's step rule is a table
 built with the plan, {chain cell: [(tile, next chain cell or None), ...]},
 so a step is one lookup and at most three tile membership tests.  Both keep
 the plan of the last region mapped.  The unholed target of
-``verify_injection`` is the region ``build_region`` keeps for the whole
-hexagon, whose tiles are the objects its images are made of; an upper
-tiling's weight reads each region's ``axis_rhombi``.
+``verify_injection`` is the region the holey one was cut from (``whole``),
+whose tiles are the objects its images are made of; an upper tiling's
+weight reads each region's ``axis_rhombi``.
 """
 
 from __future__ import annotations
@@ -239,8 +239,8 @@ def verify_injection(spec: RegionSpec, kind: str = "lower") -> dict:
     """
     plan = _plan(build_region(spec, kind))  # an undefined map raises before enumerating
     region = plan.region
-    target = build_region(spec.unholed(), kind)  # shared by every spec of the hexagon
-    images = set()  # each image as the map returns it, made of the target's tiles
+    target = region.whole or region  # the unholed region whose tiles the images are made of
+    images = set()
     tilings = 0
     valid = True
     weight_monotone = True

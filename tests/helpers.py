@@ -1,7 +1,9 @@
 """Helpers shared by several test modules."""
 
 import math
+from fractions import Fraction
 
+from holeyhex.matrices import det_exact
 from holeyhex.regions import RIGHT, TriangularRegion, hexagon_cells
 
 
@@ -34,6 +36,16 @@ def triangle_cells(n, m, position, orientation, side):
     return frozenset((c, h, o) for c, h, o in hexagon_cells(n, m)
                      if inside(c, h - 1) and inside(c, h + 1)
                      and inside(c + (1 if o == RIGHT else -1), h))
+
+
+def cauchy(left, right):
+    """C(L, R) = |det [1/(r_j - l_i)]| / (pi sqrt 3)^p, the critical-limit
+    hole determinant of point charges at the positions L and R, from the exact
+    determinant.  By the Cauchy evaluation it is the point-charge energy: the
+    bulk law of side-two holes is 3^p C(L, R)^2, the free-boundary law of left
+    holes alone C(L, -L) (tests/test_asymptotics.py)."""
+    det = det_exact([[Fraction(1, r - l) for r in right] for l in left])
+    return abs(float(det)) / (math.pi * math.sqrt(3.0)) ** len(left)
 
 
 def path_count(start, end, variant="none"):

@@ -4,11 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from holeyhex import asymptotics
-from holeyhex.asymptotics import (CSV_HEADER, aspect_m, cauchy_det, classify_regime,
-                                  entry_asym, finite_correlation,
-                                  predicted_interaction, separation_sweep, size_sweep)
-from holeyhex.regions import distance, merge_induced_holes, validate
+from holeyhex.asymptotics import (CSV_HEADER, aspect_m, classify_regime, entry_asym,
+                                  finite_correlation, predicted_interaction, separation_sweep,
+                                  size_sweep)
+from holeyhex.regions import LEFT, RIGHT, InducedHole, distance, merge_induced_holes, validate
+
+from helpers import cauchy
 
 SQRT3 = math.sqrt(3.0)
 
@@ -37,38 +38,23 @@ def test_entry_asym_errors():
         entry_asym(2, 0, -1.0, "lower")
 
 
-def test_cauchy_det_scalar():
-    assert math.isclose(cauchy_det([-2], [2]), 1 / (2 * math.pi * 2 * SQRT3))
-    assert cauchy_det([], []) == 1.0
-
-
-def test_cauchy_det_product_vs_direct():
-    # cauchy_det itself asserts the two routes agree to 1e-12 relative
+def test_both_laws_are_the_exact_cauchy_determinant():
+    # with every side-two hole its own point charge, the bulk law is 3^p C(L, R)^2
+    # and the free-boundary law of left holes alone C(L, -L), the mirror images
+    # standing in for R: each pins the per-charge constant and the exponent scale
     rng = random.Random(14)
-    for _ in range(25):
-        p = rng.choice([2, 3, 4])
-        positions = rng.sample(list(range(-20, 22, 2)), 2 * p)
-        value = cauchy_det(positions[:p], positions[p:])
-        assert value > 0
-
-
-def test_cauchy_det_rejects_coincident():
-    with pytest.raises(ValueError):
-        cauchy_det([0, 2], [2, 4])
-
-
-def test_cauchy_det_rejects_unequal_hole_counts():
-    with pytest.raises(ValueError, match="^need equally many holes of each orientation$"):
-        cauchy_det([-2], [2, 4])
-
-
-def test_cauchy_det_checks_the_product_against_the_direct_determinant(monkeypatch):
-    # the closed product is asserted against det [1/(r_j - l_i)]; a direct
-    # determinant off by a factor 2 must not pass
-    det_exact = asymptotics.det_exact
-    monkeypatch.setattr(asymptotics, "det_exact", lambda matrix: 2 * det_exact(matrix))
-    with pytest.raises(ArithmeticError, match="^Cauchy product and direct determinant disagree$"):
-        cauchy_det([-4, 0], [-2, 2])
+    for p in range(5):
+        for _ in range(100):
+            positions = rng.sample(range(-40, 41, 2), 2 * p)
+            left, right = positions[:p], positions[p:]
+            holes = [InducedHole(LEFT, (l,)) for l in left] + \
+                [InducedHole(RIGHT, (r,)) for r in right]
+            assert math.isclose(predicted_interaction(holes, "bulk"),
+                                3 ** p * cauchy(left, right) ** 2, rel_tol=1e-12), (left, right)
+            left = rng.sample(range(-40, 0, 2), p)
+            holes = [InducedHole(LEFT, (l,)) for l in left]
+            assert math.isclose(predicted_interaction(holes, "free_boundary"),
+                                cauchy(left, [-l for l in left]), rel_tol=1e-12), left
 
 
 def test_free_boundary_prediction_rejects_a_hole_right_of_the_conductor():

@@ -77,12 +77,17 @@ def test_only_the_unholed_sort_probes_neighbors():
         {"regions": [("TriangularRegion", "order")]}
 
 
+def called_name(node):
+    """The name a call calls, bare or as an attribute; None for any other node."""
+    if not isinstance(node, ast.Call):
+        return None
+    func = node.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+
 def calls_unholed(node):
     """A call of ``_unholed``, by its bare name or as an attribute."""
-    if not isinstance(node, ast.Call):
-        return False
-    func = node.func
-    return (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)) == "_unholed"
+    return called_name(node) == "_unholed"
 
 
 def test_only_the_constructors_look_up_unholed_regions():
@@ -97,11 +102,7 @@ def test_only_the_constructors_look_up_unholed_regions():
 def builds_factorials(node):
     """A call of a function named factorial or perm, as math's attribute or by
     a bare name imported from math."""
-    if not isinstance(node, ast.Call):
-        return False
-    func = node.func
-    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-    return name in {"factorial", "perm"}
+    return called_name(node) in {"factorial", "perm"}
 
 
 def test_only_gamma_ratio_builds_factorials():
@@ -110,6 +111,20 @@ def test_only_gamma_ratio_builds_factorials():
                                    builds_factorials))
              for module in ("arith", "matrices")}
     assert calls == {"arith": {("gamma_ratio",)}, "matrices": set()}
+
+
+def measures_a_distance(node):
+    """A call of ``distance``, by its bare name or as an attribute."""
+    return called_name(node) == "distance"
+
+
+def test_only_the_coulomb_law_and_the_separation_fit_measure_distances():
+    # the point-charge energy is written once, in predicted_interaction; the
+    # separation sweep's fit is the only other reader of pairwise distances
+    calls = {path.stem: set(scopes_of(ast.parse(path.read_text()), measures_a_distance))
+             for path in sorted(SOURCE.glob("*.py"))}
+    assert {module: found for module, found in calls.items() if found} == \
+        {"asymptotics": {("predicted_interaction",), ("separation_sweep",)}}
 
 
 def test_no_module_keeps_global_state():
@@ -255,7 +270,6 @@ PERFBENCH = SOURCE.parent.parent / "perfbench"
 UNCALLED = {
     "zeta.zeta": "perfbench spans it by name, and test_perfbench expects that binding",
     "asymptotics.entry_asym": "ROADMAP item 15 decides it",
-    "asymptotics.cauchy_det": "ROADMAP item 15 decides it",
     "asymptotics.classify_regime": "ROADMAP item 15 decides it",
 }
 

@@ -897,6 +897,20 @@ def test_hole_matrix_entry_raises_outside_the_hexagon():
     assert raised > 0
 
 
+def test_a_hole_entry_without_boundary_paths_is_the_hole_to_hole_entry():
+    # m = 0, which validate rejects: the Schur sum over s = 1..m is empty
+    spec = RegionSpec(4, 0, (-2,), (2,))
+    for kind, want in (("lower", 2), ("upper", 10)):
+        assert hole_matrix_entry(spec, kind, 1, 1) == per_term_hole_entry(spec, kind, 1, 1) == want
+
+
+def test_a_fraction_too_long_to_print_shows_its_size_and_last_digits():
+    # str() refuses the numerator's 5001 digits; the denominator prints as it is
+    x = Fraction(10**5000 + 7, 3)
+    assert matrices._show(x) == "<16610-bit integer ending in 000000007>/3"
+    assert matrices._show(-x) == "-<16610-bit integer ending in 000000007>/3"
+
+
 def test_hole_matrix_entry_rejects_a_kind_without_halves():
     spec = validate(10, 2, [-4, 2], [0, 6])
     for kind in ("full", "upper_weighted"):

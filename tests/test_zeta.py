@@ -5,6 +5,7 @@ from itertools import islice, product
 
 import pytest
 
+from holeyhex.cli import main
 from holeyhex.matrices import count_region, det_exact, hole_matrix
 from holeyhex.oracle import enumerate_tilings, tiling_is_exact_cover
 from holeyhex import regions
@@ -656,6 +657,41 @@ def test_a_tile_set_the_walks_cannot_follow_raises():
     assert outcome(plan.map, region.rhombi) == \
         (TransmissionError, "boundary paths share 0 rhombi instead of exactly one")
     assert outcome(zeta, region.rhombi, region) == not_a_tiling
+
+
+def far_tile(tiles, region):
+    """The least tile of ``tiles`` with no cell beside a hole of ``region``."""
+    return min((tile for tile in tiles if not any(
+        cell in region.mates[hole] for hole in region.hole_cells for cell in tile)), key=sorted)
+
+
+# per construction check of the map, the function a fault replaces and the fault,
+# made from that function and the region: a slant walk that ends in a hole, or
+# a ribbon that is not the tiling's
+CONSTRUCTION_FAULTS = {
+    "slant walk ran into a hole":
+        ("_walk", lambda walk, region: lambda *args: (walk(*args)[0], min(region.hole_cells))),
+    "ribbon rhombus missing from tiling":
+        ("_path", lambda path, region: lambda tiles, *args: [min(region.rhombi - tiles, key=sorted)]),
+    "ribbon rhombus not adjacent to the hole":
+        ("_path", lambda path, region: lambda tiles, *args: [far_tile(tiles, region)]),
+    "transmitted hole did not reach its partner":
+        ("_path", lambda path, region: lambda *args: []),
+}
+
+
+@pytest.mark.parametrize("message", CONSTRUCTION_FAULTS)
+def test_each_construction_check_of_the_map_fires(monkeypatch, capsys, message):
+    # the walk tables reach none of these checks on any tile set, so each fault
+    # is injected; the CLI reports it as a failed verification
+    zeta_module = sys.modules["holeyhex.zeta"]
+    spec = validate(6, 2, [2], [-4])  # one case (ii) pair, 319 lower tilings
+    name, fault = CONSTRUCTION_FAULTS[message]
+    monkeypatch.setattr(zeta_module, name,
+                        fault(getattr(zeta_module, name), build_region(spec, "lower")))
+    assert outcome(verify_injection, spec, "lower") == (TransmissionError, message)
+    assert main(["zeta", "--n", "6", "--m", "2", "--left", "2", "--right=-4"]) == 1
+    assert capsys.readouterr() == ("", f"verification failed: {message}\n")
 
 
 # case (ii) of the propagation path written once per half, before both halves
