@@ -1,22 +1,26 @@
 """Independent brute-force oracles.
 
 Each oracle has one search state, counted by a layered sweep that keeps
-only the current {state: count} layer.  A tiling state is the first
-uncovered cell plus the covered cells from it on; the sweep steps one
-cell at a time, each forced cell (whose one later partner has no other
-earlier partner, ``_forced``) folded into the step before it, and stops
-at the centre line of a region that is its own mirror image, whose count
-is the sum of the squares of that layer's counts.  The tilings are
-enumerated by walking the same states depth first over
-per-cell tables of later partners and their ``mates`` tiles, built once
-per call, a forced cell taking its one partner in place.  A path-family
-state is the (height, path) pairs of the paths crossing into a column;
-the sweep steps each column one path at a time.  Nothing here touches
-the determinant machinery.
+only the current {state: count} layer.  A tiling state is the covered
+cells from a window's first cell on.  The sweep runs over the ``order`` of
+the unholed region the region was cut from, its hole cells covered, and
+steps ``WINDOW`` cells at a time, each state reading its moves from the
+window's table; the tables are kept with the unholed region, so every
+region cut from one hexagon reads the same ones.  It stops at the centre
+line of a region that is its own mirror image, whose count is the sum of
+the squares of that layer's counts.  The tilings are enumerated by walking
+the states of the region's own ``order`` one cell at a time, depth first,
+over per-cell tables of later partners and their ``mates`` tiles, built
+once per call, a forced cell (``_forced``) taking its one partner in place.
+A path-family state is the (height, path) pairs of the paths crossing into
+a column; the sweep steps each column one path at a time.  Nothing here
+touches the determinant machinery.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from itertools import accumulate
 from typing import Iterator, Sequence
 
 from .regions import RegionSpec, TriangularRegion, half_shift, lgv_points
@@ -38,15 +42,16 @@ class BudgetExceededError(RuntimeError):
 def enumerate_tilings(region: TriangularRegion, budget: int = DEFAULT_BUDGET) -> Iterator[Tiling]:
     """Stream every tiling of the region in a fixed canonical order.
 
-    Walks count_tilings' states depth first on an explicit stack, so it
-    has no recursion limit; each uncovered ``lo`` is one branch node, and
-    ``lo`` pairs with each free partner in ascending order (a free-edge
-    ``lo`` first with itself, its half rhombus).  Each cell's later
-    partners are tabled once per call as (mask bit, tile), the tile being
-    its object in ``region.mates``, shared by every region of the hexagon, in
-    stack order; a forced cell (``_forced``), whose one partner is always
-    free, takes it in place, with no push or pop.  Past ``budget`` nodes the
-    error carries the tiles chosen so far.
+    Walks the states of the region's own ``order`` one cell at a time (the
+    first uncovered cell ``lo`` and the covered cells from it on) depth
+    first on an explicit stack, so it has no recursion limit; each uncovered
+    ``lo`` is one branch node, and pairs with each free partner in ascending
+    order (a free-edge ``lo`` first with itself, its half rhombus).  Each
+    cell's later partners are tabled once per call as (mask bit, tile), the
+    tile being its object in ``region.mates``, shared by every region of the
+    hexagon, in stack order; a forced cell (``_forced``), whose one partner
+    is always free, takes it in place, with no push or pop.  Past ``budget``
+    nodes the error carries the tiles chosen so far.
     """
     cells, ahead = region.order
     mates = region.mates
@@ -82,7 +87,8 @@ def enumerate_tilings(region: TriangularRegion, budget: int = DEFAULT_BUDGET) ->
 def _forced(ahead) -> list:
     """Per cell of ``ahead`` (``region.order``'s offsets), the offset of its
     one later partner when the cell is forced, else 0; one more 0 follows,
-    for one past the last cell.
+    for one past the last cell.  ``enumerate_tilings`` takes a forced cell's
+    partner in place.
 
     A cell is forced when its one later partner, at offset o > 0, has it as
     its only earlier partner.  No earlier cell can cover that partner, so bit
@@ -100,62 +106,115 @@ def _forced(ahead) -> list:
     return forced
 
 
-def _steps(ahead, stop: int) -> list:
-    """count_tilings' steps over the first ``stop`` cells of ``ahead``
-    (``region.order``'s offsets): per step, its cell's partner offsets and
-    the offset of the forced next cell folded into it (``_forced``), or 0.
-    A cell at ``stop`` or later is never folded in.
+# cells per step of the tiling sweep
+WINDOW = 6
 
-    A forced cell's partner bit is clear when the cell is reached, so a
-    covered cell shifts through and a free one takes its partner, a
-    bijection on masks that never merges two states.
+
+class _Window(dict):
+    """One step of count_tilings' sweep: the ``width`` cells from ``lo`` of an
+    ``order`` whose partner offsets are ``ahead``, and their move table.
+
+    ``read`` holds the bits the step reads, bit 0 being ``lo``: the window's
+    own cells and each one's later partners.  ``window[mask & read]`` is the
+    tuple of the ways to cover every cell of the window that the mask leaves
+    free, each as the cells it claims past the window, shifted down by
+    ``width``; a pattern's moves are found the first time it appears.
     """
-    forced = _forced(ahead)
-    steps, lo = [], 0
-    while lo < stop:
-        fold = forced[lo + 1] if lo + 1 < stop else 0
-        steps.append((ahead[lo], fold))
-        lo += 2 if fold else 1
-    return steps
+
+    __slots__ = ("lo", "width", "ahead", "read")
+
+    def __init__(self, lo: int, width: int, ahead: list):
+        super().__init__()
+        self.lo, self.width, self.ahead = lo, width, ahead
+        self.read = (1 << width) - 1
+        for i in range(width):
+            for off in ahead[lo + i]:
+                self.read |= 1 << i + off
+
+    def __missing__(self, pattern: int) -> tuple:
+        # the first free cell pairs with each free partner (itself, for a
+        # free-edge cell's offset 0), depth first over the window
+        moves = []
+        stack = [(0, pattern)]
+        while stack:
+            i, covered = stack.pop()
+            while i < self.width and covered >> i & 1:
+                i += 1
+            if i == self.width:
+                moves.append((covered ^ pattern) >> self.width)
+                continue
+            for off in self.ahead[self.lo + i]:
+                bit = 1 << i + off
+                if not covered & bit:
+                    stack.append((i + 1, covered | bit | 1 << i))
+        moves = self[pattern] = tuple(moves)
+        return moves
+
+
+class _Sweep:
+    """count_tilings' windows over an unholed (or hand-built) region's
+    ``order``: ``WINDOW`` cells each, one ending at the region's
+    ``mirror_cut`` (the first ``cut`` windows), and per window the end of
+    all that it and the windows before it read."""
+
+    def __init__(self, region: TriangularRegion):
+        self.cells, ahead = region.order
+        cut = len(ahead) if region.mirror_cut is None else region.mirror_cut
+        starts = [*range(0, cut, WINDOW), *range(cut, len(ahead), WINDOW)]
+        self.cut = len(range(0, cut, WINDOW))
+        self.windows = [_Window(lo, hi - lo, ahead)
+                        for lo, hi in zip(starts, [*starts[1:], len(ahead)])]
+        self.reach = list(accumulate((w.lo + w.read.bit_length() for w in self.windows), max))
 
 
 def count_tilings(region: TriangularRegion) -> int:
-    """Exact tiling count by a layered transfer sweep over the cells.
+    """Exact tiling count by a layered transfer sweep over the cells, a window
+    of ``WINDOW`` cells per step.
 
-    The layer at cell ``lo`` maps the covered cells from ``lo`` on (bit 0
-    is ``lo``) to the number of ways to cover every cell before ``lo``.
-    A covered ``lo`` shifts through; a free one pairs with each free
-    partner after it.  A step with a forced cell folded in (``_steps``)
-    steps that cell too, on each key it makes: covered (bit 1 set), it
-    shifts through; free, it sets its partner's bit first.  The layer is
-    then rebuilt once per folded pair, not once per cell.  Slab-major cell
-    order keeps the masks narrow.
+    The sweep runs over the ``order`` of the unholed region the region was cut
+    from (``region.whole or region``), whose windows and move tables are
+    built once and kept in its ``memo``, so every region of a hexagon and
+    kind shares them.  The layer at window start ``lo`` maps the covered
+    cells from ``lo`` on (bit 0 is ``lo``) to the number of ways to cover
+    every cell before ``lo``.  A hole cell is covered from the start: its bit
+    is set on every key before the first window that reads it.  Each key
+    reads its moves from the window's table (``_Window``) and steps to
+    ``(mask >> width) | move``.  Slab-major cell order keeps the masks narrow.
 
     A region that is its own mirror image (``region.mirror_cut``) is swept
-    only over its cells left of the centre line.  Each key of that layer is
-    a set of column-0 vertical rhombi crossing the line, and the right half
-    of a tiling is the mirror image of a left half with the same crossing
-    set, so the count is the sum of the squares of the layer's counts.
+    only over the cells left of the centre line.  Each key of that layer is
+    a set of column-0 vertical rhombi crossing the line (with the hole cells
+    right of the line read so far, the same on every key), and the right
+    half of a tiling is the mirror image of a left half with the same
+    crossing set, so the count is the sum of the squares of the layer's
+    counts.
     """
-    _, ahead = region.order
-    cut = region.mirror_cut
-    layer = {0: 1}
-    for offsets, forced in _steps(ahead, len(ahead) if cut is None else cut):
-        bits = [1 << off for off in offsets]
-        partner, shift = (2 << forced, 2) if forced else (0, 1)
+    whole = region.whole or region
+    sweep = whole.memo.get(_Sweep)
+    if sweep is None:
+        sweep = whole.memo[_Sweep] = _Sweep(whole)
+    symmetric = region.mirror_cut is not None
+    windows = sweep.windows[:sweep.cut] if symmetric else sweep.windows
+    # per window, the hole bits its keys take on: a hole's bit is set late,
+    # by the first window that reads it, so that the keys stay narrow
+    enter = [0] * (len(windows) + 1)
+    holes = region.hole_cells
+    for lo, cell in enumerate(sweep.cells if holes else ()):
+        if cell in holes:
+            k = bisect_right(sweep.reach, lo)
+            if k < len(windows):
+                enter[k] |= 1 << lo - windows[k].lo
+    layer = {enter[0]: 1}
+    for window, entering in zip(windows, enter[1:]):
+        read, width = window.read, window.width
         nxt: dict = {}
         for mask, ways in layer.items():
-            if mask & 1:
-                key = (mask if mask & 2 else mask | partner) >> shift
+            rest = mask >> width | entering
+            for move in window[mask & read]:
+                key = rest | move
                 nxt[key] = nxt.get(key, 0) + ways
-                continue
-            for bit in bits:
-                if not mask & bit:
-                    key = mask | bit
-                    key = (key if key & 2 else key | partner) >> shift
-                    nxt[key] = nxt.get(key, 0) + ways
         layer = nxt
-    if cut is None:
+    if not symmetric:
         return layer.get(0, 0)
     return sum(ways * ways for ways in layer.values())
 

@@ -83,9 +83,6 @@ class RegionSpec:
         """R = -L: the holes mirror each other across the centre column."""
         return tuple(sorted(-x for x in self.left)) == self.right
 
-    def unholed(self) -> "RegionSpec":
-        return RegionSpec(self.n, self.m, (), ())
-
     def to_text(self) -> str:
         lefts = ",".join(str(x) for x in self.left)
         rights = ",".join(str(x) for x in self.right)
@@ -352,6 +349,13 @@ class TriangularRegion:
         """The tiles of ``rhombi`` whose cells all lie on h = 0: the vertical
         rhombus of every column whose two axis cells both lie in the region."""
         return tuple(rhombus for rhombus in self.rhombi if all(cell[1] == 0 for cell in rhombus))
+
+    @cached_property
+    def memo(self) -> dict:
+        """What other modules derive from this region once and keep as long as
+        it, as ``mates`` is kept: ``oracle.count_tilings``' windows and move
+        tables over ``order``, shared by every region cut from this one."""
+        return {}
 
     @cached_property
     def mates(self) -> dict:

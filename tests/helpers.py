@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 from holeyhex.matrices import det_exact
-from holeyhex.regions import RIGHT, TriangularRegion, hexagon_cells
+from holeyhex.regions import RIGHT, RegionSpec, TriangularRegion, hexagon_cells
 
 
 def outcome(function, *args):
@@ -14,6 +14,11 @@ def outcome(function, *args):
     except Exception as exc:  # the exception is the outcome compared
         return type(exc), str(exc)
     return type(value), value
+
+
+def unholed(spec):
+    """The spec's hexagon with no holes."""
+    return RegionSpec(spec.n, spec.m, (), ())
 
 
 def hexagon_region(n, m):

@@ -16,7 +16,7 @@ from holeyhex.matrices import (COUNT_KINDS, HALF, _LU_GAMMA_ARGS, _boundary_step
 from holeyhex.oracle import count_families, count_tilings, noncrossing_endpoints
 from holeyhex.regions import (HALVES, RegionSpec, build_region, lgv_points, spec_grid,
                               validate)
-from helpers import outcome, path_count
+from helpers import outcome, path_count, unholed
 from identity_checks import reference_gamma_ratio
 
 DIFFERENTIAL = settings(derandomize=True, database=None, deadline=None)
@@ -384,7 +384,7 @@ def test_det_exact_with_the_boundary_lead_matches_det_exact(spec):
         q = path_matrix(spec, kind)
         # every path matrix of a hexagon half leads with its unholed path matrix,
         # so one recorded elimination per (n, m, half) serves every hole placement
-        assert [row[:spec.m] for row in q[:spec.m]] == path_matrix(spec.unholed(), kind)
+        assert [row[:spec.m] for row in q[:spec.m]] == path_matrix(unholed(spec), kind)
         plain, led = det_exact(q), det_exact(q, _boundary_steps(spec.n, spec.m, kind))
         assert led == plain and type(led) is type(plain) is Fraction, (spec.to_text(), kind)
 
@@ -554,7 +554,7 @@ def test_the_record_is_the_whole_block_elimination_on_any_symmetric_block():
 @example(spec=validate(168, 84))
 def test_the_recorded_steps_match_the_whole_block_elimination(spec):
     for kind in HALVES:
-        block = path_matrix(spec.unholed(), kind)
+        block = path_matrix(unholed(spec), kind)
         assert _boundary_steps(spec.n, spec.m, kind)[1] == \
             reference_recorded_elimination(block)[1], (spec.to_text(), kind)
 

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from holeyhex import oracle
 from holeyhex.arith import product_formula
 from holeyhex.matrices import count_region, det_exact, path_matrix
-from holeyhex.oracle import (CONSTRAINTS, BudgetExceededError, _column, _columns, _forced,
-                             _steps, count_families, count_tilings, enumerate_tilings,
+from holeyhex.oracle import (CONSTRAINTS, WINDOW, BudgetExceededError, _column, _columns,
+                             _forced, _Sweep, count_families, count_tilings, enumerate_tilings,
                              noncrossing_endpoints, tiling_is_exact_cover)
 from holeyhex.regions import (KINDS, LEFT, RIGHT, TriangularRegion, build_region, fused_pairs,
                               lgv_points, neighbors, spec_grid, validate)
@@ -145,9 +145,9 @@ def test_count_tilings_matches_enumeration(region):
 
 
 def reference_layer(region, stop):
-    """The per-cell transfer sweep that count_tilings' folded steps replaced,
-    over the first ``stop`` cells of ``order``: the layer is rebuilt once per
-    cell, forced or not."""
+    """The per-cell transfer sweep that count_tilings' windows replaced, over
+    the first ``stop`` of the region's own ``order``: the layer is rebuilt
+    once per cell, and hole cells are not in it."""
     _, ahead = region.order
     layer = {0: 1}
     for offsets in ahead[:stop]:
@@ -225,28 +225,68 @@ def test_the_centre_line_layer_counts_the_free_and_the_full_region():
         assert sum(ways * ways for ways in layer.values()) == count_tilings(full), spec.to_text()
 
 
-def test_the_sweep_folds_every_forced_cell_of_a_rhombus_region():
-    # the right-pointing cell of each strip pair is forced and folded into
-    # the step before it; a folded cell's partner has no other earlier partner.
-    # Swept to the centre line, no cell past the line is folded in.
-    for spec, whole_order, half_order in ((validate(10, 3), (210, 440), (105, 220)),
-                                          (validate(12, 2), (228, 480), (114, 240))):
-        region = build_region(spec, "full")
-        _, ahead = region.order
-        assert (len(ahead), region.mirror_cut) == (whole_order[1], half_order[1])
-        for folded, stop in (whole_order, half_order):
-            steps = _steps(ahead, stop)
-            lo, seen = 0, 0
-            for offsets, forced in steps:
-                assert offsets == ahead[lo]
-                if forced:
-                    assert lo + 1 < stop and ahead[lo + 1] == [forced]
-                    partner = lo + 1 + forced
-                    assert sum(partner - i in ahead[i] for i in range(partner)) == 1
-                    seen += 1
-                lo += 2 if forced else 1
-            assert lo == stop
-            assert (seen, len(steps)) == (folded, stop - folded), (spec.to_text(), stop)
+def grid_regions():
+    """Every region of ``spec_grid(8, 2, 2)``: full, lower and upper (fused
+    pairs included), and free on the mirrored specs."""
+    for spec in spec_grid(8, 2, 2):
+        for kind in (*KINDS, "free") if spec.is_mirror_symmetric else KINDS:
+            yield build_region(spec, kind)
+
+
+def test_the_window_sweep_matches_the_per_cell_sweep_on_every_kind():
+    kinds, fused, first, last, uneven = {}, 0, 0, 0, 0
+    for region in grid_regions():
+        assert count_tilings(region) == reference_count_tilings(region), \
+            (region.kind, region.spec.to_text())
+        kinds[region.kind] = kinds.get(region.kind, 0) + 1
+        fused += region.kind == "upper" and bool(fused_pairs(region.spec))
+        whole = region.whole or region
+        sweep = whole.memo[_Sweep]
+        starts = {window.lo for window in sweep.windows}
+        ends = {window.lo + window.width - 1 for window in sweep.windows}
+        holes = {lo for lo, cell in enumerate(sweep.cells) if cell in region.hole_cells}
+        first += bool(holes & starts)
+        last += bool(holes & ends)
+        uneven += whole.mirror_cut is not None and whole.mirror_cut % WINDOW != 0
+    # holes on a window's first and on its last cell, and centre lines that
+    # cut a window short, all occur
+    assert kinds == {"full": 624, "lower": 624, "upper": 624, "free": 64}
+    assert (fused, first, last, uneven) == (286, 1001, 1069, 1249)
+
+
+def test_a_symmetric_holey_region_squares_its_centre_line_layer():
+    # the window sweep stops at the unholed region's centre line, its hole
+    # cells covered; its layer's counts square-sum as the per-cell layer's
+    # over the region's own order
+    seen = 0
+    for region in grid_regions():
+        if region.whole is None or region.mirror_cut is None:
+            continue
+        layer = reference_layer(region, region.mirror_cut)
+        assert count_tilings(region) == sum(ways * ways for ways in layer.values()), \
+            (region.kind, region.spec.to_text())
+        seen += 1
+    assert seen == 168
+
+
+def test_every_region_of_a_hexagon_reads_one_set_of_move_tables():
+    holey = [build_region(validate(8, 2, left, right), "full")
+             for left, right in (([-4], [4]), ([-2], [4]), ([-6, 0], [2, 4]))]
+    whole = holey[0].whole
+    assert all(region.whole is whole for region in holey)
+    count_tilings(holey[0])
+    sweep = whole.memo[_Sweep]
+    tables = [dict(window) for window in sweep.windows]
+    assert sum(map(len, tables)) > 0
+    count_tilings(holey[0])  # the same region again finds every pattern in place
+    assert [dict(window) for window in sweep.windows] == tables
+    for region in holey[1:]:
+        count_tilings(region)
+        assert whole.memo[_Sweep] is sweep and not region.memo
+    count_tilings(whole)
+    assert whole.memo[_Sweep] is sweep
+    assert [window.lo for window in sweep.windows] == [
+        *range(0, whole.mirror_cut, WINDOW), *range(whole.mirror_cut, len(whole.cells), WINDOW)]
 
 
 def test_count_families_has_no_depth_limit():

@@ -14,7 +14,7 @@ from holeyhex.regions import (HALVES, KINDS, LEFT, REGION_KINDS, RIGHT, InducedH
                               lgv_points, merge_induced_holes, neighbors, spec_grid,
                               validate)
 from holeyhex.zeta import upper_weight
-from helpers import triangle_cells
+from helpers import triangle_cells, unholed
 
 
 def sample_specs(rng, count, max_n=12, max_m=4, max_p=3):
@@ -322,9 +322,9 @@ def grid_regions():
     each mirrored spec, with its unholed region."""
     for spec in spec_grid(6, 2, 2):
         for kind in KINDS:
-            yield build_region(spec, kind), build_region(spec.unholed(), kind)
+            yield build_region(spec, kind), build_region(unholed(spec), kind)
         if spec.is_mirror_symmetric:
-            yield build_region(spec, "free"), build_region(spec.unholed(), "free")
+            yield build_region(spec, "free"), build_region(unholed(spec), "free")
 
 
 def test_order_restricts_the_unholed_order():
@@ -345,7 +345,7 @@ def test_order_restricts_the_unholed_order():
 
 def test_a_holey_region_orders_without_probing_neighbors(monkeypatch):
     spec = validate(6, 2, [-4, 2], [-2, 4])
-    wholes = [build_region(spec.unholed(), kind) for kind in REGION_KINDS]
+    wholes = [build_region(unholed(spec), kind) for kind in REGION_KINDS]
     for whole in wholes:
         assert whole.order
 
@@ -412,9 +412,9 @@ def test_the_mirror_cut_counts_the_cells_left_of_the_centre_line():
 def test_each_hexagon_has_one_unholed_region():
     for spec in (validate(4, 1), validate(6, 2, [-2], [2])):
         for kind in REGION_KINDS:
-            whole = build_region(spec.unholed(), kind)
-            assert build_region(spec.unholed(), kind) is whole
-            assert whole.spec == spec.unholed() and not whole.hole_cells
+            whole = build_region(unholed(spec), kind)
+            assert build_region(unholed(spec), kind) is whole
+            assert whole.spec == unholed(spec) and not whole.hole_cells
     # a holey region is a new region every time, cut from the shared one
     spec = validate(6, 2, [-2], [2])
     assert build_region(spec, "full") is not build_region(spec, "full")
@@ -429,7 +429,7 @@ def test_hole_cells_are_the_cells_the_holes_cut_from_the_whole_region():
         for kind in REGION_KINDS:
             if kind == "free" and not spec.is_mirror_symmetric:
                 continue
-            region, whole = build_region(spec, kind), build_region(spec.unholed(), kind)
+            region, whole = build_region(spec, kind), build_region(unholed(spec), kind)
             assert region.hole_cells == regions._removed(spec, kind) & whole.cells, \
                 (spec.to_text(), kind)
             cut += region is not whole

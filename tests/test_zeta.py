@@ -13,6 +13,7 @@ from holeyhex.regions import (HALVES, LEFT, REGION_KINDS, RIGHT, build_region,
                               fused_pairs, half_shift, hole_cell_half, neighbors, spec_grid,
                               validate)
 from holeyhex.zeta import TransmissionError, pair_holes, upper_weight, verify_injection, zeta
+from helpers import unholed
 
 # every holed spec at (n, m) = (2, 1), (4, 1), (6, 1) and (4, 2); m = 2 at
 # n = 4 reaches the walks' second step below the axis
@@ -203,7 +204,7 @@ def test_zeta_images_are_valid_tilings():
     for args in INJECTIVE_SPECS:
         spec = validate(*args)
         region = build_region(spec, "lower")
-        target = build_region(spec.unholed(), "lower")
+        target = build_region(unholed(spec), "lower")
         for tiling in enumerate_tilings(region):
             image, _ = zeta(tiling, region)
             assert tiling_is_exact_cover(target, image)
@@ -250,7 +251,7 @@ def test_injection_fails_for_wide_apart_pairs():
 
     wide = validate(8, 1, [-6], [6])
     assert count_region(wide, "lower").value == 4719
-    assert count_region(wide.unholed(), "lower").value == 1430  # fewer than holey
+    assert count_region(unholed(wide), "lower").value == 1430  # fewer than holey
 
 
 def test_an_invalid_image_fails_the_report(monkeypatch):
@@ -273,7 +274,7 @@ def test_count_inequality_on_injective_specs():
     for args in INJECTIVE_SPECS:
         spec = validate(*args)
         assert count_region(spec, "lower").value <= \
-            count_region(spec.unholed(), "lower").value
+            count_region(unholed(spec), "lower").value
 
 
 UPPER_MONOTONE_SPECS = [
@@ -295,7 +296,7 @@ def test_upper_weight_can_drop_for_apart_pairs():
     # closes previously open weighted columns
     spec = validate(4, 1, [0], [2])
     region = build_region(spec, "upper")
-    target = build_region(spec.unholed(), "upper")
+    target = build_region(unholed(spec), "upper")
     drops = 0
     for tiling in enumerate_tilings(region):
         if upper_weight(target, zeta(tiling, region)[0]) < upper_weight(region, tiling):
@@ -510,7 +511,7 @@ def test_stored_images_share_one_object_per_rhombus(monkeypatch):
             tiles = [rhombus for image in images for rhombus in image]
             assert len({id(rhombus) for rhombus in tiles}) == len(set(tiles)), (spec, kind)
             # and each is the unholed target's own object
-            target = build_region(spec.unholed(), kind)
+            target = build_region(unholed(spec), kind)
             assert all(target.mates[a][b] is rhombus
                        for rhombus in set(tiles) for a, b in [tuple(rhombus)]), (spec, kind)
 
@@ -643,7 +644,7 @@ def test_a_tile_set_the_walks_cannot_follow_raises():
         not_a_tiling
     found = {}
     for kind in HALVES:
-        for tiling in enumerate_tilings(build_region(region.spec.unholed(), kind)):
+        for tiling in enumerate_tilings(build_region(unholed(region.spec), kind)):
             assert outcome(zeta, tiling, region) == not_a_tiling, kind
             got = outcome(plan.map, tiling)
             key = kind, got[1] if got[0] is TransmissionError else "mapped"
