@@ -9,9 +9,9 @@ window's table; the tables are kept with the unholed region, so every
 region cut from one hexagon reads the same ones.  It stops at the centre
 line of a region that is its own mirror image, whose count is the sum of
 the squares of that layer's counts.  The tilings are enumerated by walking
-the states of the region's own ``order`` one cell at a time, depth first,
-over per-cell tables of later partners and their ``mates`` tiles, built
-once per call, a forced cell (``_forced``) taking its one partner in place.
+the states of the same ``order`` one cell at a time, depth first, over
+per-cell tables of later partners and their ``mates`` tiles, built once per
+call, a cell with one later partner taking it in place.
 A path-family state is the (height, path) pairs of the paths crossing into
 a column; the sweep steps each column one path at a time.  Nothing here
 touches the determinant machinery.
@@ -42,26 +42,28 @@ class BudgetExceededError(RuntimeError):
 def enumerate_tilings(region: TriangularRegion, budget: int = DEFAULT_BUDGET) -> Iterator[Tiling]:
     """Stream every tiling of the region in a fixed canonical order.
 
-    Walks the states of the region's own ``order`` one cell at a time (the
-    first uncovered cell ``lo`` and the covered cells from it on) depth
-    first on an explicit stack, so it has no recursion limit; each uncovered
-    ``lo`` is one branch node, and pairs with each free partner in ascending
-    order (a free-edge ``lo`` first with itself, its half rhombus).  Each
-    cell's later partners are tabled once per call as (mask bit, tile), the
-    tile being its object in ``region.mates``, shared by every region of the
-    hexagon, in stack order; a forced cell (``_forced``), whose one partner
-    is always free, takes it in place, with no push or pop.  Past ``budget``
-    nodes the error carries the tiles chosen so far.
+    Walks the states of the unholed region's ``order`` (``region.whole or
+    region``, which ``count_tilings`` sweeps), its hole cells covered from
+    the start, one cell at a time (the first uncovered cell ``lo`` and the
+    covered cells from it on) depth first on an explicit stack, so it has no
+    recursion limit; each uncovered ``lo`` is one branch node, and pairs with
+    each free partner in ascending order (a free-edge ``lo`` first with
+    itself, its half rhombus).  Each cell's later partners are tabled once
+    per call as (mask bit, tile), the tile being its object in
+    ``region.mates``, in stack order; a cell with one later partner takes it
+    in place, with no push or pop, or ends the branch if it is covered.
+    Past ``budget`` nodes the error carries the tiles chosen so far.
     """
-    cells, ahead = region.order
+    cells, ahead = (region.whole or region).order
     mates = region.mates
-    forced = _forced(ahead)
     # reversed, so that the stack pops the first partner's tilings first
     later = [[(1 << off, mates[cell][cells[lo + off]]) for off in reversed(offsets)]
              for lo, (cell, offsets) in enumerate(zip(cells, ahead))]
+    holes = region.hole_cells
+    covered = sum(1 << lo for lo, cell in enumerate(cells if holes else ()) if cell in holes)
     nodes = 0
     chosen = []  # the tiles chosen on the way to the current state
-    stack = [(0, 0, 0, ())]  # (lo, covered mask from lo on, len(chosen) before, (last tile,))
+    stack = [(0, covered, 0, ())]  # (lo, covered from lo on, len(chosen) before, (last tile,))
     while stack:
         lo, mask, depth, last = stack.pop()
         chosen[depth:] = last
@@ -74,36 +76,17 @@ def enumerate_tilings(region: TriangularRegion, budget: int = DEFAULT_BUDGET) ->
             nodes += 1
             if nodes > budget:
                 raise BudgetExceededError(nodes, tuple(chosen))
-            if not forced[lo]:
-                for bit, tile in later[lo]:
+            partners = later[lo]
+            if len(partners) != 1:
+                for bit, tile in partners:
                     if not mask & bit:
                         stack.append((lo + 1, (mask | bit) >> 1, len(chosen), (tile,)))
                 break
-            (bit, tile), = later[lo]
+            (bit, tile), = partners
+            if mask & bit:  # a hole, or taken by an earlier tile
+                break
             chosen.append(tile)
             lo, mask = lo + 1, (mask | bit) >> 1
-
-
-def _forced(ahead) -> list:
-    """Per cell of ``ahead`` (``region.order``'s offsets), the offset of its
-    one later partner when the cell is forced, else 0; one more 0 follows,
-    for one past the last cell.  ``enumerate_tilings`` takes a forced cell's
-    partner in place.
-
-    A cell is forced when its one later partner, at offset o > 0, has it as
-    its only earlier partner.  No earlier cell can cover that partner, so bit
-    o is clear when the cell is reached.
-    """
-    earlier = [0] * len(ahead)
-    for lo, offsets in enumerate(ahead):
-        for off in offsets:
-            if off:
-                earlier[lo + off] += 1
-    forced = [0] * (len(ahead) + 1)
-    for lo, offsets in enumerate(ahead):
-        if len(offsets) == 1 and offsets[0] and earlier[lo + offsets[0]] == 1:
-            forced[lo] = offsets[0]
-    return forced
 
 
 # cells per step of the tiling sweep

@@ -16,14 +16,15 @@ vertical edge in column x, centred on the axis.
 
 Each hexagon's geometry is built once per kind: a small cache keeps the
 unholed region of each (n, m, kind), and every holey region of that hexagon
-is its cells less the hole cells and holds it, sharing its order and tiles.
+is its cells less the hole cells and holds it: the tiling searches walk its
+order with the hole cells covered, and the holey region shares its tiles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import accumulate, combinations
+from itertools import combinations
 from math import sqrt
 from typing import Iterable, Iterator, Sequence
 
@@ -291,19 +292,9 @@ class TriangularRegion:
         inside ~one column, and per cell the ascending offsets of its later
         partners (offset 0 first for a free-edge cell: its half rhombus).
 
-        A region cut from its unholed region (``whole``) takes that region's
-        order restricted to its own cells: they are a subsequence, as slab-major
-        keys are unique, and each offset is re-indexed through the running count
-        of kept cells (a kept free-edge cell keeps its offset 0).  Only an
-        unholed or hand-built region sorts its cells and probes ``neighbors``."""
-        if self.whole is not None:
-            cells, ahead = self.whole.order
-            keep = [cell in self.cells for cell in cells]
-            rank = list(accumulate(keep, initial=0))  # kept cells before each index
-            return ([cell for cell, kept in zip(cells, keep) if kept],
-                    [[rank[lo + off] - rank[lo] for off in offsets if keep[lo + off]]
-                     for lo, offsets in enumerate(ahead) if keep[lo]])
-
+        Both tiling searches read the order of the unholed region a region was
+        cut from (``whole``), its hole cells covered, so only an unholed or
+        hand-built region's order is built in the library."""
         # 2c + o is odd, and h = c + n + 1 (mod 2) tells its two columns apart
         cells = sorted(self.cells, key=lambda cell: (2 * cell[0] + cell[2], cell[1]))
         index = {cell: i for i, cell in enumerate(cells)}
@@ -337,12 +328,10 @@ class TriangularRegion:
 
     @cached_property
     def rhombi(self) -> frozenset:
-        """Every tile of ``order`` as its object in ``mates``: edge-sharing pairs
-        and free-edge cells alone."""
-        cells, ahead = self.order
-        mates = self.mates
-        return frozenset(mates[cell][cells[lo + off]]
-                         for lo, cell in enumerate(cells) for off in ahead[lo])
+        """Every tile of ``mates`` whose cells all lie in the region: edge-sharing
+        pairs and free-edge cells alone."""
+        mates, cells = self.mates, self.cells
+        return frozenset(tile for cell in cells for tile in mates[cell].values() if tile <= cells)
 
     @cached_property
     def axis_rhombi(self) -> tuple:

@@ -42,6 +42,39 @@ def test_zeta_imports_no_cell_neighbours():
     assert "neighbors" not in imported
 
 
+def unread_imports(tree):
+    """Each name an import binds in ``tree`` that no code of it reads; a
+    ``__future__`` import binds none."""
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(alias.asname or alias.name for alias in node.names)
+    return bound - loaded_names(tree)
+
+
+@pytest.mark.parametrize("source, found", [
+    ("import math\nmath.pi", set()),
+    ("import os.path\nos.sep", set()),
+    ("from itertools import accumulate, combinations\ncombinations", {"accumulate"}),
+    ("from .regions import neighbors as nb\nnb(cell)", set()),
+    ("from .regions import neighbors as nb\nneighbors(cell)", {"nb"}),
+    ("from typing import Sequence\ndef f(xs: Sequence): pass", set()),
+    ("from __future__ import annotations", set()),
+])
+def test_the_unread_import_check_sees_each_spelling(source, found):
+    assert unread_imports(ast.parse(source)) == found
+
+
+def test_every_import_is_read():
+    # an import left behind when its last reader goes is dead weight; the
+    # package's __init__ imports its public names to export them
+    found = {path.stem: unread_imports(ast.parse(path.read_text()))
+             for path in sorted(SOURCE.glob("*.py")) if path.stem != "__init__"}
+    assert {module: names for module, names in found.items() if names} == {}
+
+
 def located(tree, matches):
     """(enclosing class and function names, node) of every node that ``matches``."""
     found = []

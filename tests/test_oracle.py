@@ -7,11 +7,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from holeyhex import oracle
 from holeyhex.arith import product_formula
 from holeyhex.matrices import count_region, det_exact, path_matrix
 from holeyhex.oracle import (CONSTRAINTS, WINDOW, BudgetExceededError, _column, _columns,
-                             _forced, _Sweep, count_families, count_tilings, enumerate_tilings,
+                             _Sweep, count_families, count_tilings, enumerate_tilings,
                              noncrossing_endpoints, tiling_is_exact_cover)
 from holeyhex.regions import (KINDS, LEFT, RIGHT, TriangularRegion, build_region, fused_pairs,
                               lgv_points, neighbors, spec_grid, validate)
@@ -694,25 +693,17 @@ def test_every_budget_stops_where_the_recursive_search_stops():
     assert finished == 275  # the free region's search takes 126 nodes, the others over 400
 
 
-def test_taking_forced_cells_in_place_changes_no_tiling(monkeypatch):
-    # with no cell forced every cell branches through the stack; the
-    # tilings and their order stay the same
-    for args, kind in SEARCH_REGIONS:
-        region = search_region(args, kind)
-        got = list(islice(enumerate_tilings(region), 2000))
-        with monkeypatch.context() as patch:
-            patch.setattr(oracle, "_forced", lambda ahead: [0] * (len(ahead) + 1))
-            assert got == list(islice(enumerate_tilings(region), 2000)), (args, kind)
-
-
-def test_forced_cells_are_pinned():
-    _, ahead = search_region((6, 3, [-4, 2], [-2, 4]), "lower").order
-    forced = _forced(ahead)
-    assert (sum(map(bool, forced)), len(ahead), forced[-1]) == (43, 98, 0)
-    for lo, off in enumerate(forced[:-1]):
-        if off:
-            assert ahead[lo] == [off]
-            assert sum(lo + off - i in ahead[i] for i in range(lo + off)) == 1
+def test_a_lone_later_partner_is_taken_in_place_or_ends_the_branch():
+    # the walk reads the unholed order, where half of this region's cells have
+    # one later partner and take it in place; for four of them that partner
+    # is a hole cell, whose bit is set from the start, so the branch ends there
+    region = search_region((6, 3, [-4, 2], [-2, 4]), "lower")
+    cells, ahead = region.whole.order
+    lone = [cells[lo + offsets[0]] for lo, (cell, offsets) in enumerate(zip(cells, ahead))
+            if cell in region.cells and len(offsets) == 1]
+    assert (len(lone), sum(partner in region.hole_cells for partner in lone)) == (50, 4)
+    assert (len(region.cells), len(cells)) == (98, 102)
+    assert list(enumerate_tilings(region)) == list(reference_tilings(region))
 
 
 def test_count_families_tiny_hexagon():

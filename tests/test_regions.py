@@ -1,19 +1,20 @@
 import math
 import operator
 import random
+import sys
 from itertools import combinations
 
 import pytest
 
 from holeyhex import matrices, regions
-from holeyhex.oracle import count_tilings, enumerate_tilings
+from holeyhex.oracle import count_tilings, enumerate_tilings, tiling_is_exact_cover
 from holeyhex.regions import (HALVES, KINDS, LEFT, REGION_KINDS, RIGHT, InducedHole,
                               RegionSpec, SpecValidationError, TriangularRegion, build_region,
                               check, distance, free_boundary_holes, fused_pairs,
                               hexagon_cells, hole_cell_half, hole_cells_full,
                               lgv_points, merge_induced_holes, neighbors, spec_grid,
                               validate)
-from holeyhex.zeta import upper_weight
+from holeyhex.zeta import upper_weight, verify_injection
 from helpers import triangle_cells, unholed
 
 
@@ -302,8 +303,9 @@ def test_hole_cell_half_matches_per_half_reference():
 
 
 def reference_order(region):
-    """TriangularRegion.order by sorting the cells and probing ``neighbors``, as
-    every region did before holey regions restricted their unholed region's."""
+    """TriangularRegion.order written out: the cells sorted slab-major, each
+    probing its ``neighbors`` for later partners, then the free-edge cells'
+    half rhombi."""
     def key(cell):
         c, h, o = cell
         return (2 * c + (1 if o == RIGHT else -1), h, o)
@@ -328,8 +330,9 @@ def grid_regions():
 
 
 def test_order_restricts_the_unholed_order():
-    # a holey region's order is its unholed region's restricted to its cells;
-    # only the unholed region sorts, and both agree with sort-and-probe
+    # a cut region's own order is its unholed region's restricted to its cells,
+    # so the searches, which walk the unholed order with the hole cells covered,
+    # meet its cells in the same order; both agree with sort-and-probe
     restricted = fused = free = 0
     for region, whole in grid_regions():
         assert region.order == reference_order(region), (region.spec, region.kind)
@@ -337,26 +340,39 @@ def test_order_restricts_the_unholed_order():
             assert region.whole is None
             continue
         assert region.whole is whole, (region.spec, region.kind)
+        assert region.order[0] == [cell for cell in whole.order[0] if cell in region.cells]
         restricted += 1
         fused += region.kind == "upper" and bool(fused_pairs(region.spec))
         free += region.kind == "free"
     assert (restricted, fused, free) == (3 * 112 + 20, 54, 20)
 
 
-def test_a_holey_region_orders_without_probing_neighbors(monkeypatch):
-    spec = validate(6, 2, [-4, 2], [-2, 4])
-    wholes = [build_region(unholed(spec), kind) for kind in REGION_KINDS]
-    for whole in wholes:
-        assert whole.order
+def test_no_library_path_orders_a_cut_regions_own_cells(monkeypatch):
+    # both tiling searches walk the unholed region's order with the hole cells
+    # covered, and a cut region reads its tiles from mates, so none of them
+    # builds the cut region's own order
+    spec = validate(4, 1, [-2], [2])
+    walked = []
 
-    def no_probe(cell):
-        raise AssertionError("a restricted order probed neighbors")
+    def recorded(region, *args):
+        walked.append(region)
+        return enumerate_tilings(region, *args)
 
-    monkeypatch.setattr(regions, "neighbors", no_probe)
-    holey = [build_region(spec, kind) for kind in KINDS] + \
-        [build_region(validate(6, 2, [-4], [4]), "free")]
-    for region in holey:
-        assert region.order == reference_order(region)
+    zeta_module = sys.modules["holeyhex.zeta"]  # the package's `zeta` is the function
+    monkeypatch.setattr(zeta_module, "enumerate_tilings", recorded)
+    for kind in REGION_KINDS:
+        region = build_region(spec, kind)
+        assert region.whole is not None, kind
+        tilings = list(enumerate_tilings(region))
+        assert count_tilings(region) == len(tilings) > 0, kind
+        assert all(tiling_is_exact_cover(region, tiling) for tiling in tilings), kind
+        assert all(tile <= region.cells for tile in (*region.rhombi, *region.axis_rhombi)), kind
+        if kind in HALVES:
+            assert verify_injection(spec, kind)["tilings"] == len(tilings), kind
+        for cut in (region, *walked):
+            assert "order" not in vars(cut), kind
+        assert "order" in vars(region.whole), kind
+    assert len(walked) == len(HALVES)
 
 
 def test_a_region_built_by_hand_orders_as_sort_and_probe():
