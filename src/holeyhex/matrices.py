@@ -11,7 +11,9 @@ computed by the subtraction formula
     e[i][j] = Q[m+i][m+j] - sum_{s=1..m} B(s; l_i) * D(s; r_j)
 
 without materialising the full (m+p) x (m+p) matrix, which keeps large-n
-sweeps cheap.
+sweeps cheap.  An entry reads only n, m, its two holes and the half, so it
+is computed once per (n, m, l_i, r_j, half) and kept, at most _ENTRIES of
+them, for every placement that shares the pair.
 
 The path matrices of one hexagon half share their leading m x m block
 (boundary starts to boundary ends), so its elimination is recorded once per
@@ -168,6 +170,26 @@ def _hole(positions, index: int) -> int:
 def hole_matrix_entry(spec: RegionSpec, kind: str, i: int, j: int) -> Fraction:
     """Entry (i, j), 1-based, of the p x p hole matrix by subtraction.
 
+    The entry reads only n, m, the left hole l_i, the right hole r_j and the
+    half, so it is computed once per (n, m, l_i, r_j, d) by ``_entry`` and
+    kept; an unknown kind raises ValueError before an index outside the
+    holes raises IndexError.
+    """
+    d = half_shift(kind, "hole matrix")
+    return _entry(spec.n, spec.m, _hole(spec.left, i), _hole(spec.right, j), d)
+
+
+# Schur entries kept, each a Fraction of at most a few hundred bytes at the
+# benchmark's sizes: the 364 distinct entries of a seed-1 correlation_sweep
+# pass fit
+_ENTRIES = 1024
+
+
+@lru_cache(maxsize=_ENTRIES)
+def _entry(n: int, m: int, l: int, r: int, d: int) -> Fraction:
+    """The hole-matrix entry of left hole l and right hole r in the (n, m)
+    half of shift d.
+
     The Schur sum over s = 1..m of l_hole(s; l) * u_hole(s; r) (the signs
     cancel) is built by its term recurrence.  Every Gamma argument g in
     _LU_GAMMA_ARGS is affine in s with slope 0, 1 or 2, so term(s+1)/term(s)
@@ -176,11 +198,9 @@ def hole_matrix_entry(spec: RegionSpec, kind: str, i: int, j: int) -> Fraction:
     [-n+2, n-2] every argument is >= 1 at s = 1 and none decreases in s, so
     every term is finite and nonzero: there is one run of terms, with no
     zero or pole case.  Only the s = 1 term needs a gamma_ratio;
-    arith.ratio_series sums the rest from the ratios.
+    arith.ratio_series sums the rest from the ratios.  A GammaPoleError is
+    raised again on every call, as lru_cache keeps no exception.
     """
-    n, m, d = spec.n, spec.m, half_shift(kind, "hole matrix")
-    l = _hole(spec.left, i)
-    r = _hole(spec.right, j)
     l_hole, u_hole = _LU_GAMMA_ARGS["l_hole"], _LU_GAMMA_ARGS["u_hole"]
     total = _hole_to_hole(l, r, d)
     if m < 1:
@@ -192,13 +212,9 @@ def hole_matrix_entry(spec: RegionSpec, kind: str, i: int, j: int) -> Fraction:
         raise GammaPoleError(
             f"Schur term of hole pair ({l}, {r}) at n={n} has a Gamma argument "
             f"below 1; hole positions must lie in [{2 - n}, {n - 2}]")
-    # at m = 1 the sum is its s = 1 term: skipping the empty ratio tables halves
-    # the entry's cost, which a `holeyhex verify --max-m 1` grid pays per entry
-    acc_n = acc_d = 1
-    if m > 1:
-        (l_num, l_den), (u_num, u_den) = l_hole(n, 2, l, d), u_hole(n, 2, r, d)
-        acc_n, acc_d = ratio_series(factor_ratios(_linear_factors(nums, l_num + u_num),
-                                                  _linear_factors(dens, l_den + u_den), m - 1))
+    (l_num, l_den), (u_num, u_den) = l_hole(n, 2, l, d), u_hole(n, 2, r, d)
+    acc_n, acc_d = ratio_series(factor_ratios(_linear_factors(nums, l_num + u_num),
+                                              _linear_factors(dens, l_den + u_den), m - 1))
     # head * (acc_n / acc_d) * HALF ** (2 - 2d), the two hole scales, as one Fraction
     head = gamma_ratio(nums, dens)
     return total - Fraction(head.numerator * acc_n, head.denominator * acc_d * 4 ** (1 - d))

@@ -43,27 +43,28 @@ def enumerate_tilings(region: TriangularRegion, budget: int = DEFAULT_BUDGET) ->
     """Stream every tiling of the region in a fixed canonical order.
 
     Walks the states of the unholed region's ``order`` (``region.whole or
-    region``, which ``count_tilings`` sweeps), its hole cells covered from
-    the start, one cell at a time (the first uncovered cell ``lo`` and the
-    covered cells from it on) depth first on an explicit stack, so it has no
-    recursion limit; each uncovered ``lo`` is one branch node, and pairs with
-    each free partner in ascending order (a free-edge ``lo`` first with
-    itself, its half rhombus).  Each cell's later partners are tabled once
-    per call as (mask bit, tile), the tile being its object in
-    ``region.mates``, in stack order; a cell with one later partner takes it
-    in place, with no push or pop, or ends the branch if it is covered.
-    Past ``budget`` nodes the error carries the tiles chosen so far.
+    region``, which ``count_tilings`` sweeps) one cell at a time (the first
+    uncovered cell ``lo`` and the covered cells from it on) depth first on an
+    explicit stack, so it has no recursion limit; each uncovered ``lo`` is
+    one branch node, and pairs with each free partner in ascending order (a
+    free-edge ``lo`` first with itself, its half rhombus).  Each cell's later
+    partners are tabled once per call as (mask bit, tile), the tile being its
+    object in ``region.mates``, in stack order.  A hole cell has no table, is
+    stepped over before the node count and is no cell's partner, so no mask
+    carries a hole's bit.  A cell with one later partner takes it in place,
+    with no push or pop, or ends the branch if it is covered.  Past
+    ``budget`` nodes the error carries the tiles chosen so far.
     """
     cells, ahead = (region.whole or region).order
-    mates = region.mates
+    mates, holes = region.mates, region.hole_cells
     # reversed, so that the stack pops the first partner's tilings first
-    later = [[(1 << off, mates[cell][cells[lo + off]]) for off in reversed(offsets)]
+    later = [None if cell in holes else
+             [(1 << off, mates[cell][cells[lo + off]]) for off in reversed(offsets)
+              if cells[lo + off] not in holes]
              for lo, (cell, offsets) in enumerate(zip(cells, ahead))]
-    holes = region.hole_cells
-    covered = sum(1 << lo for lo, cell in enumerate(cells if holes else ()) if cell in holes)
     nodes = 0
     chosen = []  # the tiles chosen on the way to the current state
-    stack = [(0, covered, 0, ())]  # (lo, covered from lo on, len(chosen) before, (last tile,))
+    stack = [(0, 0, 0, ())]  # (lo, covered from lo on, len(chosen) before, (last tile,))
     while stack:
         lo, mask, depth, last = stack.pop()
         chosen[depth:] = last
@@ -73,17 +74,20 @@ def enumerate_tilings(region: TriangularRegion, budget: int = DEFAULT_BUDGET) ->
             if lo == len(cells):
                 yield frozenset(chosen)
                 break
+            partners = later[lo]
+            if partners is None:  # a hole cell, which no tile covers
+                lo, mask = lo + 1, mask >> 1
+                continue
             nodes += 1
             if nodes > budget:
                 raise BudgetExceededError(nodes, tuple(chosen))
-            partners = later[lo]
             if len(partners) != 1:
                 for bit, tile in partners:
                     if not mask & bit:
                         stack.append((lo + 1, (mask | bit) >> 1, len(chosen), (tile,)))
                 break
             (bit, tile), = partners
-            if mask & bit:  # a hole, or taken by an earlier tile
+            if mask & bit:  # taken by an earlier tile
                 break
             chosen.append(tile)
             lo, mask = lo + 1, (mask | bit) >> 1

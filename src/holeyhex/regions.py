@@ -17,7 +17,7 @@ vertical edge in column x, centred on the axis.
 Each hexagon's geometry is built once per kind: a small cache keeps the
 unholed region of each (n, m, kind), and every holey region of that hexagon
 is its cells less the hole cells and holds it: the tiling searches walk its
-order with the hole cells covered, and the holey region shares its tiles.
+order skipping the hole cells, and the holey region shares its tiles.
 """
 
 from __future__ import annotations
@@ -293,7 +293,7 @@ class TriangularRegion:
         partners (offset 0 first for a free-edge cell: its half rhombus).
 
         Both tiling searches read the order of the unholed region a region was
-        cut from (``whole``), its hole cells covered, so only an unholed or
+        cut from (``whole``), skipping its hole cells, so only an unholed or
         hand-built region's order is built in the library."""
         # 2c + o is odd, and h = c + n + 1 (mod 2) tells its two columns apart
         cells = sorted(self.cells, key=lambda cell: (2 * cell[0] + cell[2], cell[1]))

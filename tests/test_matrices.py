@@ -912,21 +912,58 @@ def test_a_fraction_too_long_to_print_shows_its_size_and_last_digits():
 
 
 def test_hole_matrix_entry_rejects_a_kind_without_halves():
+    # before it reads an index, which may lie outside the holes
     spec = validate(10, 2, [-4, 2], [0, 6])
-    for kind in ("full", "upper_weighted"):
+    for kind, (i, j) in product(("full", "upper_weighted"), ((1, 1), (3, 0))):
         with pytest.raises(ValueError, match=f"no hole matrix for kind '{kind}'"):
-            hole_matrix_entry(spec, kind, 1, 1)
+            hole_matrix_entry(spec, kind, i, j)
 
 
 def test_hole_indices_outside_the_holes_raise():
     # holes 1..p: an index outside must not alias another hole through a
-    # negative list index or give a value
+    # negative list index or give a value; i is read before j
     spec = validate(10, 2, [-4, 2], [0, 6])
     for kind in ("lower", "upper"):
         for function in (hole_matrix_entry, closed_form_entry):
-            for i, j, bad in ((0, 1, 0), (1, 0, 0), (3, 1, 3), (1, -1, -1)):
+            for i, j, bad in ((0, 1, 0), (1, 0, 0), (3, 1, 3), (1, -1, -1), (3, 0, 3)):
                 with pytest.raises(IndexError, match=f"hole index {bad} outside 1..2"):
                     function(spec, kind, i, j)
+
+
+def test_placements_that_share_a_hole_pair_compute_its_entry_once():
+    # an entry reads n, m, its two holes and the half only: the pair (-4, 6)
+    # of both placements is computed once per half, 7 distinct pairs in all
+    cache = matrices._entry
+    cache.cache_clear()
+    first = validate(10, 2, [-4, 2], [0, 6])
+    second = validate(10, 2, [-4, -8], [6, 4])
+    for kind in ("lower", "upper"):
+        rows = {spec: hole_matrix(spec, kind) for spec in (first, second)}
+        shared = [rows[spec][spec.left.index(-4)][spec.right.index(6)] for spec in rows]
+        assert shared[0] is shared[1]
+        for spec, matrix in rows.items():
+            for i, j in product(range(1, 3), repeat=2):
+                assert matrix[i - 1][j - 1] == per_term_hole_entry(spec, kind, i, j)
+    assert cache.cache_info()[:2] == (2, 14)  # hits, misses
+    # a pole is raised again on every call, never kept
+    outside = RegionSpec(4, 1, (-4,), (2,))
+    for _ in range(2):
+        with pytest.raises(GammaPoleError):
+            hole_matrix_entry(outside, "lower", 1, 1)
+    assert cache.cache_info().currsize == 14
+
+
+def test_the_hole_entry_cache_is_bounded():
+    # 23 * 23 hole pairs per half at n = 24, m = 1: 1058 entries, past the bound
+    cache = matrices._entry
+    assert cache.cache_info().maxsize == matrices._ENTRIES == 1024
+    cache.cache_clear()
+    holes = range(-22, 23, 2)
+    for kind, l, r in product(HALVES, holes, holes):
+        hole_matrix_entry(RegionSpec(24, 1, (l,), (r,)), kind, 1, 1)
+        assert cache.cache_info().currsize <= 1024
+    assert cache.cache_info().currsize == 1024
+    cache.cache_clear()
 
 
 # ---------------------------------------------------------------------------
