@@ -3,15 +3,16 @@
 Each oracle has one search state, counted by a layered sweep that keeps
 only the current {state: count} layer.  A tiling state is the covered
 cells from a window's first cell on.  The sweep runs over the ``order`` of
-the unholed region the region was cut from, its hole cells covered, and
-steps ``WINDOW`` cells at a time, each state reading its moves from the
-window's table; the tables are kept with the unholed region, so every
-region cut from one hexagon reads the same ones.  It stops at the centre
-line of a region that is its own mirror image, whose count is the sum of
-the squares of that layer's counts.  The tilings are enumerated by walking
-the states of the same ``order`` one cell at a time, depth first, over
-per-cell tables of later partners and their ``mates`` tiles, built once per
-call, a cell with one later partner taking it in place.
+the unholed region the region was cut from and steps ``WINDOW`` cells at a
+time, each state reading its moves from the window's table under its bits
+that the window reads, the window's hole cells read as covered, so no
+state carries a hole's bit; the tables are kept with the unholed region,
+so every region cut from one hexagon reads the same ones.  It stops at the
+centre line of a region that is its own mirror image, whose count is the
+sum of the squares of that layer's counts.  The tilings are enumerated by
+walking the states of the same ``order`` one cell at a time, depth first,
+over per-cell tables of later partners and their ``mates`` tiles, built
+once per call, a cell with one later partner taking it in place.
 A path-family state is the (height, path) pairs of the paths crossing into
 a column; the sweep steps each column one path at a time.  Nothing here
 touches the determinant machinery.
@@ -19,8 +20,6 @@ touches the determinant machinery.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from itertools import accumulate
 from typing import Iterator, Sequence
 
 from .regions import RegionSpec, TriangularRegion, half_shift, lgv_points
@@ -102,10 +101,11 @@ class _Window(dict):
     ``order`` whose partner offsets are ``ahead``, and their move table.
 
     ``read`` holds the bits the step reads, bit 0 being ``lo``: the window's
-    own cells and each one's later partners.  ``window[mask & read]`` is the
-    tuple of the ways to cover every cell of the window that the mask leaves
-    free, each as the cells it claims past the window, shifted down by
-    ``width``; a pattern's moves are found the first time it appears.
+    own cells and each one's later partners.  ``window[pattern]``, for a
+    pattern of covered bits inside ``read``, is the tuple of the ways to
+    cover every cell of the window that the pattern leaves free, each as the
+    cells it claims past the window, shifted down by ``width``; a pattern's
+    moves are found the first time it appears.
     """
 
     __slots__ = ("lo", "width", "ahead", "read")
@@ -141,17 +141,15 @@ class _Window(dict):
 class _Sweep:
     """count_tilings' windows over an unholed (or hand-built) region's
     ``order``: ``WINDOW`` cells each, one ending at the region's
-    ``mirror_cut`` (the first ``cut`` windows), and per window the end of
-    all that it and the windows before it read."""
+    ``mirror_cut`` (the first ``cut`` windows)."""
 
     def __init__(self, region: TriangularRegion):
-        self.cells, ahead = region.order
+        ahead = region.order[1]
         cut = len(ahead) if region.mirror_cut is None else region.mirror_cut
         starts = [*range(0, cut, WINDOW), *range(cut, len(ahead), WINDOW)]
         self.cut = len(range(0, cut, WINDOW))
         self.windows = [_Window(lo, hi - lo, ahead)
                         for lo, hi in zip(starts, [*starts[1:], len(ahead)])]
-        self.reach = list(accumulate((w.lo + w.read.bit_length() for w in self.windows), max))
 
 
 def count_tilings(region: TriangularRegion) -> int:
@@ -163,18 +161,16 @@ def count_tilings(region: TriangularRegion) -> int:
     built once and kept in its ``memo``, so every region of a hexagon and
     kind shares them.  The layer at window start ``lo`` maps the covered
     cells from ``lo`` on (bit 0 is ``lo``) to the number of ways to cover
-    every cell before ``lo``.  A hole cell is covered from the start: its bit
-    is set on every key before the first window that reads it.  Each key
-    reads its moves from the window's table (``_Window``) and steps to
+    every cell before ``lo``.  No key carries a hole's bit: each key reads
+    its moves from the window's table (``_Window``) under its bits that the
+    window reads, the window's hole cells read as covered, and steps to
     ``(mask >> width) | move``.  Slab-major cell order keeps the masks narrow.
 
     A region that is its own mirror image (``region.mirror_cut``) is swept
     only over the cells left of the centre line.  Each key of that layer is
-    a set of column-0 vertical rhombi crossing the line (with the hole cells
-    right of the line read so far, the same on every key), and the right
-    half of a tiling is the mirror image of a left half with the same
-    crossing set, so the count is the sum of the squares of the layer's
-    counts.
+    a set of column-0 vertical rhombi crossing the line, and the right half
+    of a tiling is the mirror image of a left half with the same crossing
+    set, so the count is the sum of the squares of the layer's counts.
     """
     whole = region.whole or region
     sweep = whole.memo.get(_Sweep)
@@ -182,22 +178,17 @@ def count_tilings(region: TriangularRegion) -> int:
         sweep = whole.memo[_Sweep] = _Sweep(whole)
     symmetric = region.mirror_cut is not None
     windows = sweep.windows[:sweep.cut] if symmetric else sweep.windows
-    # per window, the hole bits its keys take on: a hole's bit is set late,
-    # by the first window that reads it, so that the keys stay narrow
-    enter = [0] * (len(windows) + 1)
     holes = region.hole_cells
-    for lo, cell in enumerate(sweep.cells if holes else ()):
-        if cell in holes:
-            k = bisect_right(sweep.reach, lo)
-            if k < len(windows):
-                enter[k] |= 1 << lo - windows[k].lo
-    layer = {enter[0]: 1}
-    for window, entering in zip(windows, enter[1:]):
+    cells = whole.order[0] if holes else ()
+    hole_bits = sum(1 << lo for lo, cell in enumerate(cells) if cell in holes)
+    layer = {0: 1}
+    for window in windows:
         read, width = window.read, window.width
+        covered = hole_bits >> window.lo & read
         nxt: dict = {}
         for mask, ways in layer.items():
-            rest = mask >> width | entering
-            for move in window[mask & read]:
+            rest = mask >> width
+            for move in window[mask & read | covered]:
                 key = rest | move
                 nxt[key] = nxt.get(key, 0) + ways
         layer = nxt

@@ -259,6 +259,19 @@ def test_verify_small(capsys):
     assert "0 mismatches" in out
 
 
+def test_verify_exits_1_on_a_mismatch(capsys, monkeypatch):
+    count_tilings = oracle.count_tilings
+
+    def off_by_one(region):
+        return count_tilings(region) + (region.spec.to_text() == "n=4 m=1 L=0 R=2")
+    monkeypatch.setattr(oracle, "count_tilings", off_by_one)
+    code, out, err = run(capsys, "verify", "--max-n", "4", "--max-m", "1", "--max-p", "1")
+    assert (code, err) == (1, "")
+    *rows, trailer = out.splitlines()
+    assert [row for row in rows if "MISMATCH" in row] == ["n=4 m=1 L=0 R=2  | 112 | 113 | MISMATCH"]
+    assert (len(rows), trailer) == (8, "# 8 specs, 1 mismatches")
+
+
 def test_route_mismatch_exits_1(capsys, monkeypatch):
     def mismatch(spec, kind):
         raise matrices.RouteMismatchError("lower: |det Q| = 5 but prefactor * |det E| = 4")

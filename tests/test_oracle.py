@@ -243,7 +243,7 @@ def test_the_window_sweep_matches_the_per_cell_sweep_on_every_kind():
         sweep = whole.memo[_Sweep]
         starts = {window.lo for window in sweep.windows}
         ends = {window.lo + window.width - 1 for window in sweep.windows}
-        holes = {lo for lo, cell in enumerate(sweep.cells) if cell in region.hole_cells}
+        holes = {lo for lo, cell in enumerate(whole.order[0]) if cell in region.hole_cells}
         first += bool(holes & starts)
         last += bool(holes & ends)
         uneven += whole.mirror_cut is not None and whole.mirror_cut % WINDOW != 0
@@ -284,6 +284,9 @@ def test_every_region_of_a_hexagon_reads_one_set_of_move_tables():
         assert whole.memo[_Sweep] is sweep and not region.memo
     count_tilings(whole)
     assert whole.memo[_Sweep] is sweep
+    # a hole cell is read as covered only where the window reads it, so every
+    # pattern, holey or not, keys the one table of the hexagon's window
+    assert all(not pattern & ~window.read for window in sweep.windows for pattern in window)
     assert [window.lo for window in sweep.windows] == [
         *range(0, whole.mirror_cut, WINDOW), *range(whole.mirror_cut, len(whole.cells), WINDOW)]
 
